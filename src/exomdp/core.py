@@ -274,9 +274,6 @@ class ReducedSpace:
         self.n_exo = w
         self.n_states = self.endo_cardinality * self.n_exo
 
-    def project(self, exo: Sequence[int]) -> tuple[int, ...]:
-        return tuple(exo[i] for i in self.mask.included)
-
     def encode_exo(self, values: Sequence[int]) -> int:
         code = 0
         for v, w in zip(values, self.weights):
@@ -441,6 +438,8 @@ class TabularFullMdp(GenerativeMdp):
         # Dense full reward, accumulated in variable order so that it is
         # bitwise identical to summing reward_component calls.
         digits = self._space.digit_matrix()
+        # (X, m) per-variable values of every joint exo code
+        self.exo_digits = np.ascontiguousarray(digits.T)
         full = np.zeros((n, a, x))
         for i, table in enumerate(self.reward_tables):
             full += table[:, digits[i], :].transpose(0, 2, 1)
@@ -452,9 +451,7 @@ class TabularFullMdp(GenerativeMdp):
         self._exo_cum = np.cumsum(self.exo_kernel, axis=-1)
         self._init_endo_cum = np.cumsum(self.init_endo)
         self._init_exo_cum = np.cumsum(self.init_exo)
-        self._exo_tuples = [
-            self._space.decode_exo(c) for c in range(self._space.n_exo)
-        ]
+        self._exo_tuples = [tuple(row) for row in self.exo_digits.tolist()]
 
     @property
     def action_count(self) -> int:
@@ -486,6 +483,15 @@ class TabularFullMdp(GenerativeMdp):
     def decode_exo(self, code: int) -> tuple[int, ...]:
         return self._exo_tuples[code]
 
+    def mask_split(self, mask: Mask) -> tuple[np.ndarray, int, int]:
+        """Exo codes as ``masked_code * n_excluded + excluded_code``, both sizes."""
+        cards = self.exo_cardinalities
+        space_m = ReducedSpace(1, mask, cards)
+        space_c = ReducedSpace(1, mask.complement(self.m), cards)
+        pos = space_m.project_codes(self.exo_digits) * space_c.n_exo
+        pos += space_c.project_codes(self.exo_digits)
+        return pos, space_m.n_exo, space_c.n_exo
+
     def sample_transition(
         self, state: FactoredState, action: int, rng: np.random.Generator
     ) -> FactoredState:
@@ -510,13 +516,56 @@ class TabularFullMdp(GenerativeMdp):
         x = int(np.searchsorted(self._init_exo_cum, u[1]))
         return FactoredState(n, self._exo_tuples[x])
 
+    # Batched samplers over flat (endo, exo code) arrays: row r of the
+    # (R, 2) uniforms ``u`` holds what the scalar sampler draws for rollout r.
 
-def exo_digit_matrix(mdp: TabularFullMdp) -> np.ndarray:
-    """``(X, m)`` array of per-variable values for every joint exo code."""
-    xf = mdp.n_exo_states
-    if mdp.m == 0:
-        return np.zeros((xf, 0), dtype=np.int64)
-    return np.array([mdp.decode_exo(c) for c in range(xf)], dtype=np.int64)
+    def sample_initial_batch(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _draw(self._init_endo_cum, u[:, 0]), _draw(self._init_exo_cum, u[:, 1])
+
+    def sample_transition_batch(self, endo, x, action, u: np.ndarray):
+        endo_next = _draw(self._endo_cum[endo, action, x], u[:, 0])
+        return endo_next, _draw(self._exo_cum[x], u[:, 1])
+
+    def batch_rollouts(
+        self, n_rollouts: int, horizon: int, seed: int, action_grid=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Step all rollouts at once, bit-identical to the per-rollout loop.
+
+        Rollout r reads its own ``SeedSequence(seed, spawn_key=(r,))``
+        stream, two uniforms per sampler call. The action in ``(endo, x)``
+        is ``action_grid[endo, x]``, or 0 without a grid. Returns the exo
+        codes ``(n_rollouts, horizon + 1)`` and rewards ``(n_rollouts, horizon)``.
+        """
+        u = rollout_uniforms(seed, n_rollouts, 2 * (horizon + 1)).reshape(
+            n_rollouts, horizon + 1, 2
+        )
+        codes = np.empty((n_rollouts, horizon + 1), dtype=np.int64)
+        rewards = np.empty((n_rollouts, horizon))
+        endo, codes[:, 0] = self.sample_initial_batch(u[:, 0])
+        for t in range(horizon):
+            x = codes[:, t]
+            a = 0 if action_grid is None else action_grid[endo, x]
+            rewards[:, t] = self.full_reward[endo, a, x]
+            step = self.sample_transition_batch(endo, x, a, u[:, t + 1])
+            endo, codes[:, t + 1] = step
+        return codes, rewards
+
+
+def _draw(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cum_row, u_row)`` per row of non-decreasing cumsums."""
+    return (cum < u[:, None]).sum(axis=-1)
+
+
+def rollout_uniforms(seed: int, n_rollouts: int, draws: int) -> np.ndarray:
+    """Row r: the first ``draws`` doubles of the generator of rollout r,
+    ``default_rng(SeedSequence(seed, spawn_key=(r,)))``. PCG64 buffers no
+    doubles, so these are what successive ``random(2)`` calls return.
+    """
+    out = np.empty((n_rollouts, draws))
+    for r in range(n_rollouts):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        out[r] = rng.random(draws)
+    return out
 
 
 def uniform_random_policy(

@@ -29,7 +29,6 @@ from .core import (
     ReducedSpace,
     TabularFullMdp,
     VariableSpec,
-    exo_digit_matrix,
 )
 
 _MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))  # up, down, left, right
@@ -653,17 +652,6 @@ def random_block_mdp(
     return mdp, mask
 
 
-def _mask_split(mdp: TabularFullMdp, mask: Mask):
-    """Indices regrouping full exo codes as (masked code, excluded code)."""
-    cards = [s.cardinality for s in mdp.variable_specs]
-    space_m = ReducedSpace(1, mask, cards)
-    space_c = ReducedSpace(1, mask.complement(mdp.m), cards)
-    digits = exo_digit_matrix(mdp)
-    pos = space_m.project_codes(digits) * space_c.n_exo + space_c.project_codes(digits)
-    inv = np.argsort(pos)
-    return inv, pos, space_m.n_exo, space_c.n_exo
-
-
 def perturb_excluded_reward(
     mdp: TabularFullMdp, mask: Mask, seed: int = 0, magnitude: float = 0.5
 ) -> TabularFullMdp:
@@ -691,7 +679,7 @@ def perturb_endo_on_excluded(
     mdp: TabularFullMdp, mask: Mask, seed: int = 0, strength: float = 0.5
 ) -> TabularFullMdp:
     """Make the endogenous kernel depend on the excluded variables."""
-    inv, pos, xm, xc = _mask_split(mdp, mask)
+    pos, _, xc = mdp.mask_split(mask)
     if xc < 2:
         raise ValueError("excluded block must have at least two joint values")
     rng = np.random.default_rng(seed)
@@ -726,10 +714,11 @@ def perturb_exo_coupling(
     code get their masked marginal blended toward an alternative kernel,
     breaking the factorization while keeping every row normalized.
     """
-    inv, pos, xm, xc = _mask_split(mdp, mask)
+    pos, xm, xc = mdp.mask_split(mask)
     if xc < 2:
         raise ValueError("excluded block must have at least two joint values")
     rng = np.random.default_rng(seed)
+    inv = np.argsort(pos)
     joint = mdp.exo_kernel[np.ix_(inv, inv)].reshape(xm, xc, xm, xc)
     marg_m = joint.sum(axis=3)
     marg_c = joint.sum(axis=2)

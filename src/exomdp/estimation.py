@@ -20,9 +20,7 @@ from .core import (
     GenerativeMdp,
     InsufficientDataError,
     Mask,
-    exo_digit_matrix,
     ReducedSpace,
-    ReducedState,
     StateSpaceTooLargeError,
     TabularFullMdp,
     UnsupportedMdpError,
@@ -49,13 +47,6 @@ class ExoRolloutDataset:
 
     def __len__(self) -> int:
         return len(self.exo)
-
-    @property
-    def transitions(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return [
-            (tuple(int(v) for v in a), tuple(int(v) for v in b))
-            for a, b in zip(self.exo, self.next_exo)
-        ]
 
 
 @dataclass(frozen=True)
@@ -111,10 +102,6 @@ class TabularReducedMdp:
     def n_exo_states(self) -> int:
         return self.space.n_exo
 
-    @property
-    def states(self) -> list[ReducedState]:
-        return self.space.states()
-
     def assert_valid(self, tol: float = 1e-9) -> None:
         for name, table in (("endo", self.endo_table), ("exo", self.exo_table)):
             if np.any(table < 0):
@@ -137,18 +124,24 @@ def collect_exo_rollouts(
         raise ValueError("n_rollouts and horizon must be >= 1")
     m = mdp.m
     total = n_rollouts * horizon
-    exo = np.empty((total, m), dtype=_EXO_DTYPE)
-    nxt = np.empty((total, m), dtype=_EXO_DTYPE)
-    row = 0
-    for r in range(n_rollouts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        state = mdp.sample_initial(rng)
-        for _ in range(horizon):
-            after = mdp.sample_transition(state, 0, rng)
-            exo[row] = state.exo
-            nxt[row] = after.exo
-            row += 1
-            state = after
+    if isinstance(mdp, TabularFullMdp):
+        codes, _ = mdp.batch_rollouts(n_rollouts, horizon, seed)
+        values = mdp.exo_digits.astype(_EXO_DTYPE)[codes]  # (R, H + 1, m)
+        exo = values[:, :-1].reshape(total, m)
+        nxt = values[:, 1:].reshape(total, m)
+    else:
+        exo = np.empty((total, m), dtype=_EXO_DTYPE)
+        nxt = np.empty((total, m), dtype=_EXO_DTYPE)
+        row = 0
+        for r in range(n_rollouts):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            state = mdp.sample_initial(rng)
+            for _ in range(horizon):
+                after = mdp.sample_transition(state, 0, rng)
+                exo[row] = state.exo
+                nxt[row] = after.exo
+                row += 1
+                state = after
     return ExoRolloutDataset(
         exo=exo,
         next_exo=nxt,
@@ -331,7 +324,7 @@ def exact_reduced_model(
     space = reduced_space_for(mdp, mask, state_budget)
     xf = mdp.n_exo_states
     xm = space.n_exo
-    proj = space.project_codes(exo_digit_matrix(mdp))
+    proj = space.project_codes(mdp.exo_digits)
     group_sizes = np.bincount(proj, minlength=xm).astype(float)
 
     # endo: average P(n'|n,a,x) over full codes sharing a masked code
@@ -581,13 +574,13 @@ def load_full_dataset(path) -> FullRolloutDataset:
 def _parse_meta(header: str, magic: str) -> dict:
     if not header.startswith(f"# {magic}"):
         raise ValueError(f"not a {magic} file: {header!r}")
-    out = {}
-    for token in header[1:].split()[1:]:
+    # policy= is the last field and its tag may contain spaces
+    fields, found, policy = header.rstrip("\r\n").partition(" policy=")
+    out = {"policy": policy} if found else {}
+    for token in fields[1:].split()[1:]:
         key, _, value = token.partition("=")
         if key == "cards":
             out[key] = tuple(int(v) for v in value.split(","))
-        elif key == "policy":
-            out[key] = value
         else:
             out[key] = int(value)
     return out

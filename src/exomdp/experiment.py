@@ -78,6 +78,9 @@ class ExperimentConfig:
             )
         if self.algorithm == "fixed-mask" and self.fixed_mask is None:
             raise ValueError("fixed-mask runs need a fixed_mask")
+        for name in ("lam", "mi_threshold", "variance_threshold"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         for name in ("n_rollouts", "n_contexts", "n_settings", "n_trials", "workers"):
@@ -346,7 +349,13 @@ def run_experiment(
     trial order either way.
     """
     config.validate()
-    workers = int(os.environ.get(WORKERS_ENV_VAR, config.workers))
+    raw = os.environ.get(WORKERS_ENV_VAR)
+    try:
+        workers = config.workers if raw is None else int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}")
     indices = list(range(config.n_trials))
     if workers > 1:
         payloads = [(config.to_dict(), i) for i in indices]

@@ -25,7 +25,6 @@ from .core import (
     ReducedSpace,
     ReducedState,
     TabularFullMdp,
-    exo_digit_matrix,
 )
 from .estimation import TabularReducedMdp
 
@@ -59,17 +58,9 @@ class Policy:
     def mask(self) -> Mask:
         return self.space.mask
 
-    def action_for_reduced(self, rstate: ReducedState) -> int:
-        return int(self.actions[self.space.encode_reduced(rstate)])
-
     def action_for_state(self, state: FactoredState) -> int:
         """Act on a full state by reducing it through the policy's mask."""
         return int(self.actions[self.space.encode_state(state.endo, state.exo)])
-
-    def items(self) -> list[tuple[ReducedState, int]]:
-        return [
-            (self.space.decode(i), int(a)) for i, a in enumerate(self.actions)
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,9 +78,6 @@ class ValueTable:
 
     def value_of_reduced(self, rstate: ReducedState) -> float:
         return float(self.values[self.space.encode_reduced(rstate)])
-
-    def value_of_state(self, state: FactoredState) -> float:
-        return float(self.values[self.space.encode_state(state.endo, state.exo)])
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max()) if self.values.size else 0.0
@@ -109,10 +97,6 @@ class PlanResult:
 
     def __iter__(self):
         return iter((self.policy, self.values))
-
-    @property
-    def sweeps(self) -> int:
-        return len(self.residuals)
 
 
 def _q_values(model: TabularReducedMdp, v: np.ndarray) -> np.ndarray:
@@ -185,7 +169,7 @@ def value_iteration(
 def _full_mdp_action_grid(mdp: TabularFullMdp, policy: Policy) -> np.ndarray:
     """Per-(endo, exo_flat) actions from lifting a reduced policy."""
     n = mdp.endo_cardinality
-    proj = policy.space.project_codes(exo_digit_matrix(mdp))
+    proj = policy.space.project_codes(mdp.exo_digits)
     table = policy.actions.reshape(n, policy.space.n_exo)
     return table[:, proj]  # (N, XF)
 
@@ -265,6 +249,15 @@ def monte_carlo_value(
     if n_rollouts < 1 or horizon < 1:
         raise ValueError("n_rollouts and horizon must be >= 1")
     gamma = mdp.discount
+    if isinstance(mdp, TabularFullMdp):
+        grid = _full_mdp_action_grid(mdp, policy)
+        rewards = mdp.batch_rollouts(n_rollouts, horizon, seed, grid)[1]
+        returns = np.zeros(n_rollouts)
+        disc = 1.0
+        for t in range(horizon):  # the per-rollout loop's summation order
+            returns += disc * rewards[:, t]
+            disc *= gamma
+        return float(returns.mean()), returns
     sample_transition = mdp.sample_transition
     reward = mdp.reward
     actions = policy.actions
@@ -296,6 +289,9 @@ def count_positive_reward_steps(
     Used as a task-success count in domains where success is the only
     source of positive reward.
     """
+    if isinstance(mdp, TabularFullMdp):
+        grid = _full_mdp_action_grid(mdp, policy)
+        return int((mdp.batch_rollouts(n_rollouts, horizon, seed, grid)[1] > 0.0).sum())
     actions = policy.actions
     encode = policy.space.encode_state
     hits = 0
@@ -351,6 +347,6 @@ def lift_reduced_values(
 ) -> np.ndarray:
     """Reduced-model values arranged over the full state enumeration."""
     n = mdp.endo_cardinality
-    proj = values.space.project_codes(exo_digit_matrix(mdp))
+    proj = values.space.project_codes(mdp.exo_digits)
     table = values.values.reshape(n, values.space.n_exo)
     return table[:, proj].reshape(-1)

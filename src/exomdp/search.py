@@ -26,10 +26,8 @@ from .core import (
     ExomdpError,
     GenerativeMdp,
     Mask,
-    ReducedSpace,
     TabularFullMdp,
     UnsupportedMdpError,
-    exo_digit_matrix,
     truncation_horizon,
 )
 from .estimation import (
@@ -463,18 +461,6 @@ class ConditionReport:
         return self.reward_clean and self.endo_invariant and self.exo_factorized
 
 
-def _split_space(mdp: TabularFullMdp, mask: Mask) -> tuple[np.ndarray, int, int]:
-    """Map full exo codes to ``masked_code * n_excluded + excluded_code``."""
-    cards = [s.cardinality for s in mdp.variable_specs]
-    space_m = ReducedSpace(1, mask, cards)
-    space_c = ReducedSpace(1, mask.complement(mdp.m), cards)
-    digits = exo_digit_matrix(mdp)
-    pos = space_m.project_codes(digits) * space_c.n_exo + space_c.project_codes(
-        digits
-    )
-    return pos, space_m.n_exo, space_c.n_exo
-
-
 def _max_pairwise_tv(rows: np.ndarray, axis: int) -> float:
     """Max total-variation distance between any two slices along ``axis``."""
     moved = np.moveaxis(rows, axis, -2)
@@ -502,7 +488,7 @@ def check_reduction_conditions(
         if table.size:
             max_reward = max(max_reward, float(np.abs(table).max()))
 
-    pos, xm, xc = _split_space(mdp, mask)
+    pos, xm, xc = mdp.mask_split(mask)
     inv = np.argsort(pos)  # pos is a bijection on exo codes
 
     endo_grouped = mdp.endo_kernel[:, :, inv, :].reshape(

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from exomdp.core import Mask, ReducedSpace, TabularFullMdp, VariableSpec
+from exomdp.core import (
+    GenerativeMdp,
+    Mask,
+    ReducedSpace,
+    TabularFullMdp,
+    VariableSpec,
+    reduced_space_for,
+)
 from exomdp.estimation import TabularReducedMdp
 
 
@@ -103,3 +111,58 @@ def hand_toy():
         variable_specs=specs,
         name="hand-toy",
     )
+
+
+class BlackBox(GenerativeMdp):
+    """A tabular MDP seen only through the generative interface.
+
+    Rollouts on it take the per-rollout loop, which makes it the reference
+    the batched tabular engine must match bit for bit.
+    """
+
+    def __init__(self, inner: TabularFullMdp):
+        self.inner = inner
+        self.name = inner.name
+
+    action_count = property(lambda self: self.inner.action_count)
+    endo_cardinality = property(lambda self: self.inner.endo_cardinality)
+    variable_specs = property(lambda self: self.inner.variable_specs)
+    discount = property(lambda self: self.inner.discount)
+    r_max = property(lambda self: self.inner.r_max)
+
+    def sample_initial(self, rng):
+        return self.inner.sample_initial(rng)
+
+    def sample_transition(self, state, action, rng):
+        return self.inner.sample_transition(state, action, rng)
+
+    def reward(self, state, action):
+        return self.inner.reward(state, action)
+
+    def reward_component(self, i, endo, exo_value, action):
+        return self.inner.reward_component(i, endo, exo_value, action)
+
+
+def random_policy(mdp, mask, seed):
+    """Policy with uniformly drawn actions over a mask's reduced space."""
+    from exomdp.planner import Policy
+
+    space = reduced_space_for(mdp, mask)
+    actions = np.random.default_rng(seed).integers(mdp.action_count, size=space.n_states)
+    return Policy(space=space, actions=actions, action_count=mdp.action_count)
+
+
+@st.composite
+def random_tabular_cases(draw):
+    """``(mdp, mask)``: a random analytic MDP with 0-3 variables and a mask."""
+    from exomdp.domains import build_random_mdp
+
+    cards = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    mdp = build_random_mdp(
+        draw(st.integers(0, 10_000)),
+        endo_cardinality=draw(st.integers(1, 4)),
+        cards=cards,
+        n_actions=draw(st.integers(1, 3)),
+    )
+    mask = Mask.of(j for j in range(len(cards)) if draw(st.booleans()))
+    return mdp, mask

@@ -15,6 +15,7 @@ from exomdp.core import (
     enumerate_reduced_states,
     reduce_state,
     reduced_reward,
+    rollout_uniforms,
     truncation_horizon,
 )
 from exomdp.domains import build_crowd, build_factory, build_gridworld
@@ -240,6 +241,13 @@ class TestTabularFullMdp:
                 assert hand_toy.reward(state, action) == pytest.approx(
                     total, abs=1e-12
                 )
+
+
+def test_rollout_uniforms_are_the_per_rollout_streams():
+    u = rollout_uniforms(5, 3, 6)
+    for r in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(r,)))
+        assert np.array_equal(u[r], np.concatenate([rng.random(2) for _ in range(3)]))
 
 
 def test_truncation_horizon():

@@ -29,7 +29,7 @@ from exomdp.estimation import (
 )
 from exomdp.planner import value_iteration
 
-from conftest import constant_reward_mdp
+from conftest import BlackBox, constant_reward_mdp, random_tabular_cases
 
 
 class TestCollectExo:
@@ -55,6 +55,28 @@ class TestCollectExo:
         a = collect_exo_rollouts(mdp, 10, 10, seed=7)
         b = collect_exo_rollouts(mdp, 10, 10, seed=7)
         assert np.array_equal(a.exo, b.exo) and np.array_equal(a.next_exo, b.next_exo)
+
+    @staticmethod
+    def assert_matches_loop(mdp, n_rollouts, horizon, seed):
+        ds = collect_exo_rollouts(mdp, n_rollouts, horizon, seed)
+        ref = collect_exo_rollouts(BlackBox(mdp), n_rollouts, horizon, seed)
+        for got, want in ((ds.exo, ref.exo), (ds.next_exo, ref.next_exo)):
+            assert got.dtype == want.dtype == np.int16
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_rollouts, horizon", [(1, 1), (1, 50), (30, 1), (200, 50)])
+    def test_gridworld_batch_matches_loop(self, gridworld, n_rollouts, horizon):
+        self.assert_matches_loop(gridworld, n_rollouts, horizon, seed=3)
+
+    @given(
+        case=random_tabular_cases(),
+        n_rollouts=st.integers(1, 12),
+        horizon=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_mdp_batch_matches_loop(self, case, n_rollouts, horizon, seed):
+        self.assert_matches_loop(case[0], n_rollouts, horizon, seed)
 
     def test_validation(self):
         mdp = build_chain_mdp((2,), (0.5,))
@@ -348,3 +370,16 @@ class TestSerialization:
         assert np.array_equal(loaded.reward, ds.reward)
         assert np.array_equal(loaded.next_exo, ds.next_exo)
         assert loaded.policy_tag == ds.policy_tag
+
+    def test_planned_policy_round_trip(self, tmp_path, hand_toy):
+        # the policy tag contains a space: "reduced-policy:(0, 1)"
+        plan = value_iteration(exact_reduced_model(hand_toy, Mask((0, 1))), 1e-6)
+        ds = collect_full_rollouts(hand_toy, plan.policy, 8, 4, seed=9)
+        path = tmp_path / "full.csv"
+        save_full_dataset(ds, path)
+        loaded = load_full_dataset(path)
+        assert loaded.policy_tag == ds.policy_tag == "reduced-policy:(0, 1)"
+        for name in ("endo", "action", "reward", "next_endo", "exo", "next_exo"):
+            assert np.array_equal(getattr(loaded, name), getattr(ds, name))
+        assert (loaded.endo_cardinality, loaded.action_count) == (2, 2)
+        assert (loaded.horizon, loaded.n_rollouts, loaded.seed) == (4, 8, 9)

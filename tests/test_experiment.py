@@ -77,6 +77,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"bogus_key": 1})
 
+    @pytest.mark.parametrize("name", ["lam", "mi_threshold", "variance_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            tiny_config(**{name: value})
+
     def test_apply_overrides_dotted(self):
         cfg = tiny_config()
         updated = apply_overrides(
@@ -280,6 +286,13 @@ class TestWorkers:
             assert a.seed == b.seed
             assert a.mask == b.mask
             assert a.score.objective == b.score.objective
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
+    def test_env_var_must_be_positive_integer(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("EXOMDP_WORKERS", value)
+        with pytest.raises(ValueError, match="EXOMDP_WORKERS"):
+            run_experiment(tiny_config(n_trials=1), out_dir=tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
 
     def test_env_var_overrides_worker_count(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EXOMDP_WORKERS", "2")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exomdp.core import Mask, PlannerTimeoutError, truncation_horizon
 from exomdp.domains import build_random_mdp
@@ -17,7 +19,14 @@ from exomdp.planner import (
     value_iteration,
 )
 
-from conftest import chain_reduced, make_reduced, policy_eval_oracle
+from conftest import (
+    BlackBox,
+    chain_reduced,
+    make_reduced,
+    policy_eval_oracle,
+    random_policy,
+    random_tabular_cases,
+)
 
 
 class TestValueIteration:
@@ -226,6 +235,47 @@ class TestMonteCarlo:
         plan = value_iteration(exact_reduced_model(gridworld, mask), 1e-5)
         hits = count_positive_reward_steps(gridworld, plan.policy, 20, 50, seed=0)
         assert hits > 0
+
+
+class TestBatchedRollouts:
+    """Tabular MDPs roll out in batch; results equal the per-rollout loop."""
+
+    @staticmethod
+    def assert_matches_loop(mdp, policy, n_rollouts, horizon, seed):
+        mean, per = monte_carlo_value(mdp, policy, n_rollouts, horizon, seed)
+        ref_mean, ref_per = monte_carlo_value(
+            BlackBox(mdp), policy, n_rollouts, horizon, seed
+        )
+        assert np.array_equal(per, ref_per)
+        assert mean == ref_mean
+        hits = count_positive_reward_steps(mdp, policy, n_rollouts, horizon, seed)
+        assert hits == count_positive_reward_steps(
+            BlackBox(mdp), policy, n_rollouts, horizon, seed
+        )
+
+    @pytest.mark.parametrize("n_rollouts, horizon", [(1, 1), (1, 60), (40, 1), (50, 60)])
+    def test_gridworld_matches_loop(self, gridworld, n_rollouts, horizon):
+        plan = value_iteration(exact_reduced_model(gridworld, Mask((0, 2))), 1e-5)
+        self.assert_matches_loop(gridworld, plan.policy, n_rollouts, horizon, seed=11)
+
+    def test_gridworld_value_pinned(self, gridworld):
+        # recorded with the per-rollout loop, before the batched engine
+        plan = value_iteration(exact_reduced_model(gridworld, Mask((0, 1))), 1e-6)
+        mean, _ = monte_carlo_value(gridworld, plan.policy, 50, 60, seed=11)
+        assert repr(mean) == "1.8321196698656061"
+        assert count_positive_reward_steps(gridworld, plan.policy, 50, 60, seed=11) == 1620
+
+    @given(
+        case=random_tabular_cases(),
+        n_rollouts=st.integers(1, 12),
+        horizon=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_mdps_match_loop(self, case, n_rollouts, horizon, seed):
+        mdp, mask = case
+        policy = random_policy(mdp, mask, seed)
+        self.assert_matches_loop(mdp, policy, n_rollouts, horizon, seed)
 
 
 class TestHoeffding:
