@@ -526,19 +526,31 @@ class TabularFullMdp(GenerativeMdp):
         endo_next = _draw(self._endo_cum[endo, action, x], u[:, 0])
         return endo_next, _draw(self._exo_cum[x], u[:, 1])
 
+    def batch_uniforms(self, n_rollouts: int, horizon: int, seed: int) -> np.ndarray:
+        """The uniforms ``batch_rollouts`` reads, read-only, shape
+        ``(n_rollouts, horizon + 1, 2)``: rollout r's own
+        ``SeedSequence(seed, spawn_key=(r,))`` stream, two per sampler call.
+        """
+        u = rollout_uniforms(seed, n_rollouts, 2 * (horizon + 1))
+        u.flags.writeable = False
+        return u.reshape(n_rollouts, horizon + 1, 2)
+
     def batch_rollouts(
-        self, n_rollouts: int, horizon: int, seed: int, action_grid=None
+        self, uniforms: np.ndarray, action_grid=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Step all rollouts at once, bit-identical to the per-rollout loop.
 
-        Rollout r reads its own ``SeedSequence(seed, spawn_key=(r,))``
-        stream, two uniforms per sampler call. The action in ``(endo, x)``
-        is ``action_grid[endo, x]``, or 0 without a grid. Returns the exo
-        codes ``(n_rollouts, horizon + 1)`` and rewards ``(n_rollouts, horizon)``.
+        ``uniforms`` is ``batch_uniforms(n_rollouts, horizon, seed)``, the
+        only source of randomness. The action in ``(endo, x)`` is
+        ``action_grid[endo, x]``, or 0 without a grid. Returns the exo codes
+        ``(n_rollouts, horizon + 1)`` and rewards ``(n_rollouts, horizon)``.
         """
-        u = rollout_uniforms(seed, n_rollouts, 2 * (horizon + 1)).reshape(
-            n_rollouts, horizon + 1, 2
-        )
+        u = uniforms
+        if u.ndim != 3 or u.shape[1] < 2 or u.shape[2] != 2:
+            raise ValueError(
+                f"uniforms of shape {u.shape} are not (n_rollouts, horizon + 1, 2)"
+            )
+        n_rollouts, horizon = u.shape[0], u.shape[1] - 1
         codes = np.empty((n_rollouts, horizon + 1), dtype=np.int64)
         rewards = np.empty((n_rollouts, horizon))
         endo, codes[:, 0] = self.sample_initial_batch(u[:, 0])

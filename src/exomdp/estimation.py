@@ -29,6 +29,18 @@ from .core import (
 )
 
 _EXO_DTYPE = np.int16
+# Largest exogenous cardinality whose values 0..card-1 the exo dtype holds.
+_MAX_EXO_CARDINALITY = int(np.iinfo(_EXO_DTYPE).max) + 1
+
+
+def _check_exo_dtype(mdp: GenerativeMdp) -> None:
+    """Refuse, before any rollout, cardinalities the exo dtype would wrap."""
+    too_large = [c for c in mdp.exo_cardinalities if c > _MAX_EXO_CARDINALITY]
+    if too_large:
+        raise ValueError(
+            f"exogenous cardinalities {too_large} exceed {_MAX_EXO_CARDINALITY}, "
+            f"the most the {np.dtype(_EXO_DTYPE).name} dataset dtype holds"
+        )
 
 
 @dataclass(frozen=True)
@@ -122,10 +134,11 @@ def collect_exo_rollouts(
     """
     if n_rollouts < 1 or horizon < 1:
         raise ValueError("n_rollouts and horizon must be >= 1")
+    _check_exo_dtype(mdp)
     m = mdp.m
     total = n_rollouts * horizon
     if isinstance(mdp, TabularFullMdp):
-        codes, _ = mdp.batch_rollouts(n_rollouts, horizon, seed)
+        codes, _ = mdp.batch_rollouts(mdp.batch_uniforms(n_rollouts, horizon, seed))
         values = mdp.exo_digits.astype(_EXO_DTYPE)[codes]  # (R, H + 1, m)
         exo = values[:, :-1].reshape(total, m)
         nxt = values[:, 1:].reshape(total, m)
@@ -166,6 +179,7 @@ def collect_full_rollouts(
     """
     if n_rollouts < 1 or horizon < 1:
         raise ValueError("n_rollouts and horizon must be >= 1")
+    _check_exo_dtype(mdp)
     if policy is None:
         act = uniform_random_policy(mdp)
         tag = "uniform-random"
@@ -230,16 +244,14 @@ def exo_pairs_from_full(full_data: FullRolloutDataset) -> ExoRolloutDataset:
 
 def _normalize_rows(counts: np.ndarray, smoothing: float) -> np.ndarray:
     """Row-normalize counts with additive smoothing; empty rows go uniform."""
-    counts = counts.astype(float)
-    k = counts.shape[-1]
+    # in place on one float copy: the crowd's 4050x4050 exo table is 131 MB
+    out = counts.astype(float)
     if smoothing > 0:
-        counts = counts + smoothing
-    totals = counts.sum(axis=-1, keepdims=True)
-    out = np.empty_like(counts)
-    empty = (totals == 0.0)[..., 0]
-    nonempty = ~empty
-    out[nonempty] = counts[nonempty] / totals[nonempty]
-    out[empty] = 1.0 / k
+        out += smoothing
+    totals = out.sum(axis=-1, keepdims=True)
+    empty = totals[..., 0] == 0.0
+    np.divide(out, totals, out=out, where=~empty[..., None])
+    out[empty] = 1.0 / out.shape[-1]
     return out
 
 
@@ -260,6 +272,18 @@ def fit_reduced_mdp(
     """
     if len(exo_data) == 0 or len(full_data) == 0:
         raise InsufficientDataError("cannot fit a reduced model from an empty dataset")
+    want = (mdp.exo_cardinalities, mdp.endo_cardinality, mdp.action_count)
+    got = (
+        tuple(full_data.cardinalities),
+        full_data.endo_cardinality,
+        full_data.action_count,
+    )
+    if tuple(exo_data.cardinalities) != want[0] or got != want:
+        raise ValueError(
+            "datasets do not match the MDP's (exo cardinalities, endo "
+            f"cardinality, actions) {want}: the exo dataset has cardinalities "
+            f"{tuple(exo_data.cardinalities)}, the full dataset {got}"
+        )
     space = reduced_space_for(mdp, mask, state_budget)
     n, a, x = mdp.endo_cardinality, mdp.action_count, space.n_exo
     if x * x > 200_000_000:
@@ -267,9 +291,12 @@ def fit_reduced_mdp(
             f"masked exo table would need {x * x} entries"
         )
 
-    codes_t = space.project_codes(exo_data.exo)
-    codes_t1 = space.project_codes(exo_data.next_exo)
-    exo_counts = np.bincount(codes_t * x + codes_t1, minlength=x * x).reshape(x, x)
+    # unnamed, the projected codes are freed before the endo counts, where
+    # the fit's memory peaks
+    exo_counts = np.bincount(
+        space.project_codes(exo_data.exo) * x + space.project_codes(exo_data.next_exo),
+        minlength=x * x,
+    ).reshape(x, x)
     exo_table = _normalize_rows(exo_counts, smoothing)
 
     fcodes = space.project_codes(full_data.exo)

@@ -31,6 +31,7 @@ from .search import (
     MaskScore,
     SearchParams,
     SearchTrace,
+    derive_seed,
     estimate_objective,
     mask_brute_force,
     mask_correlational,
@@ -241,18 +242,7 @@ class ResultRecord:
                     trial=row["trial"],
                     seed=row["seed"],
                     mask=tuple(row["mask"]) if row["mask"] is not None else None,
-                    score=(
-                        MaskScore(
-                            mask=Mask(tuple(score["mask"])),
-                            objective=score["objective"],
-                            mean_return=score["mean_return"],
-                            cost=score["cost"],
-                            lam=score["lam"],
-                            wall_time=score.get("wall_time", 0.0),
-                        )
-                        if score is not None
-                        else None
-                    ),
+                    score=MaskScore.from_dict(score) if score is not None else None,
                     wall_time=row.get("wall_time", 0.0),
                     error=row["error"],
                 )
@@ -273,7 +263,12 @@ def modal_mask(masks: list[tuple[int, ...] | None]) -> list[int] | None:
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> tuple[TrialRow, str]:
-    """Run one trial; returns its row and the serialized search trace."""
+    """Run one trial; returns its row and the serialized search trace.
+
+    A searched mask's score is taken from the trace, where the search
+    already scored it on the same datasets; only ``fixed-mask`` and
+    ``first-phase-only``, which search nothing, score their mask here.
+    """
     seed = trial_seed(config.master_seed, trial)
     params = config.search_params()
     t0 = time.perf_counter()
@@ -297,8 +292,6 @@ def run_trial(config: ExperimentConfig, trial: int) -> tuple[TrialRow, str]:
                 seed,
             )
         elif algorithm == "first-phase-only":
-            from .search import derive_seed
-
             mask = estimate_reward_variables(
                 mdp,
                 config.variance_threshold,
@@ -311,7 +304,12 @@ def run_trial(config: ExperimentConfig, trial: int) -> tuple[TrialRow, str]:
             mask = Mask(tuple(config.fixed_mask or ()))
             trace = SearchTrace(terminal_reason="exhausted")
         wall = time.perf_counter() - t0
-        score = estimate_objective(mdp, mask, config.lam, params, seed)
+        score = next(
+            (e.score for e in trace.entries if e.mask == mask and e.score is not None),
+            None,
+        )
+        if score is None:
+            score = estimate_objective(mdp, mask, config.lam, params, seed)
         row = TrialRow(
             trial=trial,
             seed=seed,

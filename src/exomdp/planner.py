@@ -237,21 +237,40 @@ def monte_carlo_value(
     policy: Policy,
     n_rollouts: int,
     horizon: int,
-    seed: int = 0,
+    seed: int | None = None,
+    uniforms: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean truncated discounted return of a reduced policy in the full MDP.
 
     Each rollout starts from the initial-state distribution and uses its
     own generator stream, so results are reproducible bit for bit given
     ``(seed, n_rollouts, horizon)`` and independent of evaluation order.
-    Returns ``(mean, per_rollout)``.
+    The streams come from ``seed`` (0 when None) or, on a tabular MDP only,
+    from ``uniforms``: ``mdp.batch_uniforms(n_rollouts, horizon, s)`` drawn
+    earlier, which gives the value of seed ``s`` and lets calls sharing a
+    seed share one draw. Passing both is refused. Returns
+    ``(mean, per_rollout)``.
     """
     if n_rollouts < 1 or horizon < 1:
         raise ValueError("n_rollouts and horizon must be >= 1")
+    if uniforms is not None:
+        if seed is not None:
+            raise ValueError("pass seed or uniforms, not both")
+        if not isinstance(mdp, TabularFullMdp):
+            raise ValueError("pre-drawn uniforms need a TabularFullMdp")
+        if uniforms.shape != (n_rollouts, horizon + 1, 2):
+            raise ValueError(
+                f"uniforms of shape {uniforms.shape} do not fit {n_rollouts} "
+                f"rollouts of horizon {horizon}"
+            )
+    if seed is None:
+        seed = 0
     gamma = mdp.discount
     if isinstance(mdp, TabularFullMdp):
         grid = _full_mdp_action_grid(mdp, policy)
-        rewards = mdp.batch_rollouts(n_rollouts, horizon, seed, grid)[1]
+        if uniforms is None:
+            uniforms = mdp.batch_uniforms(n_rollouts, horizon, seed)
+        rewards = mdp.batch_rollouts(uniforms, grid)[1]
         returns = np.zeros(n_rollouts)
         disc = 1.0
         for t in range(horizon):  # the per-rollout loop's summation order
@@ -291,7 +310,8 @@ def count_positive_reward_steps(
     """
     if isinstance(mdp, TabularFullMdp):
         grid = _full_mdp_action_grid(mdp, policy)
-        return int((mdp.batch_rollouts(n_rollouts, horizon, seed, grid)[1] > 0.0).sum())
+        uniforms = mdp.batch_uniforms(n_rollouts, horizon, seed)
+        return int((mdp.batch_rollouts(uniforms, grid)[1] > 0.0).sum())
     actions = policy.actions
     encode = policy.space.encode_state
     hits = 0

@@ -9,12 +9,14 @@ it along transition mutual information.
 
 All masks within one search are scored under a common random-number
 schedule (identical rollout seeds), so score comparisons are not dominated
-by sampling noise.
+by sampling noise. Each search collects its datasets once and scores each
+mask once.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -51,6 +53,8 @@ TERMINAL_OBJECTIVE_DECREASED = "objective-decreased"
 TERMINAL_MI_BELOW_THRESHOLD = "mi-below-threshold"
 TERMINAL_EXHAUSTED = "exhausted"
 TERMINAL_BUDGET = "budget"
+
+logger = logging.getLogger(__name__)
 
 
 def mask_size_cost(mask: Mask) -> float:
@@ -112,6 +116,18 @@ class MaskScore:
         if include_timing:
             out["wall_time"] = self.wall_time
         return out
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "MaskScore":
+        """Inverse of ``to_dict``; ``wall_time`` defaults to 0.0 when absent."""
+        return cls(
+            mask=Mask(tuple(data["mask"])),
+            objective=data["objective"],
+            mean_return=data["mean_return"],
+            cost=data["cost"],
+            lam=data["lam"],
+            wall_time=data.get("wall_time", 0.0),
+        )
 
 
 @dataclass(frozen=True)
@@ -176,17 +192,7 @@ class SearchTrace:
                         else None
                     ),
                     accepted=row["accepted"],
-                    score=(
-                        MaskScore(
-                            mask=Mask(tuple(score["mask"])),
-                            objective=score["objective"],
-                            mean_return=score["mean_return"],
-                            cost=score["cost"],
-                            lam=score["lam"],
-                        )
-                        if score is not None
-                        else None
-                    ),
+                    score=MaskScore.from_dict(score) if score is not None else None,
                 )
             )
         return trace
@@ -209,11 +215,16 @@ def derive_seed(seed: int, stream: int) -> int:
 
 @dataclass(frozen=True)
 class SearchDatasets:
-    """Shared rollout data for scoring every mask within one search."""
+    """Shared rollout data for scoring every mask within one search.
+
+    On a tabular MDP, ``mc_uniforms`` holds the Monte Carlo uniforms of
+    ``mc_seed``, drawn once for every mask's rollouts.
+    """
 
     exo: ExoRolloutDataset
     full: FullRolloutDataset
     mc_seed: int
+    mc_uniforms: np.ndarray | None = None
 
 
 def collect_search_datasets(
@@ -230,7 +241,12 @@ def collect_search_datasets(
         fit.full_horizon,
         seed=derive_seed(seed, _STREAM_FULL),
     )
-    return SearchDatasets(exo=exo, full=full, mc_seed=derive_seed(seed, _STREAM_MC))
+    mc_seed = derive_seed(seed, _STREAM_MC)
+    uniforms = None
+    if isinstance(mdp, TabularFullMdp):
+        horizon = _mc_horizon(mdp, params)
+        uniforms = mdp.batch_uniforms(params.n_rollouts, horizon, mc_seed)
+    return SearchDatasets(exo=exo, full=full, mc_seed=mc_seed, mc_uniforms=uniforms)
 
 
 def _mc_horizon(mdp: GenerativeMdp, params: SearchParams) -> int:
@@ -269,12 +285,22 @@ def estimate_objective(
         state_budget=params.state_budget,
     )
     plan = value_iteration(model, params.vi_epsilon, params.vi_timeout)
+    if not plan.converged:
+        logger.warning(
+            "value iteration for mask %s stopped unconverged after %d sweeps "
+            "(final residual %.3g); scoring its policy anyway",
+            mask.included,
+            len(plan.residuals),
+            plan.residuals[-1],
+        )
     mean, _ = monte_carlo_value(
         mdp,
         plan.policy,
         params.n_rollouts,
         _mc_horizon(mdp, params),
-        seed=datasets.mc_seed,
+        # on a tabular MDP the pre-drawn uniforms stand for mc_seed
+        seed=datasets.mc_seed if datasets.mc_uniforms is None else None,
+        uniforms=datasets.mc_uniforms,
     )
     cost = params.cost_fn(mask)
     return MaskScore(

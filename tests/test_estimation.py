@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exomdp.core import InsufficientDataError, Mask, StateSpaceTooLargeError
+from exomdp.core import (
+    FactoredState,
+    GenerativeMdp,
+    InsufficientDataError,
+    Mask,
+    StateSpaceTooLargeError,
+    VariableSpec,
+)
 from exomdp.domains import (
     build_chain_mdp,
     build_copy_chain_mdp,
@@ -84,6 +91,52 @@ class TestCollectExo:
             collect_exo_rollouts(mdp, 0, 5)
 
 
+class TopValueMdp(GenerativeMdp):
+    """One exogenous variable of the given cardinality, always at its top
+    value; counts the rollouts started on it."""
+
+    action_count = 1
+    endo_cardinality = 1
+    discount = 0.9
+    r_max = 0.0
+
+    def __init__(self, cardinality):
+        self.cardinality = cardinality
+        self.started = 0
+
+    @property
+    def variable_specs(self):
+        return (VariableSpec(0, self.cardinality),)
+
+    def sample_initial(self, rng):
+        self.started += 1
+        return FactoredState(0, (self.cardinality - 1,))
+
+    def sample_transition(self, state, action, rng):
+        return state
+
+    def reward_component(self, i, endo, exo_value, action):
+        return 0.0
+
+
+@pytest.mark.parametrize(
+    "collect",
+    [
+        lambda mdp: collect_exo_rollouts(mdp, 2, 3, seed=0),
+        lambda mdp: collect_full_rollouts(mdp, None, 2, 3, seed=0),
+    ],
+    ids=["exo", "full"],
+)
+def test_cardinality_beyond_int16_rejected_before_rollouts(collect):
+    widest = TopValueMdp(32768)
+    ds = collect(widest)
+    assert ds.exo.max() == ds.next_exo.max() == 32767
+    too_wide = TopValueMdp(32769)
+    with pytest.raises(ValueError, match="32769"):
+        collect(too_wide)
+    assert too_wide.started == 0
+
+
 class TestCollectFull:
     def test_horizon_one_counts(self):
         mdp = constant_reward_mdp([1.0])
@@ -158,6 +211,42 @@ class TestFit:
         full = collect_full_rollouts(hand_toy, None, 1, 1, seed=0)
         with pytest.raises(InsufficientDataError):
             fit_reduced_mdp(hand_toy, Mask((0,)), empty, full)
+
+    def test_datasets_of_another_mdp_rejected(self, gridworld, hand_toy):
+        chain = build_chain_mdp((3, 3, 3), (0.3, 0.3, 0.3))
+        exo = collect_exo_rollouts(chain, 5, 5, seed=0)
+        full = collect_full_rollouts(chain, None, 5, 5, seed=0)
+        own_exo = collect_exo_rollouts(gridworld, 5, 5, seed=0)
+        own_full = collect_full_rollouts(gridworld, None, 5, 5, seed=0)
+        for exo_data, full_data in ((exo, full), (exo, own_full), (own_exo, full)):
+            with pytest.raises(ValueError, match="do not match") as info:
+                fit_reduced_mdp(gridworld, Mask((0,)), exo_data, full_data)
+            assert "(2, 2, 2, 2, 2)" in str(info.value)
+            assert "(3, 3, 3)" in str(info.value)
+        # same exogenous variables, other endogenous or action count
+        toy_exo = collect_exo_rollouts(hand_toy, 5, 5, seed=0)
+        for other in (
+            constant_reward_mdp([0.0, 0.0], n_endo=3),
+            constant_reward_mdp([0.0, 0.0], n_actions=3),
+        ):
+            other_full = collect_full_rollouts(other, None, 5, 5, seed=0)
+            with pytest.raises(ValueError, match=r"\(\(2, 2\), 2, 2\)"):
+                fit_reduced_mdp(hand_toy, Mask((0,)), toy_exo, other_full)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5])
+    def test_normalized_rows_are_count_over_total(self, smoothing):
+        from exomdp.estimation import _normalize_rows
+
+        counts = np.array([[[3, 0, 1], [0, 0, 0]], [[0, 7, 0], [2, 2, 5]]])
+        before = counts.copy()
+        table = _normalize_rows(counts, smoothing)
+        assert np.array_equal(counts, before)
+        for row, out in zip(counts.reshape(-1, 3), table.reshape(-1, 3)):
+            smoothed = row + smoothing
+            if smoothed.sum() == 0:
+                assert np.array_equal(out, np.full(3, 1 / 3))
+            else:
+                assert np.array_equal(out, smoothed / smoothed.sum())
 
     def test_state_budget_enforced(self, hand_toy):
         exo = collect_exo_rollouts(hand_toy, 5, 5, seed=0)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from exomdp.experiment import (
     load_config,
     modal_mask,
     run_experiment,
+    run_trial,
     save_config,
     trial_seed,
 )
-from exomdp.search import estimate_objective
+from exomdp.search import MaskScore, SearchTrace, estimate_objective
 
 TINY_FIT = dict(
     n_exo_rollouts=150, exo_horizon=25, n_full_rollouts=150, full_horizon=25
@@ -162,6 +164,92 @@ class TestRunExperiment:
         loaded = ResultRecord.from_json(record.to_json())
         assert loaded.config_hash == record.config_hash
         assert loaded.aggregates() == record.aggregates()
+
+    def test_mask_score_round_trips_through_both_readers(self):
+        config = tiny_config(algorithm="greedy", fixed_mask=None)
+        row, trace_text = run_trial(config, 0)
+        trace = SearchTrace.from_jsonl(trace_text)
+        assert [e.score for e in trace.entries] == [
+            e.score for e in SearchTrace.from_jsonl(trace.to_jsonl()).entries
+        ]
+        record = ResultRecord(config.to_dict(), config.config_hash(), [row])
+        for timing in (False, True):
+            loaded = ResultRecord.from_json(record.to_json(include_timing=timing))
+            assert loaded.trials[0].score.to_dict() == row.score.to_dict()
+        timed = MaskScore(Mask((0, 2)), -0.5, 0.25, 2.0, 0.375, wall_time=1.5)
+        assert MaskScore.from_dict(timed.to_dict(include_timing=True)) == timed
+        assert MaskScore.from_dict(timed.to_dict()).wall_time == 0.0
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+TINY_TRIAL = (
+    "n_rollouts=20",
+    "n_contexts=20",
+    "fit.n_exo_rollouts=100",
+    "fit.exo_horizon=10",
+    "fit.n_full_rollouts=100",
+    "fit.full_horizon=10",
+)
+
+
+def _preset_trial_config(config, algorithm, *extra):
+    """A shipped config at tiny budgets; brute force on the crowd runs with
+    one agent, so over 2**4 masks instead of 2**5."""
+    assignments = [f"algorithm={algorithm}", "master_seed=801", *TINY_TRIAL, *extra]
+    if (config, algorithm) == ("crowd_desk", "brute-force"):
+        assignments.append("domain_overrides={n_agents: 1}")
+    return apply_overrides(load_config(CONFIGS / f"{config}.yaml"), assignments)
+
+
+class TestScoreOnce:
+    @pytest.mark.parametrize("algorithm", ["brute-force", "greedy", "correlational"])
+    @pytest.mark.parametrize("config", ["gridworld_small", "factory_desk", "crowd_desk"])
+    def test_final_score_is_the_trace_entry(self, config, algorithm):
+        row, trace_text = run_trial(_preset_trial_config(config, algorithm), 0)
+        assert row.error is None
+        entries = [
+            e.score.to_dict()
+            for e in SearchTrace.from_jsonl(trace_text).entries
+            if e.score is not None and e.mask.included == row.mask
+        ]
+        assert entries and all(e == row.score.to_dict() for e in entries)
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["brute-force", "greedy", "correlational", "first-phase-only", "fixed-mask"],
+    )
+    def test_one_collection_and_one_score_per_mask(self, monkeypatch, algorithm):
+        import exomdp.experiment as experiment
+        import exomdp.search as search
+
+        collections, scored = [], []
+        collect, estimate = search.collect_search_datasets, search.estimate_objective
+
+        def counting_collect(*args, **kwargs):
+            collections.append(args)
+            return collect(*args, **kwargs)
+
+        def counting_estimate(mdp, mask, *args, **kwargs):
+            scored.append(mask)
+            return estimate(mdp, mask, *args, **kwargs)
+
+        monkeypatch.setattr(search, "collect_search_datasets", counting_collect)
+        monkeypatch.setattr(search, "estimate_objective", counting_estimate)
+        monkeypatch.setattr(experiment, "estimate_objective", counting_estimate)
+        config = _preset_trial_config(
+            "gridworld_small", algorithm, "fixed_mask=[0,2]", "n_trials=2"
+        )
+        for trial in range(config.n_trials):
+            collections.clear()
+            scored.clear()
+            row, trace_text = run_trial(config, trial)
+            assert row.error is None
+            searched = {
+                e.mask for e in SearchTrace.from_jsonl(trace_text).entries if e.score
+            }
+            assert len(collections) == 1
+            assert len(scored) == len(set(scored))
+            assert set(scored) == searched | {Mask(row.mask)}
 
 
 class TestModalMask:

@@ -265,6 +265,24 @@ class TestBatchedRollouts:
         assert repr(mean) == "1.8321196698656061"
         assert count_positive_reward_steps(gridworld, plan.policy, 50, 60, seed=11) == 1620
 
+    def test_predrawn_uniforms_give_the_same_value(self, gridworld):
+        plan = value_iteration(exact_reduced_model(gridworld, Mask((0, 1))), 1e-6)
+        uniforms = gridworld.batch_uniforms(50, 60, 11)
+        assert not uniforms.flags.writeable
+        mean, per = monte_carlo_value(gridworld, plan.policy, 50, 60, uniforms=uniforms)
+        assert repr(mean) == "1.8321196698656061"
+        assert np.array_equal(per, monte_carlo_value(gridworld, plan.policy, 50, 60, 11)[1])
+        with pytest.raises(ValueError, match="do not fit"):
+            monte_carlo_value(gridworld, plan.policy, 50, 59, uniforms=uniforms)
+        with pytest.raises(ValueError, match="not both"):
+            monte_carlo_value(gridworld, plan.policy, 50, 60, 11, uniforms)
+        with pytest.raises(ValueError, match="not both"):
+            monte_carlo_value(gridworld, plan.policy, 50, 60, 0, uniforms)
+        with pytest.raises(ValueError, match="TabularFullMdp"):
+            monte_carlo_value(BlackBox(gridworld), plan.policy, 50, 60, uniforms=uniforms)
+        with pytest.raises(ValueError, match="not \\(n_rollouts"):
+            gridworld.batch_rollouts(uniforms[:, :, 0])
+
     @given(
         case=random_tabular_cases(),
         n_rollouts=st.integers(1, 12),

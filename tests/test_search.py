@@ -119,6 +119,47 @@ class TestEstimateObjective:
         empty = estimate_objective(gridworld, Mask(()), 0.0, QUICK, 3, datasets)
         assert full.objective >= empty.objective
 
+    def test_unconverged_plan_logs_a_warning(self, monkeypatch, caplog):
+        import dataclasses
+
+        import exomdp.search as search
+
+        mdp = chase_mdp()
+        plain = estimate_objective(mdp, Mask((0,)), 0.3, QUICK, seed=1)
+        assert not caplog.records
+        solve = search.value_iteration
+        plans = []
+
+        def unconverged(*args):
+            plans.append(dataclasses.replace(solve(*args), converged=False))
+            return plans[-1]
+
+        monkeypatch.setattr(search, "value_iteration", unconverged)
+        with caplog.at_level("WARNING", logger="exomdp.search"):
+            score = estimate_objective(mdp, Mask((0,)), 0.3, QUICK, seed=1)
+        assert score == dataclasses.replace(plain, wall_time=score.wall_time)
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        message = record.getMessage()
+        assert "(0,)" in message and "unconverged" in message
+        assert f"after {len(plans[0].residuals)} sweeps" in message
+        assert f"{plans[0].residuals[-1]:.3g}" in message
+
+
+class TestSearchDatasets:
+    def test_monte_carlo_uniforms_drawn_once_per_search(self, gridworld, monkeypatch):
+        import exomdp.core as core
+
+        draws = []
+        original = core.rollout_uniforms
+        monkeypatch.setattr(
+            core, "rollout_uniforms", lambda *a: draws.append(a) or original(*a)
+        )
+        _, trace = mask_brute_force(gridworld, 0.3, QUICK, seed=4)
+        assert len(trace.entries) == 32
+        # one draw for the exo collection, one for every mask's Monte Carlo
+        assert len(draws) == len(set(draws)) == 2
+
 
 class TestBruteForce:
     def test_zero_variables(self):
