@@ -13,6 +13,7 @@ callers control determinism; use one generator per thread or rollout.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -21,6 +22,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 DEFAULT_STATE_BUDGET = 1_000_000
+
+# dtype of exogenous values in rollouts and datasets
+_EXO_DTYPE = np.int16
+# Largest exogenous cardinality whose values 0..card-1 the exo dtype holds.
+_MAX_EXO_CARDINALITY = int(np.iinfo(_EXO_DTYPE).max) + 1
 
 
 class ExomdpError(Exception):
@@ -516,16 +522,6 @@ class TabularFullMdp(GenerativeMdp):
         x = int(np.searchsorted(self._init_exo_cum, u[1]))
         return FactoredState(n, self._exo_tuples[x])
 
-    # Batched samplers over flat (endo, exo code) arrays: row r of the
-    # (R, 2) uniforms ``u`` holds what the scalar sampler draws for rollout r.
-
-    def sample_initial_batch(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _draw(self._init_endo_cum, u[:, 0]), _draw(self._init_exo_cum, u[:, 1])
-
-    def sample_transition_batch(self, endo, x, action, u: np.ndarray):
-        endo_next = _draw(self._endo_cum[endo, action, x], u[:, 0])
-        return endo_next, _draw(self._exo_cum[x], u[:, 1])
-
     def batch_uniforms(self, n_rollouts: int, horizon: int, seed: int) -> np.ndarray:
         """The uniforms ``batch_rollouts`` reads, read-only, shape
         ``(n_rollouts, horizon + 1, 2)``: rollout r's own
@@ -535,15 +531,17 @@ class TabularFullMdp(GenerativeMdp):
         u.flags.writeable = False
         return u.reshape(n_rollouts, horizon + 1, 2)
 
-    def batch_rollouts(
-        self, uniforms: np.ndarray, action_grid=None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def lift(self, space: ReducedSpace, per_state: np.ndarray) -> np.ndarray:
+        """``(N, X)``: each full state's entry of a table over ``space``."""
+        proj = space.project_codes(self.exo_digits)
+        return per_state.reshape(self.endo_cardinality, space.n_exo)[:, proj]
+
+    def batch_rollouts(self, uniforms: np.ndarray, action_grid=None) -> "Rollouts":
         """Step all rollouts at once, bit-identical to the per-rollout loop.
 
         ``uniforms`` is ``batch_uniforms(n_rollouts, horizon, seed)``, the
         only source of randomness. The action in ``(endo, x)`` is
-        ``action_grid[endo, x]``, or 0 without a grid. Returns the exo codes
-        ``(n_rollouts, horizon + 1)`` and rewards ``(n_rollouts, horizon)``.
+        ``action_grid[endo, x]``, or 0 without a grid.
         """
         u = uniforms
         if u.ndim != 3 or u.shape[1] < 2 or u.shape[2] != 2:
@@ -551,16 +549,23 @@ class TabularFullMdp(GenerativeMdp):
                 f"uniforms of shape {u.shape} are not (n_rollouts, horizon + 1, 2)"
             )
         n_rollouts, horizon = u.shape[0], u.shape[1] - 1
+        endo = np.empty((n_rollouts, horizon + 1), dtype=np.int32)
         codes = np.empty((n_rollouts, horizon + 1), dtype=np.int64)
-        rewards = np.empty((n_rollouts, horizon))
-        endo, codes[:, 0] = self.sample_initial_batch(u[:, 0])
+        action = np.empty((n_rollouts, horizon), dtype=np.int32)
+        reward = np.empty((n_rollouts, horizon))
+        # row r of u[:, t] holds the two uniforms rollout r's sampler draws
+        n = endo[:, 0] = _draw(self._init_endo_cum, u[:, 0, 0])
+        codes[:, 0] = _draw(self._init_exo_cum, u[:, 0, 1])
         for t in range(horizon):
             x = codes[:, t]
-            a = 0 if action_grid is None else action_grid[endo, x]
-            rewards[:, t] = self.full_reward[endo, a, x]
-            step = self.sample_transition_batch(endo, x, a, u[:, t + 1])
-            endo, codes[:, t + 1] = step
-        return codes, rewards
+            a = 0 if action_grid is None else action_grid[n, x]
+            action[:, t] = a
+            reward[:, t] = self.full_reward[n, a, x]
+            n = endo[:, t + 1] = _draw(self._endo_cum[n, a, x], u[:, t + 1, 0])
+            codes[:, t + 1] = _draw(self._exo_cum[x], u[:, t + 1, 1])
+        return Rollouts(
+            endo, action, reward, exo_codes=codes, exo_digits=self.exo_digits
+        )
 
 
 def _draw(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -590,6 +595,127 @@ def uniform_random_policy(
         return int(rng.integers(k))
 
     return act
+
+
+class Rollouts:
+    """``R`` rollouts of horizon ``H``: ``endo`` ``(R, H + 1)`` int32, ``exo``
+    ``(R, H + 1, m)`` int16, ``action`` ``(R, H)`` int32, ``reward`` ``(R, H)``
+    float. Step t takes ``action[:, t]`` in state t, earns ``reward[:, t]``.
+
+    Given joint ``exo_codes`` and each code's ``exo_digits`` in place of
+    ``exo``, the values are decoded when first read.
+    """
+
+    def __init__(self, endo, action, reward, exo=None, exo_codes=None, exo_digits=None):
+        self.endo, self.action, self.reward = endo, action, reward
+        if exo is not None:
+            self.exo = exo
+        self._codes, self._digits = exo_codes, exo_digits
+
+    @functools.cached_property
+    def exo(self) -> np.ndarray:
+        return self._digits.astype(_EXO_DTYPE)[self._codes]
+
+
+def rollouts(
+    mdp: GenerativeMdp,
+    policy,
+    n_rollouts: int,
+    horizon: int,
+    seed: int | None = None,
+    uniforms: np.ndarray | None = None,
+) -> Rollouts:
+    """Roll out ``n_rollouts`` episodes of ``horizon`` steps from the
+    initial-state distribution: the one rollout engine.
+
+    ``policy`` is None (action 0, for exogenous rollouts), a planned
+    ``planner.Policy`` (acting through its mask), or a callable
+    ``(state, rng) -> action``. Rollout r draws from its own generator,
+    ``SeedSequence(seed, spawn_key=(r,))`` with ``seed`` 0 when None, so
+    results are reproducible bit for bit and independent of order.
+
+    A ``TabularFullMdp`` with None or a ``Policy`` steps all rollouts at once
+    from ``uniforms``, ``mdp.batch_uniforms(n_rollouts, horizon, s)`` drawn
+    earlier for seed ``s`` or now for ``seed``; both together are refused.
+    Everything else runs one rollout after another, and takes no uniforms.
+    """
+    if n_rollouts < 1 or horizon < 1:
+        raise ValueError("n_rollouts and horizon must be >= 1")
+    _check_exo_dtype(mdp)
+    if policy is not None and not callable(policy):
+        _check_policy_fits(mdp, policy)
+    batch = isinstance(mdp, TabularFullMdp) and not callable(policy)
+    if uniforms is not None:
+        if seed is not None:
+            raise ValueError("pass seed or uniforms, not both")
+        if not batch:
+            raise ValueError(
+                "pre-drawn uniforms need a TabularFullMdp and no callable policy"
+            )
+        if uniforms.shape != (n_rollouts, horizon + 1, 2):
+            raise ValueError(
+                f"uniforms of shape {uniforms.shape} do not fit {n_rollouts} "
+                f"rollouts of horizon {horizon}"
+            )
+    seed = 0 if seed is None else seed
+    if batch:
+        if uniforms is None:
+            uniforms = mdp.batch_uniforms(n_rollouts, horizon, seed)
+        grid = None if policy is None else mdp.lift(policy.space, policy.actions)
+        return mdp.batch_rollouts(uniforms, grid)
+    if policy is None:
+        policy = lambda s, rng: 0  # noqa: E731
+    elif not callable(policy):
+        actions, encode = policy.actions, policy.space.encode_state
+        policy = lambda s, rng: int(actions[encode(s.endo, s.exo)])  # noqa: E731
+    return _rollout_loop(mdp, policy, n_rollouts, horizon, seed)
+
+
+def _rollout_loop(mdp, act, n_rollouts, horizon, seed) -> Rollouts:
+    endo = np.empty((n_rollouts, horizon + 1), dtype=np.int32)
+    exo = np.empty((n_rollouts, horizon + 1, mdp.m), dtype=_EXO_DTYPE)
+    action = np.empty((n_rollouts, horizon), dtype=np.int32)
+    reward = np.empty((n_rollouts, horizon))
+    sample_transition, reward_of = mdp.sample_transition, mdp.reward
+    for r in range(n_rollouts):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        state = mdp.sample_initial(rng)
+        # one rollout's states at a time: a call's states would not fit memory
+        states, acts, rewards = [state], [], []
+        for _ in range(horizon):
+            a = act(state, rng)
+            rewards.append(reward_of(state, a))
+            state = sample_transition(state, a, rng)
+            states.append(state)
+            acts.append(a)
+        endo[r] = [s.endo for s in states]
+        exo[r] = [s.exo for s in states]
+        action[r] = acts
+        reward[r] = rewards
+    return Rollouts(endo, action, reward, exo=exo)
+
+
+def _check_exo_dtype(mdp: GenerativeMdp) -> None:
+    """Refuse, before any rollout, cardinalities the exo dtype would wrap."""
+    too_large = [c for c in mdp.exo_cardinalities if c > _MAX_EXO_CARDINALITY]
+    if too_large:
+        raise ValueError(
+            f"exogenous cardinalities {too_large} exceed {_MAX_EXO_CARDINALITY}, "
+            f"the most the {np.dtype(_EXO_DTYPE).name} dataset dtype holds"
+        )
+
+
+def _check_policy_fits(mdp: GenerativeMdp, policy) -> None:
+    """Refuse a planned policy whose reduced space is not the MDP's."""
+    space, cards = policy.space, mdp.exo_cardinalities
+    have = (space.endo_cardinality, policy.action_count, space.cards)
+    at_mask = tuple(cards[i] for i in space.mask if i < len(cards))
+    want = (mdp.endo_cardinality, mdp.action_count, at_mask)
+    if have != want:
+        raise ValueError(
+            f"policy over (endo cardinality, actions, cardinalities at mask "
+            f"{space.mask.included}) {have} does not fit the MDP's {want}"
+        )
 
 
 def action_independence_pvalues(

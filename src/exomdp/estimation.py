@@ -9,8 +9,8 @@ need full rollouts under some behavior policy.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -25,23 +25,9 @@ from .core import (
     TabularFullMdp,
     UnsupportedMdpError,
     reduced_space_for,
+    rollouts,
     uniform_random_policy,
 )
-
-_EXO_DTYPE = np.int16
-# Largest exogenous cardinality whose values 0..card-1 the exo dtype holds.
-_MAX_EXO_CARDINALITY = int(np.iinfo(_EXO_DTYPE).max) + 1
-
-
-def _check_exo_dtype(mdp: GenerativeMdp) -> None:
-    """Refuse, before any rollout, cardinalities the exo dtype would wrap."""
-    too_large = [c for c in mdp.exo_cardinalities if c > _MAX_EXO_CARDINALITY]
-    if too_large:
-        raise ValueError(
-            f"exogenous cardinalities {too_large} exceed {_MAX_EXO_CARDINALITY}, "
-            f"the most the {np.dtype(_EXO_DTYPE).name} dataset dtype holds"
-        )
-
 
 @dataclass(frozen=True)
 class ExoRolloutDataset:
@@ -132,32 +118,11 @@ def collect_exo_rollouts(
     of the sampled transitions do not depend on it. Deterministic given
     ``seed``; rollout r uses its own generator stream.
     """
-    if n_rollouts < 1 or horizon < 1:
-        raise ValueError("n_rollouts and horizon must be >= 1")
-    _check_exo_dtype(mdp)
-    m = mdp.m
-    total = n_rollouts * horizon
-    if isinstance(mdp, TabularFullMdp):
-        codes, _ = mdp.batch_rollouts(mdp.batch_uniforms(n_rollouts, horizon, seed))
-        values = mdp.exo_digits.astype(_EXO_DTYPE)[codes]  # (R, H + 1, m)
-        exo = values[:, :-1].reshape(total, m)
-        nxt = values[:, 1:].reshape(total, m)
-    else:
-        exo = np.empty((total, m), dtype=_EXO_DTYPE)
-        nxt = np.empty((total, m), dtype=_EXO_DTYPE)
-        row = 0
-        for r in range(n_rollouts):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-            state = mdp.sample_initial(rng)
-            for _ in range(horizon):
-                after = mdp.sample_transition(state, 0, rng)
-                exo[row] = state.exo
-                nxt[row] = after.exo
-                row += 1
-                state = after
+    values = rollouts(mdp, None, n_rollouts, horizon, seed).exo  # (R, H + 1, m)
+    total, m = n_rollouts * horizon, mdp.m
     return ExoRolloutDataset(
-        exo=exo,
-        next_exo=nxt,
+        exo=values[:, :-1].reshape(total, m),
+        next_exo=values[:, 1:].reshape(total, m),
         cardinalities=mdp.exo_cardinalities,
         horizon=horizon,
         n_rollouts=n_rollouts,
@@ -177,49 +142,22 @@ def collect_full_rollouts(
     ``policy`` may be None (uniform random), a ``planner.Policy``, or a
     callable ``(state, rng) -> action``.
     """
-    if n_rollouts < 1 or horizon < 1:
-        raise ValueError("n_rollouts and horizon must be >= 1")
-    _check_exo_dtype(mdp)
     if policy is None:
-        act = uniform_random_policy(mdp)
         tag = "uniform-random"
+        policy = uniform_random_policy(mdp)
     elif callable(policy):
-        act = policy
         tag = getattr(policy, "policy_tag", "callable")
     else:
-        act = lambda s, rng: policy.action_for_state(s)  # noqa: E731
         tag = f"reduced-policy:{policy.mask.included}"
-    m = mdp.m
-    total = n_rollouts * horizon
-    endo = np.empty(total, dtype=np.int32)
-    action = np.empty(total, dtype=np.int32)
-    reward = np.empty(total, dtype=float)
-    next_endo = np.empty(total, dtype=np.int32)
-    exo = np.empty((total, m), dtype=_EXO_DTYPE)
-    nxt = np.empty((total, m), dtype=_EXO_DTYPE)
-    row = 0
-    for r in range(n_rollouts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        state = mdp.sample_initial(rng)
-        for _ in range(horizon):
-            a = act(state, rng)
-            rew = mdp.reward(state, a)
-            after = mdp.sample_transition(state, a, rng)
-            endo[row] = state.endo
-            action[row] = a
-            reward[row] = rew
-            next_endo[row] = after.endo
-            exo[row] = state.exo
-            nxt[row] = after.exo
-            row += 1
-            state = after
+    run = rollouts(mdp, policy, n_rollouts, horizon, seed)
+    total, m = n_rollouts * horizon, mdp.m
     return FullRolloutDataset(
-        endo=endo,
-        action=action,
-        reward=reward,
-        next_endo=next_endo,
-        exo=exo,
-        next_exo=nxt,
+        endo=run.endo[:, :-1].reshape(total),
+        action=run.action.reshape(total),
+        reward=run.reward.reshape(total),
+        next_endo=run.endo[:, 1:].reshape(total),
+        exo=run.exo[:, :-1].reshape(total, m),
+        next_exo=run.exo[:, 1:].reshape(total, m),
         cardinalities=mdp.exo_cardinalities,
         endo_cardinality=mdp.endo_cardinality,
         action_count=mdp.action_count,
@@ -507,107 +445,62 @@ def estimate_reward_variables(
 
 
 # ---------------------------------------------------------------------------
-# Dataset serialization (one transition per row); format documented in the
-# README under "Dataset cache format".
+# Dataset serialization: one ``.npz`` per dataset, arrays plus a JSON ``meta``
+# string; format documented in the README under "Dataset cache format".
 # ---------------------------------------------------------------------------
+
+_EXO_KIND = "exomdp-exo-v2"
+_FULL_KIND = "exomdp-full-v2"
+
+
+def _save(ds, path, kind: str) -> None:
+    values = {f.name: getattr(ds, f.name) for f in fields(ds)}
+    arrays = {k: v for k, v in values.items() if isinstance(v, np.ndarray)}
+    meta = {"kind": kind, **{k: v for k, v in values.items() if k not in arrays}}
+    # an open file keeps np.savez from appending ".npz" to the caller's path
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta, default=int)), **arrays)
+
+
+def _load(path, cls, kind: str):
+    """The dataset in a file, checked against the file's own meta."""
+    with np.load(path, allow_pickle=False) as npz:
+        meta = json.loads(str(npz["meta"]))
+        found = meta.pop("kind", None)
+        if found != kind:
+            raise ValueError(f"{path} is a {found!r} file, not {kind}")
+        arrays = {name: npz[name] for name in npz.files if name != "meta"}
+    rows = meta["n_rollouts"] * meta["horizon"]
+    cards = meta["cardinalities"] = tuple(meta["cardinalities"])
+    endo = meta.get("endo_cardinality")
+    limits = {
+        "exo": cards,
+        "next_exo": cards,
+        "endo": endo,
+        "next_endo": endo,
+        "action": meta.get("action_count"),
+    }
+    for name, arr in arrays.items():
+        shape = (rows, len(cards)) if name in ("exo", "next_exo") else (rows,)
+        if arr.shape != shape:
+            raise ValueError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
+        limit = limits.get(name)
+        if limit is not None and arr.size and (arr.min() < 0 or np.any(arr >= limit)):
+            raise ValueError(f"{path}: {name} has values outside 0..{limit} - 1")
+    return cls(**arrays, **meta)
 
 
 def save_exo_dataset(ds: ExoRolloutDataset, path) -> None:
-    m = len(ds.cardinalities)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# exomdp-exo-v1 m={m} horizon={ds.horizon} "
-                 f"n_rollouts={ds.n_rollouts} seed={ds.seed} "
-                 f"cards={','.join(map(str, ds.cardinalities))}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(m)] + [f"y{i}" for i in range(m)])
-        for a, b in zip(ds.exo, ds.next_exo):
-            writer.writerow([int(v) for v in a] + [int(v) for v in b])
+    _save(ds, path, _EXO_KIND)
 
 
 def load_exo_dataset(path) -> ExoRolloutDataset:
-    with open(path, newline="") as fh:
-        header = fh.readline()
-        meta = _parse_meta(header, "exomdp-exo-v1")
-        reader = csv.reader(fh)
-        next(reader)  # column names
-        rows = [[int(v) for v in row] for row in reader]
-    m = meta["m"]
-    arr = np.array(rows, dtype=_EXO_DTYPE).reshape(len(rows), 2 * m)
-    return ExoRolloutDataset(
-        exo=arr[:, :m],
-        next_exo=arr[:, m:],
-        cardinalities=meta["cards"],
-        horizon=meta["horizon"],
-        n_rollouts=meta["n_rollouts"],
-        seed=meta["seed"],
-    )
+    return _load(path, ExoRolloutDataset, _EXO_KIND)
 
 
 def save_full_dataset(ds: FullRolloutDataset, path) -> None:
-    m = len(ds.cardinalities)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# exomdp-full-v1 m={m} horizon={ds.horizon} "
-                 f"n_rollouts={ds.n_rollouts} seed={ds.seed} "
-                 f"cards={','.join(map(str, ds.cardinalities))} "
-                 f"endo={ds.endo_cardinality} actions={ds.action_count} "
-                 f"policy={ds.policy_tag}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["endo", "action", "reward", "next_endo"]
-            + [f"x{i}" for i in range(m)]
-            + [f"y{i}" for i in range(m)]
-        )
-        for k in range(len(ds)):
-            writer.writerow(
-                [int(ds.endo[k]), int(ds.action[k]), repr(float(ds.reward[k])),
-                 int(ds.next_endo[k])]
-                + [int(v) for v in ds.exo[k]]
-                + [int(v) for v in ds.next_exo[k]]
-            )
+    _save(ds, path, _FULL_KIND)
 
 
 def load_full_dataset(path) -> FullRolloutDataset:
-    with open(path, newline="") as fh:
-        header = fh.readline()
-        meta = _parse_meta(header, "exomdp-full-v1")
-        reader = csv.reader(fh)
-        next(reader)
-        endo, action, reward, next_endo, exo, nxt = [], [], [], [], [], []
-        m = meta["m"]
-        for row in reader:
-            endo.append(int(row[0]))
-            action.append(int(row[1]))
-            reward.append(float(row[2]))
-            next_endo.append(int(row[3]))
-            exo.append([int(v) for v in row[4:4 + m]])
-            nxt.append([int(v) for v in row[4 + m:4 + 2 * m]])
-    return FullRolloutDataset(
-        endo=np.array(endo, dtype=np.int32),
-        action=np.array(action, dtype=np.int32),
-        reward=np.array(reward, dtype=float),
-        next_endo=np.array(next_endo, dtype=np.int32),
-        exo=np.array(exo, dtype=_EXO_DTYPE).reshape(len(endo), m),
-        next_exo=np.array(nxt, dtype=_EXO_DTYPE).reshape(len(endo), m),
-        cardinalities=meta["cards"],
-        endo_cardinality=meta["endo"],
-        action_count=meta["actions"],
-        horizon=meta["horizon"],
-        n_rollouts=meta["n_rollouts"],
-        seed=meta["seed"],
-        policy_tag=meta["policy"],
-    )
-
-
-def _parse_meta(header: str, magic: str) -> dict:
-    if not header.startswith(f"# {magic}"):
-        raise ValueError(f"not a {magic} file: {header!r}")
-    # policy= is the last field and its tag may contain spaces
-    fields, found, policy = header.rstrip("\r\n").partition(" policy=")
-    out = {"policy": policy} if found else {}
-    for token in fields[1:].split()[1:]:
-        key, _, value = token.partition("=")
-        if key == "cards":
-            out[key] = tuple(int(v) for v in value.split(","))
-        else:
-            out[key] = int(value)
-    return out
+    return _load(path, FullRolloutDataset, _FULL_KIND)

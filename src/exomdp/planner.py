@@ -18,13 +18,13 @@ import numpy as np
 
 from .core import (
     ExomdpError,
-    FactoredState,
     GenerativeMdp,
     Mask,
     PlannerTimeoutError,
     ReducedSpace,
     ReducedState,
     TabularFullMdp,
+    rollouts,
 )
 from .estimation import TabularReducedMdp
 
@@ -57,10 +57,6 @@ class Policy:
     @property
     def mask(self) -> Mask:
         return self.space.mask
-
-    def action_for_state(self, state: FactoredState) -> int:
-        """Act on a full state by reducing it through the policy's mask."""
-        return int(self.actions[self.space.encode_state(state.endo, state.exo)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,14 +162,6 @@ def value_iteration(
     )
 
 
-def _full_mdp_action_grid(mdp: TabularFullMdp, policy: Policy) -> np.ndarray:
-    """Per-(endo, exo_flat) actions from lifting a reduced policy."""
-    n = mdp.endo_cardinality
-    proj = policy.space.project_codes(mdp.exo_digits)
-    table = policy.actions.reshape(n, policy.space.n_exo)
-    return table[:, proj]  # (N, XF)
-
-
 def exact_policy_evaluation(
     mdp,
     policy: Policy,
@@ -188,7 +176,7 @@ def exact_policy_evaluation(
     below ``tol``.
     """
     if isinstance(mdp, TabularFullMdp):
-        action_grid = _full_mdp_action_grid(mdp, policy)
+        action_grid = mdp.lift(policy.space, policy.actions)
         n, xf = action_grid.shape
         endo = mdp.endo_kernel
         exo = mdp.exo_kernel
@@ -242,57 +230,21 @@ def monte_carlo_value(
 ) -> tuple[float, np.ndarray]:
     """Mean truncated discounted return of a reduced policy in the full MDP.
 
-    Each rollout starts from the initial-state distribution and uses its
-    own generator stream, so results are reproducible bit for bit given
-    ``(seed, n_rollouts, horizon)`` and independent of evaluation order.
-    The streams come from ``seed`` (0 when None) or, on a tabular MDP only,
-    from ``uniforms``: ``mdp.batch_uniforms(n_rollouts, horizon, s)`` drawn
-    earlier, which gives the value of seed ``s`` and lets calls sharing a
-    seed share one draw. Passing both is refused. Returns
+    Rolls out through ``core.rollouts``, so results are reproducible bit for
+    bit given ``(seed, n_rollouts, horizon)`` and independent of evaluation
+    order. The streams come from ``seed`` (0 when None) or, on a tabular MDP
+    only, from ``uniforms``: ``mdp.batch_uniforms(n_rollouts, horizon, s)``
+    drawn earlier, which gives the value of seed ``s`` and lets calls
+    sharing a seed share one draw. Passing both is refused. Returns
     ``(mean, per_rollout)``.
     """
-    if n_rollouts < 1 or horizon < 1:
-        raise ValueError("n_rollouts and horizon must be >= 1")
-    if uniforms is not None:
-        if seed is not None:
-            raise ValueError("pass seed or uniforms, not both")
-        if not isinstance(mdp, TabularFullMdp):
-            raise ValueError("pre-drawn uniforms need a TabularFullMdp")
-        if uniforms.shape != (n_rollouts, horizon + 1, 2):
-            raise ValueError(
-                f"uniforms of shape {uniforms.shape} do not fit {n_rollouts} "
-                f"rollouts of horizon {horizon}"
-            )
-    if seed is None:
-        seed = 0
+    rewards = rollouts(mdp, policy, n_rollouts, horizon, seed, uniforms).reward
     gamma = mdp.discount
-    if isinstance(mdp, TabularFullMdp):
-        grid = _full_mdp_action_grid(mdp, policy)
-        if uniforms is None:
-            uniforms = mdp.batch_uniforms(n_rollouts, horizon, seed)
-        rewards = mdp.batch_rollouts(uniforms, grid)[1]
-        returns = np.zeros(n_rollouts)
-        disc = 1.0
-        for t in range(horizon):  # the per-rollout loop's summation order
-            returns += disc * rewards[:, t]
-            disc *= gamma
-        return float(returns.mean()), returns
-    sample_transition = mdp.sample_transition
-    reward = mdp.reward
-    actions = policy.actions
-    encode = policy.space.encode_state
-    returns = np.empty(n_rollouts)
-    for r in range(n_rollouts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        state = mdp.sample_initial(rng)
-        total = 0.0
-        disc = 1.0
-        for _ in range(horizon):
-            a = int(actions[encode(state.endo, state.exo)])
-            total += disc * reward(state, a)
-            disc *= gamma
-            state = sample_transition(state, a, rng)
-        returns[r] = total
+    returns = np.zeros(n_rollouts)
+    disc = 1.0
+    for t in range(horizon):  # each rollout sums its rewards in step order
+        returns += disc * rewards[:, t]
+        disc *= gamma
     return float(returns.mean()), returns
 
 
@@ -308,22 +260,7 @@ def count_positive_reward_steps(
     Used as a task-success count in domains where success is the only
     source of positive reward.
     """
-    if isinstance(mdp, TabularFullMdp):
-        grid = _full_mdp_action_grid(mdp, policy)
-        uniforms = mdp.batch_uniforms(n_rollouts, horizon, seed)
-        return int((mdp.batch_rollouts(uniforms, grid)[1] > 0.0).sum())
-    actions = policy.actions
-    encode = policy.space.encode_state
-    hits = 0
-    for r in range(n_rollouts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        state = mdp.sample_initial(rng)
-        for _ in range(horizon):
-            a = int(actions[encode(state.endo, state.exo)])
-            if mdp.reward(state, a) > 0.0:
-                hits += 1
-            state = mdp.sample_transition(state, a, rng)
-    return hits
+    return int((rollouts(mdp, policy, n_rollouts, horizon, seed).reward > 0.0).sum())
 
 
 def hoeffding_confidence(
@@ -366,7 +303,4 @@ def lift_reduced_values(
     values: ValueTable, mdp: TabularFullMdp
 ) -> np.ndarray:
     """Reduced-model values arranged over the full state enumeration."""
-    n = mdp.endo_cardinality
-    proj = values.space.project_codes(mdp.exo_digits)
-    table = values.values.reshape(n, values.space.n_exo)
-    return table[:, proj].reshape(-1)
+    return mdp.lift(values.space, values.values).reshape(-1)

@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from exomdp.checks import check_data_policy_invariance, check_value_equality_suite
 from exomdp.cli import main as cli_main
 from exomdp.core import Mask, truncation_horizon
 from exomdp.domains import (
@@ -29,10 +30,8 @@ from exomdp.domains import (
 )
 from exomdp.estimation import (
     collect_exo_rollouts,
-    collect_full_rollouts,
     estimate_reward_variables,
     exact_reduced_model,
-    exo_pairs_from_full,
     fit_reduced_mdp,
     transition_mutual_information,
 )
@@ -53,7 +52,6 @@ from exomdp.search import (
     mask_brute_force,
     mask_correlational,
     mask_greedy,
-    verify_reduction_value_equality,
 )
 
 N_BLOCK_MDPS = 20
@@ -67,21 +65,18 @@ def _report(criterion: str, detail: str) -> None:
 def test_criterion_1_value_equality_suite():
     """Reduced-model optimum equals the full-MDP optimum statewise."""
     t0 = time.perf_counter()
-    worst_states = 0
-    for k in range(N_BLOCK_MDPS):
-        mdp, mask = random_block_mdp(BLOCK_SEED + k)
-        n_states = mdp.endo_cardinality * mdp.n_exo_states
-        worst_states = max(worst_states, n_states)
-        assert n_states <= 200
-        assert verify_reduction_value_equality(mdp, mask, tol=1e-6), (
-            f"value equality failed on block MDP seed {BLOCK_SEED + k}"
-        )
+    result = check_value_equality_suite(n_mdps=N_BLOCK_MDPS, tol=1e-6, seed=BLOCK_SEED)
     elapsed = time.perf_counter() - t0
+    assert result.passed, result.detail
     assert elapsed < 60.0
+    worst_states = max(
+        mdp.endo_cardinality * mdp.n_exo_states
+        for mdp, _ in map(random_block_mdp, range(BLOCK_SEED, BLOCK_SEED + N_BLOCK_MDPS))
+    )
+    assert worst_states <= 200
     _report(
         "criterion-1 value-equality",
-        f"{N_BLOCK_MDPS} block MDPs (max {worst_states} states) exact at 1e-6 "
-        f"in {elapsed:.1f}s",
+        f"{result.detail} (max {worst_states} states) in {elapsed:.1f}s",
     )
 
 
@@ -304,21 +299,9 @@ def test_criterion_7_crowd_goal_dependent_masks():
 
 def test_criterion_8_data_policy_invariance():
     """Exo tables from policy-free and policy-driven data agree rowwise."""
-    mdp = build_gridworld()
-    mask = Mask((0, 2))
-    n_rollouts, horizon = 2000, 50  # 100k transitions
-    exo_data = collect_exo_rollouts(mdp, n_rollouts, horizon, seed=0)
-    full_data = collect_full_rollouts(mdp, None, n_rollouts, horizon, seed=1)
-    assert len(exo_data) == 100_000
-    policy_free = fit_reduced_mdp(mdp, mask, exo_data, full_data)
-    policy_driven = fit_reduced_mdp(mdp, mask, exo_pairs_from_full(full_data), full_data)
-    tv = 0.5 * np.abs(policy_free.exo_table - policy_driven.exo_table).sum(axis=-1)
-    worst = float(tv.max())
-    assert worst <= 0.02
-    _report(
-        "criterion-8 data-policy-invariance",
-        f"max per-row TV {worst:.4f} <= 0.02 at 1e5 samples",
-    )
+    result = check_data_policy_invariance(n_samples=100_000, tv_tol=0.02, seed=0)
+    assert result.passed, result.detail
+    _report("criterion-8 data-policy-invariance", f"{result.detail} at 1e5 samples")
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -16,11 +16,20 @@ from exomdp.core import (
     reduce_state,
     reduced_reward,
     rollout_uniforms,
+    rollouts,
     truncation_horizon,
+    uniform_random_policy,
 )
-from exomdp.domains import build_crowd, build_factory, build_gridworld
+from exomdp.domains import build_crowd, build_factory, build_gridworld, build_random_mdp
+from exomdp.estimation import collect_full_rollouts, exact_reduced_model
+from exomdp.planner import (
+    Policy,
+    count_positive_reward_steps,
+    monte_carlo_value,
+    value_iteration,
+)
 
-from conftest import constant_reward_mdp
+from conftest import BlackBox, constant_reward_mdp, random_policy
 
 
 class TestVariableSpec:
@@ -256,3 +265,49 @@ def test_truncation_horizon():
     assert 0.9 ** (h - 1) * 1.0 / 0.1 >= 1e-3
     with pytest.raises(ValueError):
         truncation_horizon(1.0, 1.0)
+
+
+class TestRollouts:
+    @staticmethod
+    def misfit_policy():
+        """A policy planned on one MDP and an MDP of the same state count
+        whose cardinalities it does not fit."""
+        planned_on = build_random_mdp(1, cards=(3, 2))
+        plan = value_iteration(exact_reduced_model(planned_on, Mask((0, 1))), 1e-6)
+        return build_random_mdp(2, cards=(2, 3)), plan.policy
+
+    @pytest.mark.parametrize("wrap", [lambda mdp: mdp, BlackBox], ids=["tabular", "loop"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda mdp, policy: monte_carlo_value(mdp, policy, 20, 10, seed=0),
+            lambda mdp, policy: count_positive_reward_steps(mdp, policy, 20, 10, seed=0),
+            lambda mdp, policy: collect_full_rollouts(mdp, policy, 20, 10, seed=0),
+        ],
+        ids=["mc", "count", "full"],
+    )
+    def test_policy_for_another_mdp_refused(self, wrap, run):
+        mdp, policy = self.misfit_policy()
+        with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 3\)"):
+            run(wrap(mdp), policy)
+
+    def test_policy_for_another_action_count_refused(self, gridworld):
+        policy = random_policy(gridworld, Mask((0, 2)), 0)
+        wide = Policy(policy.space, policy.actions, policy.action_count + 1)
+        with pytest.raises(ValueError, match="does not fit"):
+            rollouts(gridworld, wide, 2, 2, seed=0)
+
+    def test_uniforms_refused_where_they_cannot_apply(self, gridworld):
+        policy = random_policy(gridworld, Mask((0, 2)), 0)
+        uniforms = gridworld.batch_uniforms(4, 3, 0)
+        assert rollouts(gridworld, policy, 4, 3, uniforms=uniforms).reward.shape == (4, 3)
+        with pytest.raises(ValueError, match="not both"):
+            rollouts(gridworld, policy, 4, 3, seed=0, uniforms=uniforms)
+        with pytest.raises(ValueError, match="TabularFullMdp"):
+            rollouts(BlackBox(gridworld), policy, 4, 3, uniforms=uniforms)
+        act = uniform_random_policy(gridworld)
+        with pytest.raises(ValueError, match="callable"):
+            rollouts(gridworld, act, 4, 3, uniforms=uniforms)
+        for n_rollouts, horizon in ((5, 3), (4, 2)):
+            with pytest.raises(ValueError, match="do not fit"):
+                rollouts(gridworld, policy, n_rollouts, horizon, uniforms=uniforms)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -36,7 +37,7 @@ from exomdp.estimation import (
 )
 from exomdp.planner import value_iteration
 
-from conftest import BlackBox, constant_reward_mdp, random_tabular_cases
+from conftest import BlackBox, constant_reward_mdp, random_policy, random_tabular_cases
 
 
 class TestCollectExo:
@@ -158,6 +159,33 @@ class TestCollectFull:
         mdp = constant_reward_mdp([0.0], n_actions=3)
         ds = collect_full_rollouts(mdp, lambda s, rng: 2, 5, 5, seed=0)
         assert np.all(ds.action == 2)
+
+    @staticmethod
+    def assert_planned_matches_loop(mdp, policy, n_rollouts, horizon, seed):
+        ds = collect_full_rollouts(mdp, policy, n_rollouts, horizon, seed)
+        ref = collect_full_rollouts(BlackBox(mdp), policy, n_rollouts, horizon, seed)
+        for name in ("endo", "action", "reward", "next_endo", "exo", "next_exo"):
+            got, want = getattr(ds, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), name
+        assert ds.policy_tag == ref.policy_tag
+
+    @pytest.mark.parametrize("n_rollouts, horizon", [(1, 1), (1, 50), (30, 1), (60, 50)])
+    def test_planned_policy_batch_matches_loop(self, gridworld, n_rollouts, horizon):
+        plan = value_iteration(exact_reduced_model(gridworld, Mask((0, 2))), 1e-5)
+        self.assert_planned_matches_loop(gridworld, plan.policy, n_rollouts, horizon, 4)
+
+    @given(
+        case=random_tabular_cases(),
+        n_rollouts=st.integers(1, 12),
+        horizon=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_planned_policy_random_mdps_match_loop(self, case, n_rollouts, horizon, seed):
+        mdp, mask = case
+        policy = random_policy(mdp, mask, seed)
+        self.assert_planned_matches_loop(mdp, policy, n_rollouts, horizon, seed)
 
 
 class TestFit:
@@ -472,3 +500,48 @@ class TestSerialization:
             assert np.array_equal(getattr(loaded, name), getattr(ds, name))
         assert (loaded.endo_cardinality, loaded.action_count) == (2, 2)
         assert (loaded.horizon, loaded.n_rollouts, loaded.seed) == (4, 8, 9)
+
+    @staticmethod
+    def _rewrite(path, edit):
+        with np.load(path) as npz:
+            meta = json.loads(str(npz["meta"]))
+            arrays = {name: npz[name].copy() for name in npz.files if name != "meta"}
+        edit(meta, arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+
+    @pytest.mark.parametrize(
+        "kind, edit, load, match",
+        [
+            ("exo", lambda meta, arrays: None, load_full_dataset, "not exomdp-full-v2"),
+            ("full", lambda meta, arrays: None, load_exo_dataset, "not exomdp-exo-v2"),
+            ("exo", lambda meta, arrays: meta.update(n_rollouts=11), load_exo_dataset,
+             "shape"),
+            ("full", lambda meta, arrays: meta.update(horizon=4), load_full_dataset,
+             "shape"),
+            ("exo", lambda meta, arrays: meta["cardinalities"].append(2),
+             load_exo_dataset, "shape"),
+            ("exo", lambda meta, arrays: arrays["next_exo"].__setitem__((0, 1), 3),
+             load_exo_dataset, "outside"),
+            ("full", lambda meta, arrays: arrays["exo"].__setitem__((0, 0), -1),
+             load_full_dataset, "outside"),
+            ("full", lambda meta, arrays: arrays["endo"].__setitem__(0, 1),
+             load_full_dataset, "outside"),
+            ("full", lambda meta, arrays: arrays["action"].__setitem__(0, 9),
+             load_full_dataset, "outside"),
+        ],
+        ids=[
+            "exo-as-full", "full-as-exo", "exo-rows", "full-rows", "width",
+            "exo-value", "negative-value", "endo-value", "action-value",
+        ],
+    )
+    def test_malformed_file_rejected(self, tmp_path, kind, edit, load, match):
+        mdp = build_chain_mdp((2, 3), (0.2, 0.4))
+        path = tmp_path / f"{kind}.npz"
+        if kind == "exo":
+            save_exo_dataset(collect_exo_rollouts(mdp, 10, 5, seed=3), path)
+        else:
+            save_full_dataset(collect_full_rollouts(mdp, None, 10, 5, seed=3), path)
+        self._rewrite(path, edit)
+        with pytest.raises(ValueError, match=match):
+            load(path)

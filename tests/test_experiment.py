@@ -319,6 +319,12 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out == ["crowd-desk", "factory-desk", "gridworld-small"]
 
+    def test_verify_quick(self, capsys):
+        assert cli_main(["verify", "--quick"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 6
+        assert all(line.startswith("PASS  ") for line in out), out
+
     def test_run_and_report(self, tmp_path, capsys):
         cfg = tiny_config()
         cfg_path = tmp_path / "exp.yaml"
