@@ -13,11 +13,10 @@ callers control determinism; use one generator per thread or rollout.
 
 from __future__ import annotations
 
-import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,9 +178,21 @@ class GenerativeMdp(ABC):
     not depend on the action argument. Implementations must be safely
     callable from multiple threads provided each thread uses its own
     generator.
+
+    Optional array samplers let ``rollouts`` step all rollouts at once:
+    ``batch_initial(u)`` returns ``(endo, exo)`` arrays ``(R,)`` and
+    ``(R, m)`` from uniforms ``u`` of shape ``(R, draws_per_step)``, and
+    ``batch_step(endo, exo, action, u)`` returns the next ``(endo, exo)``,
+    reading exactly ``draws_per_step`` uniforms per row, at least 1 (an
+    integer in ``0..n-1`` is ``floor(n * u)``). An MDP that defines them gets
+    ``sample_initial`` and ``sample_transition`` as their one-row calls, so
+    both paths draw the same states from the same stream.
     """
 
     name: str = ""
+    draws_per_step: int = 0
+    batch_initial = None
+    batch_step = None
 
     @property
     @abstractmethod
@@ -205,10 +216,17 @@ class GenerativeMdp(ABC):
         """Declared upper bound on the magnitude of one-step rewards."""
         ...
 
-    @abstractmethod
     def sample_transition(
         self, state: FactoredState, action: int, rng: np.random.Generator
-    ) -> FactoredState: ...
+    ) -> FactoredState:
+        """Next state; MDPs without ``batch_step`` must override this."""
+        endo, exo = self._batch_sampler("batch_step", "sample_transition")(
+            np.array([state.endo]),
+            np.array([state.exo], dtype=np.int64).reshape(1, self.m),
+            np.array([action]),
+            rng.random((1, self.draws_per_step)),
+        )
+        return FactoredState(int(endo[0]), tuple(exo[0].tolist()))
 
     @abstractmethod
     def reward_component(
@@ -217,8 +235,33 @@ class GenerativeMdp(ABC):
         """Contribution of exogenous variable ``i`` to the reward."""
         ...
 
-    @abstractmethod
-    def sample_initial(self, rng: np.random.Generator) -> FactoredState: ...
+    def sample_initial(self, rng: np.random.Generator) -> FactoredState:
+        """Initial state; MDPs without ``batch_initial`` must override this."""
+        endo, exo = self._batch_sampler("batch_initial", "sample_initial")(
+            rng.random((1, self.draws_per_step))
+        )
+        return FactoredState(int(endo[0]), tuple(exo[0].tolist()))
+
+    def _batch_sampler(self, name: str, scalar: str):
+        sampler = getattr(self, name)
+        if sampler is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither {scalar} nor {name}"
+            )
+        _check_draws_per_step(self)
+        return sampler
+
+    def batch_reward(
+        self, endo: np.ndarray, exo: np.ndarray, action: np.ndarray
+    ) -> np.ndarray:
+        """``(R,)`` full rewards of rows of states; by default ``reward`` per row."""
+        return np.array(
+            [
+                self.reward(FactoredState(int(n), tuple(x.tolist())), int(a))
+                for n, x, a in zip(endo, exo, action)
+            ],
+            dtype=float,
+        )
 
     @property
     def m(self) -> int:
@@ -400,7 +443,12 @@ class TabularFullMdp(GenerativeMdp):
         Per-variable reward components.
     init_endo : (N,) array, init_exo : (X,) array
         Initial-state distributions (independent by construction).
+
+    Each step draws two uniforms: the next endogenous index, then the next
+    joint exogenous code, each by inverting its cumulative row.
     """
+
+    draws_per_step = 2
 
     def __init__(
         self,
@@ -457,7 +505,7 @@ class TabularFullMdp(GenerativeMdp):
         self._exo_cum = np.cumsum(self.exo_kernel, axis=-1)
         self._init_endo_cum = np.cumsum(self.init_endo)
         self._init_exo_cum = np.cumsum(self.init_exo)
-        self._exo_tuples = [tuple(row) for row in self.exo_digits.tolist()]
+        self._exo_weights = np.array(self._space.weights, dtype=np.int64)
 
     @property
     def action_count(self) -> int:
@@ -487,7 +535,7 @@ class TabularFullMdp(GenerativeMdp):
         return self._space.encode_exo(exo)
 
     def decode_exo(self, code: int) -> tuple[int, ...]:
-        return self._exo_tuples[code]
+        return tuple(self.exo_digits[code].tolist())
 
     def mask_split(self, mask: Mask) -> tuple[np.ndarray, int, int]:
         """Exo codes as ``masked_code * n_excluded + excluded_code``, both sizes."""
@@ -498,14 +546,17 @@ class TabularFullMdp(GenerativeMdp):
         pos += space_c.project_codes(self.exo_digits)
         return pos, space_m.n_exo, space_c.n_exo
 
-    def sample_transition(
-        self, state: FactoredState, action: int, rng: np.random.Generator
-    ) -> FactoredState:
-        x = self._space.encode_exo(state.exo)
-        u = rng.random(2)
-        n_next = int(np.searchsorted(self._endo_cum[state.endo, action, x], u[0]))
-        x_next = int(np.searchsorted(self._exo_cum[x], u[1]))
-        return FactoredState(n_next, self._exo_tuples[x_next])
+    def batch_initial(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = _draw(self._init_exo_cum, u[:, 1])
+        return _draw(self._init_endo_cum, u[:, 0]), self.exo_digits[x]
+
+    def batch_step(self, endo, exo, action, u) -> tuple[np.ndarray, np.ndarray]:
+        x = exo @ self._exo_weights
+        n_next = _draw(self._endo_cum[endo, action, x], u[:, 0])
+        return n_next, self.exo_digits[_draw(self._exo_cum[x], u[:, 1])]
+
+    def batch_reward(self, endo, exo, action) -> np.ndarray:
+        return self.full_reward[endo, action, exo @ self._exo_weights]
 
     def reward_component(
         self, i: int, endo: int, exo_value: int, action: int
@@ -516,56 +567,21 @@ class TabularFullMdp(GenerativeMdp):
         x = self._space.encode_exo(state.exo)
         return float(self.full_reward[state.endo, action, x])
 
-    def sample_initial(self, rng: np.random.Generator) -> FactoredState:
-        u = rng.random(2)
-        n = int(np.searchsorted(self._init_endo_cum, u[0]))
-        x = int(np.searchsorted(self._init_exo_cum, u[1]))
-        return FactoredState(n, self._exo_tuples[x])
-
     def batch_uniforms(self, n_rollouts: int, horizon: int, seed: int) -> np.ndarray:
-        """The uniforms ``batch_rollouts`` reads, read-only, shape
-        ``(n_rollouts, horizon + 1, 2)``: rollout r's own
-        ``SeedSequence(seed, spawn_key=(r,))`` stream, two per sampler call.
+        """The uniforms ``rollouts`` draws for ``seed`` with no policy or a
+        planned one, read-only, shape ``(n_rollouts, horizon + 1, 2)``: rollout
+        r's own ``SeedSequence(seed, spawn_key=(r,))`` stream, two per step.
         """
-        u = rollout_uniforms(seed, n_rollouts, 2 * (horizon + 1))
+        k = self.draws_per_step
+        u = rollout_uniforms(seed, n_rollouts, k * (horizon + 1))
         u.flags.writeable = False
-        return u.reshape(n_rollouts, horizon + 1, 2)
+        return u.reshape(n_rollouts, horizon + 1, k)
 
     def lift(self, space: ReducedSpace, per_state: np.ndarray) -> np.ndarray:
         """``(N, X)``: each full state's entry of a table over ``space``."""
+        _check_space_fits(self, space)
         proj = space.project_codes(self.exo_digits)
         return per_state.reshape(self.endo_cardinality, space.n_exo)[:, proj]
-
-    def batch_rollouts(self, uniforms: np.ndarray, action_grid=None) -> "Rollouts":
-        """Step all rollouts at once, bit-identical to the per-rollout loop.
-
-        ``uniforms`` is ``batch_uniforms(n_rollouts, horizon, seed)``, the
-        only source of randomness. The action in ``(endo, x)`` is
-        ``action_grid[endo, x]``, or 0 without a grid.
-        """
-        u = uniforms
-        if u.ndim != 3 or u.shape[1] < 2 or u.shape[2] != 2:
-            raise ValueError(
-                f"uniforms of shape {u.shape} are not (n_rollouts, horizon + 1, 2)"
-            )
-        n_rollouts, horizon = u.shape[0], u.shape[1] - 1
-        endo = np.empty((n_rollouts, horizon + 1), dtype=np.int32)
-        codes = np.empty((n_rollouts, horizon + 1), dtype=np.int64)
-        action = np.empty((n_rollouts, horizon), dtype=np.int32)
-        reward = np.empty((n_rollouts, horizon))
-        # row r of u[:, t] holds the two uniforms rollout r's sampler draws
-        n = endo[:, 0] = _draw(self._init_endo_cum, u[:, 0, 0])
-        codes[:, 0] = _draw(self._init_exo_cum, u[:, 0, 1])
-        for t in range(horizon):
-            x = codes[:, t]
-            a = 0 if action_grid is None else action_grid[n, x]
-            action[:, t] = a
-            reward[:, t] = self.full_reward[n, a, x]
-            n = endo[:, t + 1] = _draw(self._endo_cum[n, a, x], u[:, t + 1, 0])
-            codes[:, t + 1] = _draw(self._exo_cum[x], u[:, t + 1, 1])
-        return Rollouts(
-            endo, action, reward, exo_codes=codes, exo_digits=self.exo_digits
-        )
 
 
 def _draw(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -573,48 +589,58 @@ def _draw(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum < u[:, None]).sum(axis=-1)
 
 
-def rollout_uniforms(seed: int, n_rollouts: int, draws: int) -> np.ndarray:
-    """Row r: the first ``draws`` doubles of the generator of rollout r,
-    ``default_rng(SeedSequence(seed, spawn_key=(r,)))``. PCG64 buffers no
-    doubles, so these are what successive ``random(2)`` calls return.
+def rollout_uniforms(
+    seed: int, n_rollouts: int, draws: int, start: int = 0
+) -> np.ndarray:
+    """Row i: the first ``draws`` doubles of the generator of rollout
+    ``r = start + i``, ``default_rng(SeedSequence(seed, spawn_key=(r,)))``.
+    PCG64 buffers no doubles, so these are what successive ``random`` calls
+    return, however many each call asks for.
     """
     out = np.empty((n_rollouts, draws))
-    for r in range(n_rollouts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        out[r] = rng.random(draws)
+    for i in range(n_rollouts):
+        spawn = np.random.SeedSequence(seed, spawn_key=(start + i,))
+        out[i] = np.random.default_rng(spawn).random(draws)
     return out
 
 
-def uniform_random_policy(
-    mdp: GenerativeMdp,
-) -> Callable[[FactoredState, np.random.Generator], int]:
+class UniformRandomPolicy:
+    """Behaviour policy: action ``floor(action_count * u)`` from one uniform
+    per step, drawn before the step's transition uniforms."""
+
+    policy_tag = "uniform-random"
+
+    def __init__(self, action_count: int):
+        self.action_count = int(action_count)
+
+    def __call__(self, state: FactoredState, rng: np.random.Generator) -> int:
+        return int(self.action_count * rng.random())
+
+
+def uniform_random_policy(mdp: GenerativeMdp) -> UniformRandomPolicy:
     """Behavior policy drawing actions uniformly at random."""
-    k = mdp.action_count
-
-    def act(state: FactoredState, rng: np.random.Generator) -> int:
-        return int(rng.integers(k))
-
-    return act
+    return UniformRandomPolicy(mdp.action_count)
 
 
+@dataclass(frozen=True, eq=False)
 class Rollouts:
     """``R`` rollouts of horizon ``H``: ``endo`` ``(R, H + 1)`` int32, ``exo``
     ``(R, H + 1, m)`` int16, ``action`` ``(R, H)`` int32, ``reward`` ``(R, H)``
-    float. Step t takes ``action[:, t]`` in state t, earns ``reward[:, t]``.
-
-    Given joint ``exo_codes`` and each code's ``exo_digits`` in place of
-    ``exo``, the values are decoded when first read.
+    float; a field not kept is None. Step t takes ``action[:, t]`` in state
+    t, earns ``reward[:, t]``.
     """
 
-    def __init__(self, endo, action, reward, exo=None, exo_codes=None, exo_digits=None):
-        self.endo, self.action, self.reward = endo, action, reward
-        if exo is not None:
-            self.exo = exo
-        self._codes, self._digits = exo_codes, exo_digits
+    endo: np.ndarray
+    exo: np.ndarray
+    action: np.ndarray
+    reward: np.ndarray | None
 
-    @functools.cached_property
-    def exo(self) -> np.ndarray:
-        return self._digits.astype(_EXO_DTYPE)[self._codes]
+
+ROLLOUT_FIELDS = ("endo", "exo", "action", "reward")
+# Rollouts the batch path steps at once when it draws their uniforms itself.
+# It bounds the uniforms held per chunk (rows x draws); the results do not
+# depend on it.
+CHUNK_ROWS = 256
 
 
 def rollouts(
@@ -624,75 +650,145 @@ def rollouts(
     horizon: int,
     seed: int | None = None,
     uniforms: np.ndarray | None = None,
+    keep: Sequence[str] = ROLLOUT_FIELDS,
 ) -> Rollouts:
     """Roll out ``n_rollouts`` episodes of ``horizon`` steps from the
     initial-state distribution: the one rollout engine.
 
     ``policy`` is None (action 0, for exogenous rollouts), a planned
-    ``planner.Policy`` (acting through its mask), or a callable
-    ``(state, rng) -> action``. Rollout r draws from its own generator,
-    ``SeedSequence(seed, spawn_key=(r,))`` with ``seed`` 0 when None, so
-    results are reproducible bit for bit and independent of order.
+    ``planner.Policy`` (acting through its mask), the behaviour policy of
+    ``uniform_random_policy``, or any callable ``(state, rng) -> action``.
+    Rollout r draws from its own generator, ``SeedSequence(seed,
+    spawn_key=(r,))`` with ``seed`` 0 when None, so results are reproducible
+    bit for bit and independent of order. Fields not named in ``keep`` are
+    None; without ``"reward"`` the reward is never computed.
 
-    A ``TabularFullMdp`` with None or a ``Policy`` steps all rollouts at once
-    from ``uniforms``, ``mdp.batch_uniforms(n_rollouts, horizon, s)`` drawn
-    earlier for seed ``s`` or now for ``seed``; both together are refused.
-    Everything else runs one rollout after another, and takes no uniforms.
+    An MDP with ``batch_step`` steps its rollouts as arrays, unless the
+    policy is some other callable: ``CHUNK_ROWS`` at a time, or all at once
+    from pre-drawn ``uniforms``. Row r's stream is
+    ``draws_per_step`` uniforms for the initial state, then per step the
+    behaviour policy's one uniform, if it acts, and ``draws_per_step`` for
+    the transition: the order in which the per-rollout loop draws them.
+    With None or a ``Policy``, ``uniforms`` may hold these streams drawn
+    earlier for seed ``s``, shape ``(n_rollouts, horizon + 1,
+    draws_per_step)``, as ``TabularFullMdp.batch_uniforms`` gives them; seed
+    and uniforms together are refused.
     """
     if n_rollouts < 1 or horizon < 1:
         raise ValueError("n_rollouts and horizon must be >= 1")
+    if not set(keep) <= set(ROLLOUT_FIELDS):
+        raise ValueError(f"keep {tuple(keep)} names fields not in {ROLLOUT_FIELDS}")
     _check_exo_dtype(mdp)
-    if policy is not None and not callable(policy):
+    behave = isinstance(policy, UniformRandomPolicy)
+    # None, a planned Policy and the behaviour policy can act on arrays
+    array_policy = behave or not callable(policy)
+    if policy is not None and array_policy:
         _check_policy_fits(mdp, policy)
-    batch = isinstance(mdp, TabularFullMdp) and not callable(policy)
+    batch = mdp.batch_step is not None and array_policy
+    if batch:
+        _check_draws_per_step(mdp)
     if uniforms is not None:
         if seed is not None:
             raise ValueError("pass seed or uniforms, not both")
-        if not batch:
+        if not batch or behave:
             raise ValueError(
-                "pre-drawn uniforms need a TabularFullMdp and no callable policy"
+                "pre-drawn uniforms need an MDP with batch_step, such as a "
+                "TabularFullMdp, and no callable policy"
             )
-        if uniforms.shape != (n_rollouts, horizon + 1, 2):
+        if uniforms.shape != (n_rollouts, horizon + 1, mdp.draws_per_step):
             raise ValueError(
                 f"uniforms of shape {uniforms.shape} do not fit {n_rollouts} "
                 f"rollouts of horizon {horizon}"
             )
     seed = 0 if seed is None else seed
     if batch:
-        if uniforms is None:
-            uniforms = mdp.batch_uniforms(n_rollouts, horizon, seed)
-        grid = None if policy is None else mdp.lift(policy.space, policy.actions)
-        return mdp.batch_rollouts(uniforms, grid)
+        return _batch_rollouts(mdp, policy, n_rollouts, horizon, seed, uniforms, keep)
     if policy is None:
         policy = lambda s, rng: 0  # noqa: E731
     elif not callable(policy):
         actions, encode = policy.actions, policy.space.encode_state
         policy = lambda s, rng: int(actions[encode(s.endo, s.exo)])  # noqa: E731
-    return _rollout_loop(mdp, policy, n_rollouts, horizon, seed)
+    return _rollout_loop(mdp, policy, n_rollouts, horizon, seed, keep)
 
 
-def _rollout_loop(mdp, act, n_rollouts, horizon, seed) -> Rollouts:
-    endo = np.empty((n_rollouts, horizon + 1), dtype=np.int32)
-    exo = np.empty((n_rollouts, horizon + 1, mdp.m), dtype=_EXO_DTYPE)
-    action = np.empty((n_rollouts, horizon), dtype=np.int32)
-    reward = np.empty((n_rollouts, horizon))
+def _empty_rollouts(mdp, n_rollouts, horizon, keep) -> Rollouts:
+    shapes = {
+        "endo": ((n_rollouts, horizon + 1), np.int32),
+        "exo": ((n_rollouts, horizon + 1, mdp.m), _EXO_DTYPE),
+        "action": ((n_rollouts, horizon), np.int32),
+        "reward": ((n_rollouts, horizon), float),
+    }
+    return Rollouts(
+        **{f: np.empty(*shapes[f]) if f in keep else None for f in ROLLOUT_FIELDS}
+    )
+
+
+def _batch_rollouts(mdp, policy, n_rollouts, horizon, seed, uniforms, keep):
+    out = _empty_rollouts(mdp, n_rollouts, horizon, keep)
+    k = mdp.draws_per_step
+    behave = isinstance(policy, UniformRandomPolicy)
+    width = k + horizon * (behave + k)  # uniforms per rollout
+    # pre-drawn uniforms are already in memory: chunking them saves nothing
+    n_chunks = 1 if uniforms is not None else -(-n_rollouts // CHUNK_ROWS)
+    bounds = [n_rollouts * i // n_chunks for i in range(n_chunks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = hi - lo
+        if uniforms is None:
+            u = rollout_uniforms(seed, rows, width, lo)
+        else:
+            u = uniforms[lo:hi].reshape(rows, width)
+        steps = u[:, k:].reshape(rows, horizon, behave + k)
+        a = np.zeros(rows, dtype=np.int64)
+        endo, exo = mdp.batch_initial(u[:, :k])
+        _store(out, lo, hi, 0, endo, exo)
+        for t in range(horizon):
+            u_t = steps[:, t]
+            if behave:
+                a = (policy.action_count * u_t[:, 0]).astype(np.int64)
+                u_t = u_t[:, 1:]
+            elif policy is not None:
+                space = policy.space
+                a = policy.actions[endo * space.n_exo + space.project_codes(exo)]
+            if out.action is not None:
+                out.action[lo:hi, t] = a
+            if out.reward is not None:
+                out.reward[lo:hi, t] = mdp.batch_reward(endo, exo, a)
+            endo, exo = mdp.batch_step(endo, exo, a, u_t)
+            _store(out, lo, hi, t + 1, endo, exo)
+    return out
+
+
+def _store(out: Rollouts, lo: int, hi: int, t: int, endo, exo) -> None:
+    if out.endo is not None:
+        out.endo[lo:hi, t] = endo
+    if out.exo is not None:
+        out.exo[lo:hi, t] = exo
+
+
+def _rollout_loop(mdp, act, n_rollouts, horizon, seed, keep) -> Rollouts:
+    out = _empty_rollouts(mdp, n_rollouts, horizon, keep)
     sample_transition, reward_of = mdp.sample_transition, mdp.reward
     for r in range(n_rollouts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         state = mdp.sample_initial(rng)
         # one rollout's states at a time: a call's states would not fit memory
-        states, acts, rewards = [state], [], []
+        states, acts, step_rewards = [state], [], []
         for _ in range(horizon):
             a = act(state, rng)
-            rewards.append(reward_of(state, a))
+            if out.reward is not None:
+                step_rewards.append(reward_of(state, a))
             state = sample_transition(state, a, rng)
             states.append(state)
             acts.append(a)
-        endo[r] = [s.endo for s in states]
-        exo[r] = [s.exo for s in states]
-        action[r] = acts
-        reward[r] = rewards
-    return Rollouts(endo, action, reward, exo=exo)
+        for field, row in (
+            ("endo", [s.endo for s in states]),
+            ("exo", [s.exo for s in states]),
+            ("action", acts),
+            ("reward", step_rewards),
+        ):
+            if field in keep:
+                getattr(out, field)[r] = row
+    return out
 
 
 def _check_exo_dtype(mdp: GenerativeMdp) -> None:
@@ -705,16 +801,37 @@ def _check_exo_dtype(mdp: GenerativeMdp) -> None:
         )
 
 
-def _check_policy_fits(mdp: GenerativeMdp, policy) -> None:
-    """Refuse a planned policy whose reduced space is not the MDP's."""
-    space, cards = policy.space, mdp.exo_cardinalities
-    have = (space.endo_cardinality, policy.action_count, space.cards)
+def _check_draws_per_step(mdp: GenerativeMdp) -> None:
+    """Refuse array samplers that would read no uniforms."""
+    if mdp.draws_per_step < 1:
+        raise ValueError(
+            f"{type(mdp).__name__} has draws_per_step {mdp.draws_per_step}; "
+            f"an MDP with batch_step must set it to the uniforms batch_step "
+            f"reads per row, at least 1"
+        )
+
+
+def _check_space_fits(mdp: GenerativeMdp, space: ReducedSpace) -> None:
+    """Refuse a reduced space that is not one of the MDP's."""
+    cards = mdp.exo_cardinalities
+    have = (space.endo_cardinality, space.cards)
     at_mask = tuple(cards[i] for i in space.mask if i < len(cards))
-    want = (mdp.endo_cardinality, mdp.action_count, at_mask)
+    want = (mdp.endo_cardinality, at_mask)
     if have != want:
         raise ValueError(
-            f"policy over (endo cardinality, actions, cardinalities at mask "
+            f"reduced space over (endo cardinality, cardinalities at mask "
             f"{space.mask.included}) {have} does not fit the MDP's {want}"
+        )
+
+
+def _check_policy_fits(mdp: GenerativeMdp, policy) -> None:
+    """Refuse a planned or behaviour policy that is not the MDP's."""
+    if not isinstance(policy, UniformRandomPolicy):
+        _check_space_fits(mdp, policy.space)
+    if policy.action_count != mdp.action_count:
+        raise ValueError(
+            f"policy over {policy.action_count} actions does not fit the "
+            f"MDP's {mdp.action_count}"
         )
 
 

@@ -196,6 +196,11 @@ def build_gridworld(spec: GridworldSpec | None = None, seed: int = 0) -> Tabular
     )
 
 
+def _one_row_reward(mdp: GenerativeMdp, state: FactoredState, action: int) -> float:
+    exo = np.array([state.exo], dtype=np.int64)
+    return float(mdp.batch_reward(np.array([state.endo]), exo, np.array([action]))[0])
+
+
 # ---------------------------------------------------------------------------
 # Factory
 # ---------------------------------------------------------------------------
@@ -263,10 +268,16 @@ class FactoryMdp(GenerativeMdp):
             self.spec.match_reward, self.spec.mismatch_penalty
         )
 
-    def sample_transition(self, state, action, rng):
-        flips = rng.random(len(self._flip)) < self._flip
-        exo = tuple(int(v ^ f) for v, f in zip(state.exo, flips))
-        return FactoredState(0, exo)
+    @property
+    def draws_per_step(self) -> int:
+        return self.m
+
+    def batch_initial(self, u):
+        return np.zeros(len(u), dtype=np.int64), (2 * u).astype(np.int64)
+
+    def batch_step(self, endo, exo, action, u):
+        """Variable i flips when its own uniform falls below its flip rate."""
+        return endo, exo ^ (u < self._flip)
 
     def reward_component(self, i, endo, exo_value, action):
         if action != ACTION_EXECUTE or i >= self.spec.n_task_vars:
@@ -275,8 +286,15 @@ class FactoryMdp(GenerativeMdp):
             return self.spec.match_reward
         return -self.spec.mismatch_penalty
 
-    def sample_initial(self, rng):
-        return FactoredState(0, tuple(int(v) for v in rng.integers(0, 2, self.m)))
+    def batch_reward(self, endo, exo, action):
+        spec = self.spec
+        total = np.zeros(len(exo))
+        for i in range(spec.n_task_vars):
+            total += np.where(exo[:, i] == 1, spec.match_reward, -spec.mismatch_penalty)
+        return np.where(action == ACTION_EXECUTE, total, 0.0)
+
+    def reward(self, state, action):
+        return _one_row_reward(self, state, action)
 
 
 def build_factory(spec: FactorySpec | None = None, seed: int = 0) -> FactoryMdp:
@@ -344,7 +362,26 @@ class CrowdMdp(GenerativeMdp):
         self._specs = tuple(specs)
         self._agent_offset = spec.n_objects
         self._hazard_offset = spec.n_objects + spec.n_agents
-        self._table_index = {cell: i for i, cell in enumerate(spec.table_cells)}
+        self._table_cells = np.array(spec.table_cells, dtype=np.int64)
+        # table index of each grid cell, -1 off the tables (last one wins)
+        self._table_of_cell = np.full(self._cells, -1, dtype=np.int64)
+        for i, cell in enumerate(spec.table_cells):
+            if 0 <= cell < self._cells:
+                self._table_of_cell[cell] = i
+        # next cell per (cell, direction), direction 4 staying put
+        self._moves = np.array(
+            [
+                [_move_cell(c, d, spec.width, spec.height) for d in range(4)] + [c]
+                for c in range(self._cells)
+            ],
+            dtype=np.int64,
+        )
+        self._init_cards = np.array(
+            [self._n_tables] * spec.n_objects
+            + [self._cells] * spec.n_agents
+            + [2] * len(spec.hazard_cells),
+            dtype=float,
+        )
 
     @property
     def action_count(self) -> int:
@@ -373,49 +410,53 @@ class CrowdMdp(GenerativeMdp):
             range(self._agent_offset, self._agent_offset + self.spec.n_agents)
         )
 
-    def sample_transition(self, state, action, rng):
+    @property
+    def draws_per_step(self) -> int:
+        """Per agent a move and a direction, per object a pickup or drop,
+        per hazard a flip, and the robot's slip and slip direction."""
         spec = self.spec
-        exo = state.exo
-        n_obj, n_ag = spec.n_objects, spec.n_agents
+        return 2 * spec.n_agents + spec.n_objects + len(spec.hazard_cells) + 2
 
-        agents = []
+    def batch_initial(self, u):
+        endo = np.full(len(u), self.spec.start_cell, dtype=np.int64)
+        return endo, (u[:, : self.m] * self._init_cards).astype(np.int64)
+
+    def batch_step(self, endo, exo, action, u):
+        spec = self.spec
+        n_ag, n_tables = spec.n_agents, self._n_tables
+        ag, hz = self._agent_offset, self._hazard_offset
+        out = np.empty_like(exo)
         for k in range(n_ag):
-            pos = exo[self._agent_offset + k]
-            if rng.random() < spec.agent_move_prob:
-                pos = _move_cell(pos, int(rng.integers(4)), spec.width, spec.height)
-            agents.append(pos)
-
-        objects = []
-        for j in range(n_obj):
-            v = exo[j]
-            if v < self._n_tables:
-                cell = spec.table_cells[v]
-                if spec.manipulable[j]:
-                    carrier = next((k for k in range(n_ag) if agents[k] == cell), None)
-                    if carrier is not None and rng.random() < spec.pickup_prob:
-                        v = self._n_tables + carrier
-            else:
-                pos = agents[v - self._n_tables]
-                table = self._table_index.get(pos)
-                if table is not None and rng.random() < spec.drop_prob:
-                    v = table
-            objects.append(v)
-
-        hazards = []
-        for h in range(len(spec.hazard_cells)):
-            bit = exo[self._hazard_offset + h]
-            if rng.random() < spec.hazard_flip_prob:
-                bit = 1 - bit
-            hazards.append(bit)
-
-        robot = state.endo
-        if action < 4:
-            direction = action
-            if rng.random() < spec.slip_prob:
-                direction = int(rng.integers(4))
-            robot = _move_cell(robot, direction, spec.width, spec.height)
-
-        return FactoredState(robot, tuple(objects + agents + hazards))
+            pos = exo[:, ag + k]
+            moved = self._moves[pos, (4 * u[:, 2 * k + 1]).astype(np.int64)]
+            out[:, ag + k] = np.where(u[:, 2 * k] < spec.agent_move_prob, moved, pos)
+        agents = out[:, ag:hz]
+        for j in range(spec.n_objects):
+            v, u_j = exo[:, j], u[:, 2 * n_ag + j]
+            on_table = v < n_tables
+            new = v.copy()
+            if spec.manipulable[j] and n_ag:
+                # the lowest-numbered agent on the object's table picks it up
+                cell = self._table_cells[np.minimum(v, n_tables - 1)]
+                carrier = np.full(len(v), -1)
+                for k in reversed(range(n_ag)):
+                    carrier[agents[:, k] == cell] = k
+                pick = on_table & (carrier >= 0) & (u_j < spec.pickup_prob)
+                new[pick] = n_tables + carrier[pick]
+            if n_ag:
+                # a carried object may drop onto the table its carrier is on
+                carrier = np.maximum(v - n_tables, 0)
+                pos = agents[np.arange(len(v)), carrier]
+                table = self._table_of_cell[pos]
+                drop = ~on_table & (table >= 0) & (u_j < spec.drop_prob)
+                new[drop] = table[drop]
+            out[:, j] = new
+        flips = u[:, 2 * n_ag + spec.n_objects : self.draws_per_step - 2]
+        out[:, hz:] = exo[:, hz:] ^ (flips < spec.hazard_flip_prob)
+        # stay (action 4) never slips; a move slips to a uniform direction
+        slip = (action < 4) & (u[:, -2] < spec.slip_prob)
+        direction = np.where(slip, (4 * u[:, -1]).astype(np.int64), action)
+        return self._moves[endo, direction], out
 
     def reward_component(self, i, endo, exo_value, action):
         spec = self.spec
@@ -429,23 +470,19 @@ class CrowdMdp(GenerativeMdp):
                 return -spec.crash_penalty
         return 0.0
 
-    def reward(self, state, action):
+    def batch_reward(self, endo, exo, action):
         spec = self.spec
-        total = 0.0
-        v = state.exo[spec.goal_object]
-        if v < self._n_tables and state.endo == spec.table_cells[v]:
-            total += spec.goal_reward
+        v = exo[:, spec.goal_object]
+        cell = self._table_cells[np.minimum(v, self._n_tables - 1)]
+        total = np.where((v < self._n_tables) & (endo == cell), spec.goal_reward, 0.0)
         for h, cell in enumerate(spec.hazard_cells):
-            if state.endo == cell and state.exo[self._hazard_offset + h] == 1:
-                total -= spec.crash_penalty
+            total[(endo == cell) & (exo[:, self._hazard_offset + h] == 1)] -= (
+                spec.crash_penalty
+            )
         return total
 
-    def sample_initial(self, rng):
-        spec = self.spec
-        objects = [int(rng.integers(self._n_tables)) for _ in range(spec.n_objects)]
-        agents = [int(rng.integers(self._cells)) for _ in range(spec.n_agents)]
-        hazards = [int(rng.integers(2)) for _ in range(len(spec.hazard_cells))]
-        return FactoredState(spec.start_cell, tuple(objects + agents + hazards))
+    def reward(self, state, action):
+        return _one_row_reward(self, state, action)
 
 
 def build_crowd(spec: CrowdSpec | None = None, seed: int = 0) -> CrowdMdp:

@@ -118,7 +118,7 @@ def collect_exo_rollouts(
     of the sampled transitions do not depend on it. Deterministic given
     ``seed``; rollout r uses its own generator stream.
     """
-    values = rollouts(mdp, None, n_rollouts, horizon, seed).exo  # (R, H + 1, m)
+    values = rollouts(mdp, None, n_rollouts, horizon, seed, keep=("exo",)).exo
     total, m = n_rollouts * horizon, mdp.m
     return ExoRolloutDataset(
         exo=values[:, :-1].reshape(total, m),
@@ -139,13 +139,12 @@ def collect_full_rollouts(
 ) -> FullRolloutDataset:
     """Roll out full ``(s, a, r, s')`` tuples under a behavior policy.
 
-    ``policy`` may be None (uniform random), a ``planner.Policy``, or a
-    callable ``(state, rng) -> action``.
+    ``policy`` may be None (``core.uniform_random_policy``), a
+    ``planner.Policy``, or a callable ``(state, rng) -> action``.
     """
     if policy is None:
-        tag = "uniform-random"
         policy = uniform_random_policy(mdp)
-    elif callable(policy):
+    if callable(policy):
         tag = getattr(policy, "policy_tag", "callable")
     else:
         tag = f"reduced-policy:{policy.mask.included}"

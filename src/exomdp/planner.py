@@ -232,13 +232,15 @@ def monte_carlo_value(
 
     Rolls out through ``core.rollouts``, so results are reproducible bit for
     bit given ``(seed, n_rollouts, horizon)`` and independent of evaluation
-    order. The streams come from ``seed`` (0 when None) or, on a tabular MDP
-    only, from ``uniforms``: ``mdp.batch_uniforms(n_rollouts, horizon, s)``
-    drawn earlier, which gives the value of seed ``s`` and lets calls
-    sharing a seed share one draw. Passing both is refused. Returns
-    ``(mean, per_rollout)``.
+    order. The streams come from ``seed`` (0 when None) or, on an MDP with
+    ``batch_step``, from ``uniforms`` drawn earlier for seed ``s`` (for a
+    tabular MDP ``mdp.batch_uniforms(n_rollouts, horizon, s)``), which gives
+    the value of seed ``s`` and lets calls sharing a seed share one draw.
+    Passing both is refused. Returns ``(mean, per_rollout)``.
     """
-    rewards = rollouts(mdp, policy, n_rollouts, horizon, seed, uniforms).reward
+    rewards = rollouts(
+        mdp, policy, n_rollouts, horizon, seed, uniforms, keep=("reward",)
+    ).reward
     gamma = mdp.discount
     returns = np.zeros(n_rollouts)
     disc = 1.0
@@ -260,7 +262,8 @@ def count_positive_reward_steps(
     Used as a task-success count in domains where success is the only
     source of positive reward.
     """
-    return int((rollouts(mdp, policy, n_rollouts, horizon, seed).reward > 0.0).sum())
+    run = rollouts(mdp, policy, n_rollouts, horizon, seed, keep=("reward",))
+    return int((run.reward > 0.0).sum())
 
 
 def hoeffding_confidence(

@@ -114,13 +114,13 @@ def hand_toy():
 
 
 class BlackBox(GenerativeMdp):
-    """A tabular MDP seen only through the generative interface.
+    """An MDP seen only through its scalar samplers, without ``batch_step``.
 
     Rollouts on it take the per-rollout loop, which makes it the reference
-    the batched tabular engine must match bit for bit.
+    the batch path must match bit for bit.
     """
 
-    def __init__(self, inner: TabularFullMdp):
+    def __init__(self, inner: GenerativeMdp):
         self.inner = inner
         self.name = inner.name
 

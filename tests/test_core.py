@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exomdp.core as core
 from exomdp.core import (
     FactoredState,
+    GenerativeMdp,
     InvalidMaskError,
     Mask,
     ReducedState,
@@ -20,8 +22,19 @@ from exomdp.core import (
     truncation_horizon,
     uniform_random_policy,
 )
-from exomdp.domains import build_crowd, build_factory, build_gridworld, build_random_mdp
-from exomdp.estimation import collect_full_rollouts, exact_reduced_model
+from exomdp.domains import (
+    CrowdMdp,
+    CrowdSpec,
+    build_crowd,
+    build_factory,
+    build_gridworld,
+    build_random_mdp,
+)
+from exomdp.estimation import (
+    collect_exo_rollouts,
+    collect_full_rollouts,
+    exact_reduced_model,
+)
 from exomdp.planner import (
     Policy,
     count_positive_reward_steps,
@@ -201,7 +214,7 @@ class TestGenerativeContract:
         b = mdp.sample_transition(state, 0, np.random.default_rng(42))
         assert a == b
 
-    @pytest.mark.parametrize("builder", [build_gridworld, build_crowd])
+    @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
     def test_exo_transitions_ignore_action(self, builder):
         mdp = builder()
         state = mdp.sample_initial(np.random.default_rng(3))
@@ -311,3 +324,166 @@ class TestRollouts:
         for n_rollouts, horizon in ((5, 3), (4, 2)):
             with pytest.raises(ValueError, match="do not fit"):
                 rollouts(gridworld, policy, n_rollouts, horizon, uniforms=uniforms)
+
+
+def _policies(mdp, mask):
+    """None, a planned policy over ``mask`` and the behaviour policy."""
+    return {
+        "none": None,
+        "planned": random_policy(mdp, mask, 0),
+        "behaviour": uniform_random_policy(mdp),
+    }
+
+
+def assert_same_rollouts(mdp, policy, n_rollouts, horizon, seed):
+    """The batch path on ``mdp`` equals the per-rollout loop, field by field."""
+    got = rollouts(mdp, policy, n_rollouts, horizon, seed)
+    want = rollouts(BlackBox(mdp), policy, n_rollouts, horizon, seed)
+    for field in core.ROLLOUT_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    return got
+
+
+class TestBatchSamplers:
+    """Crowd and factory step all rollouts as arrays, equal to the loop."""
+
+    @pytest.mark.parametrize("policy", ["none", "planned", "behaviour"])
+    @pytest.mark.parametrize(
+        "builder, mask",
+        [(build_crowd, Mask((0, 4))), (build_factory, Mask((0, 1, 2)))],
+        ids=["crowd", "factory"],
+    )
+    # one row, under one chunk, and not a multiple of the chunk size
+    @pytest.mark.parametrize("n_rollouts", [1, 37, core.CHUNK_ROWS + 44])
+    def test_batch_matches_loop(self, builder, mask, policy, n_rollouts):
+        mdp = builder()
+        run = assert_same_rollouts(mdp, _policies(mdp, mask)[policy], n_rollouts, 12, 5)
+        assert run.action.min() >= 0 and run.action.max() < mdp.action_count
+        if policy == "behaviour" and n_rollouts > 1:
+            assert len(np.unique(run.action)) == mdp.action_count
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10_000])
+    @pytest.mark.parametrize(
+        "builder, mask",
+        [
+            (build_crowd, Mask((0, 4))),
+            (build_factory, Mask((0,))),
+            (build_gridworld, Mask((0, 2))),
+        ],
+        ids=["crowd", "factory", "gridworld"],
+    )
+    def test_chunk_size_changes_no_byte(self, builder, mask, chunk, monkeypatch):
+        mdp = builder()
+        policies = _policies(mdp, mask)
+        before = {k: rollouts(mdp, p, 23, 9, 3) for k, p in policies.items()}
+        monkeypatch.setattr(core, "CHUNK_ROWS", chunk)
+        for k, p in policies.items():
+            after = rollouts(mdp, p, 23, 9, 3)
+            for field in core.ROLLOUT_FIELDS:
+                assert np.array_equal(getattr(after, field), getattr(before[k], field))
+
+    @given(
+        n_agents=st.integers(0, 2),
+        manipulable=st.lists(st.booleans(), min_size=1, max_size=3),
+        goal=st.integers(0, 2),
+        n_rollouts=st.integers(1, 6),
+        horizon=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_crowd_variants_match_loop(
+        self, n_agents, manipulable, goal, n_rollouts, horizon, seed
+    ):
+        spec = CrowdSpec(
+            n_agents=n_agents,
+            n_objects=len(manipulable),
+            manipulable=tuple(manipulable),
+            goal_object=goal % len(manipulable),
+        )
+        mdp = build_crowd(spec)
+        mask = Mask((spec.goal_object, mdp.m - 1))
+        for policy in _policies(mdp, mask).values():
+            assert_same_rollouts(mdp, policy, n_rollouts, horizon, seed)
+
+    def test_objects_are_picked_up_and_dropped(self):
+        mdp = build_crowd()
+        exo = rollouts(mdp, None, 50, 40, 0).exo[:, :, 0]
+        n_tables = len(mdp.spec.table_cells)
+        carried = exo >= n_tables
+        assert carried.any() and (~carried).any()
+        # an object changes carrier state only between table and agent
+        assert np.any(carried[:, 1:] & ~carried[:, :-1])
+        assert np.any(~carried[:, 1:] & carried[:, :-1])
+
+    @pytest.mark.parametrize("wrap", [lambda mdp: mdp, BlackBox], ids=["batch", "loop"])
+    def test_exo_collection_never_computes_rewards(self, wrap, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("reward computed")
+
+        monkeypatch.setattr(CrowdMdp, "reward", refuse)
+        monkeypatch.setattr(CrowdMdp, "batch_reward", refuse)
+        data = collect_exo_rollouts(wrap(build_crowd()), 20, 8, seed=1)
+        assert len(data) == 160
+        with pytest.raises(AssertionError, match="reward computed"):
+            rollouts(wrap(build_crowd()), None, 2, 2, seed=1)
+
+    def test_user_mdp_with_array_samplers_only(self):
+        class Ticker(GenerativeMdp):
+            """One variable of cardinality 3 that advances when u < 0.5;
+            reward is its value. Defines no scalar sampler or batch reward."""
+
+            action_count = endo_cardinality = 1
+            variable_specs = (VariableSpec(0, 3),)
+            discount, r_max, draws_per_step = 0.9, 2.0, 1
+
+            def batch_initial(self, u):
+                return np.zeros(len(u), dtype=np.int64), (3 * u).astype(np.int64)
+
+            def batch_step(self, endo, exo, action, u):
+                return endo, (exo + (u < 0.5)) % 3
+
+            def reward_component(self, i, endo, exo_value, action):
+                return float(exo_value)
+
+        run = assert_same_rollouts(Ticker(), uniform_random_policy(Ticker()), 9, 7, 2)
+        assert np.array_equal(run.reward, run.exo[:, :-1, 0])
+
+    def test_batch_step_without_draws_per_step_refused(self):
+        class Unsized(GenerativeMdp):
+            action_count = endo_cardinality = 1
+            variable_specs = (VariableSpec(0, 2),)
+            discount, r_max = 0.9, 0.0
+
+            def batch_initial(self, u):
+                return np.zeros(len(u), dtype=np.int64), np.zeros((len(u), 1), int)
+
+            def batch_step(self, endo, exo, action, u):
+                return endo, exo
+
+            def reward_component(self, i, endo, exo_value, action):
+                return 0.0
+
+        with pytest.raises(ValueError, match="draws_per_step 0.*batch_step"):
+            rollouts(Unsized(), None, 2, 2, seed=0)
+
+    def test_unknown_field_refused(self, gridworld):
+        with pytest.raises(ValueError, match="names fields"):
+            rollouts(gridworld, None, 2, 2, seed=0, keep=("rewards",))
+
+    def test_behaviour_policy_for_another_mdp_refused(self):
+        with pytest.raises(ValueError, match="5 actions"):
+            behaviour = uniform_random_policy(build_crowd())
+            rollouts(build_factory(), behaviour, 2, 2, seed=0)
+
+    def test_mdp_without_samplers_names_both(self):
+        class NoSampler(GenerativeMdp):
+            action_count = endo_cardinality = 1
+            variable_specs = ()
+            discount, r_max = 0.9, 0.0
+
+            def reward_component(self, i, endo, exo_value, action):
+                return 0.0
+
+        with pytest.raises(NotImplementedError, match="sample_initial nor batch_initial"):
+            NoSampler().sample_initial(np.random.default_rng(0))

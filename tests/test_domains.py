@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exomdp.core import FactoredState, Mask
 from exomdp.domains import (
+    _move_cell,
     CrowdSpec,
     FactorySpec,
     GridworldSpec,
@@ -91,6 +94,18 @@ class TestGridworld:
 
 
 class TestFactory:
+    def test_each_variable_flips_on_its_own_uniform(self):
+        mdp = build_factory()  # flip rates 0.25 for tasks, 0.3 for distractors
+        u = np.array([[0.1, 0.25, 0.9, 0.29, 0.3, 0.0]])
+
+        class Fixed:
+            def random(self, shape):
+                return u.reshape(shape)
+
+        nxt = mdp.sample_transition(FactoredState(0, (0, 1, 0, 1, 0, 1)), 1, Fixed())
+        assert nxt == FactoredState(0, (1, 1, 0, 0, 0, 0))
+        assert mdp.reward(nxt, 1) == 2 * 1.0 - 2.5 and mdp.reward(nxt, 0) == 0.0
+
     def test_distractors_only_reward_constant(self):
         spec = FactorySpec(n_task_vars=0, n_distractors=3)
         mdp = build_factory(spec)
@@ -154,11 +169,99 @@ class TestCrowd:
             )
             assert (agent_mi > 0.05) == expect_coupled
 
+    @given(
+        n_agents=st.integers(0, 2),
+        manipulable=st.lists(st.booleans(), min_size=1, max_size=3),
+        action=st.integers(0, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_step_follows_the_uniform_columns(self, n_agents, manipulable, action, data):
+        spec = CrowdSpec(
+            n_agents=n_agents, n_objects=len(manipulable), manipulable=tuple(manipulable)
+        )
+        mdp = build_crowd(spec)
+        exo = tuple(
+            data.draw(st.integers(0, c - 1)) for c in mdp.exo_cardinalities
+        )
+        state = FactoredState(data.draw(st.integers(0, 8)), exo)
+        # uniforms near the thresholds and the direction boundaries
+        grid = st.sampled_from(
+            [0.0, 0.049, 0.05, 0.14, 0.15, 0.24, 0.25, 0.39, 0.4, 0.5, 0.79, 0.8, 0.99]
+        )
+        u = [data.draw(grid) for _ in range(mdp.draws_per_step)]
+
+        class Fixed:
+            def random(self, shape):
+                return np.array(u).reshape(shape)
+
+        got = mdp.sample_transition(state, action, Fixed())
+        assert got == crowd_step_reference(mdp, state, action, u)
+
+    def test_lowest_numbered_agent_picks_up(self):
+        mdp = build_crowd()  # objects (0, 1), agents (2, 3), hazard 4
+        u = np.full((1, mdp.draws_per_step), 0.9)  # agents stay, no hazard flip
+        u[0, 4] = 0.5  # object 0's pickup
+        state = FactoredState(4, (0, 2, 0, 0, 0))  # both agents on table 0's cell
+
+        class Fixed:
+            def random(self, shape):
+                return u
+
+        nxt = mdp.sample_transition(state, 4, Fixed())
+        assert nxt == FactoredState(4, (3, 2, 0, 0, 0))
+
+    def test_initial_values_cover_every_value(self):
+        mdp = build_crowd()
+        states = [mdp.sample_initial(np.random.default_rng(s)) for s in range(400)]
+        seen = [set(s.exo[i] for s in states) for i in range(mdp.m)]
+        n_tables = len(mdp.spec.table_cells)
+        assert seen == [set(range(n_tables))] * 2 + [set(range(9))] * 2 + [{0, 1}]
+        assert {s.endo for s in states} == {mdp.spec.start_cell}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             build_crowd(CrowdSpec(manipulable=(True,)))
         with pytest.raises(ValueError):
             build_crowd(CrowdSpec(goal_object=5))
+
+
+def crowd_step_reference(mdp, state, action, u):
+    """The crowd's transition written out one variable at a time: agent k
+    reads columns 2k (move) and 2k+1 (direction), object j column
+    2*n_agents+j, hazard h the column after the objects, the robot the
+    last two (slip, slip direction)."""
+    spec = mdp.spec
+    n_ag, n_obj, n_tables = spec.n_agents, spec.n_objects, len(spec.table_cells)
+    w, h = spec.width, spec.height
+    agents = []
+    for k in range(n_ag):
+        pos = state.exo[n_obj + k]
+        if u[2 * k] < spec.agent_move_prob:
+            pos = _move_cell(pos, int(4 * u[2 * k + 1]), w, h)
+        agents.append(pos)
+    objects = []
+    for j in range(n_obj):
+        v, u_j = state.exo[j], u[2 * n_ag + j]
+        if v < n_tables:
+            cell = spec.table_cells[v]
+            carriers = [k for k in range(n_ag) if agents[k] == cell]
+            if spec.manipulable[j] and carriers and u_j < spec.pickup_prob:
+                v = n_tables + carriers[0]
+        else:
+            pos = agents[v - n_tables]
+            if pos in spec.table_cells and u_j < spec.drop_prob:
+                v = spec.table_cells.index(pos)
+        objects.append(v)
+    hazards = [
+        bit ^ int(u[2 * n_ag + n_obj + i] < spec.hazard_flip_prob)
+        for i, bit in enumerate(state.exo[n_obj + n_ag :])
+    ]
+    robot = state.endo
+    if action < 4:
+        direction = int(4 * u[-1]) if u[-2] < spec.slip_prob else action
+        robot = _move_cell(robot, direction, w, h)
+    return FactoredState(robot, tuple(objects + agents + hazards))
 
 
 class TestBlockMdp:

@@ -160,6 +160,20 @@ class TestCollectFull:
         ds = collect_full_rollouts(mdp, lambda s, rng: 2, 5, 5, seed=0)
         assert np.all(ds.action == 2)
 
+    @pytest.mark.parametrize("n_rollouts, horizon", [(1, 1), (1, 50), (30, 1), (300, 20)])
+    def test_behaviour_policy_batch_matches_loop(self, gridworld, n_rollouts, horizon):
+        self.assert_planned_matches_loop(gridworld, None, n_rollouts, horizon, 4)
+
+    @given(
+        case=random_tabular_cases(),
+        n_rollouts=st.integers(1, 12),
+        horizon=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_behaviour_policy_random_mdps_match_loop(self, case, n_rollouts, horizon, seed):
+        self.assert_planned_matches_loop(case[0], None, n_rollouts, horizon, seed)
+
     @staticmethod
     def assert_planned_matches_loop(mdp, policy, n_rollouts, horizon, seed):
         ds = collect_full_rollouts(mdp, policy, n_rollouts, horizon, seed)

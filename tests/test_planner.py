@@ -176,6 +176,20 @@ class TestExactPolicyEvaluation:
         with pytest.raises(ExomdpError):
             exact_policy_evaluation(mdp, space_policy)
 
+    def test_policy_and_values_of_another_mdp_refused(self):
+        # the same 24 states, other cardinalities
+        planned_on = build_random_mdp(1, cards=(3, 2))
+        plan = value_iteration(exact_reduced_model(planned_on, Mask((0, 1))), 1e-6)
+        other = build_random_mdp(2, cards=(2, 3))
+        with pytest.raises(ValueError, match=r"\(4, \(3, 2\)\).*\(4, \(2, 3\)\)"):
+            exact_policy_evaluation(other, plan.policy)
+        with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 3\)"):
+            lift_reduced_values(plan.values, other)
+        smaller = build_random_mdp(1, endo_cardinality=3, cards=(3, 2))
+        with pytest.raises(ValueError, match="endo cardinality"):
+            exact_policy_evaluation(smaller, plan.policy)
+        assert exact_policy_evaluation(planned_on, plan.policy).values.shape == (24,)
+
 
 class TestMonteCarlo:
     def test_constant_reward_geometric(self):
@@ -280,8 +294,8 @@ class TestBatchedRollouts:
             monte_carlo_value(gridworld, plan.policy, 50, 60, 0, uniforms)
         with pytest.raises(ValueError, match="TabularFullMdp"):
             monte_carlo_value(BlackBox(gridworld), plan.policy, 50, 60, uniforms=uniforms)
-        with pytest.raises(ValueError, match="not \\(n_rollouts"):
-            gridworld.batch_rollouts(uniforms[:, :, 0])
+        with pytest.raises(ValueError, match="do not fit"):
+            monte_carlo_value(gridworld, plan.policy, 50, 60, uniforms=uniforms[:, :, 0])
 
     @given(
         case=random_tabular_cases(),

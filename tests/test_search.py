@@ -157,8 +157,18 @@ class TestSearchDatasets:
         )
         _, trace = mask_brute_force(gridworld, 0.3, QUICK, seed=4)
         assert len(trace.entries) == 32
-        # one draw for the exo collection, one for every mask's Monte Carlo
-        assert len(draws) == len(set(draws)) == 2
+        # each chunk of the two collections is drawn once, and one draw
+        # serves every mask's Monte Carlo
+        import exomdp.search as search
+
+        def chunks(n):
+            return -(-n // core.CHUNK_ROWS)
+
+        fit = QUICK.fit
+        expected = chunks(fit.n_exo_rollouts) + chunks(fit.n_full_rollouts) + 1
+        mc_seed = search.derive_seed(4, search._STREAM_MC)
+        assert len(draws) == len(set(draws)) == expected
+        assert [d[0] for d in draws].count(mc_seed) == 1
 
 
 class TestBruteForce:
