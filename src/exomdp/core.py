@@ -7,8 +7,8 @@ exogenous variables a planner keeps; the reduced state space is the
 endogenous index crossed with the masked variables only.
 
 All value types here are immutable after construction and safe to share
-across threads. Samplers take an explicit ``numpy.random.Generator`` so
-callers control determinism; use one generator per thread or rollout.
+across threads. MDPs are stepped as arrays of rollouts from uniforms the
+caller draws, so callers control determinism.
 """
 
 from __future__ import annotations
@@ -143,19 +143,6 @@ class Mask:
             raise InvalidMaskError(f"variable {j} already in mask {self.included}")
         return Mask.of(self.included + (j,))
 
-    def relative_to(self, parent: "Mask") -> "Mask":
-        """Re-index this mask's variables by their positions within ``parent``.
-
-        Requires this mask to be a subset of ``parent``.
-        """
-        pos = {v: k for k, v in enumerate(parent.included)}
-        try:
-            return Mask(tuple(pos[v] for v in self.included))
-        except KeyError as e:
-            raise InvalidMaskError(
-                f"mask {self.included} is not a subset of {parent.included}"
-            ) from e
-
     def __contains__(self, j: int) -> bool:
         return j in self.included
 
@@ -170,29 +157,38 @@ EMPTY_MASK = Mask(())
 
 
 class GenerativeMdp(ABC):
-    """Black-box generative model of a factored MDP.
+    """Black-box generative model of a factored MDP, stepped as arrays.
 
-    Implementations expose samplers for transitions and initial states plus
-    a per-variable decomposed reward; no analytic distributions are
-    required. The exogenous values drawn inside ``sample_transition`` must
-    not depend on the action argument. Implementations must be safely
-    callable from multiple threads provided each thread uses its own
-    generator.
+    Implementations expose array samplers over ``R`` rollouts at once plus a
+    per-variable decomposed reward; no analytic distributions are required.
 
-    Optional array samplers let ``rollouts`` step all rollouts at once:
-    ``batch_initial(u)`` returns ``(endo, exo)`` arrays ``(R,)`` and
-    ``(R, m)`` from uniforms ``u`` of shape ``(R, draws_per_step)``, and
-    ``batch_step(endo, exo, action, u)`` returns the next ``(endo, exo)``,
-    reading exactly ``draws_per_step`` uniforms per row, at least 1 (an
-    integer in ``0..n-1`` is ``floor(n * u)``). An MDP that defines them gets
-    ``sample_initial`` and ``sample_transition`` as their one-row calls, so
-    both paths draw the same states from the same stream.
+    - ``draws_per_step`` is the fixed number K of uniforms one step reads,
+      at least 1;
+    - ``batch_initial(u)`` returns ``(endo, exo)`` arrays ``(R,)`` and
+      ``(R, m)`` from uniforms ``u`` of shape ``(R, K)``;
+    - ``batch_step(endo, exo, action, u)`` returns the next ``(endo, exo)``,
+      reading exactly the K uniforms of its row (an integer in ``0..n-1`` is
+      ``floor(n * u)``). The exogenous values it returns must not depend on
+      ``action``;
+    - ``batch_reward`` is optional.
+
+    An MDP that lacks one of the first three cannot be constructed.
+    Implementations must be safe to call from several threads at once.
     """
 
     name: str = ""
-    draws_per_step: int = 0
-    batch_initial = None
-    batch_step = None
+
+    @property
+    @abstractmethod
+    def draws_per_step(self) -> int: ...
+
+    @abstractmethod
+    def batch_initial(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
+
+    @abstractmethod
+    def batch_step(
+        self, endo: np.ndarray, exo: np.ndarray, action: np.ndarray, u: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]: ...
 
     @property
     @abstractmethod
@@ -216,18 +212,6 @@ class GenerativeMdp(ABC):
         """Declared upper bound on the magnitude of one-step rewards."""
         ...
 
-    def sample_transition(
-        self, state: FactoredState, action: int, rng: np.random.Generator
-    ) -> FactoredState:
-        """Next state; MDPs without ``batch_step`` must override this."""
-        endo, exo = self._batch_sampler("batch_step", "sample_transition")(
-            np.array([state.endo]),
-            np.array([state.exo], dtype=np.int64).reshape(1, self.m),
-            np.array([action]),
-            rng.random((1, self.draws_per_step)),
-        )
-        return FactoredState(int(endo[0]), tuple(exo[0].tolist()))
-
     @abstractmethod
     def reward_component(
         self, i: int, endo: int, exo_value: int, action: int
@@ -235,33 +219,19 @@ class GenerativeMdp(ABC):
         """Contribution of exogenous variable ``i`` to the reward."""
         ...
 
-    def sample_initial(self, rng: np.random.Generator) -> FactoredState:
-        """Initial state; MDPs without ``batch_initial`` must override this."""
-        endo, exo = self._batch_sampler("batch_initial", "sample_initial")(
-            rng.random((1, self.draws_per_step))
-        )
-        return FactoredState(int(endo[0]), tuple(exo[0].tolist()))
-
-    def _batch_sampler(self, name: str, scalar: str):
-        sampler = getattr(self, name)
-        if sampler is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} defines neither {scalar} nor {name}"
-            )
-        _check_draws_per_step(self)
-        return sampler
-
     def batch_reward(
         self, endo: np.ndarray, exo: np.ndarray, action: np.ndarray
     ) -> np.ndarray:
-        """``(R,)`` full rewards of rows of states; by default ``reward`` per row."""
-        return np.array(
-            [
-                self.reward(FactoredState(int(n), tuple(x.tolist())), int(a))
-                for n, x, a in zip(endo, exo, action)
-            ],
-            dtype=float,
-        )
+        """``(R,)`` full rewards of rows of states; by default the sum of
+        ``reward_component`` in variable order."""
+        total = np.zeros(len(endo))
+        endo, action = endo.tolist(), action.tolist()
+        for i in range(self.m):
+            total += [
+                self.reward_component(i, n, v, a)
+                for n, v, a in zip(endo, exo[:, i].tolist(), action)
+            ]
+        return total
 
     @property
     def m(self) -> int:
@@ -270,27 +240,6 @@ class GenerativeMdp(ABC):
     @property
     def exo_cardinalities(self) -> tuple[int, ...]:
         return tuple(s.cardinality for s in self.variable_specs)
-
-    def reward(self, state: FactoredState, action: int) -> float:
-        """Full reward: sum of the per-variable components."""
-        total = 0.0
-        for i, v in enumerate(state.exo):
-            total += self.reward_component(i, state.endo, v, action)
-        return total
-
-    def validate_state(self, state: FactoredState) -> None:
-        if not 0 <= state.endo < self.endo_cardinality:
-            raise ValueError(f"endo index {state.endo} out of range")
-        if len(state.exo) != self.m:
-            raise ValueError(
-                f"exo vector has length {len(state.exo)}, expected {self.m}"
-            )
-        for v, spec in zip(state.exo, self.variable_specs):
-            if not 0 <= v < spec.cardinality:
-                raise ValueError(
-                    f"value {v} out of range for variable {spec.id} "
-                    f"(cardinality {spec.cardinality})"
-                )
 
 
 class ReducedSpace:
@@ -342,9 +291,6 @@ class ReducedSpace:
         for i, w in zip(self.mask.included, self.weights):
             code += exo[i] * w
         return endo * self.n_exo + code
-
-    def encode_reduced(self, rstate: ReducedState) -> int:
-        return rstate.endo * self.n_exo + self.encode_exo(rstate.exo_masked)
 
     def decode(self, idx: int) -> ReducedState:
         endo, code = divmod(idx, self.n_exo)
@@ -563,10 +509,6 @@ class TabularFullMdp(GenerativeMdp):
     ) -> float:
         return float(self.reward_tables[i][endo, exo_value, action])
 
-    def reward(self, state: FactoredState, action: int) -> float:
-        x = self._space.encode_exo(state.exo)
-        return float(self.full_reward[state.endo, action, x])
-
     def batch_uniforms(self, n_rollouts: int, horizon: int, seed: int) -> np.ndarray:
         """The uniforms ``rollouts`` draws for ``seed`` with no policy or a
         planned one, read-only, shape ``(n_rollouts, horizon + 1, 2)``: rollout
@@ -613,9 +555,6 @@ class UniformRandomPolicy:
     def __init__(self, action_count: int):
         self.action_count = int(action_count)
 
-    def __call__(self, state: FactoredState, rng: np.random.Generator) -> int:
-        return int(self.action_count * rng.random())
-
 
 def uniform_random_policy(mdp: GenerativeMdp) -> UniformRandomPolicy:
     """Behavior policy drawing actions uniformly at random."""
@@ -656,77 +595,45 @@ def rollouts(
     initial-state distribution: the one rollout engine.
 
     ``policy`` is None (action 0, for exogenous rollouts), a planned
-    ``planner.Policy`` (acting through its mask), the behaviour policy of
-    ``uniform_random_policy``, or any callable ``(state, rng) -> action``.
+    ``planner.Policy`` (acting through its mask) or the behaviour policy of
+    ``uniform_random_policy``; anything else is refused before any rollout.
     Rollout r draws from its own generator, ``SeedSequence(seed,
     spawn_key=(r,))`` with ``seed`` 0 when None, so results are reproducible
     bit for bit and independent of order. Fields not named in ``keep`` are
     None; without ``"reward"`` the reward is never computed.
 
-    An MDP with ``batch_step`` steps its rollouts as arrays, unless the
-    policy is some other callable: ``CHUNK_ROWS`` at a time, or all at once
-    from pre-drawn ``uniforms``. Row r's stream is
-    ``draws_per_step`` uniforms for the initial state, then per step the
-    behaviour policy's one uniform, if it acts, and ``draws_per_step`` for
-    the transition: the order in which the per-rollout loop draws them.
-    With None or a ``Policy``, ``uniforms`` may hold these streams drawn
-    earlier for seed ``s``, shape ``(n_rollouts, horizon + 1,
-    draws_per_step)``, as ``TabularFullMdp.batch_uniforms`` gives them; seed
-    and uniforms together are refused.
+    All rollouts of a call step together as arrays through the MDP's
+    ``batch_initial``/``batch_step``: ``CHUNK_ROWS`` at a time, or all at
+    once from pre-drawn ``uniforms``. Row r's stream is ``draws_per_step``
+    uniforms for the initial state, then per step the behaviour policy's
+    one uniform, if it acts, and ``draws_per_step`` for the transition. With
+    None or a ``Policy``, ``uniforms`` may hold these streams drawn earlier
+    for seed ``s``, shape ``(n_rollouts, horizon + 1, draws_per_step)``, as
+    ``TabularFullMdp.batch_uniforms`` gives them; seed and uniforms together
+    are refused.
     """
     if n_rollouts < 1 or horizon < 1:
         raise ValueError("n_rollouts and horizon must be >= 1")
     if not set(keep) <= set(ROLLOUT_FIELDS):
         raise ValueError(f"keep {tuple(keep)} names fields not in {ROLLOUT_FIELDS}")
     _check_exo_dtype(mdp)
+    _check_draws_per_step(mdp)
     behave = isinstance(policy, UniformRandomPolicy)
-    # None, a planned Policy and the behaviour policy can act on arrays
-    array_policy = behave or not callable(policy)
-    if policy is not None and array_policy:
+    if policy is not None:
         _check_policy_fits(mdp, policy)
-    batch = mdp.batch_step is not None and array_policy
-    if batch:
-        _check_draws_per_step(mdp)
+    k = mdp.draws_per_step
     if uniforms is not None:
         if seed is not None:
             raise ValueError("pass seed or uniforms, not both")
-        if not batch or behave:
-            raise ValueError(
-                "pre-drawn uniforms need an MDP with batch_step, such as a "
-                "TabularFullMdp, and no callable policy"
-            )
-        if uniforms.shape != (n_rollouts, horizon + 1, mdp.draws_per_step):
+        if behave:
+            raise ValueError("pre-drawn uniforms hold no behaviour-policy draws")
+        if uniforms.shape != (n_rollouts, horizon + 1, k):
             raise ValueError(
                 f"uniforms of shape {uniforms.shape} do not fit {n_rollouts} "
                 f"rollouts of horizon {horizon}"
             )
     seed = 0 if seed is None else seed
-    if batch:
-        return _batch_rollouts(mdp, policy, n_rollouts, horizon, seed, uniforms, keep)
-    if policy is None:
-        policy = lambda s, rng: 0  # noqa: E731
-    elif not callable(policy):
-        actions, encode = policy.actions, policy.space.encode_state
-        policy = lambda s, rng: int(actions[encode(s.endo, s.exo)])  # noqa: E731
-    return _rollout_loop(mdp, policy, n_rollouts, horizon, seed, keep)
-
-
-def _empty_rollouts(mdp, n_rollouts, horizon, keep) -> Rollouts:
-    shapes = {
-        "endo": ((n_rollouts, horizon + 1), np.int32),
-        "exo": ((n_rollouts, horizon + 1, mdp.m), _EXO_DTYPE),
-        "action": ((n_rollouts, horizon), np.int32),
-        "reward": ((n_rollouts, horizon), float),
-    }
-    return Rollouts(
-        **{f: np.empty(*shapes[f]) if f in keep else None for f in ROLLOUT_FIELDS}
-    )
-
-
-def _batch_rollouts(mdp, policy, n_rollouts, horizon, seed, uniforms, keep):
     out = _empty_rollouts(mdp, n_rollouts, horizon, keep)
-    k = mdp.draws_per_step
-    behave = isinstance(policy, UniformRandomPolicy)
     width = k + horizon * (behave + k)  # uniforms per rollout
     # pre-drawn uniforms are already in memory: chunking them saves nothing
     n_chunks = 1 if uniforms is not None else -(-n_rollouts // CHUNK_ROWS)
@@ -758,37 +665,23 @@ def _batch_rollouts(mdp, policy, n_rollouts, horizon, seed, uniforms, keep):
     return out
 
 
+def _empty_rollouts(mdp, n_rollouts, horizon, keep) -> Rollouts:
+    shapes = {
+        "endo": ((n_rollouts, horizon + 1), np.int32),
+        "exo": ((n_rollouts, horizon + 1, mdp.m), _EXO_DTYPE),
+        "action": ((n_rollouts, horizon), np.int32),
+        "reward": ((n_rollouts, horizon), float),
+    }
+    return Rollouts(
+        **{f: np.empty(*shapes[f]) if f in keep else None for f in ROLLOUT_FIELDS}
+    )
+
+
 def _store(out: Rollouts, lo: int, hi: int, t: int, endo, exo) -> None:
     if out.endo is not None:
         out.endo[lo:hi, t] = endo
     if out.exo is not None:
         out.exo[lo:hi, t] = exo
-
-
-def _rollout_loop(mdp, act, n_rollouts, horizon, seed, keep) -> Rollouts:
-    out = _empty_rollouts(mdp, n_rollouts, horizon, keep)
-    sample_transition, reward_of = mdp.sample_transition, mdp.reward
-    for r in range(n_rollouts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        state = mdp.sample_initial(rng)
-        # one rollout's states at a time: a call's states would not fit memory
-        states, acts, step_rewards = [state], [], []
-        for _ in range(horizon):
-            a = act(state, rng)
-            if out.reward is not None:
-                step_rewards.append(reward_of(state, a))
-            state = sample_transition(state, a, rng)
-            states.append(state)
-            acts.append(a)
-        for field, row in (
-            ("endo", [s.endo for s in states]),
-            ("exo", [s.exo for s in states]),
-            ("action", acts),
-            ("reward", step_rewards),
-        ):
-            if field in keep:
-                getattr(out, field)[r] = row
-    return out
 
 
 def _check_exo_dtype(mdp: GenerativeMdp) -> None:
@@ -806,8 +699,8 @@ def _check_draws_per_step(mdp: GenerativeMdp) -> None:
     if mdp.draws_per_step < 1:
         raise ValueError(
             f"{type(mdp).__name__} has draws_per_step {mdp.draws_per_step}; "
-            f"an MDP with batch_step must set it to the uniforms batch_step "
-            f"reads per row, at least 1"
+            f"it must be the number of uniforms batch_step reads per row, "
+            f"at least 1"
         )
 
 
@@ -825,9 +718,17 @@ def _check_space_fits(mdp: GenerativeMdp, space: ReducedSpace) -> None:
 
 
 def _check_policy_fits(mdp: GenerativeMdp, policy) -> None:
-    """Refuse a planned or behaviour policy that is not the MDP's."""
-    if not isinstance(policy, UniformRandomPolicy):
+    """Refuse a policy that is neither a planned nor the behaviour policy,
+    or one that is not the MDP's."""
+    from .planner import Policy  # planner imports this module
+
+    if isinstance(policy, Policy):
         _check_space_fits(mdp, policy.space)
+    elif not isinstance(policy, UniformRandomPolicy):
+        raise ValueError(
+            f"policy must be None, a planner.Policy or the UniformRandomPolicy "
+            f"of uniform_random_policy, got {type(policy).__name__}"
+        )
     if policy.action_count != mdp.action_count:
         raise ValueError(
             f"policy over {policy.action_count} actions does not fit the "
@@ -848,22 +749,28 @@ def action_independence_pvalues(
 
     Small p-values reject the contract that exogenous transitions ignore
     the action. Compares per-variable marginal frequencies rather than the
-    joint, so it stays well-powered when the joint space is large.
+    joint, so it stays well-powered when the joint space is large. Each
+    action steps ``n_samples`` copies of ``state`` in one ``batch_step``
+    call, from stream ``SeedSequence(seed, spawn_key=(0,))`` for
+    ``action_a`` and ``(1,)`` for ``action_b``.
     """
     from scipy.stats import chi2_contingency
 
+    _check_draws_per_step(mdp)
     cards = mdp.exo_cardinalities
-    counts_a = [np.zeros(c, dtype=np.int64) for c in cards]
-    counts_b = [np.zeros(c, dtype=np.int64) for c in cards]
-    for action, counts, stream in ((action_a, counts_a, 0), (action_b, counts_b, 1)):
+    endo = np.full(n_samples, state.endo, dtype=np.int64)
+    exo = np.tile(np.array(state.exo, dtype=np.int64).reshape(1, mdp.m), (n_samples, 1))
+    counts = []
+    for action, stream in ((action_a, 0), (action_b, 1)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-        for _ in range(n_samples):
-            nxt = mdp.sample_transition(state, action, rng)
-            for i, v in enumerate(nxt.exo):
-                counts[i][v] += 1
+        u = rng.random((n_samples, mdp.draws_per_step))
+        _, nxt = mdp.batch_step(endo, exo, np.full(n_samples, action), u)
+        counts.append(
+            [np.bincount(nxt[:, i], minlength=c) for i, c in enumerate(cards)]
+        )
     pvals = np.ones(len(cards))
     for i in range(len(cards)):
-        table = np.stack([counts_a[i], counts_b[i]])
+        table = np.stack([counts[0][i], counts[1][i]])
         table = table[:, table.sum(axis=0) > 0]
         if table.shape[1] < 2:
             continue  # degenerate marginal, nothing to compare

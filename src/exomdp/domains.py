@@ -23,7 +23,6 @@ from functools import reduce as _reduce
 import numpy as np
 
 from .core import (
-    FactoredState,
     GenerativeMdp,
     Mask,
     ReducedSpace,
@@ -196,11 +195,6 @@ def build_gridworld(spec: GridworldSpec | None = None, seed: int = 0) -> Tabular
     )
 
 
-def _one_row_reward(mdp: GenerativeMdp, state: FactoredState, action: int) -> float:
-    exo = np.array([state.exo], dtype=np.int64)
-    return float(mdp.batch_reward(np.array([state.endo]), exo, np.array([action]))[0])
-
-
 # ---------------------------------------------------------------------------
 # Factory
 # ---------------------------------------------------------------------------
@@ -292,9 +286,6 @@ class FactoryMdp(GenerativeMdp):
         for i in range(spec.n_task_vars):
             total += np.where(exo[:, i] == 1, spec.match_reward, -spec.mismatch_penalty)
         return np.where(action == ACTION_EXECUTE, total, 0.0)
-
-    def reward(self, state, action):
-        return _one_row_reward(self, state, action)
 
 
 def build_factory(spec: FactorySpec | None = None, seed: int = 0) -> FactoryMdp:
@@ -480,9 +471,6 @@ class CrowdMdp(GenerativeMdp):
                 spec.crash_penalty
             )
         return total
-
-    def reward(self, state, action):
-        return _one_row_reward(self, state, action)
 
 
 def build_crowd(spec: CrowdSpec | None = None, seed: int = 0) -> CrowdMdp:

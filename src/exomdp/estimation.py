@@ -9,8 +9,7 @@ need full rollouts under some behavior policy.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,6 +22,7 @@ from .core import (
     ReducedSpace,
     StateSpaceTooLargeError,
     TabularFullMdp,
+    UniformRandomPolicy,
     UnsupportedMdpError,
     reduced_space_for,
     rollouts,
@@ -139,16 +139,17 @@ def collect_full_rollouts(
 ) -> FullRolloutDataset:
     """Roll out full ``(s, a, r, s')`` tuples under a behavior policy.
 
-    ``policy`` may be None (``core.uniform_random_policy``), a
-    ``planner.Policy``, or a callable ``(state, rng) -> action``.
+    ``policy`` is None (``core.uniform_random_policy``), that behaviour
+    policy, or a planned ``planner.Policy``; ``core.rollouts`` refuses any
+    other.
     """
     if policy is None:
         policy = uniform_random_policy(mdp)
-    if callable(policy):
-        tag = getattr(policy, "policy_tag", "callable")
+    run = rollouts(mdp, policy, n_rollouts, horizon, seed)
+    if isinstance(policy, UniformRandomPolicy):
+        tag = policy.policy_tag
     else:
         tag = f"reduced-policy:{policy.mask.included}"
-    run = rollouts(mdp, policy, n_rollouts, horizon, seed)
     total, m = n_rollouts * horizon, mdp.m
     return FullRolloutDataset(
         endo=run.endo[:, :-1].reshape(total),
@@ -370,35 +371,6 @@ def transition_mutual_information(
     return _plugin_mi(a_codes, b_codes)
 
 
-def transition_mutual_information_with_endo(
-    full_data: FullRolloutDataset, mask: Mask, j: int
-) -> float:
-    """Variant of the transition mutual information whose reduced-state
-    pair includes the endogenous component.
-
-    Needs policy-driven rollouts, so unlike the default it is not
-    policy-invariant; offered for diagnostics.
-    """
-    m = len(full_data.cardinalities)
-    if not 0 <= j < m:
-        raise ValueError(f"variable index {j} out of range for m={m}")
-    if j in mask:
-        raise ValueError(f"variable {j} is already in the mask")
-    if len(full_data) == 0:
-        raise InsufficientDataError("cannot estimate mutual information without data")
-    space = ReducedSpace(1, mask, full_data.cardinalities)
-    xm = space.n_exo
-    n = full_data.endo_cardinality
-    at = full_data.endo.astype(np.int64) * xm + space.project_codes(full_data.exo)
-    at1 = full_data.next_endo.astype(np.int64) * xm + space.project_codes(
-        full_data.next_exo
-    )
-    a_codes = at * (n * xm) + at1
-    cj = full_data.cardinalities[j]
-    b_codes = full_data.exo[:, j].astype(np.int64) * cj + full_data.next_exo[:, j]
-    return _plugin_mi(a_codes, b_codes)
-
-
 def estimate_reward_variables(
     mdp: GenerativeMdp,
     variance_threshold: float,
@@ -441,65 +413,3 @@ def estimate_reward_variables(
         if total / n_contexts > variance_threshold:
             selected.append(i)
     return Mask.of(selected)
-
-
-# ---------------------------------------------------------------------------
-# Dataset serialization: one ``.npz`` per dataset, arrays plus a JSON ``meta``
-# string; format documented in the README under "Dataset cache format".
-# ---------------------------------------------------------------------------
-
-_EXO_KIND = "exomdp-exo-v2"
-_FULL_KIND = "exomdp-full-v2"
-
-
-def _save(ds, path, kind: str) -> None:
-    values = {f.name: getattr(ds, f.name) for f in fields(ds)}
-    arrays = {k: v for k, v in values.items() if isinstance(v, np.ndarray)}
-    meta = {"kind": kind, **{k: v for k, v in values.items() if k not in arrays}}
-    # an open file keeps np.savez from appending ".npz" to the caller's path
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=np.array(json.dumps(meta, default=int)), **arrays)
-
-
-def _load(path, cls, kind: str):
-    """The dataset in a file, checked against the file's own meta."""
-    with np.load(path, allow_pickle=False) as npz:
-        meta = json.loads(str(npz["meta"]))
-        found = meta.pop("kind", None)
-        if found != kind:
-            raise ValueError(f"{path} is a {found!r} file, not {kind}")
-        arrays = {name: npz[name] for name in npz.files if name != "meta"}
-    rows = meta["n_rollouts"] * meta["horizon"]
-    cards = meta["cardinalities"] = tuple(meta["cardinalities"])
-    endo = meta.get("endo_cardinality")
-    limits = {
-        "exo": cards,
-        "next_exo": cards,
-        "endo": endo,
-        "next_endo": endo,
-        "action": meta.get("action_count"),
-    }
-    for name, arr in arrays.items():
-        shape = (rows, len(cards)) if name in ("exo", "next_exo") else (rows,)
-        if arr.shape != shape:
-            raise ValueError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
-        limit = limits.get(name)
-        if limit is not None and arr.size and (arr.min() < 0 or np.any(arr >= limit)):
-            raise ValueError(f"{path}: {name} has values outside 0..{limit} - 1")
-    return cls(**arrays, **meta)
-
-
-def save_exo_dataset(ds: ExoRolloutDataset, path) -> None:
-    _save(ds, path, _EXO_KIND)
-
-
-def load_exo_dataset(path) -> ExoRolloutDataset:
-    return _load(path, ExoRolloutDataset, _EXO_KIND)
-
-
-def save_full_dataset(ds: FullRolloutDataset, path) -> None:
-    _save(ds, path, _FULL_KIND)
-
-
-def load_full_dataset(path) -> FullRolloutDataset:
-    return _load(path, FullRolloutDataset, _FULL_KIND)

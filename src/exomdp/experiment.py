@@ -84,9 +84,26 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        for name in ("n_rollouts", "n_contexts", "n_settings", "n_trials", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        # NaN fails every comparison, so each check asks for what must hold
+        for name in ("vi_epsilon", "vi_timeout"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not (np.isfinite(self.fit.smoothing) and self.fit.smoothing >= 0):
+            raise ValueError(
+                f"fit.smoothing must be finite and >= 0, got {self.fit.smoothing!r}"
+            )
+        counts = {
+            name: getattr(self, name)
+            for name in ("n_rollouts", "n_contexts", "n_settings", "n_trials", "workers")
+        }
+        for name in ("n_exo_rollouts", "exo_horizon", "n_full_rollouts", "full_horizon"):
+            counts[f"fit.{name}"] = getattr(self.fit, name)
+        if self.mc_horizon is not None:
+            counts["mc_horizon"] = self.mc_horizon
+        for name, value in counts.items():
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
         if self.domain not in list_presets():
             raise KeyError(f"unknown domain preset {self.domain!r}")
 

@@ -22,7 +22,6 @@ from .core import (
     Mask,
     PlannerTimeoutError,
     ReducedSpace,
-    ReducedState,
     TabularFullMdp,
     rollouts,
 )
@@ -72,12 +71,6 @@ class ValueTable:
     space: ReducedSpace
     values: np.ndarray
 
-    def value_of_reduced(self, rstate: ReducedState) -> float:
-        return float(self.values[self.space.encode_reduced(rstate)])
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max()) if self.values.size else 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class PlanResult:
@@ -116,8 +109,8 @@ def value_iteration(
     error carries the myopic policy). Greedy ties break toward the lowest
     action index.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:  # NaN too: no residual is ever below it
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     model.assert_valid()
     n, x = model.endo_cardinality, model.n_exo_states
     start = time.perf_counter()

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import strategies as st
 
 from exomdp.core import (
-    GenerativeMdp,
+    FactoredState,
     Mask,
     ReducedSpace,
+    Rollouts,
     TabularFullMdp,
+    UniformRandomPolicy,
     VariableSpec,
     reduced_space_for,
 )
@@ -113,34 +115,66 @@ def hand_toy():
     )
 
 
-class BlackBox(GenerativeMdp):
-    """An MDP seen only through its scalar samplers, without ``batch_step``.
+def _one_row(mdp, state):
+    """``(endo, exo)`` arrays of one ``FactoredState``, as the samplers take them."""
+    exo = np.array([state.exo], dtype=np.int64).reshape(1, mdp.m)
+    return np.array([state.endo]), exo
 
-    Rollouts on it take the per-rollout loop, which makes it the reference
-    the batch path must match bit for bit.
+
+def initial_state(mdp, u):
+    """The initial state one row of uniforms ``u`` (shape ``(1, K)``) draws."""
+    endo, exo = mdp.batch_initial(u)
+    return FactoredState(int(endo[0]), tuple(exo[0].tolist()))
+
+
+def next_state(mdp, state, action, u):
+    """The next state of ``state`` under ``action`` from one row of uniforms."""
+    endo, exo = mdp.batch_step(*_one_row(mdp, state), np.array([action]), u)
+    return FactoredState(int(endo[0]), tuple(exo[0].tolist()))
+
+
+def state_reward(mdp, state, action):
+    """The full reward of one state and action."""
+    return float(mdp.batch_reward(*_one_row(mdp, state), np.array([action]))[0])
+
+
+def reference_rollouts(mdp, policy, n_rollouts, horizon, seed=0):
+    """Independent oracle for ``core.rollouts``: every field, every rollout
+    stepped alone.
+
+    Rollout r draws its uniforms by successive ``rng.random`` calls on its
+    own ``SeedSequence(seed, spawn_key=(r,))`` generator: the initial
+    state's, then per step the behaviour policy's one (under that policy)
+    and the transition's. Steps are one-row ``batch_initial``,
+    ``batch_step`` and ``batch_reward`` calls; a planned policy acts through
+    the scalar ``ReducedSpace.encode_state``.
     """
-
-    def __init__(self, inner: GenerativeMdp):
-        self.inner = inner
-        self.name = inner.name
-
-    action_count = property(lambda self: self.inner.action_count)
-    endo_cardinality = property(lambda self: self.inner.endo_cardinality)
-    variable_specs = property(lambda self: self.inner.variable_specs)
-    discount = property(lambda self: self.inner.discount)
-    r_max = property(lambda self: self.inner.r_max)
-
-    def sample_initial(self, rng):
-        return self.inner.sample_initial(rng)
-
-    def sample_transition(self, state, action, rng):
-        return self.inner.sample_transition(state, action, rng)
-
-    def reward(self, state, action):
-        return self.inner.reward(state, action)
-
-    def reward_component(self, i, endo, exo_value, action):
-        return self.inner.reward_component(i, endo, exo_value, action)
+    k = mdp.draws_per_step
+    endos, exos, actions, rewards = [], [], [], []
+    for r in range(n_rollouts):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        endo, exo = mdp.batch_initial(rng.random((1, k)))
+        endos.append(int(endo[0]))
+        exos.append(exo[0].tolist())
+        for _ in range(horizon):
+            if policy is None:
+                a = 0
+            elif isinstance(policy, UniformRandomPolicy):
+                a = int(policy.action_count * rng.random())
+            else:
+                a = int(policy.actions[policy.space.encode_state(endos[-1], exos[-1])])
+            action = np.array([a])
+            actions.append(a)
+            rewards.append(float(mdp.batch_reward(endo, exo, action)[0]))
+            endo, exo = mdp.batch_step(endo, exo, action, rng.random((1, k)))
+            endos.append(int(endo[0]))
+            exos.append(exo[0].tolist())
+    return Rollouts(
+        endo=np.array(endos, dtype=np.int32).reshape(n_rollouts, horizon + 1),
+        exo=np.array(exos, dtype=np.int16).reshape(n_rollouts, horizon + 1, mdp.m),
+        action=np.array(actions, dtype=np.int32).reshape(n_rollouts, horizon),
+        reward=np.array(rewards, dtype=float).reshape(n_rollouts, horizon),
+    )
 
 
 def random_policy(mdp, mask, seed):

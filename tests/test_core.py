@@ -42,7 +42,14 @@ from exomdp.planner import (
     value_iteration,
 )
 
-from conftest import BlackBox, constant_reward_mdp, random_policy
+from conftest import (
+    constant_reward_mdp,
+    initial_state,
+    next_state,
+    random_policy,
+    reference_rollouts,
+    state_reward,
+)
 
 
 class TestVariableSpec:
@@ -84,11 +91,6 @@ class TestMask:
         with pytest.raises(InvalidMaskError):
             Mask((1,)).with_variable(1)
 
-    def test_relative_to(self):
-        assert Mask((2,)).relative_to(Mask((0, 2, 4))).included == (1,)
-        with pytest.raises(InvalidMaskError):
-            Mask((3,)).relative_to(Mask((0, 2)))
-
 
 class TestReduceState:
     def test_projection(self):
@@ -120,7 +122,9 @@ class TestReduceState:
         state = FactoredState(0, tuple(exo))
         via_parent = reduce_state(state, parent)
         lifted = FactoredState(via_parent.endo, via_parent.exo_masked)
-        composed = reduce_state(lifted, child.relative_to(parent))
+        # the child's variables by their positions within the parent
+        position = {v: k for k, v in enumerate(parent.included)}
+        composed = reduce_state(lifted, Mask(tuple(position[v] for v in child)))
         direct = reduce_state(state, child)
         assert composed == direct
 
@@ -135,11 +139,11 @@ class TestReducedReward:
         rng = np.random.default_rng(0)
         full = Mask.full(hand_toy.m)
         for _ in range(50):
-            state = hand_toy.sample_initial(rng)
+            state = initial_state(hand_toy, rng.random((1, 2)))
             action = int(rng.integers(hand_toy.action_count))
             rstate = reduce_state(state, full)
             assert reduced_reward(hand_toy, rstate, action, full) == pytest.approx(
-                hand_toy.reward(state, action), abs=1e-12
+                state_reward(hand_toy, state, action), abs=1e-12
             )
 
     def test_empty_mask_is_zero(self, hand_toy):
@@ -195,41 +199,56 @@ class TestGenerativeContract:
         mdp = builder()
         rng = np.random.default_rng(1)
         worst = 0.0
+        k = mdp.draws_per_step
         for _ in range(1000):
-            state = mdp.sample_initial(rng)
-            state = mdp.sample_transition(state, 0, rng)
+            state = initial_state(mdp, rng.random((1, k)))
+            state = next_state(mdp, state, 0, rng.random((1, k)))
             action = int(rng.integers(mdp.action_count))
             total = sum(
                 mdp.reward_component(i, state.endo, v, action)
                 for i, v in enumerate(state.exo)
             )
-            worst = max(worst, abs(mdp.reward(state, action) - total))
+            worst = max(worst, abs(state_reward(mdp, state, action) - total))
         assert worst < 1e-9
 
     @pytest.mark.parametrize("builder", [build_gridworld, build_factory, build_crowd])
     def test_transition_determinism_given_seed(self, builder):
         mdp = builder()
-        state = mdp.sample_initial(np.random.default_rng(5))
-        a = mdp.sample_transition(state, 0, np.random.default_rng(42))
-        b = mdp.sample_transition(state, 0, np.random.default_rng(42))
+        k = mdp.draws_per_step
+        state = initial_state(mdp, np.random.default_rng(5).random((1, k)))
+        a = next_state(mdp, state, 0, np.random.default_rng(42).random((1, k)))
+        b = next_state(mdp, state, 0, np.random.default_rng(42).random((1, k)))
         assert a == b
 
     @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
     def test_exo_transitions_ignore_action(self, builder):
         mdp = builder()
-        state = mdp.sample_initial(np.random.default_rng(3))
-        pvals = action_independence_pvalues(
-            mdp, state, 0, mdp.action_count - 1, n_samples=10_000, seed=0
-        )
+        pvals = self.exo_pvalues(mdp)
         # Bonferroni-adjusted: no per-variable rejection at the 1% level
         assert pvals.min() > 0.01 / mdp.m
+
+    @staticmethod
+    def exo_pvalues(mdp):
+        u = np.random.default_rng(3).random((1, mdp.draws_per_step))
+        state = initial_state(mdp, u)
+        return action_independence_pvalues(
+            mdp, state, 0, mdp.action_count - 1, n_samples=10_000, seed=0
+        )
+
+    def test_exo_pvalues_pinned(self):
+        # recorded with one batch_step call per sample, before the check batched
+        assert repr(self.exo_pvalues(build_crowd()).tolist()) == (
+            "[1.0, 1.0, 0.2263896709924421, 0.11604851827540874, 0.3318747570648122]"
+        )
 
     def test_initial_states_valid(self):
         for builder in (build_gridworld, build_factory, build_crowd):
             mdp = builder()
-            rng = np.random.default_rng(0)
-            for _ in range(20):
-                mdp.validate_state(mdp.sample_initial(rng))
+            u = np.random.default_rng(0).random((20, mdp.draws_per_step))
+            endo, exo = mdp.batch_initial(u)
+            assert endo.shape == (20,) and exo.shape == (20, mdp.m)
+            assert np.all((0 <= endo) & (endo < mdp.endo_cardinality))
+            assert np.all((0 <= exo) & (exo < np.array(mdp.exo_cardinalities)))
 
 
 class TestTabularFullMdp:
@@ -254,13 +273,13 @@ class TestTabularFullMdp:
     def test_reward_equals_component_sum(self, hand_toy):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            state = hand_toy.sample_initial(rng)
+            state = initial_state(hand_toy, rng.random((1, 2)))
             for action in range(hand_toy.action_count):
                 total = sum(
                     hand_toy.reward_component(i, state.endo, v, action)
                     for i, v in enumerate(state.exo)
                 )
-                assert hand_toy.reward(state, action) == pytest.approx(
+                assert state_reward(hand_toy, state, action) == pytest.approx(
                     total, abs=1e-12
                 )
 
@@ -289,7 +308,8 @@ class TestRollouts:
         plan = value_iteration(exact_reduced_model(planned_on, Mask((0, 1))), 1e-6)
         return build_random_mdp(2, cards=(2, 3)), plan.policy
 
-    @pytest.mark.parametrize("wrap", [lambda mdp: mdp, BlackBox], ids=["tabular", "loop"])
+    # "loop": the engine stepping one rollout per chunk
+    @pytest.mark.parametrize("chunk", [core.CHUNK_ROWS, 1], ids=["tabular", "loop"])
     @pytest.mark.parametrize(
         "run",
         [
@@ -299,10 +319,11 @@ class TestRollouts:
         ],
         ids=["mc", "count", "full"],
     )
-    def test_policy_for_another_mdp_refused(self, wrap, run):
+    def test_policy_for_another_mdp_refused(self, chunk, run, monkeypatch):
+        monkeypatch.setattr(core, "CHUNK_ROWS", chunk)
         mdp, policy = self.misfit_policy()
         with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 3\)"):
-            run(wrap(mdp), policy)
+            run(mdp, policy)
 
     def test_policy_for_another_action_count_refused(self, gridworld):
         policy = random_policy(gridworld, Mask((0, 2)), 0)
@@ -316,14 +337,28 @@ class TestRollouts:
         assert rollouts(gridworld, policy, 4, 3, uniforms=uniforms).reward.shape == (4, 3)
         with pytest.raises(ValueError, match="not both"):
             rollouts(gridworld, policy, 4, 3, seed=0, uniforms=uniforms)
-        with pytest.raises(ValueError, match="TabularFullMdp"):
-            rollouts(BlackBox(gridworld), policy, 4, 3, uniforms=uniforms)
         act = uniform_random_policy(gridworld)
-        with pytest.raises(ValueError, match="callable"):
+        with pytest.raises(ValueError, match="behaviour-policy"):
             rollouts(gridworld, act, 4, 3, uniforms=uniforms)
         for n_rollouts, horizon in ((5, 3), (4, 2)):
             with pytest.raises(ValueError, match="do not fit"):
                 rollouts(gridworld, policy, n_rollouts, horizon, uniforms=uniforms)
+
+
+    @pytest.mark.parametrize(
+        "policy",
+        [lambda s, rng: 0, np.zeros(9, dtype=int)],
+        ids=["callable", "action-array"],
+    )
+    def test_other_policies_refused_before_any_rollout(self, policy, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rollout started")
+
+        monkeypatch.setattr(CrowdMdp, "batch_initial", refuse)
+        with pytest.raises(ValueError, match="None, a planner.Policy or the Uniform"):
+            rollouts(build_crowd(), policy, 2, 2, seed=0)
+        with pytest.raises(ValueError, match="None, a planner.Policy or the Uniform"):
+            collect_full_rollouts(build_crowd(), policy, 2, 2, seed=0)
 
 
 def _policies(mdp, mask):
@@ -336,9 +371,10 @@ def _policies(mdp, mask):
 
 
 def assert_same_rollouts(mdp, policy, n_rollouts, horizon, seed):
-    """The batch path on ``mdp`` equals the per-rollout loop, field by field."""
+    """The engine on ``mdp`` equals the one-rollout-at-a-time reference,
+    field by field."""
     got = rollouts(mdp, policy, n_rollouts, horizon, seed)
-    want = rollouts(BlackBox(mdp), policy, n_rollouts, horizon, seed)
+    want = reference_rollouts(mdp, policy, n_rollouts, horizon, seed)
     for field in core.ROLLOUT_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
@@ -346,7 +382,7 @@ def assert_same_rollouts(mdp, policy, n_rollouts, horizon, seed):
 
 
 class TestBatchSamplers:
-    """Crowd and factory step all rollouts as arrays, equal to the loop."""
+    """Crowd and factory step all rollouts as arrays, equal to the reference."""
 
     @pytest.mark.parametrize("policy", ["none", "planned", "behaviour"])
     @pytest.mark.parametrize(
@@ -416,22 +452,24 @@ class TestBatchSamplers:
         assert np.any(carried[:, 1:] & ~carried[:, :-1])
         assert np.any(~carried[:, 1:] & carried[:, :-1])
 
-    @pytest.mark.parametrize("wrap", [lambda mdp: mdp, BlackBox], ids=["batch", "loop"])
-    def test_exo_collection_never_computes_rewards(self, wrap, monkeypatch):
+    # "loop": the engine stepping one rollout per chunk
+    @pytest.mark.parametrize("chunk", [core.CHUNK_ROWS, 1], ids=["batch", "loop"])
+    def test_exo_collection_never_computes_rewards(self, chunk, monkeypatch):
         def refuse(*args):
             raise AssertionError("reward computed")
 
-        monkeypatch.setattr(CrowdMdp, "reward", refuse)
+        monkeypatch.setattr(core, "CHUNK_ROWS", chunk)
         monkeypatch.setattr(CrowdMdp, "batch_reward", refuse)
-        data = collect_exo_rollouts(wrap(build_crowd()), 20, 8, seed=1)
+        monkeypatch.setattr(CrowdMdp, "reward_component", refuse)
+        data = collect_exo_rollouts(build_crowd(), 20, 8, seed=1)
         assert len(data) == 160
         with pytest.raises(AssertionError, match="reward computed"):
-            rollouts(wrap(build_crowd()), None, 2, 2, seed=1)
+            rollouts(build_crowd(), None, 2, 2, seed=1)
 
     def test_user_mdp_with_array_samplers_only(self):
         class Ticker(GenerativeMdp):
             """One variable of cardinality 3 that advances when u < 0.5;
-            reward is its value. Defines no scalar sampler or batch reward."""
+            reward is its value. Defines no batch reward."""
 
             action_count = endo_cardinality = 1
             variable_specs = (VariableSpec(0, 3),)
@@ -464,8 +502,18 @@ class TestBatchSamplers:
             def reward_component(self, i, endo, exo_value, action):
                 return 0.0
 
-        with pytest.raises(ValueError, match="draws_per_step 0.*batch_step"):
-            rollouts(Unsized(), None, 2, 2, seed=0)
+        with pytest.raises(TypeError, match="draws_per_step"):
+            Unsized()
+
+        class ReadsNothing(Unsized):
+            draws_per_step = 0
+
+        for run in (
+            lambda mdp: rollouts(mdp, None, 2, 2, seed=0),
+            lambda mdp: action_independence_pvalues(mdp, FactoredState(0, (0,)), 0, 0),
+        ):
+            with pytest.raises(ValueError, match="draws_per_step 0.*batch_step"):
+                run(ReadsNothing())
 
     def test_unknown_field_refused(self, gridworld):
         with pytest.raises(ValueError, match="names fields"):
@@ -485,5 +533,7 @@ class TestBatchSamplers:
             def reward_component(self, i, endo, exo_value, action):
                 return 0.0
 
-        with pytest.raises(NotImplementedError, match="sample_initial nor batch_initial"):
-            NoSampler().sample_initial(np.random.default_rng(0))
+        with pytest.raises(TypeError) as info:
+            NoSampler()
+        for name in ("batch_initial", "batch_step", "draws_per_step"):
+            assert name in str(info.value)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exomdp.core import FactoredState, Mask
+from exomdp.core import FactoredState, Mask, ReducedSpace
 from exomdp.domains import (
     _move_cell,
     CrowdSpec,
@@ -31,6 +31,8 @@ from exomdp.search import (
     collect_search_datasets,
     estimate_objective,
 )
+
+from conftest import initial_state, next_state, state_reward
 
 QUICK = SearchParams(
     n_rollouts=150,
@@ -64,19 +66,24 @@ class TestGridworld:
     def test_sampled_frequencies_match_analytic_rows(self, gridworld):
         rng = np.random.default_rng(0)
         n_samples = 100_000
+        joint = ReducedSpace(1, Mask.full(gridworld.m), gridworld.exo_cardinalities)
         for _ in range(20):
             endo = int(rng.integers(gridworld.endo_cardinality))
             x = int(rng.integers(gridworld.n_exo_states))
             action = int(rng.integers(gridworld.action_count))
-            state = FactoredState(endo, gridworld.decode_exo(x))
             sample_rng = np.random.default_rng(rng.integers(2**32))
-            endo_counts = np.zeros(gridworld.endo_cardinality)
-            exo_counts = np.zeros(gridworld.n_exo_states)
-            for _ in range(n_samples // 20):
-                nxt = gridworld.sample_transition(state, action, sample_rng)
-                endo_counts[nxt.endo] += 1
-                exo_counts[gridworld.encode_exo(nxt.exo)] += 1
-            n = endo_counts.sum()
+            n = n_samples // 20
+            # n copies of the state, stepped in one call
+            nxt_endo, nxt_exo = gridworld.batch_step(
+                np.full(n, endo),
+                np.tile(gridworld.exo_digits[x], (n, 1)),
+                np.full(n, action),
+                sample_rng.random((n, 2)),
+            )
+            endo_counts = np.bincount(nxt_endo, minlength=gridworld.endo_cardinality)
+            exo_counts = np.bincount(
+                joint.project_codes(nxt_exo), minlength=gridworld.n_exo_states
+            )
             tv_endo = 0.5 * np.abs(
                 endo_counts / n - gridworld.endo_kernel[endo, action, x]
             ).sum()
@@ -98,21 +105,18 @@ class TestFactory:
         mdp = build_factory()  # flip rates 0.25 for tasks, 0.3 for distractors
         u = np.array([[0.1, 0.25, 0.9, 0.29, 0.3, 0.0]])
 
-        class Fixed:
-            def random(self, shape):
-                return u.reshape(shape)
-
-        nxt = mdp.sample_transition(FactoredState(0, (0, 1, 0, 1, 0, 1)), 1, Fixed())
+        nxt = next_state(mdp, FactoredState(0, (0, 1, 0, 1, 0, 1)), 1, u)
         assert nxt == FactoredState(0, (1, 1, 0, 0, 0, 0))
-        assert mdp.reward(nxt, 1) == 2 * 1.0 - 2.5 and mdp.reward(nxt, 0) == 0.0
+        assert state_reward(mdp, nxt, 1) == 2 * 1.0 - 2.5
+        assert state_reward(mdp, nxt, 0) == 0.0
 
     def test_distractors_only_reward_constant(self):
         spec = FactorySpec(n_task_vars=0, n_distractors=3)
         mdp = build_factory(spec)
         rng = np.random.default_rng(0)
-        state = mdp.sample_initial(rng)
-        assert mdp.reward(state, 0) == 0.0
-        assert mdp.reward(state, 1) == 0.0
+        state = initial_state(mdp, rng.random((1, mdp.draws_per_step)))
+        assert state_reward(mdp, state, 0) == 0.0
+        assert state_reward(mdp, state, 1) == 0.0
         mask = estimate_reward_variables(mdp, 0.0, 100, 5, seed=0)
         assert mask.included == ()
 
@@ -190,12 +194,7 @@ class TestCrowd:
             [0.0, 0.049, 0.05, 0.14, 0.15, 0.24, 0.25, 0.39, 0.4, 0.5, 0.79, 0.8, 0.99]
         )
         u = [data.draw(grid) for _ in range(mdp.draws_per_step)]
-
-        class Fixed:
-            def random(self, shape):
-                return np.array(u).reshape(shape)
-
-        got = mdp.sample_transition(state, action, Fixed())
+        got = next_state(mdp, state, action, np.array([u]))
         assert got == crowd_step_reference(mdp, state, action, u)
 
     def test_lowest_numbered_agent_picks_up(self):
@@ -203,17 +202,14 @@ class TestCrowd:
         u = np.full((1, mdp.draws_per_step), 0.9)  # agents stay, no hazard flip
         u[0, 4] = 0.5  # object 0's pickup
         state = FactoredState(4, (0, 2, 0, 0, 0))  # both agents on table 0's cell
-
-        class Fixed:
-            def random(self, shape):
-                return u
-
-        nxt = mdp.sample_transition(state, 4, Fixed())
+        nxt = next_state(mdp, state, 4, u)
         assert nxt == FactoredState(4, (3, 2, 0, 0, 0))
 
     def test_initial_values_cover_every_value(self):
         mdp = build_crowd()
-        states = [mdp.sample_initial(np.random.default_rng(s)) for s in range(400)]
+        k = mdp.draws_per_step
+        rngs = [np.random.default_rng(s) for s in range(400)]
+        states = [initial_state(mdp, rng.random((1, k))) for rng in rngs]
         seen = [set(s.exo[i] for s in states) for i in range(mdp.m)]
         n_tables = len(mdp.spec.table_cells)
         assert seen == [set(range(n_tables))] * 2 + [set(range(9))] * 2 + [{0, 1}]

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exomdp.core import (
-    FactoredState,
     GenerativeMdp,
     InsufficientDataError,
     Mask,
     StateSpaceTooLargeError,
     VariableSpec,
+    reduced_space_for,
+    uniform_random_policy,
 )
 from exomdp.domains import (
     build_chain_mdp,
@@ -28,16 +28,16 @@ from exomdp.estimation import (
     exact_reduced_model,
     exo_pairs_from_full,
     fit_reduced_mdp,
-    load_exo_dataset,
-    load_full_dataset,
-    save_exo_dataset,
-    save_full_dataset,
     transition_mutual_information,
-    transition_mutual_information_with_endo,
 )
-from exomdp.planner import value_iteration
+from exomdp.planner import Policy, value_iteration
 
-from conftest import BlackBox, constant_reward_mdp, random_policy, random_tabular_cases
+from conftest import (
+    constant_reward_mdp,
+    random_policy,
+    random_tabular_cases,
+    reference_rollouts,
+)
 
 
 class TestCollectExo:
@@ -67,10 +67,11 @@ class TestCollectExo:
     @staticmethod
     def assert_matches_loop(mdp, n_rollouts, horizon, seed):
         ds = collect_exo_rollouts(mdp, n_rollouts, horizon, seed)
-        ref = collect_exo_rollouts(BlackBox(mdp), n_rollouts, horizon, seed)
-        for got, want in ((ds.exo, ref.exo), (ds.next_exo, ref.next_exo)):
+        ref = reference_rollouts(mdp, None, n_rollouts, horizon, seed).exo
+        total = n_rollouts * horizon
+        for got, want in ((ds.exo, ref[:, :-1]), (ds.next_exo, ref[:, 1:])):
             assert got.dtype == want.dtype == np.int16
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want.reshape(total, mdp.m))
 
     @pytest.mark.parametrize("n_rollouts, horizon", [(1, 1), (1, 50), (30, 1), (200, 50)])
     def test_gridworld_batch_matches_loop(self, gridworld, n_rollouts, horizon):
@@ -100,6 +101,7 @@ class TopValueMdp(GenerativeMdp):
     endo_cardinality = 1
     discount = 0.9
     r_max = 0.0
+    draws_per_step = 1
 
     def __init__(self, cardinality):
         self.cardinality = cardinality
@@ -109,12 +111,13 @@ class TopValueMdp(GenerativeMdp):
     def variable_specs(self):
         return (VariableSpec(0, self.cardinality),)
 
-    def sample_initial(self, rng):
-        self.started += 1
-        return FactoredState(0, (self.cardinality - 1,))
+    def batch_initial(self, u):
+        self.started += len(u)
+        top = np.full((len(u), 1), self.cardinality - 1)
+        return np.zeros(len(u), dtype=np.int64), top
 
-    def sample_transition(self, state, action, rng):
-        return state
+    def batch_step(self, endo, exo, action, u):
+        return endo, exo
 
     def reward_component(self, i, endo, exo_value, action):
         return 0.0
@@ -157,8 +160,8 @@ class TestCollectFull:
 
     def test_callable_policy(self):
         mdp = constant_reward_mdp([0.0], n_actions=3)
-        ds = collect_full_rollouts(mdp, lambda s, rng: 2, 5, 5, seed=0)
-        assert np.all(ds.action == 2)
+        with pytest.raises(ValueError, match="None, a planner.Policy or the Uniform"):
+            collect_full_rollouts(mdp, lambda s, rng: 2, 5, 5, seed=0)
 
     @pytest.mark.parametrize("n_rollouts, horizon", [(1, 1), (1, 50), (30, 1), (300, 20)])
     def test_behaviour_policy_batch_matches_loop(self, gridworld, n_rollouts, horizon):
@@ -177,12 +180,25 @@ class TestCollectFull:
     @staticmethod
     def assert_planned_matches_loop(mdp, policy, n_rollouts, horizon, seed):
         ds = collect_full_rollouts(mdp, policy, n_rollouts, horizon, seed)
-        ref = collect_full_rollouts(BlackBox(mdp), policy, n_rollouts, horizon, seed)
-        for name in ("endo", "action", "reward", "next_endo", "exo", "next_exo"):
-            got, want = getattr(ds, name), getattr(ref, name)
+        behaviour = uniform_random_policy(mdp) if policy is None else policy
+        ref = reference_rollouts(mdp, behaviour, n_rollouts, horizon, seed)
+        total = n_rollouts * horizon
+        for name, want in (
+            ("endo", ref.endo[:, :-1]),
+            ("action", ref.action),
+            ("reward", ref.reward),
+            ("next_endo", ref.endo[:, 1:]),
+            ("exo", ref.exo[:, :-1]),
+            ("next_exo", ref.exo[:, 1:]),
+        ):
+            got = getattr(ds, name)
             assert got.dtype == want.dtype
-            assert np.array_equal(got, want), name
-        assert ds.policy_tag == ref.policy_tag
+            assert np.array_equal(got, want.reshape(got.shape)), name
+        assert len(ds) == total
+        if policy is None:
+            assert ds.policy_tag == "uniform-random"
+        else:
+            assert ds.policy_tag == f"reduced-policy:{policy.mask.included}"
 
     @pytest.mark.parametrize("n_rollouts, horizon", [(1, 1), (1, 50), (30, 1), (60, 50)])
     def test_planned_policy_batch_matches_loop(self, gridworld, n_rollouts, horizon):
@@ -408,11 +424,6 @@ class TestMutualInformation:
         assert forward >= 0.0
         assert forward == pytest.approx(backward, abs=1e-9)
 
-    def test_endo_aware_variant(self, hand_toy):
-        full = collect_full_rollouts(hand_toy, None, 500, 20, seed=0)
-        mi = transition_mutual_information_with_endo(full, Mask((0,)), 1)
-        assert mi >= 0.0
-
 
 class TestEstimateRewardVariables:
     def test_reward_independent_of_exo_gives_empty_mask(self):
@@ -467,95 +478,19 @@ class TestEstimateRewardVariables:
 
 
 class TestDataPolicyInvariance:
-    @pytest.mark.parametrize("policy", [None, lambda s, rng: 0])
+    # None: the behaviour policy; the lambda: a planned policy always taking action 0
+    @pytest.mark.parametrize(
+        "policy",
+        [None, lambda mdp: Policy(reduced_space_for(mdp, Mask(())), np.zeros(20), 5)],
+    )
     def test_exo_tables_agree_across_policies(self, policy):
         mdp = build_gridworld()
         mask = Mask((0, 2))
         exo = collect_exo_rollouts(mdp, 2000, 50, seed=0)
+        if policy is not None:
+            policy = policy(mdp)
         full = collect_full_rollouts(mdp, policy, 2000, 50, seed=1)
         from_free = fit_reduced_mdp(mdp, mask, exo, full)
         from_policy = fit_reduced_mdp(mdp, mask, exo_pairs_from_full(full), full)
         tv = 0.5 * np.abs(from_free.exo_table - from_policy.exo_table).sum(axis=-1)
         assert float(tv.max()) < 0.02
-
-
-class TestSerialization:
-    def test_exo_round_trip(self, tmp_path):
-        mdp = build_chain_mdp((2, 3), (0.2, 0.4))
-        ds = collect_exo_rollouts(mdp, 10, 5, seed=3)
-        path = tmp_path / "exo.csv"
-        save_exo_dataset(ds, path)
-        loaded = load_exo_dataset(path)
-        assert np.array_equal(loaded.exo, ds.exo)
-        assert np.array_equal(loaded.next_exo, ds.next_exo)
-        assert loaded.cardinalities == ds.cardinalities
-        assert (loaded.horizon, loaded.n_rollouts, loaded.seed) == (5, 10, 3)
-
-    def test_full_round_trip(self, tmp_path, hand_toy):
-        ds = collect_full_rollouts(hand_toy, None, 8, 4, seed=9)
-        path = tmp_path / "full.csv"
-        save_full_dataset(ds, path)
-        loaded = load_full_dataset(path)
-        assert np.array_equal(loaded.endo, ds.endo)
-        assert np.array_equal(loaded.action, ds.action)
-        assert np.array_equal(loaded.reward, ds.reward)
-        assert np.array_equal(loaded.next_exo, ds.next_exo)
-        assert loaded.policy_tag == ds.policy_tag
-
-    def test_planned_policy_round_trip(self, tmp_path, hand_toy):
-        # the policy tag contains a space: "reduced-policy:(0, 1)"
-        plan = value_iteration(exact_reduced_model(hand_toy, Mask((0, 1))), 1e-6)
-        ds = collect_full_rollouts(hand_toy, plan.policy, 8, 4, seed=9)
-        path = tmp_path / "full.csv"
-        save_full_dataset(ds, path)
-        loaded = load_full_dataset(path)
-        assert loaded.policy_tag == ds.policy_tag == "reduced-policy:(0, 1)"
-        for name in ("endo", "action", "reward", "next_endo", "exo", "next_exo"):
-            assert np.array_equal(getattr(loaded, name), getattr(ds, name))
-        assert (loaded.endo_cardinality, loaded.action_count) == (2, 2)
-        assert (loaded.horizon, loaded.n_rollouts, loaded.seed) == (4, 8, 9)
-
-    @staticmethod
-    def _rewrite(path, edit):
-        with np.load(path) as npz:
-            meta = json.loads(str(npz["meta"]))
-            arrays = {name: npz[name].copy() for name in npz.files if name != "meta"}
-        edit(meta, arrays)
-        with open(path, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
-
-    @pytest.mark.parametrize(
-        "kind, edit, load, match",
-        [
-            ("exo", lambda meta, arrays: None, load_full_dataset, "not exomdp-full-v2"),
-            ("full", lambda meta, arrays: None, load_exo_dataset, "not exomdp-exo-v2"),
-            ("exo", lambda meta, arrays: meta.update(n_rollouts=11), load_exo_dataset,
-             "shape"),
-            ("full", lambda meta, arrays: meta.update(horizon=4), load_full_dataset,
-             "shape"),
-            ("exo", lambda meta, arrays: meta["cardinalities"].append(2),
-             load_exo_dataset, "shape"),
-            ("exo", lambda meta, arrays: arrays["next_exo"].__setitem__((0, 1), 3),
-             load_exo_dataset, "outside"),
-            ("full", lambda meta, arrays: arrays["exo"].__setitem__((0, 0), -1),
-             load_full_dataset, "outside"),
-            ("full", lambda meta, arrays: arrays["endo"].__setitem__(0, 1),
-             load_full_dataset, "outside"),
-            ("full", lambda meta, arrays: arrays["action"].__setitem__(0, 9),
-             load_full_dataset, "outside"),
-        ],
-        ids=[
-            "exo-as-full", "full-as-exo", "exo-rows", "full-rows", "width",
-            "exo-value", "negative-value", "endo-value", "action-value",
-        ],
-    )
-    def test_malformed_file_rejected(self, tmp_path, kind, edit, load, match):
-        mdp = build_chain_mdp((2, 3), (0.2, 0.4))
-        path = tmp_path / f"{kind}.npz"
-        if kind == "exo":
-            save_exo_dataset(collect_exo_rollouts(mdp, 10, 5, seed=3), path)
-        else:
-            save_full_dataset(collect_full_rollouts(mdp, None, 10, 5, seed=3), path)
-        self._rewrite(path, edit)
-        with pytest.raises(ValueError, match=match):
-            load(path)

@@ -85,6 +85,37 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             tiny_config(**{name: value})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("vi_epsilon", float("nan")),
+            ("vi_epsilon", float("inf")),
+            ("vi_epsilon", 0.0),
+            ("vi_epsilon", -1.0),
+            ("vi_timeout", float("nan")),
+            ("vi_timeout", float("inf")),
+            ("vi_timeout", 0.0),
+            ("mc_horizon", 0),
+            ("fit.smoothing", float("nan")),
+            ("fit.smoothing", float("inf")),
+            ("fit.smoothing", -1.0),
+            ("fit.n_exo_rollouts", 0),
+            ("fit.exo_horizon", 0),
+            ("fit.n_full_rollouts", 0),
+            ("fit.full_horizon", 0),
+        ],
+    )
+    def test_out_of_range_rejected(self, key, value):
+        if key.startswith("fit."):
+            kwargs = {"fit": {**TINY_FIT, key[4:]: value}}
+        else:
+            kwargs = {key: value}
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            tiny_config(**kwargs)
+
+    def test_mc_horizon_none_derives_the_horizon(self):
+        assert tiny_config(mc_horizon=None).search_params().mc_horizon is None
+
     def test_apply_overrides_dotted(self):
         cfg = tiny_config()
         updated = apply_overrides(
