@@ -11,14 +11,18 @@ counts to ``BENCH_<pr>.json`` at the root of the checkout:
 Every workload of ``BENCHMARK.json`` runs for its ``run_seconds``. The parent
 is HEAD while the working tree has uncommitted edits, and ``HEAD^`` once they
 are committed; it is taken with ``git archive`` into a temporary directory,
-so the checkout is never touched. Runs are sequential; each takes about
-``run_seconds`` plus its set-up probes.
+so the checkout is never touched. The change is copied beside it (tracked and
+untracked files that git does not ignore), and both copies are byte-compiled
+before the first pair, so the two sides start from the same state: neither
+runs from a checkout with bytecode caches or stray files the other lacks.
+Runs are sequential; each takes about ``run_seconds`` plus its set-up probes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,11 +51,20 @@ def git(*args: str) -> str:
 
 
 def export_commit(rev: str, dest: Path) -> None:
-    archive = dest / "parent.tar"
+    archive = dest.parent / f"{dest.name}.tar"
     git("archive", "--format=tar", "-o", str(archive), rev)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest / "tree", filter="data")
+        tar.extractall(dest, filter="data")
     archive.unlink()
+
+
+def export_working_tree(dest: Path) -> None:
+    """Copy the files git tracks or would add, as they are in the working tree."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.split("\0")):
+        if (ROOT / name).is_file():  # a tracked file may be deleted
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -121,8 +134,11 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        export_commit(parent_sha, Path(tmp))
-        roots = {"parent": Path(tmp) / "tree", "change": ROOT}
+        roots = {side: Path(tmp) / side for side in SIDES}
+        export_commit(parent_sha, roots["parent"])
+        export_working_tree(roots["change"])
+        for root in roots.values():
+            subprocess.run([sys.executable, "-m", "compileall", "-q", str(root)], check=True)
         for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for i, seed in enumerate(args.seeds):

@@ -191,7 +191,8 @@ def check_data_policy_invariance(
     full_data = collect_full_rollouts(mdp, None, n_rollouts, horizon, seed=seed + 1)
     a = fit_reduced_mdp(mdp, mask, exo_data, full_data)
     b = fit_reduced_mdp(mdp, mask, exo_pairs_from_full(full_data), full_data)
-    tv = 0.5 * np.abs(a.exo_table - b.exo_table).sum(axis=1)
+    gap = a.exo_table.to_dense() - b.exo_table.to_dense()
+    tv = 0.5 * np.abs(gap).sum(axis=1)
     worst = float(tv.max())
     return CheckResult(
         "data-policy-invariance",

@@ -9,7 +9,7 @@ need full rollouts under some behavior policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -69,21 +69,124 @@ class FullRolloutDataset:
         return len(self.endo)
 
 
+# Largest ``X * X`` for which an exo table also keeps its dense ``(X, X)``
+# form and takes expectations as one matrix product; larger tables use the
+# sparse kernel and never build an ``X * X`` array.
+DENSE_EXO_MAX_ENTRIES = 65_536
+
+
+@dataclass(frozen=True, eq=False)
+class SparseExoTable:
+    """Row-sparse ``P(masked' | masked)`` over ``size`` masked codes.
+
+    Row ``r`` is ``spread[r]`` in every column plus ``probs[k]`` in column
+    ``cols[k]`` for each stored ``k`` with ``rows[k] == r``. A fitted row
+    stores ``count / (total + s X)`` at each observed successor and spreads
+    ``s / (total + s X)`` under smoothing ``s``; a row the data never saw
+    stores nothing and spreads ``1 / X``, the uniform fallback. Triplets are
+    sorted by ``(row, col)`` without repeats; the row segments are found once,
+    here, and the dense table is materialised only when ``X * X`` is at most
+    ``DENSE_EXO_MAX_ENTRIES``.
+    """
+
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    probs: np.ndarray
+    spread: np.ndarray
+    _starts: np.ndarray = field(init=False, repr=False)
+    _segment_rows: np.ndarray = field(init=False, repr=False)
+    _dense: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        x = self.size
+        rows = np.asarray(self.rows, dtype=np.intp)
+        cols = np.asarray(self.cols, dtype=np.intp)
+        probs = np.asarray(self.probs, dtype=float)
+        spread = np.asarray(self.spread, dtype=float)
+        if not (rows.shape == cols.shape == probs.shape == (len(rows),)
+                and spread.shape == (x,)):
+            raise ValueError(
+                f"exo table of size {x} needs equal-length 1-d triplets and "
+                f"{x} spread weights"
+            )
+        if len(rows) and (
+            min(rows.min(), cols.min()) < 0
+            or max(rows.max(), cols.max()) >= x
+            or np.any(np.diff(rows * x + cols) <= 0)
+        ):
+            raise ValueError(
+                "exo triplets must lie in the table, sorted by (row, col) "
+                "without repeats"
+            )
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        for name, value in (
+            ("rows", rows), ("cols", cols), ("probs", probs), ("spread", spread),
+            ("_starts", starts), ("_segment_rows", rows[starts]), ("_dense", None),
+        ):
+            object.__setattr__(self, name, value)
+        if x * x <= DENSE_EXO_MAX_ENTRIES:
+            object.__setattr__(self, "_dense", self.to_dense())
+
+    @classmethod
+    def from_dense(cls, table: np.ndarray) -> "SparseExoTable":
+        """Store every nonzero entry of a dense ``(X, X)`` table, spread 0."""
+        table = np.asarray(table, dtype=float)
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+            raise ValueError(f"exo table must be square, got shape {table.shape}")
+        rows, cols = np.nonzero(table)
+        return cls(len(table), rows, cols, table[rows, cols], np.zeros(len(table)))
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.rows, self.cols, self.probs, self.spread, self._starts,
+                  self._segment_rows, self._dense)
+        return sum(a.nbytes for a in arrays if a is not None)
+
+    def to_dense(self) -> np.ndarray:
+        """The ``(X, X)`` table; builds it, so only for small ``X``."""
+        table = np.repeat(self.spread[:, None], self.size, axis=1)
+        table[self.rows, self.cols] += self.probs
+        return table
+
+    def row_sums(self) -> np.ndarray:
+        sums = self.spread * self.size
+        if len(self.probs):
+            sums[self._segment_rows] += np.add.reduceat(self.probs, self._starts)
+        return sums
+
+    def expect(self, v: np.ndarray) -> np.ndarray:
+        """``out[n, x] = sum_x' P(x' | x) v[n, x']`` for ``v`` of shape (N, X)."""
+        if self._dense is not None:
+            return v @ self._dense.T
+        out = np.multiply.outer(v.sum(axis=1), self.spread)
+        if len(self.probs):
+            # take and an in-place product: half the time of v[:, cols] * probs
+            gathered = v.take(self.cols, axis=1)
+            gathered *= self.probs
+            out[:, self._segment_rows] += np.add.reduceat(gathered, self._starts, axis=1)
+        return out
+
+
 @dataclass(eq=False)
 class TabularReducedMdp:
     """Estimated reduced MDP over ``(endo, masked exo)`` states.
 
     ``endo_table`` is ``P(endo' | endo, action, masked_code)`` with shape
-    ``(N, A, X, N)``; ``exo_table`` is ``P(masked' | masked)`` with shape
-    ``(X, X)``; ``reward_table`` has shape ``(N, A, X)`` and is exact (built
-    from the black-box reward components, not estimated). Conditioning rows
-    never observed in the data fall back to the uniform distribution.
+    ``(N, A, X, N)``; conditioning rows never observed in the data fall back
+    to the uniform distribution. ``exo_table`` is ``P(masked' | masked)`` as
+    a ``SparseExoTable``: the observed rows plus a uniform fallback for the
+    rest, in memory proportional to the observed transitions.
+    ``exo_expectation`` is its one product: a dense matrix product when
+    ``X * X <= DENSE_EXO_MAX_ENTRIES``, a gather-and-reduce over the stored
+    triplets above that. ``reward_table`` has shape ``(N, A, X)`` and is
+    exact (built from the black-box reward components, not estimated).
     """
 
     mask: Mask
     space: ReducedSpace
     endo_table: np.ndarray
-    exo_table: np.ndarray
+    exo_table: SparseExoTable
     reward_table: np.ndarray
     discount: float
     r_max: float
@@ -100,11 +203,19 @@ class TabularReducedMdp:
     def n_exo_states(self) -> int:
         return self.space.n_exo
 
+    def exo_expectation(self, v: np.ndarray) -> np.ndarray:
+        """``E[v(n, x') | x]`` over the masked exo successor, shape (N, X)."""
+        return self.exo_table.expect(v)
+
     def assert_valid(self, tol: float = 1e-9) -> None:
-        for name, table in (("endo", self.endo_table), ("exo", self.exo_table)):
-            if np.any(table < 0):
+        exo = self.exo_table
+        for name, entries, sums in (
+            ("endo", (self.endo_table,), self.endo_table.sum(axis=-1)),
+            ("exo", (exo.probs, exo.spread), exo.row_sums()),
+        ):
+            if any(np.any(e < 0) for e in entries):
                 raise ValueError(f"{name}_table has negative probabilities")
-            err = float(np.abs(table.sum(axis=-1) - 1.0).max())
+            err = float(np.abs(sums - 1.0).max())
             if err > tol:
                 raise ValueError(f"{name}_table rows off by {err:.3g}")
 
@@ -182,7 +293,7 @@ def exo_pairs_from_full(full_data: FullRolloutDataset) -> ExoRolloutDataset:
 
 def _normalize_rows(counts: np.ndarray, smoothing: float) -> np.ndarray:
     """Row-normalize counts with additive smoothing; empty rows go uniform."""
-    # in place on one float copy: the crowd's 4050x4050 exo table is 131 MB
+    # in place on one float copy of the endo counts
     out = counts.astype(float)
     if smoothing > 0:
         out += smoothing
@@ -191,6 +302,27 @@ def _normalize_rows(counts: np.ndarray, smoothing: float) -> np.ndarray:
     np.divide(out, totals, out=out, where=~empty[..., None])
     out[empty] = 1.0 / out.shape[-1]
     return out
+
+
+def _fit_exo_table(pairs: np.ndarray, x: int, smoothing: float) -> SparseExoTable:
+    """Maximum-likelihood exo table from ``code_t * x + code_{t+1}`` pairs.
+
+    Counts with one ``bincount`` over the ``x * x`` cells when the table is
+    small enough to keep dense, and by sorting the observed pairs otherwise.
+    """
+    if x * x <= DENSE_EXO_MAX_ENTRIES:
+        counts = np.bincount(pairs, minlength=x * x)
+        keys = np.flatnonzero(counts)
+        counts = counts[keys]
+    else:
+        keys, counts = np.unique(pairs, return_counts=True)
+    rows, cols = np.divmod(keys, x)
+    totals = np.bincount(rows, weights=counts, minlength=x)
+    denominators = totals + smoothing * x
+    seen = totals > 0
+    spread = np.full(x, 1.0 / x)
+    spread[seen] = smoothing / denominators[seen]
+    return SparseExoTable(x, rows, cols, counts / denominators[rows], spread)
 
 
 def fit_reduced_mdp(
@@ -224,18 +356,19 @@ def fit_reduced_mdp(
         )
     space = reduced_space_for(mdp, mask, state_budget)
     n, a, x = mdp.endo_cardinality, mdp.action_count, space.n_exo
-    if x * x > 200_000_000:
+    if n * a * x * n > 200_000_000:
         raise StateSpaceTooLargeError(
-            f"masked exo table would need {x * x} entries"
+            f"endo table would need {n * a * x * n} entries, over the limit "
+            "of 200000000"
         )
 
     # unnamed, the projected codes are freed before the endo counts, where
     # the fit's memory peaks
-    exo_counts = np.bincount(
+    exo_table = _fit_exo_table(
         space.project_codes(exo_data.exo) * x + space.project_codes(exo_data.next_exo),
-        minlength=x * x,
-    ).reshape(x, x)
-    exo_table = _normalize_rows(exo_counts, smoothing)
+        x,
+        smoothing,
+    )
 
     fcodes = space.project_codes(full_data.exo)
     flat = (
@@ -311,7 +444,7 @@ def exact_reduced_model(
         mask=mask,
         space=space,
         endo_table=endo_red,
-        exo_table=exo_red,
+        exo_table=SparseExoTable.from_dense(exo_red),
         reward_table=reward_table,
         discount=mdp.discount,
         r_max=mdp.r_max,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 import time
 from collections import Counter
@@ -79,20 +80,13 @@ class ExperimentConfig:
             )
         if self.algorithm == "fixed-mask" and self.fixed_mask is None:
             raise ValueError("fixed-mask runs need a fixed_mask")
-        for name in ("lam", "mi_threshold", "variance_threshold"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        # NaN fails every comparison, so each check asks for what must hold
-        for name in ("vi_epsilon", "vi_timeout"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not (np.isfinite(self.fit.smoothing) and self.fit.smoothing >= 0):
-            raise ValueError(
-                f"fit.smoothing must be finite and >= 0, got {self.fit.smoothing!r}"
+        reals = {
+            name: getattr(self, name)
+            for name in (
+                "lam", "mi_threshold", "variance_threshold", "vi_epsilon", "vi_timeout"
             )
+        }
+        reals["fit.smoothing"] = self.fit.smoothing
         counts = {
             name: getattr(self, name)
             for name in ("n_rollouts", "n_contexts", "n_settings", "n_trials", "workers")
@@ -101,6 +95,26 @@ class ExperimentConfig:
             counts[f"fit.{name}"] = getattr(self.fit, name)
         if self.mc_horizon is not None:
             counts["mc_horizon"] = self.mc_horizon
+        # a bool is an int to Python, and YAML reads a bare 'nan' as text
+        for name, value in reals.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        for name, value in {**counts, "master_seed": self.master_seed}.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("lam", "mi_threshold", "variance_threshold"):
+            if not np.isfinite(reals[name]):
+                raise ValueError(f"{name} must be finite, got {reals[name]!r}")
+        if self.lam < 0:
+            raise ValueError("lam must be >= 0")
+        # NaN fails every comparison, so each check asks for what must hold
+        for name in ("vi_epsilon", "vi_timeout"):
+            if not (np.isfinite(reals[name]) and reals[name] > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {reals[name]!r}")
+        if not (np.isfinite(self.fit.smoothing) and self.fit.smoothing >= 0):
+            raise ValueError(
+                f"fit.smoothing must be finite and >= 0, got {self.fit.smoothing!r}"
+            )
         for name, value in counts.items():
             if not value >= 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")

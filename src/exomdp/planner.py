@@ -91,7 +91,7 @@ class PlanResult:
 def _q_values(model: TabularReducedMdp, v: np.ndarray) -> np.ndarray:
     """One-step lookahead values, shape (N, A, X)."""
     # next_v[n', x] = sum_x' P(x'|x) V[n', x']
-    next_v = v @ model.exo_table.T
+    next_v = model.exo_expectation(v)
     return model.reward_table + model.discount * np.einsum(
         "naxm,mx->nax", model.endo_table, next_v
     )
@@ -172,7 +172,11 @@ def exact_policy_evaluation(
         action_grid = mdp.lift(policy.space, policy.actions)
         n, xf = action_grid.shape
         endo = mdp.endo_kernel
-        exo = mdp.exo_kernel
+        exo_t = mdp.exo_kernel.T
+
+        def exo_expectation(v):
+            return v @ exo_t
+
         rows = np.arange(n)[:, None]
         cols = np.arange(xf)[None, :]
         r_pi = mdp.full_reward[rows, action_grid, cols]
@@ -191,7 +195,7 @@ def exact_policy_evaluation(
         cols = np.arange(xf)[None, :]
         r_pi = mdp.reward_table[rows, action_grid, cols]
         endo_pi = mdp.endo_table[rows, action_grid, cols]
-        exo = mdp.exo_table
+        exo_expectation = mdp.exo_expectation
         gamma = mdp.discount
         space = mdp.space
         scope = VALUE_SCOPE_REDUCED
@@ -200,7 +204,7 @@ def exact_policy_evaluation(
 
     v = np.zeros((n, xf))
     for _ in range(max_sweeps):
-        next_v = v @ exo.T  # (N, XF): E over exo'
+        next_v = exo_expectation(v)  # (N, XF): E over exo'
         v_new = r_pi + gamma * np.einsum("nxm,mx->nx", endo_pi, next_v)
         delta = float(np.abs(v_new - v).max())
         v = v_new

@@ -14,13 +14,12 @@ from exomdp.core import (
     VariableSpec,
     reduced_space_for,
 )
-from exomdp.estimation import TabularReducedMdp
+from exomdp.estimation import SparseExoTable, TabularReducedMdp
 
 
 def make_reduced(endo_table, exo_table, reward_table, discount, r_max=None):
     """Assemble a TabularReducedMdp directly from hand-written tables."""
     endo_table = np.asarray(endo_table, dtype=float)
-    exo_table = np.asarray(exo_table, dtype=float)
     reward_table = np.asarray(reward_table, dtype=float)
     n, a, x, _ = endo_table.shape
     # cardinalities don't matter beyond the product; use one variable of size x
@@ -30,7 +29,7 @@ def make_reduced(endo_table, exo_table, reward_table, discount, r_max=None):
         mask=mask,
         space=space,
         endo_table=endo_table,
-        exo_table=exo_table,
+        exo_table=SparseExoTable.from_dense(exo_table),
         reward_table=reward_table,
         discount=discount,
         r_max=r_max if r_max is not None else float(np.abs(reward_table).max()),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exomdp.core import (
@@ -20,10 +20,15 @@ from exomdp.domains import (
     build_gridworld,
     build_random_mdp,
 )
+import exomdp.estimation as estimation
 from exomdp.estimation import (
     ExoRolloutDataset,
+    FullRolloutDataset,
+    SparseExoTable,
+    TabularReducedMdp,
     collect_exo_rollouts,
     collect_full_rollouts,
+    _normalize_rows,
     estimate_reward_variables,
     exact_reduced_model,
     exo_pairs_from_full,
@@ -226,7 +231,7 @@ class TestFit:
         model = fit_reduced_mdp(mdp, Mask((0,)), exo, full, smoothing=0.0)
         observed = np.unique(exo.exo[:, 0])
         for v in observed:
-            row = model.exo_table[v]
+            row = model.exo_table.to_dense()[v]
             assert row[v] == 1.0 and row.sum() == 1.0
 
     def test_recovers_hand_toy_tables(self, hand_toy):
@@ -236,7 +241,8 @@ class TestFit:
         fitted = fit_reduced_mdp(hand_toy, mask, exo, full)
         fitted.assert_valid()
         truth = exact_reduced_model(hand_toy, mask)
-        exo_tv = 0.5 * np.abs(fitted.exo_table - truth.exo_table).sum(axis=-1)
+        exo_gap = fitted.exo_table.to_dense() - truth.exo_table.to_dense()
+        exo_tv = 0.5 * np.abs(exo_gap).sum(axis=-1)
         endo_tv = 0.5 * np.abs(fitted.endo_table - truth.endo_table).sum(axis=-1)
         assert float(exo_tv.max()) < 0.02
         assert float(endo_tv.max()) < 0.02
@@ -255,7 +261,7 @@ class TestFit:
         )
         full = collect_full_rollouts(mdp, None, 2, 2, seed=0)
         model = fit_reduced_mdp(mdp, Mask((0,)), exo, full, smoothing=0.0)
-        assert np.allclose(model.exo_table[3], 0.25)
+        assert np.allclose(model.exo_table.to_dense()[3], 0.25)
 
     def test_empty_dataset_rejected(self, hand_toy):
         empty = ExoRolloutDataset(
@@ -293,8 +299,6 @@ class TestFit:
 
     @pytest.mark.parametrize("smoothing", [0.0, 0.5])
     def test_normalized_rows_are_count_over_total(self, smoothing):
-        from exomdp.estimation import _normalize_rows
-
         counts = np.array([[[3, 0, 1], [0, 0, 0]], [[0, 7, 0], [2, 2, 5]]])
         before = counts.copy()
         table = _normalize_rows(counts, smoothing)
@@ -311,6 +315,27 @@ class TestFit:
         full = collect_full_rollouts(hand_toy, None, 5, 5, seed=0)
         with pytest.raises(StateSpaceTooLargeError):
             fit_reduced_mdp(hand_toy, Mask.full(2), exo, full, state_budget=3)
+
+    def test_endo_table_guard_fires_before_any_allocation(self, monkeypatch):
+        # 30 * 30 * 10,000 * 30 endo cells; 300,000 states fit the state budget
+        class WideMdp(TopValueMdp):
+            endo_cardinality = 30
+            action_count = 30
+
+        card, one = 10_000, np.zeros(1, dtype=np.int64)
+        codes = np.zeros((1, 1), dtype=np.int16)
+        exo = ExoRolloutDataset(codes, codes, (card,), 1, 1, 0)
+        full = FullRolloutDataset(
+            one, one, np.zeros(1), one, codes, codes, (card,), 30, 30, 1, 1, 0
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit allocated a table before its guard")
+
+        for name in ("bincount", "unique", "zeros", "empty", "full"):
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(StateSpaceTooLargeError, match="270000000 entries"):
+            fit_reduced_mdp(WideMdp(card), Mask((0,)), exo, full)
 
     def test_full_mask_fit_plans_like_analytic_model(self):
         # 4 endo x 25 exo = 100 states; exhaustive data
@@ -330,7 +355,7 @@ class TestFit:
 class TestExactReducedModel:
     def test_full_mask_reproduces_kernels(self, hand_toy):
         model = exact_reduced_model(hand_toy, Mask.full(hand_toy.m))
-        assert np.allclose(model.exo_table, hand_toy.exo_kernel)
+        assert np.allclose(model.exo_table.to_dense(), hand_toy.exo_kernel)
         assert np.allclose(model.endo_table, hand_toy.endo_kernel)
         assert np.allclose(model.reward_table, hand_toy.full_reward)
 
@@ -338,6 +363,138 @@ class TestExactReducedModel:
         for mask in (Mask(()), Mask((0,)), Mask((1,))):
             model = exact_reduced_model(hand_toy, mask)
             model.assert_valid()
+
+
+def reference_exo_counts(pairs, x):
+    counts = np.zeros((x, x), dtype=np.int64)
+    for a, b in pairs:
+        counts[a, b] += 1
+    return counts
+
+
+def stored_bytes(table):
+    return sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
+
+
+@st.composite
+def exo_pair_cases(draw):
+    """``(x, pairs)``: observed pairs whose source rows cover only part of
+    the table, so some rows keep the uniform fallback."""
+    x = draw(st.integers(1, 12))
+    seen = draw(st.lists(st.integers(0, x - 1), min_size=1, max_size=x, unique=True))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(seen), st.integers(0, x - 1)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    return x, pairs
+
+
+class TestSparseExoTable:
+    @pytest.mark.parametrize("limit", [0, 10**12], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5])
+    @given(case=exo_pair_cases(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(1, [(0, 0)]), seed=0)  # the empty mask: one code
+    @example(case=(3, [(0, 1), (0, 1), (0, 2)]), seed=1)  # rows 1, 2 unseen
+    @settings(max_examples=40, deadline=None)
+    def test_product_matches_dense_reference(self, case, seed, smoothing, limit):
+        x, pairs = case
+        counts = reference_exo_counts(pairs, x)
+        reference = _normalize_rows(counts, smoothing)
+        codes = np.array([a * x + b for a, b in pairs], dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "DENSE_EXO_MAX_ENTRIES", limit)
+            table = estimation._fit_exo_table(codes, x, smoothing)
+        assert (table._dense is None) == (limit == 0)
+        v = np.random.default_rng(seed).normal(size=(3, x))
+        assert np.allclose(table.expect(v), v @ reference.T, rtol=0, atol=1e-12)
+        assert np.allclose(table.row_sums(), 1.0, rtol=0, atol=1e-12)
+        dense = table.to_dense()
+        if smoothing == 0.0:
+            assert np.array_equal(dense, reference)
+        else:
+            assert np.allclose(dense, reference, rtol=0, atol=1e-15)
+
+    def test_dense_kernel_is_the_normalized_counts_bit_for_bit(self, gridworld):
+        exo = collect_exo_rollouts(gridworld, 50, 20, seed=5)
+        full = collect_full_rollouts(gridworld, None, 5, 5, seed=6)
+        for mask in (Mask(()), Mask((0,)), Mask((0, 2)), Mask.full(gridworld.m)):
+            model = fit_reduced_mdp(gridworld, mask, exo, full)
+            x, project = model.n_exo_states, model.space.project_codes
+            pairs = zip(project(exo.exo), project(exo.next_exo))
+            reference = _normalize_rows(reference_exo_counts(pairs, x), 0.0)
+            assert model.exo_table._dense is not None
+            assert np.array_equal(model.exo_table._dense, reference)
+            v = np.random.default_rng(x).normal(size=(gridworld.endo_cardinality, x))
+            assert np.array_equal(model.exo_expectation(v), v @ reference.T)
+
+    def test_large_table_stays_sparse_and_plans_like_dense(self, monkeypatch):
+        # 300 * 300 cells exceed the dense limit; the planner agrees with the
+        # dense kernel on the same data
+        mdp = build_chain_mdp((300,), (0.3,))
+        exo = collect_exo_rollouts(mdp, 40, 30, seed=0)
+        full = collect_full_rollouts(mdp, None, 5, 5, seed=1)
+        sparse = fit_reduced_mdp(mdp, Mask((0,)), exo, full)
+        assert sparse.exo_table._dense is None
+        assert sparse.exo_table.nbytes == stored_bytes(sparse.exo_table)
+        assert sparse.exo_table.nbytes < 300 * 300 * 8 / 10
+        monkeypatch.setattr(estimation, "DENSE_EXO_MAX_ENTRIES", 10**12)
+        dense = fit_reduced_mdp(mdp, Mask((0,)), exo, full)
+        assert dense.exo_table._dense is not None
+        assert np.array_equal(sparse.exo_table.to_dense(), dense.exo_table._dense)
+        plan_sparse = value_iteration(sparse, 1e-8)
+        plan_dense = value_iteration(dense, 1e-8)
+        assert plan_sparse.residuals == pytest.approx(plan_dense.residuals, abs=1e-12)
+        assert np.allclose(
+            plan_sparse.values.values, plan_dense.values.values, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("limit", [0, 10**12], ids=["sparse", "dense"])
+    def test_nbytes_is_the_stored_arrays(self, monkeypatch, limit):
+        monkeypatch.setattr(estimation, "DENSE_EXO_MAX_ENTRIES", limit)
+        table = SparseExoTable(3, [0, 0, 2], [1, 2, 2], [0.5, 0.5, 1.0], [0, 1 / 3, 0])
+        assert table.nbytes == stored_bytes(table)
+        # four arrays of 3 (triplets, spread), two of 2 (segments), the 3x3 table
+        assert table.nbytes == 4 * 3 * 8 + 2 * 2 * 8 + (3 * 3 * 8 if limit else 0)
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([1.2, -0.2, 1.0, 1.0], "negative"),
+            ([0.5, 0.5 + 1e-6, 1.0, 1.0], "rows off by 1e-06"),
+        ],
+        ids=["negative", "sum-1+1e-6"],
+    )
+    def test_assert_valid_reads_sparse_rows(self, probs, message):
+        table = SparseExoTable(3, [0, 0, 1, 2], [0, 1, 1, 2], probs, np.zeros(3))
+        model = TabularReducedMdp(
+            mask=Mask((0,)),
+            space=reduced_space_for(build_chain_mdp((3,), (0.0,)), Mask((0,))),
+            endo_table=np.ones((1, 1, 3, 1)),
+            exo_table=table,
+            reward_table=np.zeros((1, 1, 3)),
+            discount=0.9,
+            r_max=0.0,
+        )
+        with pytest.raises(ValueError, match=f"exo_table.*{message}"):
+            model.assert_valid()
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [([1, 0], [0, 0]), ([0, 0], [1, 1]), ([0, 3], [0, 0]), ([0, 0], [0, -1])],
+        ids=["unsorted", "repeated", "row-out-of-range", "col-out-of-range"],
+    )
+    def test_malformed_triplets_refused(self, rows, cols):
+        with pytest.raises(ValueError, match="sorted by"):
+            SparseExoTable(3, rows, cols, [0.5, 0.5], np.zeros(3))
+
+    def test_from_dense_round_trips(self, hand_toy):
+        kernel = hand_toy.exo_kernel
+        table = SparseExoTable.from_dense(kernel)
+        assert np.array_equal(table.to_dense(), kernel)
+        assert not table.spread.any() and len(table.probs) == np.count_nonzero(kernel)
 
 
 class TestMutualInformation:
@@ -492,5 +649,6 @@ class TestDataPolicyInvariance:
         full = collect_full_rollouts(mdp, policy, 2000, 50, seed=1)
         from_free = fit_reduced_mdp(mdp, mask, exo, full)
         from_policy = fit_reduced_mdp(mdp, mask, exo_pairs_from_full(full), full)
-        tv = 0.5 * np.abs(from_free.exo_table - from_policy.exo_table).sum(axis=-1)
+        gap = from_free.exo_table.to_dense() - from_policy.exo_table.to_dense()
+        tv = 0.5 * np.abs(gap).sum(axis=-1)
         assert float(tv.max()) < 0.02

@@ -103,6 +103,20 @@ class TestConfig:
             ("fit.exo_horizon", 0),
             ("fit.n_full_rollouts", 0),
             ("fit.full_horizon", 0),
+            # wrong types: each used to pass or fail with a TypeError
+            ("n_rollouts", 2.5),
+            ("n_rollouts", True),
+            ("n_trials", "3"),
+            ("workers", 1.0),
+            ("mc_horizon", 40.0),
+            ("master_seed", 7.5),
+            ("fit.n_full_rollouts", 150.0),
+            ("fit.exo_horizon", False),
+            ("vi_epsilon", "NaN"),  # YAML reads a bare NaN as text
+            ("vi_timeout", None),
+            ("lam", True),
+            ("mi_threshold", "0.1"),
+            ("fit.smoothing", "0.5"),
         ],
     )
     def test_out_of_range_rejected(self, key, value):
