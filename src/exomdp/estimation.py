@@ -20,7 +20,6 @@ from .core import (
     InsufficientDataError,
     Mask,
     ReducedSpace,
-    StateSpaceTooLargeError,
     TabularFullMdp,
     UniformRandomPolicy,
     UnsupportedMdpError,
@@ -69,96 +68,99 @@ class FullRolloutDataset:
         return len(self.endo)
 
 
-# Largest ``X * X`` for which an exo table also keeps its dense ``(X, X)``
-# form and takes expectations as one matrix product; larger tables use the
-# sparse kernel and never build an ``X * X`` array.
-DENSE_EXO_MAX_ENTRIES = 65_536
+# Largest ``rows * cols`` for which a table also keeps its dense form and
+# takes products densely; larger tables use the sparse kernel and never build
+# a ``rows * cols`` array. One limit for the endo and the exo table.
+DENSE_MAX_ENTRIES = 65_536
 
 
 @dataclass(frozen=True, eq=False)
-class SparseExoTable:
-    """Row-sparse ``P(masked' | masked)`` over ``size`` masked codes.
+class SparseTable:
+    """Row-sparse conditional table ``P(col | row)``, ``n_rows`` by ``n_cols``.
 
     Row ``r`` is ``spread[r]`` in every column plus ``probs[k]`` in column
     ``cols[k]`` for each stored ``k`` with ``rows[k] == r``. A fitted row
-    stores ``count / (total + s X)`` at each observed successor and spreads
-    ``s / (total + s X)`` under smoothing ``s``; a row the data never saw
-    stores nothing and spreads ``1 / X``, the uniform fallback. Triplets are
-    sorted by ``(row, col)`` without repeats; the row segments are found once,
-    here, and the dense table is materialised only when ``X * X`` is at most
-    ``DENSE_EXO_MAX_ENTRIES``.
+    stores ``count / (total + s C)`` at each observed column and spreads
+    ``s / (total + s C)`` under smoothing ``s`` over ``C = n_cols`` columns;
+    a row the data never saw stores nothing and spreads ``1 / C``, the
+    uniform fallback. Triplets are sorted by ``(row, col)`` without repeats;
+    the row segments are found once, here, and the dense table ``dense`` is
+    materialised only when ``n_rows * n_cols`` is at most
+    ``DENSE_MAX_ENTRIES`` (None otherwise).
     """
 
-    size: int
+    n_rows: int
+    n_cols: int
     rows: np.ndarray
     cols: np.ndarray
     probs: np.ndarray
     spread: np.ndarray
+    dense: np.ndarray | None = field(init=False, repr=False)
     _starts: np.ndarray = field(init=False, repr=False)
     _segment_rows: np.ndarray = field(init=False, repr=False)
-    _dense: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = self.size
+        n_rows, n_cols = self.n_rows, self.n_cols
         rows = np.asarray(self.rows, dtype=np.intp)
         cols = np.asarray(self.cols, dtype=np.intp)
         probs = np.asarray(self.probs, dtype=float)
         spread = np.asarray(self.spread, dtype=float)
         if not (rows.shape == cols.shape == probs.shape == (len(rows),)
-                and spread.shape == (x,)):
+                and spread.shape == (n_rows,)):
             raise ValueError(
-                f"exo table of size {x} needs equal-length 1-d triplets and "
-                f"{x} spread weights"
+                f"table of {n_rows} rows needs equal-length 1-d triplets and "
+                f"{n_rows} spread weights"
             )
         if len(rows) and (
             min(rows.min(), cols.min()) < 0
-            or max(rows.max(), cols.max()) >= x
-            or np.any(np.diff(rows * x + cols) <= 0)
+            or rows.max() >= n_rows
+            or cols.max() >= n_cols
+            or np.any(np.diff(rows * n_cols + cols) <= 0)
         ):
             raise ValueError(
-                "exo triplets must lie in the table, sorted by (row, col) "
+                "triplets must lie in the table, sorted by (row, col) "
                 "without repeats"
             )
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         for name, value in (
             ("rows", rows), ("cols", cols), ("probs", probs), ("spread", spread),
-            ("_starts", starts), ("_segment_rows", rows[starts]), ("_dense", None),
+            ("_starts", starts), ("_segment_rows", rows[starts]), ("dense", None),
         ):
             object.__setattr__(self, name, value)
-        if x * x <= DENSE_EXO_MAX_ENTRIES:
-            object.__setattr__(self, "_dense", self.to_dense())
+        if n_rows * n_cols <= DENSE_MAX_ENTRIES:
+            object.__setattr__(self, "dense", self.to_dense())
 
     @classmethod
-    def from_dense(cls, table: np.ndarray) -> "SparseExoTable":
-        """Store every nonzero entry of a dense ``(X, X)`` table, spread 0."""
+    def from_dense(cls, table: np.ndarray) -> "SparseTable":
+        """Store every nonzero entry of a dense 2-d table, spread 0."""
         table = np.asarray(table, dtype=float)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise ValueError(f"exo table must be square, got shape {table.shape}")
+        if table.ndim != 2:
+            raise ValueError(f"table must be 2-d, got shape {table.shape}")
         rows, cols = np.nonzero(table)
-        return cls(len(table), rows, cols, table[rows, cols], np.zeros(len(table)))
+        return cls(*table.shape, rows, cols, table[rows, cols], np.zeros(len(table)))
 
     @property
     def nbytes(self) -> int:
         arrays = (self.rows, self.cols, self.probs, self.spread, self._starts,
-                  self._segment_rows, self._dense)
+                  self._segment_rows, self.dense)
         return sum(a.nbytes for a in arrays if a is not None)
 
     def to_dense(self) -> np.ndarray:
-        """The ``(X, X)`` table; builds it, so only for small ``X``."""
-        table = np.repeat(self.spread[:, None], self.size, axis=1)
+        """The ``(n_rows, n_cols)`` table; builds it, so only for small tables."""
+        table = np.repeat(self.spread[:, None], self.n_cols, axis=1)
         table[self.rows, self.cols] += self.probs
         return table
 
     def row_sums(self) -> np.ndarray:
-        sums = self.spread * self.size
+        sums = self.spread * self.n_cols
         if len(self.probs):
             sums[self._segment_rows] += np.add.reduceat(self.probs, self._starts)
         return sums
 
     def expect(self, v: np.ndarray) -> np.ndarray:
-        """``out[n, x] = sum_x' P(x' | x) v[n, x']`` for ``v`` of shape (N, X)."""
-        if self._dense is not None:
-            return v @ self._dense.T
+        """``out[b, r] = sum_c P(c | r) v[b, c]`` for ``v`` of shape (B, n_cols)."""
+        if self.dense is not None:
+            return v @ self.dense.T
         out = np.multiply.outer(v.sum(axis=1), self.spread)
         if len(self.probs):
             # take and an in-place product: half the time of v[:, cols] * probs
@@ -172,24 +174,47 @@ class SparseExoTable:
 class TabularReducedMdp:
     """Estimated reduced MDP over ``(endo, masked exo)`` states.
 
-    ``endo_table`` is ``P(endo' | endo, action, masked_code)`` with shape
-    ``(N, A, X, N)``; conditioning rows never observed in the data fall back
-    to the uniform distribution. ``exo_table`` is ``P(masked' | masked)`` as
-    a ``SparseExoTable``: the observed rows plus a uniform fallback for the
-    rest, in memory proportional to the observed transitions.
-    ``exo_expectation`` is its one product: a dense matrix product when
-    ``X * X <= DENSE_EXO_MAX_ENTRIES``, a gather-and-reduce over the stored
-    triplets above that. ``reward_table`` has shape ``(N, A, X)`` and is
-    exact (built from the black-box reward components, not estimated).
+    Both transition tables are ``SparseTable``s: the observed rows plus a
+    uniform fallback for the rest, in memory proportional to the observed
+    transitions. ``endo_table`` is ``P(endo' | endo, action, masked_code)``
+    with row ``(endo * A + action) * X + masked_code`` and the ``N`` next
+    endo values as columns; ``exo_table`` is ``P(masked' | masked)``,
+    ``X`` by ``X``. Each is reached through one product, ``endo_expectation``
+    and ``exo_expectation``; for either, a table of at most
+    ``DENSE_MAX_ENTRIES`` cells keeps its dense form and the product is a
+    dense ``einsum`` or matrix product, and a larger table gathers and
+    sums over its stored triplets. ``reward_table`` has shape ``(N, A, X)``
+    and is exact (built from the black-box reward components, not
+    estimated).
     """
 
     mask: Mask
     space: ReducedSpace
-    endo_table: np.ndarray
-    exo_table: SparseExoTable
+    endo_table: SparseTable
+    exo_table: SparseTable
     reward_table: np.ndarray
     discount: float
     r_max: float
+
+    def __post_init__(self):
+        n, x = self.endo_cardinality, self.n_exo_states
+        a = self.action_count
+        shapes = (
+            (self.endo_table.n_rows, self.endo_table.n_cols),
+            (self.exo_table.n_rows, self.exo_table.n_cols),
+            self.reward_table.shape,
+        )
+        if shapes != ((n * a * x, n), (x, x), (n, a, x)):
+            raise ValueError(
+                f"tables of shapes {shapes} do not fit {n} endo values, "
+                f"{a} actions and {x} masked codes"
+            )
+        # stored endo entry k of row (n, a, x) reads w[cols[k], x]; its flat
+        # index into w, found once for the sparse kernel
+        endo = self.endo_table
+        self._endo_gather = None if endo.dense is not None else (
+            endo.cols * x + endo.rows % x
+        )
 
     @property
     def endo_cardinality(self) -> int:
@@ -197,7 +222,7 @@ class TabularReducedMdp:
 
     @property
     def action_count(self) -> int:
-        return self.endo_table.shape[1]
+        return self.reward_table.shape[1]
 
     @property
     def n_exo_states(self) -> int:
@@ -207,16 +232,32 @@ class TabularReducedMdp:
         """``E[v(n, x') | x]`` over the masked exo successor, shape (N, X)."""
         return self.exo_table.expect(v)
 
+    def endo_expectation(self, w: np.ndarray) -> np.ndarray:
+        """``out[n, a, x] = sum_m P(m | n, a, x) w[m, x]`` for ``w`` of shape
+        (N, X); shape (N, A, X)."""
+        n, a, x = self.endo_cardinality, self.action_count, self.n_exo_states
+        endo = self.endo_table
+        if endo.dense is not None:
+            return np.einsum("naxm,mx->nax", endo.dense.reshape(n, a, x, n), w)
+        # most endo rows store one or two entries; one bincount over the rows
+        # took a half to a third of the time of reduceat over that many
+        # segments on the crowd's masks
+        gathered = w.take(self._endo_gather)
+        gathered *= endo.probs
+        out = np.bincount(endo.rows, weights=gathered, minlength=endo.n_rows)
+        out = out.reshape(n * a, x)
+        out += endo.spread.reshape(n * a, x) * w.sum(axis=0)
+        return out.reshape(n, a, x)
+
     def assert_valid(self, tol: float = 1e-9) -> None:
-        exo = self.exo_table
-        for name, entries, sums in (
-            ("endo", (self.endo_table,), self.endo_table.sum(axis=-1)),
-            ("exo", (exo.probs, exo.spread), exo.row_sums()),
-        ):
-            if any(np.any(e < 0) for e in entries):
-                raise ValueError(f"{name}_table has negative probabilities")
-            err = float(np.abs(sums - 1.0).max())
-            if err > tol:
+        # each check states what must hold, so that NaN fails it
+        if not np.all(np.isfinite(self.reward_table)):
+            raise ValueError("reward_table has non-finite entries")
+        for name, table in (("endo", self.endo_table), ("exo", self.exo_table)):
+            if not (np.all(table.probs >= 0) and np.all(table.spread >= 0)):
+                raise ValueError(f"{name}_table has negative or NaN probabilities")
+            err = float(np.abs(table.row_sums() - 1.0).max())
+            if not err <= tol:
                 raise ValueError(f"{name}_table rows off by {err:.3g}")
 
 
@@ -291,38 +332,27 @@ def exo_pairs_from_full(full_data: FullRolloutDataset) -> ExoRolloutDataset:
     )
 
 
-def _normalize_rows(counts: np.ndarray, smoothing: float) -> np.ndarray:
-    """Row-normalize counts with additive smoothing; empty rows go uniform."""
-    # in place on one float copy of the endo counts
-    out = counts.astype(float)
-    if smoothing > 0:
-        out += smoothing
-    totals = out.sum(axis=-1, keepdims=True)
-    empty = totals[..., 0] == 0.0
-    np.divide(out, totals, out=out, where=~empty[..., None])
-    out[empty] = 1.0 / out.shape[-1]
-    return out
+def _fit_table(
+    keys: np.ndarray, n_rows: int, n_cols: int, smoothing: float
+) -> SparseTable:
+    """Maximum-likelihood table from observed ``row * n_cols + col`` keys.
 
-
-def _fit_exo_table(pairs: np.ndarray, x: int, smoothing: float) -> SparseExoTable:
-    """Maximum-likelihood exo table from ``code_t * x + code_{t+1}`` pairs.
-
-    Counts with one ``bincount`` over the ``x * x`` cells when the table is
-    small enough to keep dense, and by sorting the observed pairs otherwise.
+    Counts with one ``bincount`` over the cells when the table is small
+    enough to keep dense, and by sorting the observed keys otherwise.
     """
-    if x * x <= DENSE_EXO_MAX_ENTRIES:
-        counts = np.bincount(pairs, minlength=x * x)
+    if n_rows * n_cols <= DENSE_MAX_ENTRIES:
+        counts = np.bincount(keys, minlength=n_rows * n_cols)
         keys = np.flatnonzero(counts)
         counts = counts[keys]
     else:
-        keys, counts = np.unique(pairs, return_counts=True)
-    rows, cols = np.divmod(keys, x)
-    totals = np.bincount(rows, weights=counts, minlength=x)
-    denominators = totals + smoothing * x
+        keys, counts = np.unique(keys, return_counts=True)
+    rows, cols = np.divmod(keys, n_cols)
+    totals = np.bincount(rows, weights=counts, minlength=n_rows)
+    denominators = totals + smoothing * n_cols
     seen = totals > 0
-    spread = np.full(x, 1.0 / x)
+    spread = np.full(n_rows, 1.0 / n_cols)
     spread[seen] = smoothing / denominators[seen]
-    return SparseExoTable(x, rows, cols, counts / denominators[rows], spread)
+    return SparseTable(n_rows, n_cols, rows, cols, counts / denominators[rows], spread)
 
 
 def fit_reduced_mdp(
@@ -356,26 +386,23 @@ def fit_reduced_mdp(
         )
     space = reduced_space_for(mdp, mask, state_budget)
     n, a, x = mdp.endo_cardinality, mdp.action_count, space.n_exo
-    if n * a * x * n > 200_000_000:
-        raise StateSpaceTooLargeError(
-            f"endo table would need {n * a * x * n} entries, over the limit "
-            "of 200000000"
-        )
 
-    # unnamed, the projected codes are freed before the endo counts, where
-    # the fit's memory peaks
-    exo_table = _fit_exo_table(
+    # keys unnamed: each table's codes are freed once it is fitted
+    exo_table = _fit_table(
         space.project_codes(exo_data.exo) * x + space.project_codes(exo_data.next_exo),
+        x,
         x,
         smoothing,
     )
-
-    fcodes = space.project_codes(full_data.exo)
-    flat = (
-        (full_data.endo.astype(np.int64) * a + full_data.action) * x + fcodes
-    ) * n + full_data.next_endo
-    endo_counts = np.bincount(flat, minlength=n * a * x * n).reshape(n, a, x, n)
-    endo_table = _normalize_rows(endo_counts, smoothing)
+    endo_table = _fit_table(
+        (
+            (full_data.endo.astype(np.int64) * a + full_data.action) * x
+            + space.project_codes(full_data.exo)
+        ) * n + full_data.next_endo,
+        n * a * x,
+        n,
+        smoothing,
+    )
 
     reward_table = _exact_reward_table(mdp, space)
     return TabularReducedMdp(
@@ -443,8 +470,8 @@ def exact_reduced_model(
     return TabularReducedMdp(
         mask=mask,
         space=space,
-        endo_table=endo_red,
-        exo_table=SparseExoTable.from_dense(exo_red),
+        endo_table=SparseTable.from_dense(endo_red.reshape(n * a * xm, n)),
+        exo_table=SparseTable.from_dense(exo_red),
         reward_table=reward_table,
         discount=mdp.discount,
         r_max=mdp.r_max,

@@ -92,9 +92,7 @@ def _q_values(model: TabularReducedMdp, v: np.ndarray) -> np.ndarray:
     """One-step lookahead values, shape (N, A, X)."""
     # next_v[n', x] = sum_x' P(x'|x) V[n', x']
     next_v = model.exo_expectation(v)
-    return model.reward_table + model.discount * np.einsum(
-        "naxm,mx->nax", model.endo_table, next_v
-    )
+    return model.reward_table + model.discount * model.endo_expectation(next_v)
 
 
 def value_iteration(
@@ -171,16 +169,15 @@ def exact_policy_evaluation(
     if isinstance(mdp, TabularFullMdp):
         action_grid = mdp.lift(policy.space, policy.actions)
         n, xf = action_grid.shape
-        endo = mdp.endo_kernel
         exo_t = mdp.exo_kernel.T
-
-        def exo_expectation(v):
-            return v @ exo_t
-
         rows = np.arange(n)[:, None]
         cols = np.arange(xf)[None, :]
         r_pi = mdp.full_reward[rows, action_grid, cols]
-        endo_pi = endo[rows, action_grid, cols]  # (N, XF, N)
+        endo_pi = mdp.endo_kernel[rows, action_grid, cols]  # (N, XF, N)
+
+        def expected_next(v):  # E[v(n', x') | n, x] under the policy's action
+            return np.einsum("nxm,mx->nx", endo_pi, v @ exo_t)
+
         gamma = mdp.discount
         space = ReducedSpace(
             n, Mask.full(mdp.m), [s.cardinality for s in mdp.variable_specs]
@@ -194,8 +191,11 @@ def exact_policy_evaluation(
         rows = np.arange(n)[:, None]
         cols = np.arange(xf)[None, :]
         r_pi = mdp.reward_table[rows, action_grid, cols]
-        endo_pi = mdp.endo_table[rows, action_grid, cols]
-        exo_expectation = mdp.exo_expectation
+
+        def expected_next(v):  # the product for every action, read at the policy's
+            q = mdp.endo_expectation(mdp.exo_expectation(v))
+            return q[rows, action_grid, cols]
+
         gamma = mdp.discount
         space = mdp.space
         scope = VALUE_SCOPE_REDUCED
@@ -204,8 +204,7 @@ def exact_policy_evaluation(
 
     v = np.zeros((n, xf))
     for _ in range(max_sweeps):
-        next_v = exo_expectation(v)  # (N, XF): E over exo'
-        v_new = r_pi + gamma * np.einsum("nxm,mx->nx", endo_pi, next_v)
+        v_new = r_pi + gamma * expected_next(v)
         delta = float(np.abs(v_new - v).max())
         v = v_new
         if delta < tol:

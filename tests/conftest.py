@@ -14,7 +14,7 @@ from exomdp.core import (
     VariableSpec,
     reduced_space_for,
 )
-from exomdp.estimation import SparseExoTable, TabularReducedMdp
+from exomdp.estimation import SparseTable, TabularReducedMdp
 
 
 def make_reduced(endo_table, exo_table, reward_table, discount, r_max=None):
@@ -28,12 +28,31 @@ def make_reduced(endo_table, exo_table, reward_table, discount, r_max=None):
     return TabularReducedMdp(
         mask=mask,
         space=space,
-        endo_table=endo_table,
-        exo_table=SparseExoTable.from_dense(exo_table),
+        endo_table=SparseTable.from_dense(endo_table.reshape(n * a * x, n)),
+        exo_table=SparseTable.from_dense(exo_table),
         reward_table=reward_table,
         discount=discount,
         r_max=r_max if r_max is not None else float(np.abs(reward_table).max()),
     )
+
+
+def count_over_total(pairs, n_rows, n_cols, smoothing=0.0):
+    """Independent oracle for a fitted table, written out one row at a time.
+
+    ``pairs`` are observed ``(row, col)`` conditions and outcomes. Row ``r``
+    is ``(count(r, c) + s) / (count(r) + s C)`` over ``C = n_cols`` columns
+    under smoothing ``s``: at ``s = 0`` count over total, and uniform where
+    the row was never seen.
+    """
+    counts = np.zeros((n_rows, n_cols))
+    for r, c in pairs:
+        counts[r, c] += 1
+    table = np.full((n_rows, n_cols), 1.0 / n_cols)
+    for r in range(n_rows):
+        total = counts[r].sum() + smoothing * n_cols
+        if total > 0:
+            table[r] = (counts[r] + smoothing) / total
+    return table
 
 
 def chain_reduced(rewards, gamma, transitions=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,21 +25,22 @@ import exomdp.estimation as estimation
 from exomdp.estimation import (
     ExoRolloutDataset,
     FullRolloutDataset,
-    SparseExoTable,
+    SparseTable,
     TabularReducedMdp,
     collect_exo_rollouts,
     collect_full_rollouts,
-    _normalize_rows,
     estimate_reward_variables,
     exact_reduced_model,
     exo_pairs_from_full,
     fit_reduced_mdp,
     transition_mutual_information,
 )
-from exomdp.planner import Policy, value_iteration
+from exomdp.planner import Policy, exact_policy_evaluation, value_iteration
 
 from conftest import (
     constant_reward_mdp,
+    count_over_total,
+    make_reduced,
     random_policy,
     random_tabular_cases,
     reference_rollouts,
@@ -243,7 +245,8 @@ class TestFit:
         truth = exact_reduced_model(hand_toy, mask)
         exo_gap = fitted.exo_table.to_dense() - truth.exo_table.to_dense()
         exo_tv = 0.5 * np.abs(exo_gap).sum(axis=-1)
-        endo_tv = 0.5 * np.abs(fitted.endo_table - truth.endo_table).sum(axis=-1)
+        endo_gap = fitted.endo_table.to_dense() - truth.endo_table.to_dense()
+        endo_tv = 0.5 * np.abs(endo_gap).sum(axis=-1)
         assert float(exo_tv.max()) < 0.02
         assert float(endo_tv.max()) < 0.02
         assert np.allclose(fitted.reward_table, truth.reward_table)
@@ -297,45 +300,41 @@ class TestFit:
             with pytest.raises(ValueError, match=r"\(\(2, 2\), 2, 2\)"):
                 fit_reduced_mdp(hand_toy, Mask((0,)), toy_exo, other_full)
 
-    @pytest.mark.parametrize("smoothing", [0.0, 0.5])
-    def test_normalized_rows_are_count_over_total(self, smoothing):
-        counts = np.array([[[3, 0, 1], [0, 0, 0]], [[0, 7, 0], [2, 2, 5]]])
-        before = counts.copy()
-        table = _normalize_rows(counts, smoothing)
-        assert np.array_equal(counts, before)
-        for row, out in zip(counts.reshape(-1, 3), table.reshape(-1, 3)):
-            smoothed = row + smoothing
-            if smoothed.sum() == 0:
-                assert np.array_equal(out, np.full(3, 1 / 3))
-            else:
-                assert np.array_equal(out, smoothed / smoothed.sum())
-
     def test_state_budget_enforced(self, hand_toy):
         exo = collect_exo_rollouts(hand_toy, 5, 5, seed=0)
         full = collect_full_rollouts(hand_toy, None, 5, 5, seed=0)
         with pytest.raises(StateSpaceTooLargeError):
             fit_reduced_mdp(hand_toy, Mask.full(2), exo, full, state_budget=3)
 
-    def test_endo_table_guard_fires_before_any_allocation(self, monkeypatch):
-        # 30 * 30 * 10,000 * 30 endo cells; 300,000 states fit the state budget
+    def test_fit_beyond_the_old_endo_guard_builds(self):
+        # 1000 * 1 * 201 * 1000 = 2.01e8 endo cells, over the 2e8 the dense
+        # 4-d table was once limited to; 201,000 states fit the state budget
         class WideMdp(TopValueMdp):
-            endo_cardinality = 30
-            action_count = 30
+            endo_cardinality = 1000
 
-        card, one = 10_000, np.zeros(1, dtype=np.int64)
-        codes = np.zeros((1, 1), dtype=np.int16)
-        exo = ExoRolloutDataset(codes, codes, (card,), 1, 1, 0)
+        n, card = WideMdp.endo_cardinality, 201
+        rng = np.random.default_rng(0)
+        codes = rng.integers(card, size=(500, 1)).astype(np.int16)
+        endo = rng.integers(n, size=500)
+        exo = ExoRolloutDataset(codes[:-1], codes[1:], (card,), 1, 499, 0)
         full = FullRolloutDataset(
-            one, one, np.zeros(1), one, codes, codes, (card,), 30, 30, 1, 1, 0
+            endo[:-1], np.zeros(499, dtype=np.int64), np.zeros(499), endo[1:],
+            codes[:-1], codes[1:], (card,), n, 1, 1, 499, 0,
         )
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("fit allocated a table before its guard")
-
-        for name in ("bincount", "unique", "zeros", "empty", "full"):
-            monkeypatch.setattr(np, name, refuse)
-        with pytest.raises(StateSpaceTooLargeError, match="270000000 entries"):
-            fit_reduced_mdp(WideMdp(card), Mask((0,)), exo, full)
+        model = fit_reduced_mdp(WideMdp(card), Mask((0,)), exo, full)
+        model.assert_valid()
+        table = model.endo_table
+        assert table.dense is None and (table.n_rows, table.n_cols) == (n * card, n)
+        # one fallback weight per row, at most five stored words per transition
+        assert table.nbytes == stored_bytes(table)
+        assert table.nbytes <= 8 * (n * card + 5 * len(full))
+        # the first condition's row, read from its stored entries
+        conditions = endo[:-1] * card + codes[:-1, 0]
+        seen = conditions == conditions[0]
+        stored = table.rows == conditions[0]
+        row = np.full(n, table.spread[conditions[0]])
+        row[table.cols[stored]] += table.probs[stored]
+        assert np.array_equal(row, np.bincount(endo[1:][seen], minlength=n) / seen.sum())
 
     def test_full_mask_fit_plans_like_analytic_model(self):
         # 4 endo x 25 exo = 100 states; exhaustive data
@@ -356,7 +355,10 @@ class TestExactReducedModel:
     def test_full_mask_reproduces_kernels(self, hand_toy):
         model = exact_reduced_model(hand_toy, Mask.full(hand_toy.m))
         assert np.allclose(model.exo_table.to_dense(), hand_toy.exo_kernel)
-        assert np.allclose(model.endo_table, hand_toy.endo_kernel)
+        n = hand_toy.endo_cardinality
+        assert np.allclose(
+            model.endo_table.to_dense(), hand_toy.endo_kernel.reshape(-1, n)
+        )
         assert np.allclose(model.reward_table, hand_toy.full_reward)
 
     def test_rows_normalized_for_any_mask(self, hand_toy):
@@ -365,15 +367,15 @@ class TestExactReducedModel:
             model.assert_valid()
 
 
-def reference_exo_counts(pairs, x):
-    counts = np.zeros((x, x), dtype=np.int64)
-    for a, b in pairs:
-        counts[a, b] += 1
-    return counts
-
-
 def stored_bytes(table):
     return sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
+
+
+def endo_conditions(model, full):
+    """Each full transition's endo-table row ``(endo * A + action) * X + x``."""
+    a, x = model.action_count, model.n_exo_states
+    codes = model.space.project_codes(full.exo)
+    return (full.endo.astype(np.int64) * a + full.action) * x + codes
 
 
 @st.composite
@@ -392,7 +394,44 @@ def exo_pair_cases(draw):
     return x, pairs
 
 
+@st.composite
+def fit_cases(draw):
+    """``(mdp, mask, exo_data, full_data)``: a random analytic MDP and mask
+    with a few hand-drawn transitions, so most endo rows stay unseen."""
+    mdp, mask = draw(random_tabular_cases())
+    n, a, cards = mdp.endo_cardinality, mdp.action_count, mdp.exo_cardinalities
+    value = st.tuples(*(st.integers(0, c - 1) for c in cards))
+    exo_rows = draw(st.lists(st.tuples(value, value), min_size=1, max_size=30))
+    full_rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1), st.integers(0, a - 1), value,
+                st.integers(0, n - 1), value,
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+
+    def exo_array(values):
+        return np.array(values, dtype=np.int16).reshape(len(values), len(cards))
+
+    exo = ExoRolloutDataset(
+        exo_array([e for e, _ in exo_rows]), exo_array([e for _, e in exo_rows]),
+        cards, 1, len(exo_rows), 0,
+    )
+    endo, action, x, next_endo, next_x = zip(*full_rows)
+    full = FullRolloutDataset(
+        np.array(endo), np.array(action), np.zeros(len(full_rows)),
+        np.array(next_endo), exo_array(x), exo_array(next_x), cards, n, a, 1,
+        len(full_rows), 0,
+    )
+    return mdp, mask, exo, full
+
+
 class TestSparseExoTable:
+    """The row-sparse ``SparseTable`` behind both transition tables."""
+
     @pytest.mark.parametrize("limit", [0, 10**12], ids=["sparse", "dense"])
     @pytest.mark.parametrize("smoothing", [0.0, 0.5])
     @given(case=exo_pair_cases(), seed=st.integers(0, 2**32 - 1))
@@ -401,13 +440,12 @@ class TestSparseExoTable:
     @settings(max_examples=40, deadline=None)
     def test_product_matches_dense_reference(self, case, seed, smoothing, limit):
         x, pairs = case
-        counts = reference_exo_counts(pairs, x)
-        reference = _normalize_rows(counts, smoothing)
+        reference = count_over_total(pairs, x, x, smoothing)
         codes = np.array([a * x + b for a, b in pairs], dtype=np.int64)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(estimation, "DENSE_EXO_MAX_ENTRIES", limit)
-            table = estimation._fit_exo_table(codes, x, smoothing)
-        assert (table._dense is None) == (limit == 0)
+            patch.setattr(estimation, "DENSE_MAX_ENTRIES", limit)
+            table = estimation._fit_table(codes, x, x, smoothing)
+        assert (table.dense is None) == (limit == 0)
         v = np.random.default_rng(seed).normal(size=(3, x))
         assert np.allclose(table.expect(v), v @ reference.T, rtol=0, atol=1e-12)
         assert np.allclose(table.row_sums(), 1.0, rtol=0, atol=1e-12)
@@ -417,18 +455,58 @@ class TestSparseExoTable:
         else:
             assert np.allclose(dense, reference, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("limit", [0, 10**12], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5])
+    @given(case=fit_cases(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_fitted_tables_match_the_count_oracle(self, case, seed, smoothing, limit):
+        mdp, mask, exo, full = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "DENSE_MAX_ENTRIES", limit)
+            model = fit_reduced_mdp(mdp, mask, exo, full, smoothing)
+        n, a, x = model.endo_cardinality, model.action_count, model.n_exo_states
+        project = model.space.project_codes
+        exo_ref = count_over_total(
+            zip(project(exo.exo), project(exo.next_exo)), x, x, smoothing
+        )
+        endo_ref = count_over_total(
+            zip(endo_conditions(model, full), full.next_endo), n * a * x, n, smoothing
+        )
+        for table, reference in ((model.endo_table, endo_ref), (model.exo_table, exo_ref)):
+            assert (table.dense is None) == (limit == 0)
+            dense = table.to_dense()
+            assert np.all(dense >= 0)
+            assert np.allclose(dense.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert np.allclose(table.row_sums(), 1.0, rtol=0, atol=1e-12)
+            if smoothing == 0.0:
+                assert np.array_equal(dense, reference)
+            else:
+                assert np.allclose(dense, reference, rtol=0, atol=1e-15)
+        w = np.random.default_rng(seed).normal(size=(n, x))
+        expected = np.einsum("naxm,mx->nax", endo_ref.reshape(n, a, x, n), w)
+        assert np.allclose(model.endo_expectation(w), expected, rtol=0, atol=1e-12)
+        assert np.allclose(model.exo_expectation(w), w @ exo_ref.T, rtol=0, atol=1e-12)
+
     def test_dense_kernel_is_the_normalized_counts_bit_for_bit(self, gridworld):
         exo = collect_exo_rollouts(gridworld, 50, 20, seed=5)
         full = collect_full_rollouts(gridworld, None, 5, 5, seed=6)
+        n, a = gridworld.endo_cardinality, gridworld.action_count
         for mask in (Mask(()), Mask((0,)), Mask((0, 2)), Mask.full(gridworld.m)):
             model = fit_reduced_mdp(gridworld, mask, exo, full)
             x, project = model.n_exo_states, model.space.project_codes
             pairs = zip(project(exo.exo), project(exo.next_exo))
-            reference = _normalize_rows(reference_exo_counts(pairs, x), 0.0)
-            assert model.exo_table._dense is not None
-            assert np.array_equal(model.exo_table._dense, reference)
-            v = np.random.default_rng(x).normal(size=(gridworld.endo_cardinality, x))
+            reference = count_over_total(pairs, x, x)
+            assert model.exo_table.dense is not None
+            assert np.array_equal(model.exo_table.dense, reference)
+            v = np.random.default_rng(x).normal(size=(n, x))
             assert np.array_equal(model.exo_expectation(v), v @ reference.T)
+            # every gridworld endo table (at most 20 * 5 * 32 * 20 cells) is dense
+            pairs = zip(endo_conditions(model, full), full.next_endo)
+            reference = count_over_total(pairs, n * a * x, n)
+            assert model.endo_table.dense is not None
+            assert np.array_equal(model.endo_table.dense, reference)
+            expected = np.einsum("naxm,mx->nax", reference.reshape(n, a, x, n), v)
+            assert np.array_equal(model.endo_expectation(v), expected)
 
     def test_large_table_stays_sparse_and_plans_like_dense(self, monkeypatch):
         # 300 * 300 cells exceed the dense limit; the planner agrees with the
@@ -437,13 +515,13 @@ class TestSparseExoTable:
         exo = collect_exo_rollouts(mdp, 40, 30, seed=0)
         full = collect_full_rollouts(mdp, None, 5, 5, seed=1)
         sparse = fit_reduced_mdp(mdp, Mask((0,)), exo, full)
-        assert sparse.exo_table._dense is None
+        assert sparse.exo_table.dense is None
         assert sparse.exo_table.nbytes == stored_bytes(sparse.exo_table)
         assert sparse.exo_table.nbytes < 300 * 300 * 8 / 10
-        monkeypatch.setattr(estimation, "DENSE_EXO_MAX_ENTRIES", 10**12)
+        monkeypatch.setattr(estimation, "DENSE_MAX_ENTRIES", 10**12)
         dense = fit_reduced_mdp(mdp, Mask((0,)), exo, full)
-        assert dense.exo_table._dense is not None
-        assert np.array_equal(sparse.exo_table.to_dense(), dense.exo_table._dense)
+        assert dense.exo_table.dense is not None
+        assert np.array_equal(sparse.exo_table.to_dense(), dense.exo_table.dense)
         plan_sparse = value_iteration(sparse, 1e-8)
         plan_dense = value_iteration(dense, 1e-8)
         assert plan_sparse.residuals == pytest.approx(plan_dense.residuals, abs=1e-12)
@@ -451,10 +529,33 @@ class TestSparseExoTable:
             plan_sparse.values.values, plan_dense.values.values, rtol=0, atol=1e-12
         )
 
+    def test_sparse_endo_kernel_plans_like_dense(self, monkeypatch):
+        # 3 * 2 * 9 * 3 = 162 endo cells over the limit of 81, 9 * 9 exo cells
+        # at it; short data leaves endo rows unseen
+        mdp = build_random_mdp(3, endo_cardinality=3, cards=(3, 3), n_actions=2)
+        mask = Mask.full(2)
+        exo = collect_exo_rollouts(mdp, 30, 10, seed=0)
+        full = collect_full_rollouts(mdp, None, 4, 10, seed=1)
+        monkeypatch.setattr(estimation, "DENSE_MAX_ENTRIES", 81)
+        sparse = fit_reduced_mdp(mdp, mask, exo, full)
+        monkeypatch.setattr(estimation, "DENSE_MAX_ENTRIES", 10**12)
+        dense = fit_reduced_mdp(mdp, mask, exo, full)
+        assert sparse.endo_table.dense is None and sparse.exo_table.dense is not None
+        assert 0 < len(sparse.endo_table._segment_rows) < sparse.endo_table.n_rows
+        plan_sparse = value_iteration(sparse, 1e-10)
+        plan_dense = value_iteration(dense, 1e-10)
+        assert plan_sparse.residuals == pytest.approx(plan_dense.residuals, abs=1e-12)
+        assert np.array_equal(plan_sparse.policy.actions, plan_dense.policy.actions)
+        for model in (sparse, dense):
+            values = exact_policy_evaluation(model, plan_dense.policy, tol=1e-12)
+            assert np.allclose(
+                values.values, plan_dense.values.values, rtol=0, atol=1e-8
+            )
+
     @pytest.mark.parametrize("limit", [0, 10**12], ids=["sparse", "dense"])
     def test_nbytes_is_the_stored_arrays(self, monkeypatch, limit):
-        monkeypatch.setattr(estimation, "DENSE_EXO_MAX_ENTRIES", limit)
-        table = SparseExoTable(3, [0, 0, 2], [1, 2, 2], [0.5, 0.5, 1.0], [0, 1 / 3, 0])
+        monkeypatch.setattr(estimation, "DENSE_MAX_ENTRIES", limit)
+        table = SparseTable(3, 3, [0, 0, 2], [1, 2, 2], [0.5, 0.5, 1.0], [0, 1 / 3, 0])
         assert table.nbytes == stored_bytes(table)
         # four arrays of 3 (triplets, spread), two of 2 (segments), the 3x3 table
         assert table.nbytes == 4 * 3 * 8 + 2 * 2 * 8 + (3 * 3 * 8 if limit else 0)
@@ -468,11 +569,11 @@ class TestSparseExoTable:
         ids=["negative", "sum-1+1e-6"],
     )
     def test_assert_valid_reads_sparse_rows(self, probs, message):
-        table = SparseExoTable(3, [0, 0, 1, 2], [0, 1, 1, 2], probs, np.zeros(3))
+        table = SparseTable(3, 3, [0, 0, 1, 2], [0, 1, 1, 2], probs, np.zeros(3))
         model = TabularReducedMdp(
             mask=Mask((0,)),
             space=reduced_space_for(build_chain_mdp((3,), (0.0,)), Mask((0,))),
-            endo_table=np.ones((1, 1, 3, 1)),
+            endo_table=SparseTable.from_dense(np.ones((3, 1))),
             exo_table=table,
             reward_table=np.zeros((1, 1, 3)),
             discount=0.9,
@@ -481,20 +582,63 @@ class TestSparseExoTable:
         with pytest.raises(ValueError, match=f"exo_table.*{message}"):
             model.assert_valid()
 
+    @pytest.mark.parametrize("table", ["endo", "exo", "reward"])
+    def test_nan_refused_before_planning(self, table):
+        # with a NaN entry, value iteration once ran to its timeout and
+        # returned NaN values
+        tables = {
+            "endo": np.full((2, 1, 2, 2), 0.5),
+            "exo": np.full((2, 2), 0.5),
+            "reward": np.zeros((2, 1, 2)),
+        }
+        tables[table].flat[0] = np.nan
+        model = make_reduced(
+            tables["endo"], tables["exo"], tables["reward"], 0.9, r_max=1.0
+        )
+        with pytest.raises(ValueError, match=f"{table}_table"):
+            model.assert_valid()
+        with pytest.raises(ValueError, match=f"{table}_table"):
+            value_iteration(model, timeout=2.0)
+
+    def test_table_shapes_must_fit_the_space(self):
+        model = make_reduced(
+            np.full((2, 1, 2, 2), 0.5), np.full((2, 2), 0.5), np.zeros((2, 1, 2)), 0.9
+        )
+        fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+        for name, table in (
+            ("endo_table", SparseTable.from_dense(np.full((4, 1), 1.0))),
+            ("exo_table", SparseTable.from_dense(np.full((1, 1), 1.0))),
+            ("reward_table", np.zeros((2, 2, 2))),
+        ):
+            with pytest.raises(ValueError, match="do not fit 2 endo values"):
+                TabularReducedMdp(**{**fields, name: table})
+
     @pytest.mark.parametrize(
         "rows, cols",
-        [([1, 0], [0, 0]), ([0, 0], [1, 1]), ([0, 3], [0, 0]), ([0, 0], [0, -1])],
-        ids=["unsorted", "repeated", "row-out-of-range", "col-out-of-range"],
+        [
+            ([1, 0], [0, 0]),
+            ([0, 0], [1, 1]),
+            ([0, 3], [0, 0]),
+            ([0, 0], [0, -1]),
+            ([0, 1], [0, 2]),
+        ],
+        ids=[
+            "unsorted", "repeated", "row-out-of-range", "col-out-of-range",
+            "col-beyond-width",
+        ],
     )
     def test_malformed_triplets_refused(self, rows, cols):
         with pytest.raises(ValueError, match="sorted by"):
-            SparseExoTable(3, rows, cols, [0.5, 0.5], np.zeros(3))
+            SparseTable(3, 2, rows, cols, [0.5, 0.5], np.zeros(3))
 
     def test_from_dense_round_trips(self, hand_toy):
-        kernel = hand_toy.exo_kernel
-        table = SparseExoTable.from_dense(kernel)
-        assert np.array_equal(table.to_dense(), kernel)
-        assert not table.spread.any() and len(table.probs) == np.count_nonzero(kernel)
+        n = hand_toy.endo_cardinality
+        for kernel in (hand_toy.exo_kernel, hand_toy.endo_kernel.reshape(-1, n)):
+            table = SparseTable.from_dense(kernel)
+            assert (table.n_rows, table.n_cols) == kernel.shape
+            assert np.array_equal(table.to_dense(), kernel)
+            assert not table.spread.any()
+            assert len(table.probs) == np.count_nonzero(kernel)
 
 
 class TestMutualInformation:
