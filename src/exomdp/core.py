@@ -14,6 +14,7 @@ caller draws, so callers control determinism.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -170,7 +171,7 @@ class GenerativeMdp(ABC):
       reading exactly the K uniforms of its row (an integer in ``0..n-1`` is
       ``floor(n * u)``). The exogenous values it returns must not depend on
       ``action``;
-    - ``batch_reward`` is optional.
+    - ``batch_reward`` and ``reward_component_table`` are optional.
 
     An MDP that lacks one of the first three cannot be constructed.
     Implementations must be safe to call from several threads at once.
@@ -218,6 +219,23 @@ class GenerativeMdp(ABC):
     ) -> float:
         """Contribution of exogenous variable ``i`` to the reward."""
         ...
+
+    def reward_component_table(self, i: int) -> np.ndarray:
+        """``(N, card_i, A)`` read-only table of ``reward_component(i, ...)``,
+        built from scalar calls the first time it is asked for on this
+        instance and kept."""
+        tables = self.__dict__.setdefault("_reward_component_tables", {})
+        if i not in tables:
+            n, a = self.endo_cardinality, self.action_count
+            card = self.variable_specs[i].cardinality
+            table = np.empty((n, card, a))
+            for endo in range(n):
+                for v in range(card):
+                    for act in range(a):
+                        table[endo, v, act] = self.reward_component(i, endo, v, act)
+            table.flags.writeable = False
+            tables[i] = table
+        return tables[i]
 
     def batch_reward(
         self, endo: np.ndarray, exo: np.ndarray, action: np.ndarray
@@ -509,6 +527,9 @@ class TabularFullMdp(GenerativeMdp):
     ) -> float:
         return float(self.reward_tables[i][endo, exo_value, action])
 
+    def reward_component_table(self, i: int) -> np.ndarray:
+        return self.reward_tables[i]
+
     def batch_uniforms(self, n_rollouts: int, horizon: int, seed: int) -> np.ndarray:
         """The uniforms ``rollouts`` draws for ``seed`` with no policy or a
         planned one, read-only, shape ``(n_rollouts, horizon + 1, 2)``: rollout
@@ -538,12 +559,103 @@ def rollout_uniforms(
     ``r = start + i``, ``default_rng(SeedSequence(seed, spawn_key=(r,)))``.
     PCG64 buffers no doubles, so these are what successive ``random`` calls
     return, however many each call asks for.
+
+    The rows' PCG64 states are derived together, without a ``SeedSequence``
+    or ``Generator`` per row: the entropy pools are hashed as ``uint32``
+    arrays (the spawn word ``r`` is the only word that varies by row), and
+    one generator created here is set to each row's state in turn. The
+    seed must be a non-negative integer and every ``r`` below ``2**32``.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if start < 0 or start + n_rollouts > 1 << 32:
+        raise ValueError(
+            f"rollout indices {start}..{start + n_rollouts - 1} must lie in "
+            f"0..2**32-1, one spawn word each"
+        )
+    spawn = np.arange(start, start + n_rollouts, dtype=np.uint32)
+    states = _pcg64_states(_spawn_pools(seed, spawn))
+    bit_generator = np.random.PCG64()
+    gen = np.random.Generator(bit_generator)
     out = np.empty((n_rollouts, draws))
-    for i in range(n_rollouts):
-        spawn = np.random.SeedSequence(seed, spawn_key=(start + i,))
-        out[i] = np.random.default_rng(spawn).random(draws)
+    for i, (state, inc) in enumerate(states):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.random(out=out[i])
     return out
+
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+# numpy's stream-compatibility policy (NEP 19) freezes both algorithms.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32, _U128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _spawn_pools(seed: int, spawn: np.ndarray) -> list[np.ndarray]:
+    """The 4 pool words, each ``(R,)`` uint32, of ``SeedSequence(seed,
+    spawn_key=(w,))`` for every spawn word ``w``: ``mix_entropy`` on the
+    seed's 32-bit words (low first), zero-padded to the pool size as a
+    spawned sequence pads them, then the spawn word."""
+    words = [seed & _U32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _U32)
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(len(spawn), w, dtype=np.uint32) for w in words] + [spawn]
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _U32
+        value = value * const  # uint32 arrays wrap mod 2**32
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        z = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return z ^ (z >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return pool
+
+
+def _pcg64_states(pool: list[np.ndarray]) -> list[tuple[int, int]]:
+    """Per row, the ``(state, inc)`` of ``PCG64`` seeded from the pool:
+    ``generate_state(4, uint64)`` gives ``initstate`` (words 0, 1, high
+    first) and ``initseq`` (words 2, 3), seeded as PCG's ``srandom``."""
+    const = _INIT_B
+    halves = []  # 8 uint32 words, low half of each uint64 first
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _U32
+        value = value * const
+        halves.append((value ^ (value >> 16)).astype(np.uint64))
+    words = [(halves[2 * j] | halves[2 * j + 1] << 32).tolist() for j in range(4)]
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*words):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _U128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _U128
+        states.append((state, inc))
+    return states
 
 
 class UniformRandomPolicy:
@@ -576,10 +688,10 @@ class Rollouts:
 
 
 ROLLOUT_FIELDS = ("endo", "exo", "action", "reward")
-# Rollouts the batch path steps at once when it draws their uniforms itself.
-# It bounds the uniforms held per chunk (rows x draws); the results do not
-# depend on it.
-CHUNK_ROWS = 256
+# Uniforms (doubles, 4 MiB) the engine draws and holds per chunk when it
+# draws them itself: a chunk steps ``max(1, CHUNK_DRAWS // width)`` rollouts
+# of ``width`` uniforms each. The results do not depend on it.
+CHUNK_DRAWS = 1 << 19
 
 
 def rollouts(
@@ -597,18 +709,21 @@ def rollouts(
     ``policy`` is None (action 0, for exogenous rollouts), a planned
     ``planner.Policy`` (acting through its mask) or the behaviour policy of
     ``uniform_random_policy``; anything else is refused before any rollout.
-    Rollout r draws from its own generator, ``SeedSequence(seed,
-    spawn_key=(r,))`` with ``seed`` 0 when None, so results are reproducible
-    bit for bit and independent of order. Fields not named in ``keep`` are
-    None; without ``"reward"`` the reward is never computed.
+    Rollout r draws the stream of its own generator, ``SeedSequence(seed,
+    spawn_key=(r,))`` with ``seed`` 0 when None (``rollout_uniforms``
+    derives a chunk's streams in one pass), so results are reproducible bit
+    for bit and independent of order and of the chunk size. Fields not
+    named in ``keep`` are None; without ``"reward"`` the reward is never
+    computed.
 
     All rollouts of a call step together as arrays through the MDP's
-    ``batch_initial``/``batch_step``: ``CHUNK_ROWS`` at a time, or all at
-    once from pre-drawn ``uniforms``. Row r's stream is ``draws_per_step``
-    uniforms for the initial state, then per step the behaviour policy's
-    one uniform, if it acts, and ``draws_per_step`` for the transition. With
-    None or a ``Policy``, ``uniforms`` may hold these streams drawn earlier
-    for seed ``s``, shape ``(n_rollouts, horizon + 1, draws_per_step)``, as
+    ``batch_initial``/``batch_step``: as many at a time as hold at most
+    ``CHUNK_DRAWS`` uniforms (at least one), or all at once from pre-drawn
+    ``uniforms``. Row r's stream is ``draws_per_step`` uniforms for the
+    initial state, then per step the behaviour policy's one uniform, if it
+    acts, and ``draws_per_step`` for the transition. With None or a
+    ``Policy``, ``uniforms`` may hold these streams drawn earlier for seed
+    ``s``, shape ``(n_rollouts, horizon + 1, draws_per_step)``, as
     ``TabularFullMdp.batch_uniforms`` gives them; seed and uniforms together
     are refused.
     """
@@ -636,7 +751,8 @@ def rollouts(
     out = _empty_rollouts(mdp, n_rollouts, horizon, keep)
     width = k + horizon * (behave + k)  # uniforms per rollout
     # pre-drawn uniforms are already in memory: chunking them saves nothing
-    n_chunks = 1 if uniforms is not None else -(-n_rollouts // CHUNK_ROWS)
+    per_chunk = n_rollouts if uniforms is not None else max(1, CHUNK_DRAWS // width)
+    n_chunks = -(-n_rollouts // per_chunk)
     bounds = [n_rollouts * i // n_chunks for i in range(n_chunks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         rows = hi - lo

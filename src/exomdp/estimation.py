@@ -424,12 +424,7 @@ def _exact_reward_table(mdp: GenerativeMdp, space: ReducedSpace) -> np.ndarray:
         return table
     digits = space.digit_matrix()
     for pos, i in enumerate(space.mask.included):
-        card = space.cards[pos]
-        comp = np.empty((n, card, a))
-        for endo in range(n):
-            for v in range(card):
-                for act in range(a):
-                    comp[endo, v, act] = mdp.reward_component(i, endo, v, act)
+        comp = mdp.reward_component_table(i)
         table += comp[:, digits[pos], :].transpose(0, 2, 1)
     return table
 

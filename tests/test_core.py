@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from exomdp.core import (
     GenerativeMdp,
     InvalidMaskError,
     Mask,
+    ReducedSpace,
     ReducedState,
     StateSpaceTooLargeError,
     TabularFullMdp,
@@ -127,6 +130,43 @@ class TestReduceState:
         composed = reduce_state(lifted, Mask(tuple(position[v] for v in child)))
         direct = reduce_state(state, child)
         assert composed == direct
+
+
+class TestReducedSpace:
+    @given(
+        data=st.data(),
+        endo_cardinality=st.integers(1, 4),
+        cards=st.lists(st.integers(1, 4), max_size=5),
+        n_rows=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_codes_round_trip_and_agree(
+        self, data, endo_cardinality, cards, n_rows, seed
+    ):
+        m = len(cards)
+        rng = np.random.default_rng(seed)  # values of the variables off the mask
+        mask = Mask.of(data.draw(st.sets(st.integers(0, m - 1))) if m else ())
+        space = ReducedSpace(endo_cardinality, mask, cards)
+        assert space.n_states == endo_cardinality * math.prod(space.cards)
+        digits = space.digit_matrix()
+        assert digits.shape == (len(mask), space.n_exo)
+        for code in range(space.n_exo):
+            values = space.decode_exo(code)
+            assert tuple(digits[:, code].tolist()) == values
+            assert all(0 <= v < c for v, c in zip(values, space.cards))
+            assert space.encode_exo(values) == code
+        # a full state's code reads only the masked values, in mask order
+        for idx in range(space.n_states):
+            endo, masked = space.decode(idx)
+            exo = [int(rng.integers(c)) for c in cards]
+            for i, v in zip(mask, masked):
+                exo[i] = v
+            assert space.encode_state(endo, exo) == idx
+        rows = (rng.random((n_rows, m)) * cards).astype(np.int16)
+        codes = space.project_codes(rows)
+        assert codes.shape == (n_rows,)
+        assert codes.tolist() == [space.encode_state(0, row.tolist()) for row in rows]
 
 
 class TestReducedReward:
@@ -289,6 +329,57 @@ def test_rollout_uniforms_are_the_per_rollout_streams():
     for r in range(3):
         rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(r,)))
         assert np.array_equal(u[r], np.concatenate([rng.random(2) for _ in range(3)]))
+    # a row's stream does not depend on the rows drawn with it
+    assert np.array_equal(rollout_uniforms(5, 2, 6, start=1), u[1:])
+    assert np.array_equal(rollout_uniforms(5, 1, 4, start=2)[0], u[2, :4])
+
+
+def numpy_rollout_uniforms(seed, n_rollouts, draws, start=0):
+    """Oracle: one numpy ``SeedSequence`` and generator per row."""
+    out = np.empty((n_rollouts, draws))
+    for i in range(n_rollouts):
+        spawn = np.random.SeedSequence(seed, spawn_key=(start + i,))
+        out[i] = np.random.default_rng(spawn).random(draws)
+    return out
+
+
+class TestRolloutUniforms:
+    # 2**64 + 5 has three 32-bit words, 2**130 + 7 five: more than the pool
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
+    @pytest.mark.parametrize("start", [0, 300])
+    @pytest.mark.parametrize("draws", [1, 37, 991])
+    def test_equal_to_numpy_per_row(self, seed, start, draws):
+        got = rollout_uniforms(seed, 5, draws, start)
+        assert np.array_equal(got, numpy_rollout_uniforms(seed, 5, draws, start))
+
+    @given(
+        seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**200)),
+        start=st.integers(0, 2**32 - 9),
+        n_rollouts=st.integers(0, 8),
+        draws=st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_numpy_per_row_drawn(self, seed, start, n_rollouts, draws):
+        got = rollout_uniforms(seed, n_rollouts, draws, start)
+        want = numpy_rollout_uniforms(seed, n_rollouts, draws, start)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_last_spawn_word(self):
+        got = rollout_uniforms(9, 2, 3, 2**32 - 2)
+        assert np.array_equal(got, numpy_rollout_uniforms(9, 2, 3, 2**32 - 2))
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            rollout_uniforms(seed, 2, 3)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert np.array_equal(rollout_uniforms(np.uint64(7), 2, 3), rollout_uniforms(7, 2, 3))
+
+    @pytest.mark.parametrize("start, n_rollouts", [(2**32 - 1, 2), (2**32, 1), (-1, 2)])
+    def test_rows_beyond_one_spawn_word_refused(self, start, n_rollouts):
+        with pytest.raises(ValueError, match=r"0\.\.2\*\*32-1"):
+            rollout_uniforms(0, n_rollouts, 3, start)
 
 
 def test_truncation_horizon():
@@ -308,8 +399,8 @@ class TestRollouts:
         plan = value_iteration(exact_reduced_model(planned_on, Mask((0, 1))), 1e-6)
         return build_random_mdp(2, cards=(2, 3)), plan.policy
 
-    # "loop": the engine stepping one rollout per chunk
-    @pytest.mark.parametrize("chunk", [core.CHUNK_ROWS, 1], ids=["tabular", "loop"])
+    # "loop": the engine stepping one rollout per chunk (a budget of one uniform)
+    @pytest.mark.parametrize("chunk", [core.CHUNK_DRAWS, 1], ids=["tabular", "loop"])
     @pytest.mark.parametrize(
         "run",
         [
@@ -320,7 +411,7 @@ class TestRollouts:
         ids=["mc", "count", "full"],
     )
     def test_policy_for_another_mdp_refused(self, chunk, run, monkeypatch):
-        monkeypatch.setattr(core, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(core, "CHUNK_DRAWS", chunk)
         mdp, policy = self.misfit_policy()
         with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 3\)"):
             run(mdp, policy)
@@ -390,16 +481,20 @@ class TestBatchSamplers:
         [(build_crowd, Mask((0, 4))), (build_factory, Mask((0, 1, 2)))],
         ids=["crowd", "factory"],
     )
-    # one row, under one chunk, and not a multiple of the chunk size
-    @pytest.mark.parametrize("n_rollouts", [1, 37, core.CHUNK_ROWS + 44])
-    def test_batch_matches_loop(self, builder, mask, policy, n_rollouts):
+    # one row, under one chunk, and a count that splits unevenly: at a
+    # budget of 2**13 uniforms a chunk of horizon 12 holds 63-105 rows
+    @pytest.mark.parametrize("n_rollouts", [1, 37, 300])
+    def test_batch_matches_loop(self, builder, mask, policy, n_rollouts, monkeypatch):
+        monkeypatch.setattr(core, "CHUNK_DRAWS", 1 << 13)
         mdp = builder()
         run = assert_same_rollouts(mdp, _policies(mdp, mask)[policy], n_rollouts, 12, 5)
         assert run.action.min() >= 0 and run.action.max() < mdp.action_count
         if policy == "behaviour" and n_rollouts > 1:
             assert len(np.unique(run.action)) == mdp.action_count
 
-    @pytest.mark.parametrize("chunk", [1, 7, 10_000])
+    # budgets of 1, 7 and 10,000 rows' uniforms (23 rows step one at a
+    # time, split 5/6/6/6, or in one chunk), and of 1 << 30 uniforms
+    @pytest.mark.parametrize("rows", [1, 7, 10_000, None], ids=["1", "7", "10000", "2**30"])
     @pytest.mark.parametrize(
         "builder, mask",
         [
@@ -409,15 +504,18 @@ class TestBatchSamplers:
         ],
         ids=["crowd", "factory", "gridworld"],
     )
-    def test_chunk_size_changes_no_byte(self, builder, mask, chunk, monkeypatch):
+    def test_chunk_size_changes_no_byte(self, builder, mask, rows, monkeypatch):
         mdp = builder()
         policies = _policies(mdp, mask)
         before = {k: rollouts(mdp, p, 23, 9, 3) for k, p in policies.items()}
-        monkeypatch.setattr(core, "CHUNK_ROWS", chunk)
-        for k, p in policies.items():
+        k = mdp.draws_per_step
+        for name, p in policies.items():
+            width = k + 9 * (k + (name == "behaviour"))  # uniforms per rollout
+            budget = 1 << 30 if rows is None else rows * width
+            monkeypatch.setattr(core, "CHUNK_DRAWS", budget)
             after = rollouts(mdp, p, 23, 9, 3)
             for field in core.ROLLOUT_FIELDS:
-                assert np.array_equal(getattr(after, field), getattr(before[k], field))
+                assert np.array_equal(getattr(after, field), getattr(before[name], field))
 
     @given(
         n_agents=st.integers(0, 2),
@@ -453,12 +551,12 @@ class TestBatchSamplers:
         assert np.any(~carried[:, 1:] & carried[:, :-1])
 
     # "loop": the engine stepping one rollout per chunk
-    @pytest.mark.parametrize("chunk", [core.CHUNK_ROWS, 1], ids=["batch", "loop"])
+    @pytest.mark.parametrize("chunk", [core.CHUNK_DRAWS, 1], ids=["batch", "loop"])
     def test_exo_collection_never_computes_rewards(self, chunk, monkeypatch):
         def refuse(*args):
             raise AssertionError("reward computed")
 
-        monkeypatch.setattr(core, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(core, "CHUNK_DRAWS", chunk)
         monkeypatch.setattr(CrowdMdp, "batch_reward", refuse)
         monkeypatch.setattr(CrowdMdp, "reward_component", refuse)
         data = collect_exo_rollouts(build_crowd(), 20, 8, seed=1)

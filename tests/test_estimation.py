@@ -16,8 +16,11 @@ from exomdp.core import (
     uniform_random_policy,
 )
 from exomdp.domains import (
+    FactoryMdp,
     build_chain_mdp,
     build_copy_chain_mdp,
+    build_crowd,
+    build_factory,
     build_gridworld,
     build_random_mdp,
 )
@@ -349,6 +352,42 @@ class TestFit:
             (plan_fit.policy.actions == plan_true.policy.actions).mean()
         )
         assert agreement >= 0.95
+
+
+    @pytest.mark.parametrize("builder", [build_gridworld, build_factory, build_crowd])
+    def test_reward_component_table_is_the_scalar_calls(self, builder):
+        mdp = builder()
+        n, a = mdp.endo_cardinality, mdp.action_count
+        for i, spec in enumerate(mdp.variable_specs):
+            table = mdp.reward_component_table(i)
+            want = np.empty((n, spec.cardinality, a))
+            for endo, v, act in np.ndindex(want.shape):
+                want[endo, v, act] = mdp.reward_component(i, endo, v, act)
+            assert table.dtype == want.dtype and table.tobytes() == want.tobytes()
+
+    def test_reward_components_called_once_per_mdp_not_per_fit(self, monkeypatch):
+        calls = []
+        original = FactoryMdp.reward_component
+
+        def counted(self, i, endo, exo_value, action):
+            calls.append(i)
+            return original(self, i, endo, exo_value, action)
+
+        monkeypatch.setattr(FactoryMdp, "reward_component", counted)
+        mdp = build_factory()
+        exo = collect_exo_rollouts(mdp, 5, 5, seed=0)
+        full = collect_full_rollouts(mdp, None, 5, 5, seed=0)
+        for mask in (Mask((0, 1)), Mask((0, 1)), Mask((1, 2)), Mask((0,))):
+            fit_reduced_mdp(mdp, mask, exo, full)
+        n, a = mdp.endo_cardinality, mdp.action_count
+        cards = mdp.exo_cardinalities
+        assert sorted(calls) == sorted(
+            i for i in (0, 1, 2) for _ in range(n * cards[i] * a)
+        )
+        assert not mdp.reward_component_table(0).flags.writeable
+        # another instance builds its own tables
+        fit_reduced_mdp(build_factory(), Mask((0,)), exo, full)
+        assert calls.count(0) == 2 * n * cards[0] * a
 
 
 class TestExactReducedModel:

@@ -150,6 +150,8 @@ class TestSearchDatasets:
     def test_monte_carlo_uniforms_drawn_once_per_search(self, gridworld, monkeypatch):
         import exomdp.core as core
 
+        # a budget at which each collection takes several chunks
+        monkeypatch.setattr(core, "CHUNK_DRAWS", 1 << 12)
         draws = []
         original = core.rollout_uniforms
         monkeypatch.setattr(
@@ -161,11 +163,17 @@ class TestSearchDatasets:
         # serves every mask's Monte Carlo
         import exomdp.search as search
 
-        def chunks(n):
-            return -(-n // core.CHUNK_ROWS)
+        def chunks(n, horizon, behave):
+            k = gridworld.draws_per_step
+            per_chunk = max(1, core.CHUNK_DRAWS // (k + horizon * (behave + k)))
+            return -(-n // per_chunk)
 
         fit = QUICK.fit
-        expected = chunks(fit.n_exo_rollouts) + chunks(fit.n_full_rollouts) + 1
+        expected = (
+            chunks(fit.n_exo_rollouts, fit.exo_horizon, behave=0)
+            + chunks(fit.n_full_rollouts, fit.full_horizon, behave=1)
+            + 1
+        )
         mc_seed = search.derive_seed(4, search._STREAM_MC)
         assert len(draws) == len(set(draws)) == expected
         assert [d[0] for d in draws].count(mc_seed) == 1
