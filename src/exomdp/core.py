@@ -163,17 +163,19 @@ class GenerativeMdp(ABC):
     Implementations expose array samplers over ``R`` rollouts at once plus a
     per-variable decomposed reward; no analytic distributions are required.
 
-    - ``draws_per_step`` is the fixed number K of uniforms one step reads,
-      at least 1;
+    - ``draws_per_step`` is the fixed number K >= 1 of uniforms one step
+      reads; ``exo_columns`` names the distinct ones in ``0..K-1`` that drive
+      the exo step, and the others drive the endo step, in column order;
     - ``batch_initial(u)`` returns ``(endo, exo)`` arrays ``(R,)`` and
       ``(R, m)`` from uniforms ``u`` of shape ``(R, K)``;
-    - ``batch_step(endo, exo, action, u)`` returns the next ``(endo, exo)``,
-      reading exactly the K uniforms of its row (an integer in ``0..n-1`` is
-      ``floor(n * u)``). The exogenous values it returns must not depend on
-      ``action``;
-    - ``batch_reward`` and ``reward_component_table`` are optional.
+    - ``batch_exo_step(exo, u)`` returns the next exo values from the exo
+      columns, in declared order: it sees neither endo state nor action;
+    - ``batch_endo_step(endo, exo, action, u)`` returns the next endo values
+      from the endo columns and the pre-step exo state in ``exo_index``
+      form. An integer in ``0..n-1`` is ``floor(n * u)``;
+    - ``exo_index``, ``batch_reward`` and ``reward_component_table`` are optional.
 
-    An MDP that lacks one of the first three cannot be constructed.
+    An MDP that lacks one of the first five cannot be constructed.
     Implementations must be safe to call from several threads at once.
     """
 
@@ -183,13 +185,23 @@ class GenerativeMdp(ABC):
     @abstractmethod
     def draws_per_step(self) -> int: ...
 
+    @property
+    @abstractmethod
+    def exo_columns(self) -> tuple[int, ...]: ...
+
     @abstractmethod
     def batch_initial(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
     @abstractmethod
-    def batch_step(
-        self, endo: np.ndarray, exo: np.ndarray, action: np.ndarray, u: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]: ...
+    def batch_exo_step(self, exo: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def batch_endo_step(self, endo, exo, action, u: np.ndarray) -> np.ndarray: ...
+
+    def exo_index(self, exo: np.ndarray) -> np.ndarray:
+        """What ``batch_endo_step`` and ``batch_reward`` read of ``(..., m)``
+        exo values, computed once per trajectory: by default the values."""
+        return exo
 
     @property
     @abstractmethod
@@ -240,8 +252,8 @@ class GenerativeMdp(ABC):
     def batch_reward(
         self, endo: np.ndarray, exo: np.ndarray, action: np.ndarray
     ) -> np.ndarray:
-        """``(R,)`` full rewards of rows of states; by default the sum of
-        ``reward_component`` in variable order."""
+        """``(R,)`` full rewards of rows of states, exo in ``exo_index``
+        form; by default the sum of ``reward_component`` in variable order."""
         total = np.zeros(len(endo))
         endo, action = endo.tolist(), action.tolist()
         for i in range(self.m):
@@ -318,12 +330,12 @@ class ReducedSpace:
         return [self.decode(i) for i in range(self.n_states)]
 
     def project_codes(self, exo_array: np.ndarray) -> np.ndarray:
-        """Vectorized flat codes for an ``(T, m)`` array of exo vectors."""
-        if not self.mask.included:
-            return np.zeros(len(exo_array), dtype=np.int64)
-        idx = np.fromiter(self.mask.included, dtype=np.int64)
-        w = np.fromiter(self.weights, dtype=np.int64)
-        return exo_array[:, idx].astype(np.int64) @ w
+        """Vectorized flat codes ``(...)`` of an ``(..., m)`` array of exo
+        vectors, one masked variable at a time."""
+        codes = np.zeros(exo_array.shape[:-1], dtype=np.int64)
+        for i, w in zip(self.mask.included, self.weights):
+            codes += exo_array[..., i].astype(np.int64) * w
+        return codes
 
     def digit_matrix(self) -> np.ndarray:
         """``(|mask|, n_exo)`` array of per-variable digits for every code."""
@@ -408,11 +420,13 @@ class TabularFullMdp(GenerativeMdp):
     init_endo : (N,) array, init_exo : (X,) array
         Initial-state distributions (independent by construction).
 
-    Each step draws two uniforms: the next endogenous index, then the next
-    joint exogenous code, each by inverting its cumulative row.
+    Each step draws two uniforms: the next endogenous index, then (the exo
+    column) the next joint exogenous code, each by inverting its cumulative
+    row. The endo step and the reward read joint codes (``exo_index``).
     """
 
     draws_per_step = 2
+    exo_columns = (1,)
 
     def __init__(
         self,
@@ -514,13 +528,17 @@ class TabularFullMdp(GenerativeMdp):
         x = _draw(self._init_exo_cum, u[:, 1])
         return _draw(self._init_endo_cum, u[:, 0]), self.exo_digits[x]
 
-    def batch_step(self, endo, exo, action, u) -> tuple[np.ndarray, np.ndarray]:
-        x = exo @ self._exo_weights
-        n_next = _draw(self._endo_cum[endo, action, x], u[:, 0])
-        return n_next, self.exo_digits[_draw(self._exo_cum[x], u[:, 1])]
+    def exo_index(self, exo: np.ndarray) -> np.ndarray:
+        return exo @ self._exo_weights
 
-    def batch_reward(self, endo, exo, action) -> np.ndarray:
-        return self.full_reward[endo, action, exo @ self._exo_weights]
+    def batch_exo_step(self, exo, u) -> np.ndarray:
+        return self.exo_digits[_draw(self._exo_cum[self.exo_index(exo)], u[:, 0])]
+
+    def batch_endo_step(self, endo, x, action, u) -> np.ndarray:
+        return _draw(self._endo_cum[endo, action, x], u[:, 0])
+
+    def batch_reward(self, endo, x, action) -> np.ndarray:
+        return self.full_reward[endo, action, x]
 
     def reward_component(
         self, i: int, endo: int, exo_value: int, action: int
@@ -529,16 +547,6 @@ class TabularFullMdp(GenerativeMdp):
 
     def reward_component_table(self, i: int) -> np.ndarray:
         return self.reward_tables[i]
-
-    def batch_uniforms(self, n_rollouts: int, horizon: int, seed: int) -> np.ndarray:
-        """The uniforms ``rollouts`` draws for ``seed`` with no policy or a
-        planned one, read-only, shape ``(n_rollouts, horizon + 1, 2)``: rollout
-        r's own ``SeedSequence(seed, spawn_key=(r,))`` stream, two per step.
-        """
-        k = self.draws_per_step
-        u = rollout_uniforms(seed, n_rollouts, k * (horizon + 1))
-        u.flags.writeable = False
-        return u.reshape(n_rollouts, horizon + 1, k)
 
     def lift(self, space: ReducedSpace, per_state: np.ndarray) -> np.ndarray:
         """``(N, X)``: each full state's entry of a table over ``space``."""
@@ -687,11 +695,66 @@ class Rollouts:
     reward: np.ndarray | None
 
 
+@dataclass(frozen=True, eq=False)
+class ExoTrajectory:
+    """Stage 1 of the rollout engine, read-only: initial ``endo`` ``(R,)``,
+    the exo chain ``exo`` ``(R, H + 1, m)`` int16 and its ``exo_index``, and
+    ``draws`` ``(R, H, c)``, each step's uniforms the exo step does not read
+    (the behaviour policy's one, if it acts, then the endo columns)."""
+
+    endo: np.ndarray
+    exo: np.ndarray
+    index: np.ndarray
+    draws: np.ndarray
+
+
 ROLLOUT_FIELDS = ("endo", "exo", "action", "reward")
-# Uniforms (doubles, 4 MiB) the engine draws and holds per chunk when it
-# draws them itself: a chunk steps ``max(1, CHUNK_DRAWS // width)`` rollouts
-# of ``width`` uniforms each. The results do not depend on it.
+# Uniforms (doubles, 4 MiB) stage 1 derives and holds per chunk of rollouts,
+# ``max(1, CHUNK_DRAWS // width)`` of ``width`` each; no result depends on it.
 CHUNK_DRAWS = 1 << 19
+
+
+def exo_trajectory(
+    mdp: GenerativeMdp,
+    n_rollouts: int,
+    horizon: int,
+    seed: int | None = None,
+    behave: bool = False,
+) -> ExoTrajectory:
+    """Stage 1 of the engine: draw the initial states and step the exo chain
+    through ``batch_exo_step``, keeping of each step's uniforms only those
+    the exo step does not read. Rollout r reads its own generator,
+    ``SeedSequence(seed, spawn_key=(r,))`` (``seed`` 0 when None):
+    ``draws_per_step`` uniforms for the initial state, then per step the
+    behaviour policy's one (when ``behave``) and ``draws_per_step`` for the
+    transition. ``rollout_uniforms`` derives the streams of as many
+    rollouts at a time as hold ``CHUNK_DRAWS`` uniforms (at least one).
+    """
+    if n_rollouts < 1 or horizon < 1:
+        raise ValueError("n_rollouts and horizon must be >= 1")
+    exo_cols, endo_cols = _draw_columns(mdp)
+    k, behave, seed = mdp.draws_per_step, int(behave), 0 if seed is None else seed
+    endo = np.empty(n_rollouts, dtype=np.int64)
+    exo = np.empty((n_rollouts, horizon + 1, mdp.m), dtype=_EXO_DTYPE)
+    kept = list(range(behave)) + [behave + c for c in endo_cols]
+    exo_cols = [behave + c for c in exo_cols]
+    draws = np.empty((n_rollouts, horizon, behave + len(endo_cols)))
+    width = k + horizon * (behave + k)  # uniforms per rollout
+    n_chunks = -(-n_rollouts // max(1, CHUNK_DRAWS // width))
+    bounds = [n_rollouts * i // n_chunks for i in range(n_chunks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        u = rollout_uniforms(seed, hi - lo, width, lo)
+        steps = u[:, k:].reshape(hi - lo, horizon, behave + k)
+        endo[lo:hi], x = mdp.batch_initial(u[:, :k])
+        exo[lo:hi, 0] = x
+        draws[lo:hi] = steps[:, :, kept]
+        for t in range(horizon):
+            x = mdp.batch_exo_step(x, steps[:, t, exo_cols])
+            exo[lo:hi, t + 1] = x
+    out = ExoTrajectory(endo, exo, mdp.exo_index(exo), draws)
+    for array in (endo, exo, out.index, draws):
+        array.flags.writeable = False
+    return out
 
 
 def rollouts(
@@ -700,124 +763,89 @@ def rollouts(
     n_rollouts: int,
     horizon: int,
     seed: int | None = None,
-    uniforms: np.ndarray | None = None,
+    trajectory: ExoTrajectory | None = None,
     keep: Sequence[str] = ROLLOUT_FIELDS,
 ) -> Rollouts:
     """Roll out ``n_rollouts`` episodes of ``horizon`` steps from the
     initial-state distribution: the one rollout engine.
 
-    ``policy`` is None (action 0, for exogenous rollouts), a planned
-    ``planner.Policy`` (acting through its mask) or the behaviour policy of
-    ``uniform_random_policy``; anything else is refused before any rollout.
-    Rollout r draws the stream of its own generator, ``SeedSequence(seed,
-    spawn_key=(r,))`` with ``seed`` 0 when None (``rollout_uniforms``
-    derives a chunk's streams in one pass), so results are reproducible bit
-    for bit and independent of order and of the chunk size. Fields not
-    named in ``keep`` are None; without ``"reward"`` the reward is never
-    computed.
-
-    All rollouts of a call step together as arrays through the MDP's
-    ``batch_initial``/``batch_step``: as many at a time as hold at most
-    ``CHUNK_DRAWS`` uniforms (at least one), or all at once from pre-drawn
-    ``uniforms``. Row r's stream is ``draws_per_step`` uniforms for the
-    initial state, then per step the behaviour policy's one uniform, if it
-    acts, and ``draws_per_step`` for the transition. With None or a
-    ``Policy``, ``uniforms`` may hold these streams drawn earlier for seed
-    ``s``, shape ``(n_rollouts, horizon + 1, draws_per_step)``, as
-    ``TabularFullMdp.batch_uniforms`` gives them; seed and uniforms together
-    are refused.
+    ``policy`` is None (action 0), a planned ``planner.Policy`` (acting
+    through its mask) or the behaviour policy of ``uniform_random_policy``;
+    anything else is refused before any rollout. Stage 1 is
+    ``exo_trajectory`` of ``seed``, or a ``trajectory`` made earlier (with
+    ``behave`` exactly under the behaviour policy; not with ``seed``), whose
+    exo chain every policy rolled out on it walks. Stage 2 steps the endo
+    chains, then computes all rewards in one ``batch_reward`` call. Fields
+    not named in ``keep`` are None; without ``"reward"`` none is computed.
     """
-    if n_rollouts < 1 or horizon < 1:
-        raise ValueError("n_rollouts and horizon must be >= 1")
     if not set(keep) <= set(ROLLOUT_FIELDS):
         raise ValueError(f"keep {tuple(keep)} names fields not in {ROLLOUT_FIELDS}")
-    _check_exo_dtype(mdp)
-    _check_draws_per_step(mdp)
     behave = isinstance(policy, UniformRandomPolicy)
+    planned = policy is not None and not behave
     if policy is not None:
         _check_policy_fits(mdp, policy)
-    k = mdp.draws_per_step
-    if uniforms is not None:
-        if seed is not None:
-            raise ValueError("pass seed or uniforms, not both")
-        if behave:
-            raise ValueError("pre-drawn uniforms hold no behaviour-policy draws")
-        if uniforms.shape != (n_rollouts, horizon + 1, k):
-            raise ValueError(
-                f"uniforms of shape {uniforms.shape} do not fit {n_rollouts} "
-                f"rollouts of horizon {horizon}"
-            )
-    seed = 0 if seed is None else seed
-    out = _empty_rollouts(mdp, n_rollouts, horizon, keep)
-    width = k + horizon * (behave + k)  # uniforms per rollout
-    # pre-drawn uniforms are already in memory: chunking them saves nothing
-    per_chunk = n_rollouts if uniforms is not None else max(1, CHUNK_DRAWS // width)
-    n_chunks = -(-n_rollouts // per_chunk)
-    bounds = [n_rollouts * i // n_chunks for i in range(n_chunks + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        rows = hi - lo
-        if uniforms is None:
-            u = rollout_uniforms(seed, rows, width, lo)
-        else:
-            u = uniforms[lo:hi].reshape(rows, width)
-        steps = u[:, k:].reshape(rows, horizon, behave + k)
-        a = np.zeros(rows, dtype=np.int64)
-        endo, exo = mdp.batch_initial(u[:, :k])
-        _store(out, lo, hi, 0, endo, exo)
-        for t in range(horizon):
-            u_t = steps[:, t]
-            if behave:
-                a = (policy.action_count * u_t[:, 0]).astype(np.int64)
-                u_t = u_t[:, 1:]
-            elif policy is not None:
-                space = policy.space
-                a = policy.actions[endo * space.n_exo + space.project_codes(exo)]
-            if out.action is not None:
-                out.action[lo:hi, t] = a
-            if out.reward is not None:
-                out.reward[lo:hi, t] = mdp.batch_reward(endo, exo, a)
-            endo, exo = mdp.batch_step(endo, exo, a, u_t)
-            _store(out, lo, hi, t + 1, endo, exo)
-    return out
-
-
-def _empty_rollouts(mdp, n_rollouts, horizon, keep) -> Rollouts:
-    shapes = {
-        "endo": ((n_rollouts, horizon + 1), np.int32),
-        "exo": ((n_rollouts, horizon + 1, mdp.m), _EXO_DTYPE),
-        "action": ((n_rollouts, horizon), np.int32),
-        "reward": ((n_rollouts, horizon), float),
-    }
+    if trajectory is None:
+        trajectory = exo_trajectory(mdp, n_rollouts, horizon, seed, behave)
+    elif seed is not None:
+        raise ValueError("pass seed or trajectory, not both")
+    else:  # under the behaviour policy, each step keeps one more draw
+        n_draws = behave + len(_draw_columns(mdp)[1])
+        want = (n_rollouts, horizon + 1, mdp.m), (n_rollouts, horizon, n_draws)
+        have = trajectory.exo.shape, trajectory.draws.shape
+        if have != want:
+            raise ValueError(f"trajectory shapes {have} do not fit {want}")
+    endo = np.empty((n_rollouts, horizon + 1), dtype=np.int64)
+    endo[:, 0] = e = trajectory.endo
+    u, index = trajectory.draws, trajectory.index
+    if behave:
+        action = (policy.action_count * u[:, :, 0]).astype(np.int64)
+        u = u[:, :, 1:]
+    else:
+        action = np.zeros((n_rollouts, horizon), dtype=np.int64)
+    if planned:  # the masked codes of every step, in one gather
+        codes = policy.space.project_codes(trajectory.exo)
+    for t in range(horizon):
+        a = action[:, t]
+        if planned:
+            a = action[:, t] = policy.actions[e * policy.space.n_exo + codes[:, t]]
+        e = endo[:, t + 1] = mdp.batch_endo_step(e, index[:, t], a, u[:, t])
+    reward = None
+    if "reward" in keep:  # every step's reward in one call
+        before = (endo[:, :-1], index[:, :-1], action)
+        rows = [x.reshape(n_rollouts * horizon, *x.shape[2:]) for x in before]
+        reward = mdp.batch_reward(*rows).reshape(n_rollouts, horizon)
     return Rollouts(
-        **{f: np.empty(*shapes[f]) if f in keep else None for f in ROLLOUT_FIELDS}
+        endo=endo.astype(np.int32) if "endo" in keep else None,
+        exo=trajectory.exo if "exo" in keep else None,
+        action=action.astype(np.int32) if "action" in keep else None,
+        reward=reward,
     )
 
 
-def _store(out: Rollouts, lo: int, hi: int, t: int, endo, exo) -> None:
-    if out.endo is not None:
-        out.endo[lo:hi, t] = endo
-    if out.exo is not None:
-        out.exo[lo:hi, t] = exo
-
-
-def _check_exo_dtype(mdp: GenerativeMdp) -> None:
-    """Refuse, before any rollout, cardinalities the exo dtype would wrap."""
+def _draw_columns(mdp: GenerativeMdp) -> tuple[list[int], list[int]]:
+    """The exo columns and the others (the endo columns); refuses samplers
+    the engine cannot step before any rollout."""
     too_large = [c for c in mdp.exo_cardinalities if c > _MAX_EXO_CARDINALITY]
     if too_large:
         raise ValueError(
             f"exogenous cardinalities {too_large} exceed {_MAX_EXO_CARDINALITY}, "
             f"the most the {np.dtype(_EXO_DTYPE).name} dataset dtype holds"
         )
-
-
-def _check_draws_per_step(mdp: GenerativeMdp) -> None:
-    """Refuse array samplers that would read no uniforms."""
-    if mdp.draws_per_step < 1:
+    k, name = mdp.draws_per_step, type(mdp).__name__
+    if k < 1:
         raise ValueError(
-            f"{type(mdp).__name__} has draws_per_step {mdp.draws_per_step}; "
-            f"it must be the number of uniforms batch_step reads per row, "
-            f"at least 1"
+            f"{name} has draws_per_step {k}; it must be the number of uniforms "
+            f"one step reads per row, at least 1"
         )
+    cols = [int(c) for c in mdp.exo_columns]
+    outside = [c for c in cols if not 0 <= c < k]
+    twice = sorted({c for c in cols if cols.count(c) > 1})
+    if outside or twice:
+        raise ValueError(
+            f"{name} declares exo_columns {tuple(cols)}: {outside} outside "
+            f"0..{k - 1}, {twice} more than once"
+        )
+    return cols, [c for c in range(k) if c not in cols]
 
 
 def _check_space_fits(mdp: GenerativeMdp, space: ReducedSpace) -> None:
@@ -850,49 +878,6 @@ def _check_policy_fits(mdp: GenerativeMdp, policy) -> None:
             f"policy over {policy.action_count} actions does not fit the "
             f"MDP's {mdp.action_count}"
         )
-
-
-def action_independence_pvalues(
-    mdp: GenerativeMdp,
-    state: FactoredState,
-    action_a: int,
-    action_b: int,
-    n_samples: int = 10_000,
-    seed: int = 0,
-) -> np.ndarray:
-    """Chi-square p-values, per variable, that next-exo marginals match
-    under two distinct actions.
-
-    Small p-values reject the contract that exogenous transitions ignore
-    the action. Compares per-variable marginal frequencies rather than the
-    joint, so it stays well-powered when the joint space is large. Each
-    action steps ``n_samples`` copies of ``state`` in one ``batch_step``
-    call, from stream ``SeedSequence(seed, spawn_key=(0,))`` for
-    ``action_a`` and ``(1,)`` for ``action_b``.
-    """
-    from scipy.stats import chi2_contingency
-
-    _check_draws_per_step(mdp)
-    cards = mdp.exo_cardinalities
-    endo = np.full(n_samples, state.endo, dtype=np.int64)
-    exo = np.tile(np.array(state.exo, dtype=np.int64).reshape(1, mdp.m), (n_samples, 1))
-    counts = []
-    for action, stream in ((action_a, 0), (action_b, 1)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-        u = rng.random((n_samples, mdp.draws_per_step))
-        _, nxt = mdp.batch_step(endo, exo, np.full(n_samples, action), u)
-        counts.append(
-            [np.bincount(nxt[:, i], minlength=c) for i, c in enumerate(cards)]
-        )
-    pvals = np.ones(len(cards))
-    for i in range(len(cards)):
-        table = np.stack([counts[0][i], counts[1][i]])
-        table = table[:, table.sum(axis=0) > 0]
-        if table.shape[1] < 2:
-            continue  # degenerate marginal, nothing to compare
-        _, p, _, _ = chi2_contingency(table)
-        pvals[i] = p
-    return pvals
 
 
 def truncation_horizon(gamma: float, r_max: float, tol: float = 1e-3) -> int:

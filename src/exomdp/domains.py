@@ -269,9 +269,16 @@ class FactoryMdp(GenerativeMdp):
     def batch_initial(self, u):
         return np.zeros(len(u), dtype=np.int64), (2 * u).astype(np.int64)
 
-    def batch_step(self, endo, exo, action, u):
+    @property
+    def exo_columns(self) -> tuple[int, ...]:
+        return tuple(range(self.m))
+
+    def batch_exo_step(self, exo, u):
         """Variable i flips when its own uniform falls below its flip rate."""
-        return endo, exo ^ (u < self._flip)
+        return exo ^ (u < self._flip)
+
+    def batch_endo_step(self, endo, exo, action, u):
+        return endo
 
     def reward_component(self, i, endo, exo_value, action):
         if action != ACTION_EXECUTE or i >= self.spec.n_task_vars:
@@ -408,11 +415,15 @@ class CrowdMdp(GenerativeMdp):
         spec = self.spec
         return 2 * spec.n_agents + spec.n_objects + len(spec.hazard_cells) + 2
 
+    @property
+    def exo_columns(self) -> tuple[int, ...]:  # all but the robot's two
+        return tuple(range(self.draws_per_step - 2))
+
     def batch_initial(self, u):
         endo = np.full(len(u), self.spec.start_cell, dtype=np.int64)
         return endo, (u[:, : self.m] * self._init_cards).astype(np.int64)
 
-    def batch_step(self, endo, exo, action, u):
+    def batch_exo_step(self, exo, u):
         spec = self.spec
         n_ag, n_tables = spec.n_agents, self._n_tables
         ag, hz = self._agent_offset, self._hazard_offset
@@ -442,12 +453,15 @@ class CrowdMdp(GenerativeMdp):
                 drop = ~on_table & (table >= 0) & (u_j < spec.drop_prob)
                 new[drop] = table[drop]
             out[:, j] = new
-        flips = u[:, 2 * n_ag + spec.n_objects : self.draws_per_step - 2]
+        flips = u[:, 2 * n_ag + spec.n_objects :]
         out[:, hz:] = exo[:, hz:] ^ (flips < spec.hazard_flip_prob)
+        return out
+
+    def batch_endo_step(self, endo, exo, action, u):
         # stay (action 4) never slips; a move slips to a uniform direction
-        slip = (action < 4) & (u[:, -2] < spec.slip_prob)
-        direction = np.where(slip, (4 * u[:, -1]).astype(np.int64), action)
-        return self._moves[endo, direction], out
+        slip = (action < 4) & (u[:, 0] < self.spec.slip_prob)
+        direction = np.where(slip, (4 * u[:, 1]).astype(np.int64), action)
+        return self._moves[endo, direction]
 
     def reward_component(self, i, endo, exo_value, action):
         spec = self.spec

@@ -23,6 +23,7 @@ from .core import (
     TabularFullMdp,
     UniformRandomPolicy,
     UnsupportedMdpError,
+    exo_trajectory,
     reduced_space_for,
     rollouts,
     uniform_random_policy,
@@ -266,11 +267,11 @@ def collect_exo_rollouts(
 ) -> ExoRolloutDataset:
     """Roll out exogenous dynamics from sampled initial states.
 
-    Uses a fixed arbitrary action (0) for every step; the exogenous parts
-    of the sampled transitions do not depend on it. Deterministic given
+    Runs only the engine's first stage, ``core.exo_trajectory``: the exo
+    step sees no action and no endo step is taken. Deterministic given
     ``seed``; rollout r uses its own generator stream.
     """
-    values = rollouts(mdp, None, n_rollouts, horizon, seed, keep=("exo",)).exo
+    values = exo_trajectory(mdp, n_rollouts, horizon, seed).exo
     total, m = n_rollouts * horizon, mdp.m
     return ExoRolloutDataset(
         exo=values[:, :-1].reshape(total, m),

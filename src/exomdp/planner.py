@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     ExomdpError,
+    ExoTrajectory,
     GenerativeMdp,
     Mask,
     PlannerTimeoutError,
@@ -222,20 +223,18 @@ def monte_carlo_value(
     n_rollouts: int,
     horizon: int,
     seed: int | None = None,
-    uniforms: np.ndarray | None = None,
+    trajectory: ExoTrajectory | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean truncated discounted return of a reduced policy in the full MDP.
 
     Rolls out through ``core.rollouts``, so results are reproducible bit for
     bit given ``(seed, n_rollouts, horizon)`` and independent of evaluation
-    order. The streams come from ``seed`` (0 when None) or, on an MDP with
-    ``batch_step``, from ``uniforms`` drawn earlier for seed ``s`` (for a
-    tabular MDP ``mdp.batch_uniforms(n_rollouts, horizon, s)``), which gives
-    the value of seed ``s`` and lets calls sharing a seed share one draw.
-    Passing both is refused. Returns ``(mean, per_rollout)``.
+    order. ``trajectory``, ``core.exo_trajectory(mdp, n_rollouts, horizon,
+    s)`` made earlier, stands in for ``seed`` (0 when None) and gives the
+    value of seed ``s``. Returns ``(mean, per_rollout)``.
     """
     rewards = rollouts(
-        mdp, policy, n_rollouts, horizon, seed, uniforms, keep=("reward",)
+        mdp, policy, n_rollouts, horizon, seed, trajectory, keep=("reward",)
     ).reward
     gamma = mdp.discount
     returns = np.zeros(n_rollouts)

@@ -26,10 +26,12 @@ import numpy as np
 from .core import (
     DEFAULT_STATE_BUDGET,
     ExomdpError,
+    ExoTrajectory,
     GenerativeMdp,
     Mask,
     TabularFullMdp,
     UnsupportedMdpError,
+    exo_trajectory,
     truncation_horizon,
 )
 from .estimation import (
@@ -215,16 +217,14 @@ def derive_seed(seed: int, stream: int) -> int:
 
 @dataclass(frozen=True)
 class SearchDatasets:
-    """Shared rollout data for scoring every mask within one search.
-
-    On a tabular MDP, ``mc_uniforms`` holds the Monte Carlo uniforms of
-    ``mc_seed``, drawn once for every mask's rollouts.
+    """Shared rollout data for scoring every mask within one search; ``mc``
+    is the exo chain of ``mc_seed``, stepped once for every mask's rollouts.
     """
 
     exo: ExoRolloutDataset
     full: FullRolloutDataset
     mc_seed: int
-    mc_uniforms: np.ndarray | None = None
+    mc: ExoTrajectory
 
 
 def collect_search_datasets(
@@ -242,11 +242,8 @@ def collect_search_datasets(
         seed=derive_seed(seed, _STREAM_FULL),
     )
     mc_seed = derive_seed(seed, _STREAM_MC)
-    uniforms = None
-    if isinstance(mdp, TabularFullMdp):
-        horizon = _mc_horizon(mdp, params)
-        uniforms = mdp.batch_uniforms(params.n_rollouts, horizon, mc_seed)
-    return SearchDatasets(exo=exo, full=full, mc_seed=mc_seed, mc_uniforms=uniforms)
+    mc = exo_trajectory(mdp, params.n_rollouts, _mc_horizon(mdp, params), mc_seed)
+    return SearchDatasets(exo=exo, full=full, mc_seed=mc_seed, mc=mc)
 
 
 def _mc_horizon(mdp: GenerativeMdp, params: SearchParams) -> int:
@@ -298,9 +295,7 @@ def estimate_objective(
         plan.policy,
         params.n_rollouts,
         _mc_horizon(mdp, params),
-        # on a tabular MDP the pre-drawn uniforms stand for mc_seed
-        seed=datasets.mc_seed if datasets.mc_uniforms is None else None,
-        uniforms=datasets.mc_uniforms,
+        trajectory=datasets.mc,
     )
     cost = params.cost_fn(mask)
     return MaskScore(
@@ -499,8 +494,7 @@ def check_reduction_conditions(
 ) -> ConditionReport:
     """Exhaustively check the three exactness conditions on analytic tables.
 
-    Raises ``UnsupportedMdpError`` for black-box MDPs; those only admit the
-    statistical action-independence check from the core module.
+    Raises ``UnsupportedMdpError`` for black-box MDPs.
     """
     if not isinstance(mdp, TabularFullMdp):
         raise UnsupportedMdpError(

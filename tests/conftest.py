@@ -145,15 +145,26 @@ def initial_state(mdp, u):
     return FactoredState(int(endo[0]), tuple(exo[0].tolist()))
 
 
+def step_halves(mdp, endo, exo, action, u):
+    """One full step ``(endo', exo')`` from rows of all K uniforms ``u``: the
+    endo half reads the endo columns and the exo state before the step (in
+    ``exo_index`` form), the exo half the declared exo columns."""
+    exo_cols = list(mdp.exo_columns)
+    endo_cols = [c for c in range(mdp.draws_per_step) if c not in exo_cols]
+    nxt = mdp.batch_endo_step(endo, mdp.exo_index(exo), action, u[:, endo_cols])
+    return nxt, mdp.batch_exo_step(exo, u[:, exo_cols])
+
+
 def next_state(mdp, state, action, u):
     """The next state of ``state`` under ``action`` from one row of uniforms."""
-    endo, exo = mdp.batch_step(*_one_row(mdp, state), np.array([action]), u)
+    endo, exo = step_halves(mdp, *_one_row(mdp, state), np.array([action]), u)
     return FactoredState(int(endo[0]), tuple(exo[0].tolist()))
 
 
 def state_reward(mdp, state, action):
     """The full reward of one state and action."""
-    return float(mdp.batch_reward(*_one_row(mdp, state), np.array([action]))[0])
+    endo, exo = _one_row(mdp, state)
+    return float(mdp.batch_reward(endo, mdp.exo_index(exo), np.array([action]))[0])
 
 
 def reference_rollouts(mdp, policy, n_rollouts, horizon, seed=0):
@@ -164,8 +175,8 @@ def reference_rollouts(mdp, policy, n_rollouts, horizon, seed=0):
     own ``SeedSequence(seed, spawn_key=(r,))`` generator: the initial
     state's, then per step the behaviour policy's one (under that policy)
     and the transition's. Steps are one-row ``batch_initial``,
-    ``batch_step`` and ``batch_reward`` calls; a planned policy acts through
-    the scalar ``ReducedSpace.encode_state``.
+    ``step_halves`` and ``batch_reward`` calls; a planned policy acts
+    through the scalar ``ReducedSpace.encode_state``.
     """
     k = mdp.draws_per_step
     endos, exos, actions, rewards = [], [], [], []
@@ -183,8 +194,8 @@ def reference_rollouts(mdp, policy, n_rollouts, horizon, seed=0):
                 a = int(policy.actions[policy.space.encode_state(endos[-1], exos[-1])])
             action = np.array([a])
             actions.append(a)
-            rewards.append(float(mdp.batch_reward(endo, exo, action)[0]))
-            endo, exo = mdp.batch_step(endo, exo, action, rng.random((1, k)))
+            rewards.append(float(mdp.batch_reward(endo, mdp.exo_index(exo), action)[0]))
+            endo, exo = step_halves(mdp, endo, exo, action, rng.random((1, k)))
             endos.append(int(endo[0]))
             exos.append(exo[0].tolist())
     return Rollouts(

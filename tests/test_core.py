@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ from exomdp.core import (
     StateSpaceTooLargeError,
     TabularFullMdp,
     VariableSpec,
-    action_independence_pvalues,
     enumerate_reduced_states,
+    exo_trajectory,
     reduce_state,
     reduced_reward,
     rollout_uniforms,
@@ -262,24 +263,24 @@ class TestGenerativeContract:
 
     @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
     def test_exo_transitions_ignore_action(self, builder):
+        """Two planned policies that act differently walk the identical exo
+        trajectory, the one stage 1 steps without any policy."""
         mdp = builder()
-        pvals = self.exo_pvalues(mdp)
-        # Bonferroni-adjusted: no per-variable rejection at the 1% level
-        assert pvals.min() > 0.01 / mdp.m
+        mask = Mask((0,))
+        policies = [random_policy(mdp, mask, s) for s in (1, 2)]
+        runs = [rollouts(mdp, policy, 40, 15, seed=9) for policy in policies]
+        assert not np.array_equal(runs[0].action, runs[1].action)
+        assert not np.array_equal(runs[0].endo, runs[1].endo) or mdp.endo_cardinality == 1
+        stage1 = exo_trajectory(mdp, 40, 15, seed=9).exo
+        for run in runs:
+            assert np.array_equal(run.exo, stage1)
 
-    @staticmethod
-    def exo_pvalues(mdp):
-        u = np.random.default_rng(3).random((1, mdp.draws_per_step))
-        state = initial_state(mdp, u)
-        return action_independence_pvalues(
-            mdp, state, 0, mdp.action_count - 1, n_samples=10_000, seed=0
-        )
-
-    def test_exo_pvalues_pinned(self):
-        # recorded with one batch_step call per sample, before the check batched
-        assert repr(self.exo_pvalues(build_crowd()).tolist()) == (
-            "[1.0, 1.0, 0.2263896709924421, 0.11604851827540874, 0.3318747570648122]"
-        )
+    @pytest.mark.parametrize(
+        "cls", [GenerativeMdp, TabularFullMdp, CrowdMdp, type(build_factory())]
+    )
+    def test_batch_exo_step_takes_no_action(self, cls):
+        params = inspect.signature(cls.batch_exo_step).parameters
+        assert list(params) == ["self", "exo", "u"]
 
     def test_initial_states_valid(self):
         for builder in (build_gridworld, build_factory, build_crowd):
@@ -423,17 +424,42 @@ class TestRollouts:
             rollouts(gridworld, wide, 2, 2, seed=0)
 
     def test_uniforms_refused_where_they_cannot_apply(self, gridworld):
+        """A stage-1 trajectory (the uniforms it keeps) is refused with a
+        seed, under a policy whose draws it lacks or holds in excess, for
+        other rollout counts or horizons and for another MDP."""
         policy = random_policy(gridworld, Mask((0, 2)), 0)
-        uniforms = gridworld.batch_uniforms(4, 3, 0)
-        assert rollouts(gridworld, policy, 4, 3, uniforms=uniforms).reward.shape == (4, 3)
+        trajectory = exo_trajectory(gridworld, 4, 3, seed=0)
+        run = rollouts(gridworld, policy, 4, 3, trajectory=trajectory)
+        assert run.reward.shape == (4, 3)
         with pytest.raises(ValueError, match="not both"):
-            rollouts(gridworld, policy, 4, 3, seed=0, uniforms=uniforms)
+            rollouts(gridworld, policy, 4, 3, seed=0, trajectory=trajectory)
         act = uniform_random_policy(gridworld)
-        with pytest.raises(ValueError, match="behaviour-policy"):
-            rollouts(gridworld, act, 4, 3, uniforms=uniforms)
+        with pytest.raises(ValueError, match="do not fit"):
+            rollouts(gridworld, act, 4, 3, trajectory=trajectory)
+        with pytest.raises(ValueError, match="do not fit"):
+            behave = exo_trajectory(gridworld, 4, 3, 0, behave=True)
+            rollouts(gridworld, None, 4, 3, trajectory=behave)
         for n_rollouts, horizon in ((5, 3), (4, 2)):
             with pytest.raises(ValueError, match="do not fit"):
-                rollouts(gridworld, policy, n_rollouts, horizon, uniforms=uniforms)
+                rollouts(gridworld, policy, n_rollouts, horizon, trajectory=trajectory)
+        with pytest.raises(ValueError, match="do not fit"):
+            rollouts(build_crowd(), None, 4, 3, trajectory=trajectory)
+
+    @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
+    @pytest.mark.parametrize("behave", [False, True])
+    def test_trajectory_gives_the_rollouts_of_its_seed(self, builder, behave):
+        mdp = builder()
+        if behave:
+            policies = [uniform_random_policy(mdp)]
+        else:
+            policies = [None, random_policy(mdp, Mask((0,)), 3)]
+        trajectory = exo_trajectory(mdp, 17, 6, seed=41, behave=behave)
+        assert not trajectory.exo.flags.writeable and not trajectory.draws.flags.writeable
+        for policy in policies:
+            got = rollouts(mdp, policy, 17, 6, trajectory=trajectory)
+            want = rollouts(mdp, policy, 17, 6, seed=41)
+            for field in core.ROLLOUT_FIELDS:
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
     @pytest.mark.parametrize(
@@ -564,6 +590,19 @@ class TestBatchSamplers:
         with pytest.raises(AssertionError, match="reward computed"):
             rollouts(build_crowd(), None, 2, 2, seed=1)
 
+    @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
+    def test_exo_collection_never_steps_endo(self, builder, monkeypatch):
+        mdp = builder()
+
+        def refuse(*args):
+            raise AssertionError("endo stepped")
+
+        monkeypatch.setattr(type(mdp), "batch_endo_step", refuse)
+        data = collect_exo_rollouts(mdp, 20, 8, seed=1)
+        assert len(data) == 160
+        with pytest.raises(AssertionError, match="endo stepped"):
+            rollouts(mdp, None, 2, 2, seed=1)
+
     def test_user_mdp_with_array_samplers_only(self):
         class Ticker(GenerativeMdp):
             """One variable of cardinality 3 that advances when u < 0.5;
@@ -571,13 +610,16 @@ class TestBatchSamplers:
 
             action_count = endo_cardinality = 1
             variable_specs = (VariableSpec(0, 3),)
-            discount, r_max, draws_per_step = 0.9, 2.0, 1
+            discount, r_max, draws_per_step, exo_columns = 0.9, 2.0, 1, (0,)
 
             def batch_initial(self, u):
                 return np.zeros(len(u), dtype=np.int64), (3 * u).astype(np.int64)
 
-            def batch_step(self, endo, exo, action, u):
-                return endo, (exo + (u < 0.5)) % 3
+            def batch_exo_step(self, exo, u):
+                return (exo + (u < 0.5)) % 3
+
+            def batch_endo_step(self, endo, exo, action, u):
+                return endo
 
             def reward_component(self, i, endo, exo_value, action):
                 return float(exo_value)
@@ -585,33 +627,68 @@ class TestBatchSamplers:
         run = assert_same_rollouts(Ticker(), uniform_random_policy(Ticker()), 9, 7, 2)
         assert np.array_equal(run.reward, run.exo[:, :-1, 0])
 
+    class Unsized(GenerativeMdp):
+        action_count = endo_cardinality = 1
+        variable_specs = (VariableSpec(0, 2),)
+        discount, r_max, exo_columns = 0.9, 0.0, (0,)
+
+        def batch_initial(self, u):
+            self.started = True
+            return np.zeros(len(u), dtype=np.int64), np.zeros((len(u), 1), int)
+
+        def batch_exo_step(self, exo, u):
+            return exo
+
+        def batch_endo_step(self, endo, exo, action, u):
+            return endo
+
+        def reward_component(self, i, endo, exo_value, action):
+            return 0.0
+
     def test_batch_step_without_draws_per_step_refused(self):
-        class Unsized(GenerativeMdp):
-            action_count = endo_cardinality = 1
-            variable_specs = (VariableSpec(0, 2),)
-            discount, r_max = 0.9, 0.0
-
-            def batch_initial(self, u):
-                return np.zeros(len(u), dtype=np.int64), np.zeros((len(u), 1), int)
-
-            def batch_step(self, endo, exo, action, u):
-                return endo, exo
-
-            def reward_component(self, i, endo, exo_value, action):
-                return 0.0
-
         with pytest.raises(TypeError, match="draws_per_step"):
-            Unsized()
+            self.Unsized()
 
-        class ReadsNothing(Unsized):
+        class ReadsNothing(self.Unsized):
             draws_per_step = 0
 
-        for run in (
+        with pytest.raises(ValueError, match="draws_per_step 0.*one step reads"):
+            rollouts(ReadsNothing(), None, 2, 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "columns, named",
+        [((3,), r"\[3\] outside 0\.\.2, \[\]"), ((-1, 0), r"\[-1\] outside"),
+         ((1, 1), r"\[\] outside 0\.\.2, \[1\] more than once"),
+         ((0, 2, 0, 5), r"\[5\] outside 0\.\.2, \[0\] more than once")],
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [
             lambda mdp: rollouts(mdp, None, 2, 2, seed=0),
-            lambda mdp: action_independence_pvalues(mdp, FactoredState(0, (0,)), 0, 0),
-        ):
-            with pytest.raises(ValueError, match="draws_per_step 0.*batch_step"):
-                run(ReadsNothing())
+            lambda mdp: rollouts(mdp, uniform_random_policy(mdp), 2, 2, seed=0),
+            lambda mdp: collect_exo_rollouts(mdp, 2, 2, seed=0),
+        ],
+        ids=["none", "behaviour", "exo"],
+    )
+    def test_exo_columns_checked_before_any_rollout(self, columns, named, run):
+        class Misdeclared(self.Unsized):
+            draws_per_step, exo_columns = 3, columns
+
+        mdp = Misdeclared()
+        with pytest.raises(ValueError, match="Misdeclared declares exo_columns .*" + named):
+            run(mdp)
+        assert not hasattr(mdp, "started")
+
+    @pytest.mark.parametrize("missing", ("batch_exo_step", "batch_endo_step", "exo_columns"))
+    def test_mdp_missing_a_half_names_it(self, missing):
+        members = {
+            name: value
+            for name, value in vars(self.Unsized).items()
+            if name != missing and not name.startswith("_")
+        }
+        Partial = type("Partial", (GenerativeMdp,), {**members, "draws_per_step": 1})
+        with pytest.raises(TypeError, match=missing):
+            Partial()
 
     def test_unknown_field_refused(self, gridworld):
         with pytest.raises(ValueError, match="names fields"):
@@ -633,5 +710,8 @@ class TestBatchSamplers:
 
         with pytest.raises(TypeError) as info:
             NoSampler()
-        for name in ("batch_initial", "batch_step", "draws_per_step"):
+        for name in (
+            "batch_initial", "batch_exo_step", "batch_endo_step", "draws_per_step",
+            "exo_columns",
+        ):
             assert name in str(info.value)

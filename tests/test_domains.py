@@ -32,7 +32,13 @@ from exomdp.search import (
     estimate_objective,
 )
 
-from conftest import initial_state, next_state, state_reward
+from conftest import (
+    initial_state,
+    next_state,
+    random_tabular_cases,
+    state_reward,
+    step_halves,
+)
 
 QUICK = SearchParams(
     n_rollouts=150,
@@ -74,7 +80,8 @@ class TestGridworld:
             sample_rng = np.random.default_rng(rng.integers(2**32))
             n = n_samples // 20
             # n copies of the state, stepped in one call
-            nxt_endo, nxt_exo = gridworld.batch_step(
+            nxt_endo, nxt_exo = step_halves(
+                gridworld,
                 np.full(n, endo),
                 np.tile(gridworld.exo_digits[x], (n, 1)),
                 np.full(n, action),
@@ -339,3 +346,111 @@ class TestPresets:
         b = build_preset("gridworld-small", {}, seed=0)
         assert np.array_equal(a.exo_kernel, b.exo_kernel)
         assert np.array_equal(a.full_reward, b.full_reward)
+
+
+# The one-call ``batch_step`` each built-in MDP had before its step was split
+# into an exo and an endo half, kept verbatim (as functions of the MDP) so
+# the split is checked to move no byte.
+
+
+def legacy_tabular_step(mdp, endo, exo, action, u):
+    weights = np.array(ReducedSpace(1, Mask.full(mdp.m), mdp.exo_cardinalities).weights)
+    x = exo @ weights.astype(np.int64)
+    endo_cum = np.cumsum(mdp.endo_kernel, axis=-1)[endo, action, x]
+    exo_cum = np.cumsum(mdp.exo_kernel, axis=-1)[x]
+    draw = lambda cum, col: (cum < u[:, col, None]).sum(axis=-1)  # noqa: E731
+    return draw(endo_cum, 0), mdp.exo_digits[draw(exo_cum, 1)]
+
+
+def legacy_factory_step(mdp, endo, exo, action, u):
+    spec = mdp.spec
+    flip = np.array(
+        [spec.task_flip_prob] * spec.n_task_vars
+        + [spec.distractor_flip_prob] * spec.n_distractors
+    )
+    return endo, exo ^ (u < flip)
+
+
+def legacy_crowd_step(mdp, endo, exo, action, u):
+    spec = mdp.spec
+    n_ag, n_tables = spec.n_agents, len(spec.table_cells)
+    ag, hz = spec.n_objects, spec.n_objects + spec.n_agents
+    out = np.empty_like(exo)
+    for k in range(n_ag):
+        pos = exo[:, ag + k]
+        moved = mdp._moves[pos, (4 * u[:, 2 * k + 1]).astype(np.int64)]
+        out[:, ag + k] = np.where(u[:, 2 * k] < spec.agent_move_prob, moved, pos)
+    agents = out[:, ag:hz]
+    for j in range(spec.n_objects):
+        v, u_j = exo[:, j], u[:, 2 * n_ag + j]
+        on_table = v < n_tables
+        new = v.copy()
+        if spec.manipulable[j] and n_ag:
+            cell = mdp._table_cells[np.minimum(v, n_tables - 1)]
+            carrier = np.full(len(v), -1)
+            for k in reversed(range(n_ag)):
+                carrier[agents[:, k] == cell] = k
+            pick = on_table & (carrier >= 0) & (u_j < spec.pickup_prob)
+            new[pick] = n_tables + carrier[pick]
+        if n_ag:
+            carrier = np.maximum(v - n_tables, 0)
+            pos = agents[np.arange(len(v)), carrier]
+            table = mdp._table_of_cell[pos]
+            drop = ~on_table & (table >= 0) & (u_j < spec.drop_prob)
+            new[drop] = table[drop]
+        out[:, j] = new
+    flips = u[:, 2 * n_ag + spec.n_objects : mdp.draws_per_step - 2]
+    out[:, hz:] = exo[:, hz:] ^ (flips < spec.hazard_flip_prob)
+    slip = (action < 4) & (u[:, -2] < spec.slip_prob)
+    direction = np.where(slip, (4 * u[:, -1]).astype(np.int64), action)
+    return mdp._moves[endo, direction], out
+
+
+def assert_halves_equal_legacy(mdp, legacy, n, seed):
+    """On ``n`` random states, actions and uniforms, the two halves compose
+    to the legacy step, byte for byte and dtype for dtype."""
+    rng = np.random.default_rng(seed)
+    endo = rng.integers(mdp.endo_cardinality, size=n)
+    exo = np.array([rng.integers(c, size=n) for c in mdp.exo_cardinalities])
+    exo = exo.T.reshape(n, mdp.m).astype(np.int64)
+    action = rng.integers(mdp.action_count, size=n)
+    u = rng.random((n, mdp.draws_per_step))
+    got = step_halves(mdp, endo, exo, action, u)
+    for half, want in zip(got, legacy(mdp, endo, exo, action, u)):
+        assert half.dtype == want.dtype and np.array_equal(half, want)
+
+
+class TestSplitSamplers:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gridworld_halves_are_the_old_step(self, gridworld, seed):
+        assert_halves_equal_legacy(gridworld, legacy_tabular_step, 500, seed)
+
+    @given(
+        case=random_tabular_cases(), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_tabular_halves_are_the_old_step(self, case, n, seed):
+        assert_halves_equal_legacy(case[0], legacy_tabular_step, n, seed)
+
+    @given(
+        n_agents=st.integers(0, 3),
+        manipulable=st.lists(st.booleans(), min_size=1, max_size=3),
+        n_hazards=st.integers(0, 2),
+        n=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_crowd_halves_are_the_old_step(self, n_agents, manipulable, n_hazards, n, seed):
+        spec = CrowdSpec(
+            n_agents=n_agents,
+            n_objects=len(manipulable),
+            manipulable=tuple(manipulable),
+            hazard_cells=(4, 8)[:n_hazards],
+        )
+        assert_halves_equal_legacy(build_crowd(spec), legacy_crowd_step, n, seed)
+
+    @pytest.mark.parametrize(
+        "spec", [FactorySpec(), FactorySpec(n_task_vars=1, n_distractors=0)]
+    )
+    def test_factory_halves_are_the_old_step(self, spec):
+        assert_halves_equal_legacy(build_factory(spec), legacy_factory_step, 300, 0)

@@ -112,6 +112,7 @@ class TopValueMdp(GenerativeMdp):
     discount = 0.9
     r_max = 0.0
     draws_per_step = 1
+    exo_columns = (0,)
 
     def __init__(self, cardinality):
         self.cardinality = cardinality
@@ -126,8 +127,11 @@ class TopValueMdp(GenerativeMdp):
         top = np.full((len(u), 1), self.cardinality - 1)
         return np.zeros(len(u), dtype=np.int64), top
 
-    def batch_step(self, endo, exo, action, u):
-        return endo, exo
+    def batch_exo_step(self, exo, u):
+        return exo
+
+    def batch_endo_step(self, endo, exo, action, u):
+        return endo
 
     def reward_component(self, i, endo, exo_value, action):
         return 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exomdp.core import Mask, PlannerTimeoutError, truncation_horizon
+from exomdp.core import Mask, PlannerTimeoutError, exo_trajectory, truncation_horizon
 from exomdp.domains import build_random_mdp
 from exomdp.estimation import exact_reduced_model
 from exomdp.planner import (
@@ -283,20 +283,25 @@ class TestBatchedRollouts:
         assert count_positive_reward_steps(gridworld, plan.policy, 50, 60, seed=11) == 1620
 
     def test_predrawn_uniforms_give_the_same_value(self, gridworld):
+        """An exo trajectory stepped earlier for seed 11 (it holds the endo
+        uniforms) gives the value of seed 11."""
         plan = value_iteration(exact_reduced_model(gridworld, Mask((0, 1))), 1e-6)
-        uniforms = gridworld.batch_uniforms(50, 60, 11)
-        assert not uniforms.flags.writeable
-        mean, per = monte_carlo_value(gridworld, plan.policy, 50, 60, uniforms=uniforms)
+        trajectory = exo_trajectory(gridworld, 50, 60, 11)
+        assert not trajectory.draws.flags.writeable
+        mean, per = monte_carlo_value(
+            gridworld, plan.policy, 50, 60, trajectory=trajectory
+        )
         assert repr(mean) == "1.8321196698656061"
         assert np.array_equal(per, monte_carlo_value(gridworld, plan.policy, 50, 60, 11)[1])
         with pytest.raises(ValueError, match="do not fit"):
-            monte_carlo_value(gridworld, plan.policy, 50, 59, uniforms=uniforms)
+            monte_carlo_value(gridworld, plan.policy, 50, 59, trajectory=trajectory)
         with pytest.raises(ValueError, match="not both"):
-            monte_carlo_value(gridworld, plan.policy, 50, 60, 11, uniforms)
+            monte_carlo_value(gridworld, plan.policy, 50, 60, 11, trajectory)
         with pytest.raises(ValueError, match="not both"):
-            monte_carlo_value(gridworld, plan.policy, 50, 60, 0, uniforms)
+            monte_carlo_value(gridworld, plan.policy, 50, 60, 0, trajectory)
+        behave = exo_trajectory(gridworld, 50, 60, 11, behave=True)
         with pytest.raises(ValueError, match="do not fit"):
-            monte_carlo_value(gridworld, plan.policy, 50, 60, uniforms=uniforms[:, :, 0])
+            monte_carlo_value(gridworld, plan.policy, 50, 60, trajectory=behave)
 
     @given(
         case=random_tabular_cases(),

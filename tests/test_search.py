@@ -146,37 +146,82 @@ class TestEstimateObjective:
         assert f"{plans[0].residuals[-1]:.3g}" in message
 
 
+TINY = SearchParams(
+    n_rollouts=40,
+    mc_horizon=25,
+    fit=FitBudget(n_exo_rollouts=60, exo_horizon=12, n_full_rollouts=60, full_horizon=12),
+)
+
+
 class TestSearchDatasets:
     def test_monte_carlo_uniforms_drawn_once_per_search(self, gridworld, monkeypatch):
-        import exomdp.core as core
+        """However many masks a search scores (32 in brute force, 3 in this
+        greedy run), it derives every stream and steps the exo chain once
+        per chunk of its three stage-1 runs."""
+        for search, n_masks in ((mask_brute_force, 32), (mask_greedy, 3)):
+            with monkeypatch.context() as patch:
+                self.assert_stage_one_once(gridworld, search, n_masks, patch)
 
-        # a budget at which each collection takes several chunks
+    @staticmethod
+    def assert_stage_one_once(gridworld, search, n_masks, monkeypatch):
+        import exomdp.core as core
+        import exomdp.search as search_module
+
+        # a budget at which each stage-1 run takes several chunks
         monkeypatch.setattr(core, "CHUNK_DRAWS", 1 << 12)
-        draws = []
+        draws, exo_steps = [], []
         original = core.rollout_uniforms
         monkeypatch.setattr(
             core, "rollout_uniforms", lambda *a: draws.append(a) or original(*a)
         )
-        _, trace = mask_brute_force(gridworld, 0.3, QUICK, seed=4)
-        assert len(trace.entries) == 32
-        # each chunk of the two collections is drawn once, and one draw
-        # serves every mask's Monte Carlo
-        import exomdp.search as search
+        step = type(gridworld).batch_exo_step
+        monkeypatch.setattr(
+            type(gridworld),
+            "batch_exo_step",
+            lambda self, *a: exo_steps.append(len(a[0])) or step(self, *a),
+        )
+        _, trace = search(gridworld, 0.3, QUICK, seed=4)
+        assert len(trace.entries) == n_masks
 
         def chunks(n, horizon, behave):
             k = gridworld.draws_per_step
-            per_chunk = max(1, core.CHUNK_DRAWS // (k + horizon * (behave + k)))
-            return -(-n // per_chunk)
+            return -(-n // max(1, core.CHUNK_DRAWS // (k + horizon * (behave + k))))
 
-        fit = QUICK.fit
-        expected = (
-            chunks(fit.n_exo_rollouts, fit.exo_horizon, behave=0)
-            + chunks(fit.n_full_rollouts, fit.full_horizon, behave=1)
-            + 1
-        )
-        mc_seed = search.derive_seed(4, search._STREAM_MC)
-        assert len(draws) == len(set(draws)) == expected
-        assert [d[0] for d in draws].count(mc_seed) == 1
+        fit, mc_horizon = QUICK.fit, search_module._mc_horizon(gridworld, QUICK)
+        runs = [
+            (chunks(fit.n_exo_rollouts, fit.exo_horizon, 0), fit.exo_horizon),
+            (chunks(fit.n_full_rollouts, fit.full_horizon, 1), fit.full_horizon),
+            (chunks(QUICK.n_rollouts, mc_horizon, 0), mc_horizon),
+        ]
+        mc_seed = search_module.derive_seed(4, search_module._STREAM_MC)
+        assert len(draws) == len(set(draws)) == sum(n for n, _ in runs)
+        assert [d[0] for d in draws].count(mc_seed) == runs[2][0] > 1
+        assert len(exo_steps) == sum(n * horizon for n, horizon in runs)
+        rows = fit.n_exo_rollouts * fit.exo_horizon + fit.n_full_rollouts * fit.full_horizon
+        assert sum(exo_steps) == rows + QUICK.n_rollouts * mc_horizon
+
+    def test_every_mask_scores_its_own_monte_carlo_returns(self, gridworld, monkeypatch):
+        """On the shared exo trajectory, each mask's per-rollout returns are
+        those of a Monte Carlo call of its own from the search's seed."""
+        import exomdp.search as search_module
+
+        scored = []
+        original = search_module.monte_carlo_value
+
+        def record(mdp, policy, n_rollouts, horizon, seed=None, trajectory=None):
+            result = original(mdp, policy, n_rollouts, horizon, seed, trajectory)
+            scored.append((policy, trajectory, result))
+            return result
+
+        monkeypatch.setattr(search_module, "monte_carlo_value", record)
+        _, trace = mask_brute_force(gridworld, 0.3, TINY, seed=6)
+        mc_seed = search_module.derive_seed(6, search_module._STREAM_MC)
+        assert len(scored) == len(trace.entries) == 32
+        assert len({id(trajectory) for _, trajectory, _ in scored}) == 1
+        for (policy, _, (mean, returns)), entry in zip(scored, trace.entries):
+            alone = original(gridworld, policy, 40, 25, seed=mc_seed)
+            assert mean == alone[0] == entry.score.mean_return
+            assert returns.dtype == alone[1].dtype and np.array_equal(returns, alone[1])
 
 
 class TestBruteForce:
