@@ -396,9 +396,31 @@ def _validate_rows(arr: np.ndarray, what: str, tol: float = 1e-9) -> None:
     if np.any(arr < -tol):
         raise ValueError(f"{what} has negative entries")
     sums = arr.sum(axis=-1)
-    if not np.allclose(sums, 1.0, atol=tol):
+    if not np.allclose(sums, 1.0, rtol=0.0, atol=tol):
         bad = float(np.abs(sums - 1.0).max())
         raise ValueError(f"{what} rows do not sum to 1 (max error {bad:.3g})")
+
+
+class InverseCdf:
+    """Draws from the rows of a ``(..., N)`` kernel, flattened, reading only
+    each row's support and its cumulative sums (padded with ``+inf``): the
+    first support column whose sum is at least ``u``. On a non-negative row
+    that is ``(cum < u).sum()``, except that it is never a zero-probability
+    column (at ``u == 0``) nor ``N`` (``u`` above a row sum below 1)."""
+
+    def __init__(self, kernel: np.ndarray):
+        p = kernel.reshape(-1, kernel.shape[-1])
+        counts = np.count_nonzero(p > 0, axis=1)
+        self.width = int(counts.max())
+        order = np.argsort(p <= 0, axis=1, kind="stable")  # nonzero columns first
+        self.support = np.ascontiguousarray(order[:, : self.width])
+        self.cum = np.take_along_axis(np.cumsum(p, axis=1), self.support, axis=1)
+        self.cum[np.arange(self.width) >= counts[:, None] - 1] = np.inf
+
+    def draw(self, row, u: np.ndarray) -> np.ndarray:
+        """Column of flat row ``row`` (an int or one per uniform) at ``u``."""
+        k = (self.cum.take(row, axis=0) < u[:, None]).argmin(axis=1)
+        return self.support.take(row * self.width + k)
 
 
 class TabularFullMdp(GenerativeMdp):
@@ -421,7 +443,7 @@ class TabularFullMdp(GenerativeMdp):
         Initial-state distributions (independent by construction).
 
     Each step draws two uniforms: the next endogenous index, then (the exo
-    column) the next joint exogenous code, each by inverting its cumulative
+    column) the next joint exogenous code, each by the ``InverseCdf`` of its
     row. The endo step and the reward read joint codes (``exo_index``).
     """
 
@@ -479,10 +501,10 @@ class TabularFullMdp(GenerativeMdp):
         declared = float(np.abs(full).max()) if full.size else 0.0
         self._r_max = float(r_max) if r_max is not None else declared
 
-        self._endo_cum = np.cumsum(self.endo_kernel, axis=-1)
-        self._exo_cum = np.cumsum(self.exo_kernel, axis=-1)
-        self._init_endo_cum = np.cumsum(self.init_endo)
-        self._init_exo_cum = np.cumsum(self.init_exo)
+        self._endo_draw = InverseCdf(self.endo_kernel)
+        self._exo_draw = InverseCdf(self.exo_kernel)
+        self._init_endo_draw = InverseCdf(self.init_endo)
+        self._init_exo_draw = InverseCdf(self.init_exo)
         self._exo_weights = np.array(self._space.weights, dtype=np.int64)
 
     @property
@@ -525,17 +547,18 @@ class TabularFullMdp(GenerativeMdp):
         return pos, space_m.n_exo, space_c.n_exo
 
     def batch_initial(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = _draw(self._init_exo_cum, u[:, 1])
-        return _draw(self._init_endo_cum, u[:, 0]), self.exo_digits[x]
+        x = self._init_exo_draw.draw(0, u[:, 1])
+        return self._init_endo_draw.draw(0, u[:, 0]), self.exo_digits[x]
 
     def exo_index(self, exo: np.ndarray) -> np.ndarray:
         return exo @ self._exo_weights
 
     def batch_exo_step(self, exo, u) -> np.ndarray:
-        return self.exo_digits[_draw(self._exo_cum[self.exo_index(exo)], u[:, 0])]
+        return self.exo_digits[self._exo_draw.draw(self.exo_index(exo), u[:, 0])]
 
     def batch_endo_step(self, endo, x, action, u) -> np.ndarray:
-        return _draw(self._endo_cum[endo, action, x], u[:, 0])
+        _, a, n_exo, _ = self.endo_kernel.shape
+        return self._endo_draw.draw((endo * a + action) * n_exo + x, u[:, 0])
 
     def batch_reward(self, endo, x, action) -> np.ndarray:
         return self.full_reward[endo, action, x]
@@ -553,11 +576,6 @@ class TabularFullMdp(GenerativeMdp):
         _check_space_fits(self, space)
         proj = space.project_codes(self.exo_digits)
         return per_state.reshape(self.endo_cardinality, space.n_exo)[:, proj]
-
-
-def _draw(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(cum_row, u_row)`` per row of non-decreasing cumsums."""
-    return (cum < u[:, None]).sum(axis=-1)
 
 
 def rollout_uniforms(
@@ -730,15 +748,24 @@ def exo_trajectory(
     transition. ``rollout_uniforms`` derives the streams of as many
     rollouts at a time as hold ``CHUNK_DRAWS`` uniforms (at least one).
     """
+    endo, exo, draws = _exo_chain(mdp, n_rollouts, horizon, seed, behave, True)
+    out = ExoTrajectory(endo, exo, mdp.exo_index(exo), draws)
+    for array in (endo, exo, out.index, draws):
+        array.flags.writeable = False
+    return out
+
+
+def _exo_chain(mdp, n_rollouts, horizon, seed, behave=False, keep_draws=False):
+    """``exo_trajectory``'s endo, exo and draws (no column unless ``keep_draws``)."""
     if n_rollouts < 1 or horizon < 1:
         raise ValueError("n_rollouts and horizon must be >= 1")
     exo_cols, endo_cols = _draw_columns(mdp)
     k, behave, seed = mdp.draws_per_step, int(behave), 0 if seed is None else seed
     endo = np.empty(n_rollouts, dtype=np.int64)
     exo = np.empty((n_rollouts, horizon + 1, mdp.m), dtype=_EXO_DTYPE)
-    kept = list(range(behave)) + [behave + c for c in endo_cols]
+    kept = list(range(behave)) + [behave + c for c in endo_cols] if keep_draws else []
     exo_cols = [behave + c for c in exo_cols]
-    draws = np.empty((n_rollouts, horizon, behave + len(endo_cols)))
+    draws = np.empty((n_rollouts, horizon, len(kept)))
     width = k + horizon * (behave + k)  # uniforms per rollout
     n_chunks = -(-n_rollouts // max(1, CHUNK_DRAWS // width))
     bounds = [n_rollouts * i // n_chunks for i in range(n_chunks + 1)]
@@ -751,10 +778,7 @@ def exo_trajectory(
         for t in range(horizon):
             x = mdp.batch_exo_step(x, steps[:, t, exo_cols])
             exo[lo:hi, t + 1] = x
-    out = ExoTrajectory(endo, exo, mdp.exo_index(exo), draws)
-    for array in (endo, exo, out.index, draws):
-        array.flags.writeable = False
-    return out
+    return endo, exo, draws
 
 
 def rollouts(

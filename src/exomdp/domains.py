@@ -691,6 +691,17 @@ def random_block_mdp(
     return mdp, mask
 
 
+def _perturbed(mdp: TabularFullMdp, suffix: str, **changes) -> TabularFullMdp:
+    """``mdp`` with ``changes`` to its constructor arguments, renamed."""
+    kept = dict(
+        endo_kernel=mdp.endo_kernel, exo_kernel=mdp.exo_kernel,
+        reward_tables=mdp.reward_tables, init_endo=mdp.init_endo,
+        init_exo=mdp.init_exo, discount=mdp.discount,
+        variable_specs=mdp.variable_specs, r_max=mdp.r_max,
+    )
+    return TabularFullMdp(**{**kept, **changes}, name=mdp.name + suffix)
+
+
 def perturb_excluded_reward(
     mdp: TabularFullMdp, mask: Mask, seed: int = 0, magnitude: float = 0.5
 ) -> TabularFullMdp:
@@ -702,16 +713,7 @@ def perturb_excluded_reward(
     j = int(excluded[rng.integers(len(excluded))])
     tables = [t.copy() for t in mdp.reward_tables]
     tables[j] += rng.uniform(0.25, 1.0, size=tables[j].shape) * magnitude
-    return TabularFullMdp(
-        endo_kernel=mdp.endo_kernel,
-        exo_kernel=mdp.exo_kernel,
-        reward_tables=tables,
-        init_endo=mdp.init_endo,
-        init_exo=mdp.init_exo,
-        discount=mdp.discount,
-        variable_specs=mdp.variable_specs,
-        name=mdp.name + "+excluded-reward",
-    )
+    return _perturbed(mdp, "+excluded-reward", reward_tables=tables, r_max=None)
 
 
 def perturb_endo_on_excluded(
@@ -730,17 +732,7 @@ def perturb_endo_on_excluded(
         (1.0 - strength) * kernel[:, :, odd, :]
         + strength * alt[:, :, None, :]
     )
-    return TabularFullMdp(
-        endo_kernel=kernel,
-        exo_kernel=mdp.exo_kernel,
-        reward_tables=mdp.reward_tables,
-        init_endo=mdp.init_endo,
-        init_exo=mdp.init_exo,
-        discount=mdp.discount,
-        variable_specs=mdp.variable_specs,
-        r_max=mdp.r_max,
-        name=mdp.name + "+endo-coupling",
-    )
+    return _perturbed(mdp, "+endo-coupling", endo_kernel=kernel)
 
 
 def perturb_exo_coupling(
@@ -768,17 +760,7 @@ def perturb_exo_coupling(
         new_joint[:, c, :, :] = blended[:, :, None] * marg_c[:, c, None, :]
     flat = new_joint.reshape(xm * xc, xm * xc)
     restored = flat[np.ix_(pos, pos)]
-    return TabularFullMdp(
-        endo_kernel=mdp.endo_kernel,
-        exo_kernel=restored,
-        reward_tables=mdp.reward_tables,
-        init_endo=mdp.init_endo,
-        init_exo=mdp.init_exo,
-        discount=mdp.discount,
-        variable_specs=mdp.variable_specs,
-        r_max=mdp.r_max,
-        name=mdp.name + "+exo-coupling",
-    )
+    return _perturbed(mdp, "+exo-coupling", exo_kernel=restored)
 
 
 # ---------------------------------------------------------------------------

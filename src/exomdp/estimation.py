@@ -23,7 +23,7 @@ from .core import (
     TabularFullMdp,
     UniformRandomPolicy,
     UnsupportedMdpError,
-    exo_trajectory,
+    _exo_chain,
     reduced_space_for,
     rollouts,
     uniform_random_policy,
@@ -267,11 +267,11 @@ def collect_exo_rollouts(
 ) -> ExoRolloutDataset:
     """Roll out exogenous dynamics from sampled initial states.
 
-    Runs only the engine's first stage, ``core.exo_trajectory``: the exo
-    step sees no action and no endo step is taken. Deterministic given
-    ``seed``; rollout r uses its own generator stream.
+    Runs only the engine's first stage, ``core.exo_trajectory`` without its
+    draws: the exo step sees no action and no endo step is taken.
+    Deterministic given ``seed``; rollout r uses its own generator stream.
     """
-    values = exo_trajectory(mdp, n_rollouts, horizon, seed).exo
+    values = _exo_chain(mdp, n_rollouts, horizon, seed)[1]
     total, m = n_rollouts * horizon, mdp.m
     return ExoRolloutDataset(
         exo=values[:, :-1].reshape(total, m),

@@ -230,6 +230,13 @@ class SearchDatasets:
 def collect_search_datasets(
     mdp: GenerativeMdp, params: SearchParams, seed: int
 ) -> SearchDatasets:
+    exo, full = _collect_fit_datasets(mdp, params, seed)
+    mc_seed = derive_seed(seed, _STREAM_MC)
+    mc = exo_trajectory(mdp, params.n_rollouts, _mc_horizon(mdp, params), mc_seed)
+    return SearchDatasets(exo=exo, full=full, mc_seed=mc_seed, mc=mc)
+
+
+def _collect_fit_datasets(mdp: GenerativeMdp, params: SearchParams, seed: int):
     fit = params.fit
     exo = collect_exo_rollouts(
         mdp, fit.n_exo_rollouts, fit.exo_horizon, seed=derive_seed(seed, _STREAM_EXO)
@@ -241,9 +248,7 @@ def collect_search_datasets(
         fit.full_horizon,
         seed=derive_seed(seed, _STREAM_FULL),
     )
-    mc_seed = derive_seed(seed, _STREAM_MC)
-    mc = exo_trajectory(mdp, params.n_rollouts, _mc_horizon(mdp, params), mc_seed)
-    return SearchDatasets(exo=exo, full=full, mc_seed=mc_seed, mc=mc)
+    return exo, full
 
 
 def _mc_horizon(mdp: GenerativeMdp, params: SearchParams) -> int:
@@ -266,21 +271,25 @@ def estimate_objective(
     iteration, executes the resulting policy in the full MDP for
     ``params.n_rollouts`` rollouts, and returns the mean return minus
     ``lam * cost``. Passing ``datasets`` reuses previously collected data;
-    omitting it collects data deterministically from ``seed``, so repeated
-    calls with the same arguments give identical scores.
+    omitting it collects those of ``collect_search_datasets(mdp, params,
+    seed)``, so repeated calls with the same arguments give identical scores.
     """
     params = params or SearchParams()
     t0 = time.perf_counter()
     if datasets is None:
-        datasets = collect_search_datasets(mdp, params, seed)
+        fit_data = _collect_fit_datasets(mdp, params, seed)
+        mc = {"seed": derive_seed(seed, _STREAM_MC)}
+    else:
+        fit_data = datasets.exo, datasets.full
+        mc = {"trajectory": datasets.mc}
     model = fit_reduced_mdp(
         mdp,
         mask,
-        datasets.exo,
-        datasets.full,
+        *fit_data,
         smoothing=params.fit.smoothing,
         state_budget=params.state_budget,
     )
+    del fit_data  # a fixed mask's rollouts are freed before value iteration
     plan = value_iteration(model, params.vi_epsilon, params.vi_timeout)
     if not plan.converged:
         logger.warning(
@@ -295,7 +304,7 @@ def estimate_objective(
         plan.policy,
         params.n_rollouts,
         _mc_horizon(mdp, params),
-        trajectory=datasets.mc,
+        **mc,
     )
     cost = params.cost_fn(mask)
     return MaskScore(

@@ -325,6 +325,86 @@ class TestTabularFullMdp:
                 )
 
 
+def three_state_mdp(init_endo):
+    """3 endo states, 1 action, one binary exo variable, zero reward."""
+    return TabularFullMdp(
+        endo_kernel=np.full((3, 1, 2, 3), 1.0 / 3.0),
+        exo_kernel=np.full((2, 2), 0.5),
+        reward_tables=[np.zeros((3, 2, 1))],
+        init_endo=np.array(init_endo),
+        init_exo=np.array([0.5, 0.5]),
+        discount=0.9,
+        variable_specs=(VariableSpec(0, 2),),
+    )
+
+
+@st.composite
+def kernels(draw):
+    """``(rows, n)`` rows with zero columns: dyadic (cuts of ``[0, 2**k]``,
+    summing to 1 exactly) or small integers over their sum."""
+    n_rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 6))
+        size = n_rows * (n - 1)
+        cuts = draw(st.lists(st.integers(0, 2**k), min_size=size, max_size=size))
+        edges = np.sort(np.array(cuts, dtype=float).reshape(n_rows, n - 1), axis=1)
+        full = np.full((n_rows, 1), 2.0**k)
+        return np.diff(np.hstack([np.zeros((n_rows, 1)), edges, full]), axis=1) / 2.0**k
+    weights = np.array(
+        draw(st.lists(st.integers(0, 9), min_size=n_rows * n, max_size=n_rows * n)),
+        dtype=float,
+    ).reshape(n_rows, n)
+    weights[weights.sum(axis=1) == 0, draw(st.integers(0, n - 1))] = 1.0
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestInverseCdf:
+    @settings(max_examples=200, deadline=None)
+    @given(kernel=kernels(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_count_of_cumulative_columns_below_u(self, kernel, seed):
+        """At every cumulative value, at 0, just below 1 and at random ``u``
+        the draw is ``(cum < u).sum()``, except where that is a column of
+        probability zero (``u == 0`` before the first nonzero column) or
+        ``N``; there it is a column of positive probability."""
+        table, cum = core.InverseCdf(kernel), np.cumsum(kernel, axis=1)
+        n = kernel.shape[1]
+        rng = np.random.default_rng(seed)
+        for row in range(len(kernel)):
+            u = np.concatenate([cum.ravel(), [0.0, 1.0 - 2.0**-53], rng.random(8)])
+            want = (cum[row] < u[:, None]).sum(axis=1)
+            got = table.draw(np.full(len(u), row), u)
+            fixed = (want == n) | ((u == 0.0) & (kernel[row, 0] == 0.0))
+            assert got.dtype == np.int64
+            assert np.array_equal(got[~fixed], want[~fixed])
+            assert np.all((0 <= got) & (got < n)) and np.all(kernel[row, got] > 0)
+            assert np.array_equal(table.draw(row, u), got)
+
+    def test_zero_uniform_skips_zero_probability_columns(self):
+        # (cum < 0).sum() is 0, a column of probability zero
+        table = core.InverseCdf(np.array([[0.0, 0.0, 0.25, 0.0, 0.75]]))
+        assert table.draw(0, np.array([0.0, 0.25, 0.2500001])).tolist() == [2, 2, 4]
+        endo, _ = three_state_mdp([0.0, 0.5, 0.5]).batch_initial(np.zeros((2, 2)))
+        assert endo.tolist() == [1, 1]
+
+    def test_row_sum_below_one_never_draws_n(self):
+        # the cumulative row ends below 1 - 2**-53, so (cum < u).sum() is 3
+        mdp = three_state_mdp([0.5, 0.5 - 1e-10, 0.0])
+        u = np.array([[1.0 - 2.0**-53, 0.0], [0.9999999999, 0.0], [0.5, 0.0]])
+        assert mdp.batch_initial(u)[0].tolist() == [1, 1, 0]
+
+    def test_rows_off_by_more_than_the_tolerance_refused(self):
+        # off by 1e-5: within numpy's default rtol, not within the tolerance 1e-9
+        with pytest.raises(ValueError, match="init_endo rows do not sum to 1"):
+            three_state_mdp([0.5, 0.49999, 0.0])
+        three_state_mdp([0.5, 0.5 - 1e-10, 0.0])
+
+    def test_gridworld_endo_rows_hold_the_cells_a_move_reaches(self, gridworld):
+        # up to 4 of the 20 cells: the neighbours, or the cell itself at a wall
+        table = gridworld._endo_draw
+        assert table.width == 4 and table.cum.shape == (20 * 5 * 32, 4)
+        assert gridworld._exo_draw.width == 32
+
+
 def test_rollout_uniforms_are_the_per_rollout_streams():
     u = rollout_uniforms(5, 3, 6)
     for r in range(3):
@@ -602,6 +682,20 @@ class TestBatchSamplers:
         assert len(data) == 160
         with pytest.raises(AssertionError, match="endo stepped"):
             rollouts(mdp, None, 2, 2, seed=1)
+
+    @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
+    @pytest.mark.parametrize("chunk", [core.CHUNK_DRAWS, 1], ids=["batch", "loop"])
+    def test_exo_collection_walks_the_trajectory_without_draws(
+        self, builder, chunk, monkeypatch
+    ):
+        monkeypatch.setattr(core, "CHUNK_DRAWS", chunk)
+        mdp = builder()
+        data = collect_exo_rollouts(mdp, 20, 8, seed=1)
+        exo = exo_trajectory(mdp, 20, 8, seed=1).exo
+        for got, want in ((data.exo, exo[:, :-1]), (data.next_exo, exo[:, 1:])):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want.reshape(160, mdp.m))
+        assert core._exo_chain(mdp, 20, 8, 1)[2].shape == (20, 8, 0)
 
     def test_user_mdp_with_array_samplers_only(self):
         class Ticker(GenerativeMdp):

@@ -267,8 +267,9 @@ class TestScoreOnce:
         import exomdp.experiment as experiment
         import exomdp.search as search
 
+        # every collection, a search's or a fixed mask's, fits from these
         collections, scored = [], []
-        collect, estimate = search.collect_search_datasets, search.estimate_objective
+        collect, estimate = search._collect_fit_datasets, search.estimate_objective
 
         def counting_collect(*args, **kwargs):
             collections.append(args)
@@ -278,7 +279,7 @@ class TestScoreOnce:
             scored.append(mask)
             return estimate(mdp, mask, *args, **kwargs)
 
-        monkeypatch.setattr(search, "collect_search_datasets", counting_collect)
+        monkeypatch.setattr(search, "_collect_fit_datasets", counting_collect)
         monkeypatch.setattr(search, "estimate_objective", counting_estimate)
         monkeypatch.setattr(experiment, "estimate_objective", counting_estimate)
         config = _preset_trial_config(

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from exomdp.core import ExomdpError, Mask, TabularFullMdp, UnsupportedMdpError, VariableSpec
 from exomdp.domains import (
     build_chain_mdp,
+    build_crowd,
+    build_gridworld,
     perturb_endo_on_excluded,
     perturb_excluded_reward,
     perturb_exo_coupling,
@@ -119,9 +123,34 @@ class TestEstimateObjective:
         empty = estimate_objective(gridworld, Mask(()), 0.0, QUICK, 3, datasets)
         assert full.objective >= empty.objective
 
-    def test_unconverged_plan_logs_a_warning(self, monkeypatch, caplog):
-        import dataclasses
+    @pytest.mark.parametrize("builder", [build_gridworld, build_crowd])
+    def test_own_datasets_step_monte_carlo_after_value_iteration(
+        self, builder, monkeypatch
+    ):
+        """Without ``datasets``, the Monte Carlo exo chain is stepped after
+        value iteration, and the score is that of the search datasets."""
+        import exomdp.core as core
+        import exomdp.search as search
 
+        mdp, mask = builder(), Mask((0, 2))
+        datasets = collect_search_datasets(mdp, TINY, 7)
+        shared = estimate_objective(mdp, mask, 0.3, TINY, 7, datasets)
+        events = []
+        trajectory, solve = core.exo_trajectory, search.value_iteration
+
+        def record_trajectory(mdp, n_rollouts, horizon, seed=None, behave=False):
+            events.append("full" if behave else "mc")
+            return trajectory(mdp, n_rollouts, horizon, seed, behave)
+
+        monkeypatch.setattr(core, "exo_trajectory", record_trajectory)
+        monkeypatch.setattr(
+            search, "value_iteration", lambda *a: events.append("vi") or solve(*a)
+        )
+        alone = estimate_objective(mdp, mask, 0.3, TINY, 7)
+        assert events == ["full", "vi", "mc"]
+        assert alone == dataclasses.replace(shared, wall_time=alone.wall_time)
+
+    def test_unconverged_plan_logs_a_warning(self, monkeypatch, caplog):
         import exomdp.search as search
 
         mdp = chase_mdp()
