@@ -5,21 +5,16 @@ from .core import (
     DEFAULT_STATE_BUDGET,
     EMPTY_MASK,
     ExomdpError,
-    FactoredState,
     GenerativeMdp,
     InsufficientDataError,
     InvalidMaskError,
     Mask,
     PlannerTimeoutError,
     ReducedSpace,
-    ReducedState,
     StateSpaceTooLargeError,
     TabularFullMdp,
     UnsupportedMdpError,
     VariableSpec,
-    enumerate_reduced_states,
-    reduce_state,
-    reduced_reward,
     truncation_horizon,
 )
 from .estimation import (

@@ -17,7 +17,7 @@ import math
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,24 +80,6 @@ class VariableSpec:
             raise ValueError(
                 f"variable cardinality must be >= 1, got {self.cardinality}"
             )
-
-
-class FactoredState(NamedTuple):
-    """Full state: endogenous index plus the complete exogenous vector."""
-
-    endo: int
-    exo: tuple[int, ...]
-
-
-class ReducedState(NamedTuple):
-    """Reduced state: endogenous index plus masked exogenous values.
-
-    ``exo_masked`` holds the values of exactly the masked variables, in
-    mask order.
-    """
-
-    endo: int
-    exo_masked: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -315,20 +297,6 @@ class ReducedSpace:
             code %= w
         return tuple(out)
 
-    def encode_state(self, endo: int, exo: Sequence[int]) -> int:
-        """Flat index of the reduced form of a full state."""
-        code = 0
-        for i, w in zip(self.mask.included, self.weights):
-            code += exo[i] * w
-        return endo * self.n_exo + code
-
-    def decode(self, idx: int) -> ReducedState:
-        endo, code = divmod(idx, self.n_exo)
-        return ReducedState(endo, self.decode_exo(code))
-
-    def states(self) -> list[ReducedState]:
-        return [self.decode(i) for i in range(self.n_states)]
-
     def project_codes(self, exo_array: np.ndarray) -> np.ndarray:
         """Vectorized flat codes ``(...)`` of an ``(..., m)`` array of exo
         vectors, one masked variable at a time."""
@@ -346,28 +314,6 @@ class ReducedSpace:
         return digits
 
 
-def reduce_state(state: FactoredState, mask: Mask) -> ReducedState:
-    """Project a full state onto a mask, preserving mask order."""
-    if mask.included and mask.included[-1] >= len(state.exo):
-        raise InvalidMaskError(
-            f"mask {mask.included} out of range for exo vector of "
-            f"length {len(state.exo)}"
-        )
-    return ReducedState(state.endo, tuple(state.exo[i] for i in mask.included))
-
-
-def reduced_reward(
-    mdp: GenerativeMdp, rstate: ReducedState, action: int, mask: Mask
-) -> float:
-    """Reward of a reduced state: sum of the masked components only."""
-    if not 0 <= action < mdp.action_count:
-        raise ValueError(f"action {action} out of range")
-    total = 0.0
-    for pos, i in enumerate(mask.included):
-        total += mdp.reward_component(i, rstate.endo, rstate.exo_masked[pos], action)
-    return total
-
-
 def reduced_space_for(
     mdp: GenerativeMdp, mask: Mask, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> ReducedSpace:
@@ -383,13 +329,6 @@ def reduced_space_for(
             f"exceeding the budget of {state_budget}"
         )
     return ReducedSpace(mdp.endo_cardinality, mask, mdp.exo_cardinalities)
-
-
-def enumerate_reduced_states(
-    mdp: GenerativeMdp, mask: Mask, state_budget: int = DEFAULT_STATE_BUDGET
-) -> list[ReducedState]:
-    """Complete lexicographic enumeration of the reduced state space."""
-    return reduced_space_for(mdp, mask, state_budget).states()
 
 
 def _validate_rows(arr: np.ndarray, what: str, tol: float = 1e-9) -> None:
@@ -533,9 +472,6 @@ class TabularFullMdp(GenerativeMdp):
 
     def encode_exo(self, exo: Sequence[int]) -> int:
         return self._space.encode_exo(exo)
-
-    def decode_exo(self, code: int) -> tuple[int, ...]:
-        return tuple(self.exo_digits[code].tolist())
 
     def mask_split(self, mask: Mask) -> tuple[np.ndarray, int, int]:
         """Exo codes as ``masked_code * n_excluded + excluded_code``, both sizes."""
@@ -897,6 +833,11 @@ def _check_policy_fits(mdp: GenerativeMdp, policy) -> None:
             f"policy must be None, a planner.Policy or the UniformRandomPolicy "
             f"of uniform_random_policy, got {type(policy).__name__}"
         )
+    _check_action_count(mdp, policy)
+
+
+def _check_action_count(mdp, policy) -> None:
+    """Refuse a policy over another number of actions than the MDP's."""
     if policy.action_count != mdp.action_count:
         raise ValueError(
             f"policy over {policy.action_count} actions does not fit the "

@@ -10,7 +10,6 @@ need full rollouts under some behavior policy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -533,7 +532,6 @@ def estimate_reward_variables(
     n_contexts: int,
     n_settings: int,
     seed: int = 0,
-    context_sampler: Callable[[np.random.Generator], tuple[int, int]] | None = None,
 ) -> Mask:
     """Screen for variables that directly influence the reward.
 
@@ -543,9 +541,6 @@ def estimate_reward_variables(
     settings strictly exceeds ``variance_threshold``. Because the reward
     decomposes per variable, only that variable's component needs to be
     evaluated; the rest of the state cancels out of the variance.
-
-    ``context_sampler`` optionally biases context sampling; it must return
-    an ``(endo, action)`` pair.
     """
     if n_settings < 2:
         raise ValueError("n_settings must be >= 2 for a variance to exist")
@@ -556,11 +551,8 @@ def estimate_reward_variables(
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         total = 0.0
         for _ in range(n_contexts):
-            if context_sampler is not None:
-                endo, action = context_sampler(rng)
-            else:
-                endo = int(rng.integers(mdp.endo_cardinality))
-                action = int(rng.integers(mdp.action_count))
+            endo = int(rng.integers(mdp.endo_cardinality))
+            action = int(rng.integers(mdp.action_count))
             values = rng.integers(0, spec.cardinality, size=n_settings)
             rewards = [
                 mdp.reward_component(i, endo, int(v), action) for v in values

@@ -24,13 +24,13 @@ from .core import (
     PlannerTimeoutError,
     ReducedSpace,
     TabularFullMdp,
+    _check_action_count,
     rollouts,
 )
 from .estimation import TabularReducedMdp
 
 VALUE_SCOPE_REDUCED = "reduced"
 VALUE_SCOPE_FULL_EXACT = "full-exact"
-VALUE_SCOPE_FULL_EMPIRICAL = "full-empirical"
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,9 +63,8 @@ class Policy:
 class ValueTable:
     """Values over an enumerated state space.
 
-    ``scope`` is one of ``reduced`` (values in a reduced model),
-    ``full-exact`` (exact values over an analytic full MDP, indexed by the
-    full mask), or ``full-empirical`` (rollout estimates).
+    ``scope`` is ``reduced`` (values in a reduced model) or ``full-exact``
+    (exact values over an analytic full MDP, indexed by the full mask).
     """
 
     scope: str
@@ -75,7 +74,7 @@ class ValueTable:
 
 @dataclass(frozen=True, eq=False)
 class PlanResult:
-    """Value-iteration output; unpacks as ``(policy, values)``.
+    """Value-iteration output.
 
     ``residuals`` holds the max-norm Bellman residual after each sweep.
     """
@@ -84,9 +83,6 @@ class PlanResult:
     values: ValueTable
     residuals: tuple[float, ...]
     converged: bool
-
-    def __iter__(self):
-        return iter((self.policy, self.values))
 
 
 def _q_values(model: TabularReducedMdp, v: np.ndarray) -> np.ndarray:
@@ -168,6 +164,7 @@ def exact_policy_evaluation(
     below ``tol``.
     """
     if isinstance(mdp, TabularFullMdp):
+        _check_action_count(mdp, policy)
         action_grid = mdp.lift(policy.space, policy.actions)
         n, xf = action_grid.shape
         exo_t = mdp.exo_kernel.T
@@ -185,6 +182,7 @@ def exact_policy_evaluation(
         )
         scope = VALUE_SCOPE_FULL_EXACT
     elif isinstance(mdp, TabularReducedMdp):
+        _check_action_count(mdp, policy)
         if policy.space.mask.included != mdp.mask.included:
             raise ValueError("policy mask does not match the reduced model")
         n, xf = mdp.endo_cardinality, mdp.n_exo_states
@@ -272,14 +270,9 @@ def hoeffding_confidence(
     be negative). Returns ``max(0, 1 - 2 exp(-2 n deviation^2 (1-gamma)^2
     / r_max^2))``; the bound degenerates at ``gamma = 1``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if deviation <= 0:
         raise ValueError("deviation must be positive")
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"the bound needs gamma in (0, 1), got {gamma}")
+    _check_bound_inputs(n, gamma, r_max)
     exponent = -2.0 * n * deviation**2 * (1.0 - gamma) ** 2 / r_max**2
     return max(0.0, 1.0 - 2.0 * math.exp(exponent))
 
@@ -288,8 +281,7 @@ def hoeffding_deviation(n: int, confidence: float, gamma: float, r_max: float) -
     """Deviation at which ``hoeffding_confidence`` equals ``confidence``."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"the bound needs gamma in (0, 1), got {gamma}")
+    _check_bound_inputs(n, gamma, r_max)
     return (
         r_max
         / (1.0 - gamma)
@@ -297,8 +289,11 @@ def hoeffding_deviation(n: int, confidence: float, gamma: float, r_max: float) -
     )
 
 
-def lift_reduced_values(
-    values: ValueTable, mdp: TabularFullMdp
-) -> np.ndarray:
-    """Reduced-model values arranged over the full state enumeration."""
-    return mdp.lift(values.space, values.values).reshape(-1)
+def _check_bound_inputs(n: int, gamma: float, r_max: float) -> None:
+    """Refuse inputs for which the Hoeffding bound does not hold."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if r_max <= 0:
+        raise ValueError("r_max must be positive")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"the bound needs gamma in (0, 1), got {gamma}")

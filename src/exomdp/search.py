@@ -19,7 +19,6 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .estimation import (
 )
 from .planner import (
     exact_policy_evaluation,
-    lift_reduced_values,
     monte_carlo_value,
     value_iteration,
 )
@@ -54,14 +52,13 @@ from .planner import (
 TERMINAL_OBJECTIVE_DECREASED = "objective-decreased"
 TERMINAL_MI_BELOW_THRESHOLD = "mi-below-threshold"
 TERMINAL_EXHAUSTED = "exhausted"
-TERMINAL_BUDGET = "budget"
+
+# The Monte Carlo horizon, when not set, truncates a tail below this bound.
+TRUNCATION_TOL = 1e-3
+# Brute force refuses MDPs with more exogenous variables than this.
+BRUTE_FORCE_LIMIT = 20
 
 logger = logging.getLogger(__name__)
-
-
-def mask_size_cost(mask: Mask) -> float:
-    """Default mask regularizer: the number of retained variables."""
-    return float(len(mask))
 
 
 @dataclass(frozen=True)
@@ -77,23 +74,19 @@ class FitBudget:
 
 @dataclass
 class SearchParams:
-    """Budgets and knobs shared by the mask searches.
+    """Budgets shared by the mask searches; a mask costs its size.
 
-    ``mc_horizon=None`` derives the rollout horizon from the truncation
-    tolerance so the discarded tail is below ``truncation_tol``.
+    Each mask is scored by ``n_rollouts`` Monte Carlo rollouts of
+    ``mc_horizon`` steps (None: the horizon whose discarded tail is below
+    ``TRUNCATION_TOL``). ``state_budget`` bounds every reduced space.
     """
 
     n_rollouts: int = 500
     mc_horizon: int | None = None
-    truncation_tol: float = 1e-3
     fit: FitBudget = field(default_factory=FitBudget)
     vi_epsilon: float = 1e-4
     vi_timeout: float = 60.0
-    cost_fn: Callable[[Mask], float] = mask_size_cost
     state_budget: int = DEFAULT_STATE_BUDGET
-    brute_force_limit: int = 20
-    greedy_retry_all: bool = False
-    max_additions: int | None = None
 
 
 @dataclass(frozen=True)
@@ -254,7 +247,7 @@ def _collect_fit_datasets(mdp: GenerativeMdp, params: SearchParams, seed: int):
 def _mc_horizon(mdp: GenerativeMdp, params: SearchParams) -> int:
     if params.mc_horizon is not None:
         return params.mc_horizon
-    return truncation_horizon(mdp.discount, mdp.r_max, params.truncation_tol)
+    return truncation_horizon(mdp.discount, mdp.r_max, TRUNCATION_TOL)
 
 
 def estimate_objective(
@@ -306,7 +299,7 @@ def estimate_objective(
         _mc_horizon(mdp, params),
         **mc,
     )
-    cost = params.cost_fn(mask)
+    cost = float(len(mask))
     return MaskScore(
         mask=mask,
         objective=mean - lam * cost,
@@ -335,14 +328,14 @@ def mask_brute_force(
 ) -> tuple[Mask, SearchTrace]:
     """Score every subset of the exogenous variables; return the best.
 
-    Refuses when ``m`` exceeds ``params.brute_force_limit``.
+    Refuses when ``m`` exceeds ``BRUTE_FORCE_LIMIT``.
     """
     params = params or SearchParams()
     m = mdp.m
-    if m > params.brute_force_limit:
+    if m > BRUTE_FORCE_LIMIT:
         raise ExomdpError(
             f"brute force over {m} variables needs {2**m} evaluations, "
-            f"above the limit of 2**{params.brute_force_limit}"
+            f"above the limit of 2**{BRUTE_FORCE_LIMIT}"
         )
     datasets = collect_search_datasets(mdp, params, seed)
     trace = SearchTrace()
@@ -368,10 +361,8 @@ def mask_greedy(
     """Greedy forward selection in uniformly random variable order.
 
     Starts from the empty mask and adds one variable at a time while the
-    objective keeps increasing. By default the first addition that fails
-    to increase the objective terminates the search;
-    ``params.greedy_retry_all`` instead keeps trying the remaining
-    untried variables.
+    objective keeps increasing; the first addition that fails to increase
+    it ends the search and is not kept.
     """
     params = params or SearchParams()
     datasets = collect_search_datasets(mdp, params, seed)
@@ -391,12 +382,10 @@ def mask_greedy(
         accepted = score.objective > best.objective
         trace.add(TraceEntry(iteration, candidate, None, accepted, score))
         iteration += 1
-        if accepted:
-            current, best = candidate, score
-        else:
-            if not params.greedy_retry_all:
-                terminal = TERMINAL_OBJECTIVE_DECREASED
-                break
+        if not accepted:
+            terminal = TERMINAL_OBJECTIVE_DECREASED
+            break
+        current, best = candidate, score
     trace.terminal_reason = terminal
     return current, trace
 
@@ -434,14 +423,10 @@ def mask_correlational(
     best = estimate_objective(mdp, mask, lam, params, seed, datasets)
     trace.add(TraceEntry(0, mask, None, True, best))
     iteration = 1
-    additions = 0
     while True:
         remaining = [j for j in range(mdp.m) if j not in mask]
         if not remaining:
             trace.terminal_reason = TERMINAL_EXHAUSTED
-            break
-        if params.max_additions is not None and additions >= params.max_additions:
-            trace.terminal_reason = TERMINAL_BUDGET
             break
         mi = {
             j: transition_mutual_information(datasets.exo, mask, j)
@@ -459,7 +444,6 @@ def mask_correlational(
         iteration += 1
         if accepted:
             mask, best = candidate, score
-            additions += 1
         else:
             # the failed addition is not kept; the best-scoring prefix wins
             trace.terminal_reason = TERMINAL_OBJECTIVE_DECREASED
@@ -570,7 +554,7 @@ def verify_reduction_value_equality(
     plan = value_iteration(reduced, epsilon=vi_eps, timeout=600.0)
     v_reduced = exact_policy_evaluation(reduced, plan.policy, tol=eval_tol)
     v_full = exact_policy_evaluation(mdp, plan.policy, tol=eval_tol)
-    lifted = lift_reduced_values(v_reduced, mdp)
+    lifted = mdp.lift(v_reduced.space, v_reduced.values).reshape(-1)
     err_equality = float(np.abs(lifted - v_full.values).max())
 
     full_model = exact_reduced_model(mdp, Mask.full(mdp.m))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import strategies as st
 
 from exomdp.core import (
-    FactoredState,
     Mask,
     ReducedSpace,
     Rollouts,
@@ -134,15 +133,17 @@ def hand_toy():
 
 
 def _one_row(mdp, state):
-    """``(endo, exo)`` arrays of one ``FactoredState``, as the samplers take them."""
-    exo = np.array([state.exo], dtype=np.int64).reshape(1, mdp.m)
-    return np.array([state.endo]), exo
+    """``(endo, exo)`` arrays of one ``(endo, exo)`` state, as the samplers
+    take them."""
+    endo, exo = state
+    return np.array([endo]), np.array([exo], dtype=np.int64).reshape(1, mdp.m)
 
 
 def initial_state(mdp, u):
-    """The initial state one row of uniforms ``u`` (shape ``(1, K)``) draws."""
+    """The initial ``(endo, exo)`` state one row of uniforms ``u`` (shape
+    ``(1, K)``) draws."""
     endo, exo = mdp.batch_initial(u)
-    return FactoredState(int(endo[0]), tuple(exo[0].tolist()))
+    return int(endo[0]), tuple(exo[0].tolist())
 
 
 def step_halves(mdp, endo, exo, action, u):
@@ -156,9 +157,10 @@ def step_halves(mdp, endo, exo, action, u):
 
 
 def next_state(mdp, state, action, u):
-    """The next state of ``state`` under ``action`` from one row of uniforms."""
+    """The next ``(endo, exo)`` state of ``state`` under ``action`` from one
+    row of uniforms."""
     endo, exo = step_halves(mdp, *_one_row(mdp, state), np.array([action]), u)
-    return FactoredState(int(endo[0]), tuple(exo[0].tolist()))
+    return int(endo[0]), tuple(exo[0].tolist())
 
 
 def state_reward(mdp, state, action):
@@ -175,8 +177,8 @@ def reference_rollouts(mdp, policy, n_rollouts, horizon, seed=0):
     own ``SeedSequence(seed, spawn_key=(r,))`` generator: the initial
     state's, then per step the behaviour policy's one (under that policy)
     and the transition's. Steps are one-row ``batch_initial``,
-    ``step_halves`` and ``batch_reward`` calls; a planned policy acts
-    through the scalar ``ReducedSpace.encode_state``.
+    ``step_halves`` and ``batch_reward`` calls; a planned policy acts on
+    the flat index ``endo * n_exo + encode_exo(masked values)``.
     """
     k = mdp.draws_per_step
     endos, exos, actions, rewards = [], [], [], []
@@ -191,7 +193,9 @@ def reference_rollouts(mdp, policy, n_rollouts, horizon, seed=0):
             elif isinstance(policy, UniformRandomPolicy):
                 a = int(policy.action_count * rng.random())
             else:
-                a = int(policy.actions[policy.space.encode_state(endos[-1], exos[-1])])
+                space = policy.space
+                code = space.encode_exo([exos[-1][i] for i in space.mask])
+                a = int(policy.actions[endos[-1] * space.n_exo + code])
             action = np.array([a])
             actions.append(a)
             rewards.append(float(mdp.batch_reward(endo, mdp.exo_index(exo), action)[0]))

@@ -1,53 +1,33 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 PASS line with the measured quantities at its stated tolerance.
 
-Budgets are sized so the full module runs in about ten minutes; individual
-criteria stay well inside their stated runtime caps.
+Budgets are sized so the full module runs in about 35 seconds on two
+cores; individual criteria stay well inside their stated runtime caps.
 """
 
 import json
-import math
 import shutil
 import time
 from collections import Counter
 
-import numpy as np
 import pytest
 
-from exomdp.checks import check_data_policy_invariance, check_value_equality_suite
+from exomdp.checks import (
+    check_condition_flip_suite,
+    check_data_policy_invariance,
+    check_hoeffding_coverage,
+    check_mi_deterministic_copy,
+    check_mi_independent_chains,
+    check_value_equality_suite,
+)
 from exomdp.cli import main as cli_main
-from exomdp.core import Mask, truncation_horizon
-from exomdp.domains import (
-    build_chain_mdp,
-    build_copy_chain_mdp,
-    build_factory,
-    build_gridworld,
-    build_random_mdp,
-    perturb_endo_on_excluded,
-    perturb_excluded_reward,
-    perturb_exo_coupling,
-    random_block_mdp,
-)
-from exomdp.estimation import (
-    collect_exo_rollouts,
-    estimate_reward_variables,
-    exact_reduced_model,
-    fit_reduced_mdp,
-    transition_mutual_information,
-)
+from exomdp.domains import build_factory, build_gridworld, random_block_mdp
+from exomdp.estimation import estimate_reward_variables, fit_reduced_mdp
 from exomdp.experiment import ExperimentConfig, modal_mask, save_config
-from exomdp.planner import (
-    count_positive_reward_steps,
-    exact_policy_evaluation,
-    hoeffding_confidence,
-    hoeffding_deviation,
-    monte_carlo_value,
-    value_iteration,
-)
+from exomdp.planner import count_positive_reward_steps, value_iteration
 from exomdp.search import (
     FitBudget,
     SearchParams,
-    check_reduction_conditions,
     collect_search_datasets,
     mask_brute_force,
     mask_correlational,
@@ -82,96 +62,29 @@ def test_criterion_1_value_equality_suite():
 
 def test_criterion_2_condition_flips():
     """Each injected violation flips exactly its own condition flag."""
-    perturbations = (
-        ("reward_clean", perturb_excluded_reward),
-        ("endo_invariant", perturb_endo_on_excluded),
-        ("exo_factorized", perturb_exo_coupling),
-    )
-    checked = 0
-    for k in range(N_BLOCK_MDPS):
-        mdp, mask = random_block_mdp(BLOCK_SEED + k)
-        base = check_reduction_conditions(mdp, mask, tol=1e-9)
-        assert base.all_hold()
-        for flag, perturb in perturbations:
-            report = check_reduction_conditions(
-                perturb(mdp, mask, seed=k), mask, tol=1e-9
-            )
-            flags = {
-                "reward_clean": report.reward_clean,
-                "endo_invariant": report.endo_invariant,
-                "exo_factorized": report.exo_factorized,
-            }
-            assert flags == {name: name != flag for name in flags}, (
-                f"seed {BLOCK_SEED + k}: perturbing {flag} produced {flags}"
-            )
-            checked += 1
-    _report(
-        "criterion-2 condition-flips",
-        f"{checked} perturbations each flipped exactly one flag at 1e-9",
-    )
+    result = check_condition_flip_suite(N_BLOCK_MDPS, 1e-9, seed=BLOCK_SEED)
+    assert result.passed, result.detail
+    _report("criterion-2 condition-flips", result.detail)
 
 
 def test_criterion_3_hoeffding_coverage():
     """Monte Carlo deviations respect the concentration bound."""
     t0 = time.perf_counter()
-    mdp = build_random_mdp(
-        7,
-        endo_cardinality=5,
-        cards=(5, 2),
-        n_actions=2,
-        discount=0.85,
-        reward_low=0.0,
-        reward_high=0.5,
-    )
-    assert mdp.endo_cardinality * mdp.n_exo_states == 50
-    mask = Mask((0,))
-    plan = value_iteration(exact_reduced_model(mdp, mask), epsilon=1e-9)
-    exact = exact_policy_evaluation(mdp, plan.policy, tol=1e-12)
-    init = np.kron(mdp.init_endo, mdp.init_exo)
-    true_value = float(init @ exact.values)
-
-    n_rollouts, confidence, n_reps = 500, 0.9, 200
-    deviation = hoeffding_deviation(n_rollouts, confidence, mdp.discount, mdp.r_max)
-    bound = hoeffding_confidence(n_rollouts, deviation, mdp.discount, mdp.r_max)
-    assert bound == pytest.approx(confidence, abs=1e-12)
-
-    horizon = truncation_horizon(mdp.discount, mdp.r_max, 1e-3)
-    hits = 0
-    for rep in range(n_reps):
-        mean, _ = monte_carlo_value(mdp, plan.policy, n_rollouts, horizon, seed=rep)
-        if abs(mean - true_value) <= deviation:
-            hits += 1
-    freq = hits / n_reps
+    result = check_hoeffding_coverage(n_reps=200, seed=0)
     elapsed = time.perf_counter() - t0
-    assert freq >= bound
+    assert result.passed, result.detail
     assert elapsed < 120.0
-    _report(
-        "criterion-3 hoeffding-coverage",
-        f"coverage {freq:.3f} >= bound {bound:.2f} "
-        f"(deviation {deviation:.4f}, {n_reps} reps) in {elapsed:.1f}s",
-    )
+    _report("criterion-3 hoeffding-coverage", f"{result.detail} in {elapsed:.1f}s")
 
 
 def test_criterion_4_mutual_information_sanity():
     """MI vanishes for independent chains and recovers a copied pair's
     entropy."""
-    chains = build_chain_mdp((2, 2), (0.3, 0.4))
-    data = collect_exo_rollouts(chains, 2000, 50, seed=0)
-    mi_indep = transition_mutual_information(data, Mask((0,)), 1)
-    assert len(data) == 100_000
-    assert mi_indep < 0.01
-
-    card = 4
-    copy_mdp = build_copy_chain_mdp(card)
-    copy_data = collect_exo_rollouts(copy_mdp, 2000, 50, seed=1)
-    mi_copy = transition_mutual_information(copy_data, Mask((0,)), 1)
-    analytic = math.log(card)
-    assert abs(mi_copy - analytic) <= 0.05 * analytic
-    _report(
-        "criterion-4 mi-sanity",
-        f"independent {mi_indep:.5f} < 0.01 nats; "
-        f"copy {mi_copy:.5f} within 5% of ln{card}={analytic:.5f}",
-    )
+    indep = check_mi_independent_chains(100_000, 0.01, seed=0)
+    copy = check_mi_deterministic_copy(100_000, 0.05, seed=1)
+    assert indep.passed, indep.detail
+    assert copy.passed, copy.detail
+    _report("criterion-4 mi-sanity", f"{indep.detail}; {copy.detail}")
 
 
 def test_criterion_5_gridworld_optimality_gap():

@@ -8,19 +8,15 @@ from hypothesis import strategies as st
 
 import exomdp.core as core
 from exomdp.core import (
-    FactoredState,
     GenerativeMdp,
     InvalidMaskError,
     Mask,
     ReducedSpace,
-    ReducedState,
     StateSpaceTooLargeError,
     TabularFullMdp,
     VariableSpec,
-    enumerate_reduced_states,
     exo_trajectory,
-    reduce_state,
-    reduced_reward,
+    reduced_space_for,
     rollout_uniforms,
     rollouts,
     truncation_horizon,
@@ -97,20 +93,27 @@ class TestMask:
 
 
 class TestReduceState:
+    """Projecting full exo vectors onto a mask: ``project_codes`` and the
+    masked values, in mask order, that its codes stand for."""
+
+    @staticmethod
+    def project(exo, mask, cards):
+        space = ReducedSpace(1, mask, cards)
+        code = int(space.project_codes(np.array(exo, dtype=np.int64)))
+        return tuple(space.digit_matrix()[:, code].tolist())
+
     def test_projection(self):
-        state = FactoredState(3, (1, 0, 2))
-        assert reduce_state(state, Mask((0, 2))) == ReducedState(3, (1, 2))
+        assert self.project((1, 0, 2), Mask((0, 2)), (2, 2, 3)) == (1, 2)
 
     def test_full_mask_identity(self):
-        state = FactoredState(1, (4, 5, 6))
-        assert reduce_state(state, Mask.full(3)) == ReducedState(1, (4, 5, 6))
+        assert self.project((4, 5, 6), Mask.full(3), (5, 6, 7)) == (4, 5, 6)
 
     def test_empty_mask(self):
-        assert reduce_state(FactoredState(7, (1, 2)), Mask(())) == ReducedState(7, ())
+        assert self.project((1, 2), Mask(()), (2, 3)) == ()
 
     def test_out_of_range_mask(self):
         with pytest.raises(InvalidMaskError):
-            reduce_state(FactoredState(0, (1,)), Mask((1,)))
+            ReducedSpace(1, Mask((1,)), (2,))
 
     @given(
         data=st.data(),
@@ -123,14 +126,12 @@ class TestReduceState:
         parent = Mask.of(parent_set)
         child = Mask.of(data.draw(st.sets(st.sampled_from(sorted(parent_set))))
                         if parent_set else set())
-        state = FactoredState(0, tuple(exo))
-        via_parent = reduce_state(state, parent)
-        lifted = FactoredState(via_parent.endo, via_parent.exo_masked)
+        via_parent = self.project(exo, parent, [6] * m)
         # the child's variables by their positions within the parent
         position = {v: k for k, v in enumerate(parent.included)}
-        composed = reduce_state(lifted, Mask(tuple(position[v] for v in child)))
-        direct = reduce_state(state, child)
-        assert composed == direct
+        within = Mask(tuple(position[v] for v in child))
+        composed = self.project(via_parent, within, [6] * len(parent))
+        assert composed == self.project(exo, child, [6] * m)
 
 
 class TestReducedSpace:
@@ -157,54 +158,53 @@ class TestReducedSpace:
             assert tuple(digits[:, code].tolist()) == values
             assert all(0 <= v < c for v, c in zip(values, space.cards))
             assert space.encode_exo(values) == code
+        # the flat index endo * n_exo + code enumerates the space endo-major
+        flat = [
+            endo * space.n_exo + space.encode_exo(digits[:, code].tolist())
+            for endo in range(endo_cardinality)
+            for code in range(space.n_exo)
+        ]
+        assert flat == list(range(space.n_states))
         # a full state's code reads only the masked values, in mask order
-        for idx in range(space.n_states):
-            endo, masked = space.decode(idx)
-            exo = [int(rng.integers(c)) for c in cards]
-            for i, v in zip(mask, masked):
-                exo[i] = v
-            assert space.encode_state(endo, exo) == idx
         rows = (rng.random((n_rows, m)) * cards).astype(np.int16)
         codes = space.project_codes(rows)
         assert codes.shape == (n_rows,)
-        assert codes.tolist() == [space.encode_state(0, row.tolist()) for row in rows]
+        assert codes.tolist() == [
+            space.encode_exo([int(row[i]) for i in mask]) for row in rows
+        ]
 
 
 class TestReducedReward:
+    """A reduced model's reward sums the masked components only."""
+
     def test_constant_components(self):
         mdp = constant_reward_mdp([5.0, 3.0])
-        rstate = ReducedState(0, (1,))
-        assert reduced_reward(mdp, rstate, 0, Mask((1,))) == 3.0
+        assert np.all(exact_reduced_model(mdp, Mask((1,))).reward_table == 3.0)
 
     def test_full_mask_matches_reward(self, hand_toy):
+        model = exact_reduced_model(hand_toy, Mask.full(hand_toy.m))
         rng = np.random.default_rng(0)
-        full = Mask.full(hand_toy.m)
         for _ in range(50):
-            state = initial_state(hand_toy, rng.random((1, 2)))
+            endo, exo = initial_state(hand_toy, rng.random((1, 2)))
             action = int(rng.integers(hand_toy.action_count))
-            rstate = reduce_state(state, full)
-            assert reduced_reward(hand_toy, rstate, action, full) == pytest.approx(
-                state_reward(hand_toy, state, action), abs=1e-12
+            reward = model.reward_table[endo, action, model.space.encode_exo(exo)]
+            assert reward == pytest.approx(
+                state_reward(hand_toy, (endo, exo), action), abs=1e-12
             )
 
     def test_empty_mask_is_zero(self, hand_toy):
-        assert reduced_reward(hand_toy, ReducedState(0, ()), 0, Mask(())) == 0.0
-
-    def test_bad_action(self, hand_toy):
-        with pytest.raises(ValueError):
-            reduced_reward(hand_toy, ReducedState(0, ()), 9, Mask(()))
+        assert not exact_reduced_model(hand_toy, Mask(())).reward_table.any()
 
 
 class TestEnumerate:
     def test_single_variable(self):
         mdp = constant_reward_mdp([0.0, 0.0, 0.0], n_endo=2)
         # one masked binary variable: 2 endo x 2 values
-        states = enumerate_reduced_states(mdp, Mask((1,)))
-        assert len(states) == 4
+        assert reduced_space_for(mdp, Mask((1,))).n_states == 4
 
     def test_empty_mask(self):
         mdp = constant_reward_mdp([0.0], n_endo=5)
-        assert len(enumerate_reduced_states(mdp, Mask(()))) == 5
+        assert reduced_space_for(mdp, Mask(())).n_states == 5
 
     def test_lexicographic_order(self):
         specs = (VariableSpec(0, 2, ""), VariableSpec(1, 3, ""))
@@ -218,18 +218,17 @@ class TestEnumerate:
             discount=0.9,
             variable_specs=specs,
         )
-        states = enumerate_reduced_states(mdp, Mask((0, 1)))
-        assert len(states) == 12
-        assert states[0] == ReducedState(0, (0, 0))
-        assert states[1] == ReducedState(0, (0, 1))
-        assert states[5] == ReducedState(0, (1, 2))
-        assert states[6] == ReducedState(1, (0, 0))
-        assert states == sorted(states)
+        space = reduced_space_for(mdp, Mask((0, 1)))
+        assert space.n_states == 12
+        # code c holds the masked values digits[:, c], first variable major
+        digits = space.digit_matrix().T.tolist()
+        assert digits == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
+        assert digits == sorted(digits)
 
     def test_budget_exceeded_names_product(self):
         mdp = constant_reward_mdp([0.0] * 4, n_endo=10)
         with pytest.raises(StateSpaceTooLargeError, match="160"):
-            enumerate_reduced_states(mdp, Mask.full(4), state_budget=100)
+            reduced_space_for(mdp, Mask.full(4), state_budget=100)
 
 
 class TestGenerativeContract:
@@ -244,10 +243,10 @@ class TestGenerativeContract:
         for _ in range(1000):
             state = initial_state(mdp, rng.random((1, k)))
             state = next_state(mdp, state, 0, rng.random((1, k)))
+            endo, exo = state
             action = int(rng.integers(mdp.action_count))
             total = sum(
-                mdp.reward_component(i, state.endo, v, action)
-                for i, v in enumerate(state.exo)
+                mdp.reward_component(i, endo, v, action) for i, v in enumerate(exo)
             )
             worst = max(worst, abs(state_reward(mdp, state, action) - total))
         assert worst < 1e-9
@@ -315,10 +314,11 @@ class TestTabularFullMdp:
         rng = np.random.default_rng(2)
         for _ in range(100):
             state = initial_state(hand_toy, rng.random((1, 2)))
+            endo, exo = state
             for action in range(hand_toy.action_count):
                 total = sum(
-                    hand_toy.reward_component(i, state.endo, v, action)
-                    for i, v in enumerate(state.exo)
+                    hand_toy.reward_component(i, endo, v, action)
+                    for i, v in enumerate(exo)
                 )
                 assert state_reward(hand_toy, state, action) == pytest.approx(
                     total, abs=1e-12

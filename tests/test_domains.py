@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exomdp.core import FactoredState, Mask, ReducedSpace
+from exomdp.core import Mask, ReducedSpace
 from exomdp.domains import (
     _move_cell,
     CrowdSpec,
@@ -112,8 +112,8 @@ class TestFactory:
         mdp = build_factory()  # flip rates 0.25 for tasks, 0.3 for distractors
         u = np.array([[0.1, 0.25, 0.9, 0.29, 0.3, 0.0]])
 
-        nxt = next_state(mdp, FactoredState(0, (0, 1, 0, 1, 0, 1)), 1, u)
-        assert nxt == FactoredState(0, (1, 1, 0, 0, 0, 0))
+        nxt = next_state(mdp, (0, (0, 1, 0, 1, 0, 1)), 1, u)
+        assert nxt == (0, (1, 1, 0, 0, 0, 0))
         assert state_reward(mdp, nxt, 1) == 2 * 1.0 - 2.5
         assert state_reward(mdp, nxt, 0) == 0.0
 
@@ -195,7 +195,7 @@ class TestCrowd:
         exo = tuple(
             data.draw(st.integers(0, c - 1)) for c in mdp.exo_cardinalities
         )
-        state = FactoredState(data.draw(st.integers(0, 8)), exo)
+        state = (data.draw(st.integers(0, 8)), exo)
         # uniforms near the thresholds and the direction boundaries
         grid = st.sampled_from(
             [0.0, 0.049, 0.05, 0.14, 0.15, 0.24, 0.25, 0.39, 0.4, 0.5, 0.79, 0.8, 0.99]
@@ -208,19 +208,19 @@ class TestCrowd:
         mdp = build_crowd()  # objects (0, 1), agents (2, 3), hazard 4
         u = np.full((1, mdp.draws_per_step), 0.9)  # agents stay, no hazard flip
         u[0, 4] = 0.5  # object 0's pickup
-        state = FactoredState(4, (0, 2, 0, 0, 0))  # both agents on table 0's cell
+        state = (4, (0, 2, 0, 0, 0))  # both agents on table 0's cell
         nxt = next_state(mdp, state, 4, u)
-        assert nxt == FactoredState(4, (3, 2, 0, 0, 0))
+        assert nxt == (4, (3, 2, 0, 0, 0))
 
     def test_initial_values_cover_every_value(self):
         mdp = build_crowd()
         k = mdp.draws_per_step
         rngs = [np.random.default_rng(s) for s in range(400)]
         states = [initial_state(mdp, rng.random((1, k))) for rng in rngs]
-        seen = [set(s.exo[i] for s in states) for i in range(mdp.m)]
+        seen = [set(exo[i] for _, exo in states) for i in range(mdp.m)]
         n_tables = len(mdp.spec.table_cells)
         assert seen == [set(range(n_tables))] * 2 + [set(range(9))] * 2 + [{0, 1}]
-        assert {s.endo for s in states} == {mdp.spec.start_cell}
+        assert {endo for endo, _ in states} == {mdp.spec.start_cell}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -234,18 +234,19 @@ def crowd_step_reference(mdp, state, action, u):
     reads columns 2k (move) and 2k+1 (direction), object j column
     2*n_agents+j, hazard h the column after the objects, the robot the
     last two (slip, slip direction)."""
+    robot, exo = state
     spec = mdp.spec
     n_ag, n_obj, n_tables = spec.n_agents, spec.n_objects, len(spec.table_cells)
     w, h = spec.width, spec.height
     agents = []
     for k in range(n_ag):
-        pos = state.exo[n_obj + k]
+        pos = exo[n_obj + k]
         if u[2 * k] < spec.agent_move_prob:
             pos = _move_cell(pos, int(4 * u[2 * k + 1]), w, h)
         agents.append(pos)
     objects = []
     for j in range(n_obj):
-        v, u_j = state.exo[j], u[2 * n_ag + j]
+        v, u_j = exo[j], u[2 * n_ag + j]
         if v < n_tables:
             cell = spec.table_cells[v]
             carriers = [k for k in range(n_ag) if agents[k] == cell]
@@ -258,13 +259,12 @@ def crowd_step_reference(mdp, state, action, u):
         objects.append(v)
     hazards = [
         bit ^ int(u[2 * n_ag + n_obj + i] < spec.hazard_flip_prob)
-        for i, bit in enumerate(state.exo[n_obj + n_ag :])
+        for i, bit in enumerate(exo[n_obj + n_ag :])
     ]
-    robot = state.endo
     if action < 4:
         direction = int(4 * u[-1]) if u[-2] < spec.slip_prob else action
         robot = _move_cell(robot, direction, w, h)
-    return FactoredState(robot, tuple(objects + agents + hazards))
+    return robot, tuple(objects + agents + hazards)
 
 
 class TestBlockMdp:

@@ -808,18 +808,6 @@ class TestEstimateRewardVariables:
         with pytest.raises(ValueError):
             estimate_reward_variables(mdp, 0.0, 10, 1, seed=0)
 
-    def test_context_sampler_hook(self):
-        mdp = build_gridworld()
-        spec_cells = (1, 3)
-
-        def biased(rng):
-            return int(spec_cells[int(rng.integers(2))]), int(rng.integers(5))
-
-        mask = estimate_reward_variables(
-            mdp, 0.0, 40, 5, seed=0, context_sampler=biased
-        )
-        assert 0 in mask  # goal variable always varies at goal cells
-
 
 class TestDataPolicyInvariance:
     # None: the behaviour policy; the lambda: a planned policy always taking action 0

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exomdp.core import Mask, PlannerTimeoutError, exo_trajectory, truncation_horizon
+from exomdp.core import (
+    Mask,
+    PlannerTimeoutError,
+    exo_trajectory,
+    rollouts,
+    truncation_horizon,
+)
 from exomdp.domains import build_random_mdp
 from exomdp.estimation import exact_reduced_model
 from exomdp.planner import (
@@ -14,7 +20,6 @@ from exomdp.planner import (
     exact_policy_evaluation,
     hoeffding_confidence,
     hoeffding_deviation,
-    lift_reduced_values,
     monte_carlo_value,
     value_iteration,
 )
@@ -32,7 +37,7 @@ from conftest import (
 class TestValueIteration:
     def test_geometric_series(self):
         model = chain_reduced([1.0], gamma=0.5)
-        policy, values = value_iteration(model, epsilon=1e-6)
+        values = value_iteration(model, epsilon=1e-6).values
         assert values.values[0] == pytest.approx(2.0, abs=1e-5)
 
     def test_zero_reward(self):
@@ -154,8 +159,8 @@ class TestExactPolicyEvaluation:
         plan = value_iteration(model, 1e-9)
         table = exact_policy_evaluation(mdp, plan.policy, tol=1e-12)
         assert np.allclose(table.values, plan.values.values, atol=1e-7)
-        assert np.allclose(lift_reduced_values(plan.values, mdp), table.values,
-                           atol=1e-7)
+        lifted = mdp.lift(plan.values.space, plan.values.values)
+        assert np.allclose(lifted.reshape(-1), table.values, atol=1e-7)
 
     def test_value_magnitude_bound(self, hand_toy):
         model = exact_reduced_model(hand_toy, Mask((0,)))
@@ -186,11 +191,22 @@ class TestExactPolicyEvaluation:
         with pytest.raises(ValueError, match=r"\(4, \(3, 2\)\).*\(4, \(2, 3\)\)"):
             exact_policy_evaluation(other, plan.policy)
         with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 3\)"):
-            lift_reduced_values(plan.values, other)
+            other.lift(plan.values.space, plan.values.values)
         smaller = build_random_mdp(1, endo_cardinality=3, cards=(3, 2))
         with pytest.raises(ValueError, match="endo cardinality"):
             exact_policy_evaluation(smaller, plan.policy)
         assert exact_policy_evaluation(planned_on, plan.policy).values.shape == (24,)
+
+    def test_policy_over_other_action_count_refused(self, gridworld):
+        model = exact_reduced_model(gridworld, Mask((0,)))
+        actions = np.full(model.space.n_states, 6)
+        policy = Policy(space=model.space, actions=actions, action_count=7)
+        message = "policy over 7 actions does not fit the MDP's 5"
+        for mdp in (gridworld, model):  # the full and the reduced branch
+            with pytest.raises(ValueError, match=message):
+                exact_policy_evaluation(mdp, policy)
+        with pytest.raises(ValueError, match=message):
+            rollouts(gridworld, policy, 2, 2, seed=0)
 
 
 class TestMonteCarlo:
@@ -343,16 +359,24 @@ class TestHoeffding:
         with pytest.raises(ValueError):
             hoeffding_confidence(1, 0.1, 0.9, 0.0)
 
+    @pytest.mark.parametrize("n, r_max", [(0, 1.0), (-3, 1.0), (10, 0.0), (10, -1.0)])
+    def test_deviation_refuses_what_confidence_refuses(self, n, r_max):
+        with pytest.raises(ValueError, match="n must be|r_max must be"):
+            hoeffding_deviation(n, 0.9, 0.9, r_max)
+        with pytest.raises(ValueError, match="n must be|r_max must be"):
+            hoeffding_confidence(n, 0.1, 0.9, r_max)
+
     def test_deviation_inverts_confidence(self):
         dev = hoeffding_deviation(500, 0.9, 0.85, 2.0)
         assert hoeffding_confidence(500, dev, 0.85, 2.0) == pytest.approx(0.9, abs=1e-12)
 
 
-def test_lift_reduced_values_matches_reduction(gridworld):
+def test_lift_matches_reduction(gridworld):
     mask = Mask((0, 2))
     model = exact_reduced_model(gridworld, mask)
     plan = value_iteration(model, 1e-6)
-    lifted = lift_reduced_values(plan.values, gridworld)
+    space = plan.values.space
+    lifted = gridworld.lift(space, plan.values.values).reshape(-1)
     # states sharing a reduced image share the lifted value
     rng = np.random.default_rng(0)
     full_space_n = gridworld.endo_cardinality
@@ -360,5 +384,5 @@ def test_lift_reduced_values_matches_reduction(gridworld):
         endo = int(rng.integers(full_space_n))
         exo = tuple(int(rng.integers(2)) for _ in range(gridworld.m))
         idx = endo * gridworld.n_exo_states + gridworld.encode_exo(exo)
-        reduced = plan.values.space.encode_state(endo, exo)
+        reduced = endo * space.n_exo + space.encode_exo([exo[i] for i in mask])
         assert lifted[idx] == plan.values.values[reduced]

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from exomdp import search
 from exomdp.core import ExomdpError, Mask, TabularFullMdp, UnsupportedMdpError, VariableSpec
 from exomdp.domains import (
     build_chain_mdp,
@@ -276,11 +277,11 @@ class TestBruteForce:
         # all-zero rewards: every mask returns 0, so ties go to the empty mask
         assert mask.included == ()
 
-    def test_guard_refuses_large_m(self):
+    def test_guard_refuses_large_m(self, monkeypatch):
+        monkeypatch.setattr(search, "BRUTE_FORCE_LIMIT", 2)
         mdp = build_chain_mdp((2,) * 3, (0.3,) * 3)
-        params = SearchParams(brute_force_limit=2)
-        with pytest.raises(ExomdpError):
-            mask_brute_force(mdp, 0.1, params, seed=0)
+        with pytest.raises(ExomdpError, match=r"limit of 2\*\*2"):
+            mask_brute_force(mdp, 0.1, QUICK, seed=0)
 
     def test_winner_attains_maximum_on_rescoring(self, gridworld):
         mask, trace = mask_brute_force(gridworld, 0.3, QUICK, seed=4)
@@ -310,16 +311,6 @@ class TestGreedy:
         assert [e.mask.included for e in a_trace.entries] == [
             e.mask.included for e in b_trace.entries
         ]
-
-    def test_retry_mode_tries_all_variables(self):
-        mdp = build_chain_mdp((2, 2, 2), (0.3, 0.3, 0.3))
-        params = SearchParams(
-            n_rollouts=QUICK.n_rollouts, fit=QUICK.fit, greedy_retry_all=True
-        )
-        mask, trace = mask_greedy(mdp, lam=0.2, params=params, seed=0)
-        assert mask.included == ()
-        assert len(trace.entries) == 4  # baseline + all three rejected
-        assert trace.terminal_reason == "exhausted"
 
 
 class TestCorrelational:
@@ -365,15 +356,6 @@ class TestCorrelational:
                     assert not overlap
                 else:  # candidate mask includes exactly the added variable
                     assert len(overlap) == 1
-
-    def test_budget_cap(self):
-        mdp = chase_mdp(m_extra=2, driver=True)
-        params = SearchParams(
-            n_rollouts=QUICK.n_rollouts, fit=QUICK.fit, max_additions=0
-        )
-        mask, trace = mask_correlational(mdp, 0.01, 0.0, 100, 5, 0.05, params, seed=0)
-        assert trace.terminal_reason == "budget"
-        assert mask.included == (0,)
 
 
 class TestDominance:
