@@ -470,9 +470,6 @@ class TabularFullMdp(GenerativeMdp):
     def n_exo_states(self) -> int:
         return self._space.n_exo
 
-    def encode_exo(self, exo: Sequence[int]) -> int:
-        return self._space.encode_exo(exo)
-
     def mask_split(self, mask: Mask) -> tuple[np.ndarray, int, int]:
         """Exo codes as ``masked_code * n_excluded + excluded_code``, both sizes."""
         cards = self.exo_cardinalities

@@ -473,27 +473,21 @@ def exact_reduced_model(
     )
 
 
-def _plugin_mi(a_codes: np.ndarray, b_codes: np.ndarray) -> float:
-    """Plug-in mutual information (nats) between two discrete samples.
+# np.unique's sort beats a bincount over more than this many cells per code
+# counted (break-even measured at 10k to 400k codes; see CHANGES.md).
+MI_BINCOUNT_CELLS_PER_CODE = 4
 
-    Joint counts are held sparsely; only observed atoms contribute.
-    """
-    total = len(a_codes)
-    _, a_inv = np.unique(a_codes, return_inverse=True)
-    _, b_inv = np.unique(b_codes, return_inverse=True)
-    n_b = int(b_inv.max()) + 1
-    joint_code = a_inv.astype(np.int64) * n_b + b_inv
-    atoms, counts = np.unique(joint_code, return_counts=True)
-    a_part = atoms // n_b
-    b_part = atoms % n_b
-    a_counts = np.bincount(a_inv)
-    b_counts = np.bincount(b_inv)
-    p = counts / total
-    mi = float(
-        np.sum(p * np.log(counts.astype(float) * total
-                          / (a_counts[a_part] * b_counts[b_part])))
-    )
-    return max(0.0, mi)
+
+def _atoms(codes: np.ndarray, size: int, inverse: bool = False) -> tuple:
+    """``np.unique(codes, return_inverse=inverse, return_counts=True)`` for
+    codes in ``0..size-1``, by one bincount where ``size`` is small enough."""
+    if size > MI_BINCOUNT_CELLS_PER_CODE * len(codes):
+        return np.unique(codes, return_inverse=inverse, return_counts=True)
+    counts = np.bincount(codes, minlength=size)
+    atoms = np.flatnonzero(counts)
+    if not inverse:
+        return atoms, counts[atoms]
+    return atoms, (np.cumsum(counts > 0) - 1)[codes], counts[atoms]
 
 
 def transition_mutual_information(
@@ -505,8 +499,9 @@ def transition_mutual_information(
     The two random variables are ``A = (masked_t, masked_{t+1})`` and
     ``B = (x^j_t, x^j_{t+1})``; the estimate is the plug-in KL divergence
     between the empirical joint and the product of empirical marginals,
-    in nats. Zero when the mask is empty (the information of an empty
-    reduced state is zero by convention).
+    in nats, summed over the observed atoms in sorted order. Zero when the
+    mask is empty (the information of an empty reduced state is zero by
+    convention).
     """
     m = len(exo_data.cardinalities)
     if not 0 <= j < m:
@@ -518,12 +513,22 @@ def transition_mutual_information(
     if not mask.included:
         return 0.0
     space = ReducedSpace(1, mask, exo_data.cardinalities)
-    at = space.project_codes(exo_data.exo)
-    at1 = space.project_codes(exo_data.next_exo)
-    a_codes = at * space.n_exo + at1
+    a = space.project_codes(exo_data.exo) * space.n_exo
+    a += space.project_codes(exo_data.next_exo)
     cj = exo_data.cardinalities[j]
-    b_codes = exo_data.exo[:, j].astype(np.int64) * cj + exo_data.next_exo[:, j]
-    return _plugin_mi(a_codes, b_codes)
+    b = exo_data.exo[:, j].astype(np.int64) * cj + exo_data.next_exo[:, j]
+    total = len(a)
+    _, a_inv, a_counts = _atoms(a, space.n_exo**2, inverse=True)
+    _, b_inv, b_counts = _atoms(b, cj * cj, inverse=True)
+    n_b = len(b_counts)
+    atoms, counts = _atoms(a_inv.astype(np.int64) * n_b + b_inv, len(a_counts) * n_b)
+    a_part, b_part = np.divmod(atoms, n_b)
+    p = counts / total
+    mi = float(
+        np.sum(p * np.log(counts.astype(float) * total
+                          / (a_counts[a_part] * b_counts[b_part])))
+    )
+    return max(0.0, mi)
 
 
 def estimate_reward_variables(
@@ -540,24 +545,28 @@ def estimate_reward_variables(
     variable; the variable is kept when the mean reward variance across
     settings strictly exceeds ``variance_threshold``. Because the reward
     decomposes per variable, only that variable's component needs to be
-    evaluated; the rest of the state cancels out of the variance.
+    evaluated; the rest of the state cancels out of the variance. The
+    rewards are read from ``mdp.reward_component_table(i)``.
     """
     if n_settings < 2:
         raise ValueError("n_settings must be >= 2 for a variance to exist")
     if n_contexts < 1:
         raise ValueError("n_contexts must be >= 1")
+    n, a = mdp.endo_cardinality, mdp.action_count
     selected = []
-    for i, spec in enumerate(mdp.variable_specs):
+    for i, card in enumerate(mdp.exo_cardinalities):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        # one context at a time: batched bounded draws read the stream differently
+        endo, action, values = zip(*(
+            (rng.integers(n), rng.integers(a), rng.integers(card, size=n_settings))
+            for _ in range(n_contexts)
+        ))
+        rewards = mdp.reward_component_table(i)[
+            np.array(endo)[:, None], np.array(values), np.array(action)[:, None]
+        ]
         total = 0.0
-        for _ in range(n_contexts):
-            endo = int(rng.integers(mdp.endo_cardinality))
-            action = int(rng.integers(mdp.action_count))
-            values = rng.integers(0, spec.cardinality, size=n_settings)
-            rewards = [
-                mdp.reward_component(i, endo, int(v), action) for v in values
-            ]
-            total += float(np.var(rewards))
+        for variance in np.var(rewards, axis=1).tolist():  # in context order
+            total += variance
         if total / n_contexts > variance_threshold:
             selected.append(i)
     return Mask.of(selected)

@@ -29,9 +29,6 @@ from .core import (
 )
 from .estimation import TabularReducedMdp
 
-VALUE_SCOPE_REDUCED = "reduced"
-VALUE_SCOPE_FULL_EXACT = "full-exact"
-
 
 @dataclass(frozen=True, eq=False)
 class Policy:
@@ -61,15 +58,20 @@ class Policy:
 
 @dataclass(frozen=True, eq=False)
 class ValueTable:
-    """Values over an enumerated state space.
+    """Values over an enumerated state space, flat in its index order."""
 
-    ``scope`` is ``reduced`` (values in a reduced model) or ``full-exact``
-    (exact values over an analytic full MDP, indexed by the full mask).
-    """
-
-    scope: str
     space: ReducedSpace
     values: np.ndarray
+
+    def lift(self, space: ReducedSpace) -> np.ndarray:
+        """``(N, X)`` values over ``space``, a space over a super-mask: each
+        state takes the value of its projection onto this table's mask."""
+        own, mask = self.space.mask.included, space.mask.included
+        if not set(own) <= set(mask):
+            raise ValueError(f"values over mask {own} do not lift to mask {mask}")
+        digits = space.digit_matrix()[[mask.index(i) for i in own]]
+        codes = np.array(self.space.weights, dtype=np.int64) @ digits
+        return self.values.reshape(-1, self.space.n_exo)[:, codes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,16 +94,25 @@ def _q_values(model: TabularReducedMdp, v: np.ndarray) -> np.ndarray:
     return model.reward_table + model.discount * model.endo_expectation(next_v)
 
 
+def _greedy_policy(model: TabularReducedMdp, v: np.ndarray) -> Policy:
+    """Greedy policy of values ``v``; ties resolve to the lowest action index."""
+    q = _q_values(model, v)
+    return Policy(model.space, q.argmax(axis=1).reshape(-1), model.action_count)
+
+
 def value_iteration(
     model: TabularReducedMdp,
     epsilon: float = 1e-4,
     timeout: float = 60.0,
+    initial: np.ndarray | None = None,
 ) -> PlanResult:
     """Synchronous value iteration to a max-norm residual below ``epsilon``.
 
-    Stops early at ``timeout`` seconds and returns the best values so far;
-    raises ``PlannerTimeoutError`` only if not even one sweep finished (the
-    error carries the myopic policy). Greedy ties break toward the lowest
+    Starts from ``initial``, finite ``(N, X)`` values (zeros when None): it
+    converges from any start (Puterman 1994, ch. 6). Stops early at
+    ``timeout`` seconds and returns the best values so far; raises
+    ``PlannerTimeoutError`` only if not even one sweep finished (the error
+    carries the start's greedy policy). Greedy ties break toward the lowest
     action index.
     """
     if not epsilon > 0:  # NaN too: no residual is ever below it
@@ -109,19 +120,18 @@ def value_iteration(
     model.assert_valid()
     n, x = model.endo_cardinality, model.n_exo_states
     start = time.perf_counter()
-    v = np.zeros((n, x))
+    v = np.zeros((n, x)) if initial is None else np.array(initial, dtype=float)
+    if v.shape != (n, x) or not np.all(np.isfinite(v)):
+        raise ValueError(
+            f"initial values must be finite, of shape {(n, x)}; got {v.shape}"
+        )
     residuals: list[float] = []
     converged = False
     while True:
         if time.perf_counter() - start > timeout and not residuals:
-            q0 = _q_values(model, v)
-            myopic = Policy(
-                space=model.space,
-                actions=q0.argmax(axis=1).reshape(-1),
-                action_count=model.action_count,
-            )
             raise PlannerTimeoutError(
-                f"timed out after {timeout}s before the first sweep", policy=myopic
+                f"timed out after {timeout}s before the first sweep",
+                policy=_greedy_policy(model, v),
             )
         q = _q_values(model, v)
         v_new = q.max(axis=1)
@@ -132,19 +142,9 @@ def value_iteration(
             break
         if time.perf_counter() - start > timeout:
             break
-    q = _q_values(model, v)
-    greedy = q.argmax(axis=1)  # (N, X); ties resolve to the lowest index
-    policy = Policy(
-        space=model.space,
-        actions=greedy.reshape(-1),
-        action_count=model.action_count,
-    )
-    values = ValueTable(
-        scope=VALUE_SCOPE_REDUCED, space=model.space, values=v.reshape(-1)
-    )
     return PlanResult(
-        policy=policy,
-        values=values,
+        policy=_greedy_policy(model, v),
+        values=ValueTable(space=model.space, values=v.reshape(-1)),
         residuals=tuple(residuals),
         converged=converged,
     )
@@ -176,11 +176,7 @@ def exact_policy_evaluation(
         def expected_next(v):  # E[v(n', x') | n, x] under the policy's action
             return np.einsum("nxm,mx->nx", endo_pi, v @ exo_t)
 
-        gamma = mdp.discount
-        space = ReducedSpace(
-            n, Mask.full(mdp.m), [s.cardinality for s in mdp.variable_specs]
-        )
-        scope = VALUE_SCOPE_FULL_EXACT
+        space = ReducedSpace(n, Mask.full(mdp.m), mdp.exo_cardinalities)
     elif isinstance(mdp, TabularReducedMdp):
         _check_action_count(mdp, policy)
         if policy.space.mask.included != mdp.mask.included:
@@ -195,15 +191,13 @@ def exact_policy_evaluation(
             q = mdp.endo_expectation(mdp.exo_expectation(v))
             return q[rows, action_grid, cols]
 
-        gamma = mdp.discount
         space = mdp.space
-        scope = VALUE_SCOPE_REDUCED
     else:
         raise ExomdpError("exact evaluation needs tabular transition access")
 
     v = np.zeros((n, xf))
     for _ in range(max_sweeps):
-        v_new = r_pi + gamma * expected_next(v)
+        v_new = r_pi + mdp.discount * expected_next(v)
         delta = float(np.abs(v_new - v).max())
         v = v_new
         if delta < tol:
@@ -212,7 +206,7 @@ def exact_policy_evaluation(
         raise ExomdpError(
             f"policy evaluation did not reach tol={tol} in {max_sweeps} sweeps"
         )
-    return ValueTable(scope=scope, space=space, values=v.reshape(-1))
+    return ValueTable(space=space, values=v.reshape(-1))
 
 
 def monte_carlo_value(

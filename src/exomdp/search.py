@@ -44,6 +44,7 @@ from .estimation import (
     transition_mutual_information,
 )
 from .planner import (
+    ValueTable,
     exact_policy_evaluation,
     monte_carlo_value,
     value_iteration,
@@ -244,6 +245,15 @@ def _collect_fit_datasets(mdp: GenerativeMdp, params: SearchParams, seed: int):
     return exo, full
 
 
+@dataclass
+class WarmStart:
+    """The values of the last mask scored with it, from which value iteration
+    starts on the next. Greedy and correlational search stop at their first
+    rejected mask, so along either these are the incumbent's values."""
+
+    values: ValueTable | None = None
+
+
 def _mc_horizon(mdp: GenerativeMdp, params: SearchParams) -> int:
     if params.mc_horizon is not None:
         return params.mc_horizon
@@ -257,6 +267,7 @@ def estimate_objective(
     params: SearchParams | None = None,
     seed: int = 0,
     datasets: SearchDatasets | None = None,
+    warm: WarmStart | None = None,
 ) -> MaskScore:
     """Fit, plan, and roll out one mask; return its regularized score.
 
@@ -266,6 +277,7 @@ def estimate_objective(
     ``lam * cost``. Passing ``datasets`` reuses previously collected data;
     omitting it collects those of ``collect_search_datasets(mdp, params,
     seed)``, so repeated calls with the same arguments give identical scores.
+    ``warm`` starts value iteration from a sub-mask's values (``WarmStart``).
     """
     params = params or SearchParams()
     t0 = time.perf_counter()
@@ -283,7 +295,10 @@ def estimate_objective(
         state_budget=params.state_budget,
     )
     del fit_data  # a fixed mask's rollouts are freed before value iteration
-    plan = value_iteration(model, params.vi_epsilon, params.vi_timeout)
+    initial = warm.values.lift(model.space) if warm and warm.values else None
+    plan = value_iteration(model, params.vi_epsilon, params.vi_timeout, initial)
+    if warm:
+        warm.values = plan.values
     if not plan.converged:
         logger.warning(
             "value iteration for mask %s stopped unconverged after %d sweeps "
@@ -372,13 +387,14 @@ def mask_greedy(
     order = list(rng.permutation(mdp.m))
     trace = SearchTrace()
     current = Mask(())
-    best = estimate_objective(mdp, current, lam, params, seed, datasets)
+    warm = WarmStart()
+    best = estimate_objective(mdp, current, lam, params, seed, datasets, warm)
     trace.add(TraceEntry(0, current, None, True, best))
     iteration = 1
     terminal = TERMINAL_EXHAUSTED
     for j in order:
         candidate = current.with_variable(int(j))
-        score = estimate_objective(mdp, candidate, lam, params, seed, datasets)
+        score = estimate_objective(mdp, candidate, lam, params, seed, datasets, warm)
         accepted = score.objective > best.objective
         trace.add(TraceEntry(iteration, candidate, None, accepted, score))
         iteration += 1
@@ -420,7 +436,8 @@ def mask_correlational(
         seed=derive_seed(seed, _STREAM_PHASE1),
     )
     trace = SearchTrace()
-    best = estimate_objective(mdp, mask, lam, params, seed, datasets)
+    warm = WarmStart()
+    best = estimate_objective(mdp, mask, lam, params, seed, datasets, warm)
     trace.add(TraceEntry(0, mask, None, True, best))
     iteration = 1
     while True:
@@ -438,7 +455,7 @@ def mask_correlational(
             trace.terminal_reason = TERMINAL_MI_BELOW_THRESHOLD
             break
         candidate = mask.with_variable(j_star)
-        score = estimate_objective(mdp, candidate, lam, params, seed, datasets)
+        score = estimate_objective(mdp, candidate, lam, params, seed, datasets, warm)
         accepted = score.objective > best.objective
         trace.add(TraceEntry(iteration, candidate, mi, accepted, score))
         iteration += 1

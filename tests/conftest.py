@@ -233,3 +233,47 @@ def random_tabular_cases(draw):
     )
     mask = Mask.of(j for j in range(len(cards)) if draw(st.booleans()))
     return mdp, mask
+
+
+def mutual_information_oracle(exo_data, mask, j):
+    """Plug-in transition mutual information counted by sorting: each side's
+    atoms and the joint atoms from ``np.unique``, summed in sorted order."""
+    space = ReducedSpace(1, mask, exo_data.cardinalities)
+    a_codes = space.project_codes(exo_data.exo) * space.n_exo + space.project_codes(
+        exo_data.next_exo
+    )
+    cj = exo_data.cardinalities[j]
+    b_codes = exo_data.exo[:, j].astype(np.int64) * cj + exo_data.next_exo[:, j]
+    total = len(a_codes)
+    _, a_inv = np.unique(a_codes, return_inverse=True)
+    _, b_inv = np.unique(b_codes, return_inverse=True)
+    n_b = int(b_inv.max()) + 1
+    atoms, counts = np.unique(a_inv.astype(np.int64) * n_b + b_inv, return_counts=True)
+    a_part = atoms // n_b
+    b_part = atoms % n_b
+    a_counts = np.bincount(a_inv)
+    b_counts = np.bincount(b_inv)
+    p = counts / total
+    mi = float(
+        np.sum(p * np.log(counts.astype(float) * total
+                          / (a_counts[a_part] * b_counts[b_part])))
+    )
+    return max(0.0, mi)
+
+
+def reward_screen_oracle(mdp, n_contexts, n_settings, seed):
+    """Each variable's mean reward variance over the reward screen's
+    contexts, from one scalar ``reward_component`` call per setting and one
+    ``np.var`` per context, added in context order."""
+    means = []
+    for i, spec in enumerate(mdp.variable_specs):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        total = 0.0
+        for _ in range(n_contexts):
+            endo = int(rng.integers(mdp.endo_cardinality))
+            action = int(rng.integers(mdp.action_count))
+            values = rng.integers(0, spec.cardinality, size=n_settings)
+            rewards = [mdp.reward_component(i, endo, int(v), action) for v in values]
+            total += float(np.var(rewards))
+        means.append(total / n_contexts)
+    return means

@@ -284,6 +284,8 @@ class TestBlockMdp:
         order = list(reversed(range(mdp.m)))
         permuted = permute_exo_variables(mdp, order)
         rng = np.random.default_rng(0)
+        full = ReducedSpace(1, Mask.full(mdp.m), mdp.exo_cardinalities)
+        full_new = ReducedSpace(1, Mask.full(mdp.m), permuted.exo_cardinalities)
         # transition probabilities between corresponding joint values agree
         for _ in range(50):
             x_old = tuple(
@@ -295,16 +297,16 @@ class TestBlockMdp:
             x_new = tuple(x_old[o] for o in order)
             y_new = tuple(y_old[o] for o in order)
             assert permuted.exo_kernel[
-                permuted.encode_exo(x_new), permuted.encode_exo(y_new)
+                full_new.encode_exo(x_new), full_new.encode_exo(y_new)
             ] == pytest.approx(
-                mdp.exo_kernel[mdp.encode_exo(x_old), mdp.encode_exo(y_old)],
+                mdp.exo_kernel[full.encode_exo(x_old), full.encode_exo(y_old)],
                 abs=1e-15,
             )
             n = int(rng.integers(mdp.endo_cardinality))
             a = int(rng.integers(mdp.action_count))
             assert np.allclose(
-                permuted.endo_kernel[n, a, permuted.encode_exo(x_new)],
-                mdp.endo_kernel[n, a, mdp.encode_exo(x_old)],
+                permuted.endo_kernel[n, a, full_new.encode_exo(x_new)],
+                mdp.endo_kernel[n, a, full.encode_exo(x_old)],
             )
         # optimal values at the initial distribution are unchanged
         init_old = np.kron(mdp.init_endo, mdp.init_exo)

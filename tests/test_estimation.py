@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,9 +45,11 @@ from conftest import (
     constant_reward_mdp,
     count_over_total,
     make_reduced,
+    mutual_information_oracle,
     random_policy,
     random_tabular_cases,
     reference_rollouts,
+    reward_screen_oracle,
 )
 
 
@@ -769,7 +772,70 @@ class TestMutualInformation:
         assert forward == pytest.approx(backward, abs=1e-9)
 
 
+@st.composite
+def exo_mi_cases(draw):
+    """``(dataset, mask, j)``: random transitions over 2-4 variables, a
+    nonempty mask and a variable outside it."""
+    cards = draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # few distinct rows, so that atoms repeat
+    rows = rng.integers(0, cards, size=(draw(st.integers(1, 40)), 2, len(cards)))
+    arr = rows[rng.integers(len(rows), size=n)].astype(np.int16)
+    ds = ExoRolloutDataset(arr[:, 0], arr[:, 1], tuple(cards), 1, n, 0)
+    j = draw(st.integers(0, len(cards) - 1))
+    others = [i for i in range(len(cards)) if i != j]
+    mask = Mask.of(draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
+    return ds, mask, j
+
+
+class TestMutualInformationCounting:
+    @given(exo_mi_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_both_counting_paths_equal_the_sort_oracle(self, case):
+        ds, mask, j = case
+        expected = mutual_information_oracle(ds, mask, j)
+        for limit in (0, 10**9):  # np.unique for every count, then bincount
+            with mock.patch.object(estimation, "MI_BINCOUNT_CELLS_PER_CODE", limit):
+                assert transition_mutual_information(ds, mask, j) == expected
+
+    @pytest.mark.parametrize(
+        "mask, j, sorts",
+        [((0, 4), 2, False), ((0, 2, 4), 3, False), ((0, 2, 3, 4), 1, True)],
+    )
+    def test_crowd_counts_on_either_side_of_the_limit(self, monkeypatch, mask, j, sorts):
+        # crowd-corr's data: 90,000 transitions; the last mask's 656,100
+        # codes lie above the limit, the others' below it
+        ds = collect_exo_rollouts(build_crowd(), 1500, 60, seed=11)
+        expected = mutual_information_oracle(ds, Mask(mask), j)
+        unique, calls = np.unique, []
+
+        def counting_unique(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        assert transition_mutual_information(ds, Mask(mask), j) == expected
+        assert bool(calls) == sorts
+
+
 class TestEstimateRewardVariables:
+    @pytest.mark.parametrize("n_settings", [5, 11])
+    @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
+    def test_screen_equals_the_scalar_oracle(self, builder, n_settings):
+        mdp = builder()
+        for seed in range(3):
+            means = reward_screen_oracle(mdp, 120, n_settings, seed)
+
+            def kept(threshold):
+                return estimate_reward_variables(mdp, threshold, 120, n_settings, seed)
+
+            assert kept(0.0).included == tuple(i for i, q in enumerate(means) if q > 0)
+            # each mean is the oracle's to the bit: kept below it, dropped at it
+            for i, q in enumerate(means):
+                assert i in kept(np.nextafter(q, -np.inf))
+                assert i not in kept(q)
+
     def test_reward_independent_of_exo_gives_empty_mask(self):
         mdp = constant_reward_mdp([4.0, -1.0])
         mask = estimate_reward_variables(mdp, 0.0, 50, 5, seed=0)

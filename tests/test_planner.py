@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,14 +9,21 @@ from hypothesis import strategies as st
 from exomdp.core import (
     Mask,
     PlannerTimeoutError,
+    ReducedSpace,
     exo_trajectory,
     rollouts,
     truncation_horizon,
 )
-from exomdp.domains import build_random_mdp
-from exomdp.estimation import exact_reduced_model
+from exomdp.domains import build_crowd, build_random_mdp
+from exomdp.estimation import (
+    collect_exo_rollouts,
+    collect_full_rollouts,
+    exact_reduced_model,
+    fit_reduced_mdp,
+)
 from exomdp.planner import (
     Policy,
+    ValueTable,
     count_positive_reward_steps,
     exact_policy_evaluation,
     hoeffding_confidence,
@@ -98,6 +106,71 @@ class TestValueIteration:
         for epsilon in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="epsilon must be positive"):
                 value_iteration(chain_reduced([1.0], 0.5), epsilon=epsilon)
+
+
+class TestWarmStart:
+    @pytest.fixture(scope="class")
+    def crowd_chain(self):
+        """Models of the crowd's correlational chain, fitted from one dataset."""
+        mdp = build_crowd()
+        exo = collect_exo_rollouts(mdp, 1500, 60, seed=0)
+        full = collect_full_rollouts(mdp, None, 1000, 50, seed=100)
+        masks = [(0, 4), (0, 2, 4), (0, 2, 3, 4)]
+        return [fit_reduced_mdp(mdp, Mask(m), exo, full) for m in masks]
+
+    def test_lifted_start_reaches_the_cold_policy_in_fewer_sweeps(self, crowd_chain):
+        eps = 1e-4
+        start = value_iteration(crowd_chain[0], eps).values
+        for model in crowd_chain[1:]:
+            cold = value_iteration(model, eps)
+            warm = value_iteration(model, eps, initial=start.lift(model.space))
+            assert warm.converged and warm.residuals[-1] < eps
+            assert np.array_equal(warm.policy.actions, cold.policy.actions)
+            # both stop within gamma eps / (1 - gamma) of the fixed point
+            gap = np.abs(warm.values.values - cold.values.values).max()
+            assert gap <= 2 * model.discount * eps / (1 - model.discount)
+            assert len(warm.residuals) < 0.8 * len(cold.residuals)
+            start = warm.values
+
+    @pytest.mark.parametrize("sub", [(), (1,), (0, 2), (2, 0, 1)])
+    def test_lift_reads_each_state_at_its_projection(self, sub):
+        cards = (2, 3, 4)
+        own = ReducedSpace(2, Mask.of(sub), cards)
+        onto = ReducedSpace(2, Mask((0, 1, 2)), cards)
+        values = np.random.default_rng(0).random(own.n_states)
+        lifted = ValueTable(own, values).lift(onto)
+        assert lifted.shape == (2, onto.n_exo)
+        for code in range(onto.n_exo):
+            digits = onto.decode_exo(code)
+            own_code = own.encode_exo([digits[i] for i in own.mask])
+            for n in range(2):
+                assert lifted[n, code] == values[n * own.n_exo + own_code]
+
+    def test_lift_from_outside_the_mask_refused(self):
+        values = ValueTable(ReducedSpace(2, Mask((0, 3)), (2,) * 4), np.zeros(8))
+        for mask in [(0, 2), (3,), ()]:
+            with pytest.raises(ValueError, match="do not lift"):
+                values.lift(ReducedSpace(2, Mask(mask), (2,) * 4))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((4, 5)),
+            np.zeros((3, 3)),
+            np.zeros((3, 4)),
+            np.zeros(12),
+            np.full((4, 3), np.nan),
+            np.full((4, 3), np.inf),
+            np.where(np.eye(4, 3) > 0, -np.inf, 0.0),
+        ],
+        ids=["wide", "short", "transposed", "flat", "nan", "inf", "-inf"],
+    )
+    def test_bad_start_refused_naming_the_shape(self, bad):
+        model = make_reduced(
+            np.full((4, 2, 3, 4), 0.25), np.full((3, 3), 1 / 3), np.ones((4, 2, 3)), 0.9
+        )
+        with pytest.raises(ValueError, match=re.escape("of shape (4, 3)")):
+            value_iteration(model, 1e-4, timeout=1.0, initial=bad)
 
 
 class TestExactPolicyEvaluation:
@@ -379,10 +452,12 @@ def test_lift_matches_reduction(gridworld):
     lifted = gridworld.lift(space, plan.values.values).reshape(-1)
     # states sharing a reduced image share the lifted value
     rng = np.random.default_rng(0)
-    full_space_n = gridworld.endo_cardinality
+    full = ReducedSpace(
+        gridworld.endo_cardinality, Mask.full(gridworld.m), gridworld.exo_cardinalities
+    )
     for _ in range(50):
-        endo = int(rng.integers(full_space_n))
+        endo = int(rng.integers(full.endo_cardinality))
         exo = tuple(int(rng.integers(2)) for _ in range(gridworld.m))
-        idx = endo * gridworld.n_exo_states + gridworld.encode_exo(exo)
+        idx = endo * full.n_exo + full.encode_exo(exo)
         reduced = endo * space.n_exo + space.encode_exo([exo[i] for i in mask])
         assert lifted[idx] == plan.values.values[reduced]

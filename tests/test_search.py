@@ -14,11 +14,13 @@ from exomdp.domains import (
     perturb_exo_coupling,
     random_block_mdp,
 )
+from exomdp.planner import ValueTable, value_iteration
 from exomdp.search import (
     FitBudget,
     SearchParams,
     SearchTrace,
     TraceEntry,
+    WarmStart,
     check_reduction_conditions,
     collect_search_datasets,
     estimate_objective,
@@ -472,3 +474,45 @@ class TestPhaseOneSoundness:
         for seed in range(5):
             mask = estimate_reward_variables(mdp, 0.0, 250, 5, seed=seed)
             assert set(mask.included) == {0, 1, 2}
+
+
+class TestWarmStartedSearch:
+    CROWD = SearchParams(
+        n_rollouts=300,
+        fit=FitBudget(
+            n_exo_rollouts=1500, exo_horizon=60, n_full_rollouts=1000, full_horizon=50
+        ),
+    )
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "correlational"])
+    def test_scores_equal_cold_starts(self, monkeypatch, algorithm):
+        mdp = build_crowd()
+
+        def run():
+            if algorithm == "greedy":
+                return mask_greedy(mdp, 0.05, self.CROWD, seed=2)
+            return mask_correlational(mdp, 0.02, 0.0, 250, 5, 0.05, self.CROWD, seed=2)
+
+        starts = []
+
+        def recording_vi(model, epsilon, timeout, initial=None):
+            starts.append((model.mask, initial))
+            return value_iteration(model, epsilon, timeout, initial)
+
+        monkeypatch.setattr(search, "value_iteration", recording_vi)
+        mask, trace = run()
+        scored = [e.mask for e in trace.entries if e.score is not None]
+        assert len(scored) >= 2 and [m for m, _ in starts] == scored
+        assert starts[0][1] is None
+        assert all(initial is not None for _, initial in starts[1:])
+
+        monkeypatch.setattr(ValueTable, "lift", lambda self, space: None)
+        cold_mask, cold_trace = run()
+        assert cold_mask == mask
+        assert cold_trace.to_jsonl() == trace.to_jsonl()
+
+    def test_start_outside_the_mask_refused(self, gridworld):
+        model = search.exact_reduced_model(gridworld, Mask((0, 3)))
+        warm = WarmStart(value_iteration(model, 1e-4).values)
+        with pytest.raises(ValueError, match="do not lift"):
+            estimate_objective(gridworld, Mask((0, 2)), 0.0, QUICK, 0, None, warm)
