@@ -36,11 +36,24 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``"1-3,7"`` -> ``[1, 2, 3, 7]``."""
+    """``"1-3,7"`` -> ``[1, 2, 3, 7]``: comma-separated non-negative seeds
+    and ascending ``lo-hi`` ranges, strictly increasing overall."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
+        lo, dash, hi = part.partition("-")
+        if not (lo.isdecimal() and (hi.isdecimal() if dash else not hi)):
+            raise argparse.ArgumentTypeError(
+                f"{part!r} in {text!r} is neither a seed nor a range lo-hi"
+            )
+        if int(hi or lo) < int(lo):
+            raise argparse.ArgumentTypeError(f"range {part!r} descends")
         seeds += range(int(lo), int(hi or lo) + 1)
+    repeated = [b for a, b in zip(seeds, seeds[1:]) if b <= a]
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"seeds {text!r} must be strictly increasing; {repeated[0]} "
+            f"comes again or out of order"
+        )
     return seeds
 
 

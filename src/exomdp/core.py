@@ -314,6 +314,108 @@ class ReducedSpace:
         return digits
 
 
+# np.unique's sort beats a bincount over more than this many cells per code
+# counted (break-even measured at 10k to 400k codes; see CHANGES.md).
+BINCOUNT_CELLS_PER_CODE = 4
+
+
+def _atoms(codes, size: int, inverse: bool = False, weights=None) -> tuple:
+    """``np.unique(codes, return_inverse=inverse, return_counts=True)`` for
+    codes in ``0..size-1``, by one bincount where ``size`` is small enough.
+    With integer ``weights``, an atom's count is the sum of its codes'
+    weights (added in float64, so exactly below ``2**53``). The bincount
+    path gives the inverse in the narrowest unsigned dtype that holds it."""
+    if size > BINCOUNT_CELLS_PER_CODE * len(codes):
+        if weights is None:
+            return np.unique(codes, return_inverse=inverse, return_counts=True)
+        atoms, codes = np.unique(codes, return_inverse=True)
+        counts = np.bincount(codes, weights).astype(np.int64)
+    else:
+        counts = np.bincount(codes, weights, minlength=size)
+        atoms = np.flatnonzero(counts)
+        if inverse:
+            ranks = np.cumsum(counts > 0) - 1
+            codes = ranks.astype(np.min_scalar_type(max(len(atoms) - 1, 0)))[codes]
+        counts = counts[atoms].astype(np.int64, copy=False)
+    return (atoms, codes, counts) if inverse else (atoms, counts)
+
+
+def _mixed_radix(digits, radices) -> np.ndarray:
+    """``(d0 * r1 + d1) * r2 + d2 ...`` of integer arrays ``digits``, each
+    digit below its radix in ``radices``: int32 where every key fits and
+    int64 otherwise, so that counting them moves half the bytes."""
+    keys = digits[0].astype(_code_dtype(math.prod(radices)))
+    for digit, radix in zip(digits[1:], radices[1:]):
+        keys *= radix
+        keys += digit
+    return keys
+
+
+def _code_dtype(size: int):
+    """The integer dtype of codes ``0..size-1``, int32 or int64."""
+    return np.int32 if size <= 1 << 31 else np.int64
+
+
+def exo_ranks(arrays: Sequence[np.ndarray], cardinalities: Sequence[int]) -> tuple:
+    """``(ranks, values)`` of the exo vectors of ``arrays``, each of shape
+    ``(..., m)``: ``values`` holds the ``(D, m)`` distinct vectors of all of
+    them in lexicographic order (first variable most significant), and
+    ``ranks`` per array the ``(...)`` row of ``values`` of each vector, in
+    the narrowest unsigned dtype that holds ``D - 1``.
+
+    The vectors are read as mixed-radix codes one variable at a time. Before
+    a digit would carry the codes past int64, the codes so far are replaced
+    by their ranks, so the codes grow with the distinct vectors and never
+    with the product of the cardinalities. ``values`` is decoded from the
+    distinct codes alone.
+    """
+    cards = [int(c) for c in cardinalities]
+    rows = [a.reshape(math.prod(a.shape[:-1]), a.shape[-1]) for a in arrays]
+    for r in rows:
+        if r.shape[1] != len(cards):
+            raise ValueError(
+                f"exo vectors of {r.shape[1]} variables do not fit the "
+                f"{len(cards)} cardinalities {tuple(cards)}"
+            )
+        if r.size and r.min() < 0:
+            raise ValueError("exo values must be non-negative")
+    bounds = np.cumsum([0] + [len(r) for r in rows]).tolist()
+    codes, size = np.zeros(bounds[-1], dtype=_code_dtype(math.prod(cards))), 1
+    # the distinct vectors of the variables ranked so far, in rank order
+    prefix = np.zeros((1, 0), dtype=rows[0].dtype if rows else _EXO_DTYPE)
+    ranked = 0
+    for i, card in enumerate(cards):
+        if size * card > 1 << 63:  # the largest code, size * card - 1, overflows
+            atoms, codes, _ = _atoms(codes, size, inverse=True)
+            prefix, ranked = _decode(atoms, prefix, cards[ranked:i]), i
+            codes, size = codes.astype(np.int64), len(atoms)
+        codes *= card
+        for r, lo, hi in zip(rows, bounds, bounds[1:]):
+            digit = r[:, i]
+            if len(digit) and digit.max() >= card:
+                raise ValueError(
+                    f"exo variable {i} takes values outside 0..{card - 1}"
+                )
+            codes[lo:hi] += digit
+        size *= card
+    atoms, codes, _ = _atoms(codes, size, inverse=True)
+    ranks = codes.astype(np.min_scalar_type(max(len(atoms) - 1, 0)), copy=False)
+    parts = np.split(ranks, bounds[1:-1])
+    ranks = [part.reshape(a.shape[:-1]) for a, part in zip(arrays, parts)]
+    return ranks, _decode(atoms, prefix, cards[ranked:])
+
+
+def _decode(codes: np.ndarray, prefix: np.ndarray, cards: list[int]) -> np.ndarray:
+    """Rows of ``codes`` read as ``rank * prod(cards) + digits``: the row of
+    ``prefix`` of each rank, then its digits in ``cards``' radices."""
+    k = prefix.shape[1]
+    out = np.empty((len(codes), k + len(cards)), dtype=prefix.dtype)
+    for i in reversed(range(len(cards))):
+        codes, out[:, k + i] = np.divmod(codes, cards[i])
+    out[:, :k] = prefix[codes]
+    return out
+
+
 def reduced_space_for(
     mdp: GenerativeMdp, mask: Mask, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> ReducedSpace:
@@ -649,14 +751,24 @@ class Rollouts:
 @dataclass(frozen=True, eq=False)
 class ExoTrajectory:
     """Stage 1 of the rollout engine, read-only: initial ``endo`` ``(R,)``,
-    the exo chain ``exo`` ``(R, H + 1, m)`` int16 and its ``exo_index``, and
-    ``draws`` ``(R, H, c)``, each step's uniforms the exo step does not read
-    (the behaviour policy's one, if it acts, then the endo columns)."""
+    the exo chain ``exo`` ``(R, H + 1, m)`` int16, its ``exo_index``, its
+    ``exo_ranks`` (``ranks`` ``(R, H + 1)`` into the distinct ``values``
+    ``(D, m)``), and ``draws`` ``(R, H, c)``, each step's uniforms the exo
+    step does not read (the behaviour policy's one, if it acts, then the
+    endo columns)."""
 
     endo: np.ndarray
     exo: np.ndarray
     index: np.ndarray
+    ranks: np.ndarray
+    values: np.ndarray
     draws: np.ndarray
+
+    def lift(self, space: ReducedSpace, per_state: np.ndarray) -> np.ndarray:
+        """``(N, D)``: the entry of a table over ``space`` at each endo value
+        and distinct exo vector of the chain."""
+        table = per_state.reshape(space.endo_cardinality, space.n_exo)
+        return table[:, space.project_codes(self.values)]
 
 
 ROLLOUT_FIELDS = ("endo", "exo", "action", "reward")
@@ -682,8 +794,9 @@ def exo_trajectory(
     rollouts at a time as hold ``CHUNK_DRAWS`` uniforms (at least one).
     """
     endo, exo, draws = _exo_chain(mdp, n_rollouts, horizon, seed, behave, True)
-    out = ExoTrajectory(endo, exo, mdp.exo_index(exo), draws)
-    for array in (endo, exo, out.index, draws):
+    (ranks,), values = exo_ranks([exo], mdp.exo_cardinalities)
+    out = ExoTrajectory(endo, exo, mdp.exo_index(exo), ranks, values, draws)
+    for array in (endo, exo, out.index, ranks, values, draws):
         array.flags.writeable = False
     return out
 
@@ -759,12 +872,13 @@ def rollouts(
         u = u[:, :, 1:]
     else:
         action = np.zeros((n_rollouts, horizon), dtype=np.int64)
-    if planned:  # the masked codes of every step, in one gather
-        codes = policy.space.project_codes(trajectory.exo)
+    if planned:  # the policy at every endo value and distinct exo vector
+        lifted = trajectory.lift(policy.space, policy.actions).reshape(-1)
+        ranks, n_distinct = trajectory.ranks, len(trajectory.values)
     for t in range(horizon):
         a = action[:, t]
         if planned:
-            a = action[:, t] = policy.actions[e * policy.space.n_exo + codes[:, t]]
+            a = action[:, t] = lifted[e * n_distinct + ranks[:, t]]
         e = endo[:, t + 1] = mdp.batch_endo_step(e, index[:, t], a, u[:, t])
     reward = None
     if "reward" in keep:  # every step's reward in one call

@@ -22,17 +22,30 @@ from .core import (
     TabularFullMdp,
     UniformRandomPolicy,
     UnsupportedMdpError,
+    _atoms,
     _exo_chain,
+    _mixed_radix,
+    exo_ranks,
     reduced_space_for,
     rollouts,
     uniform_random_policy,
 )
+
+
+def _narrow(array: np.ndarray) -> np.ndarray:
+    """Non-negative integers in the narrowest unsigned dtype that holds them."""
+    return array.astype(np.min_scalar_type(int(array.max(initial=0))))
+
 
 @dataclass(frozen=True)
 class ExoRolloutDataset:
     """Policy-free exogenous transitions: one ``(exo_t, exo_{t+1})`` per row.
 
     ``exo`` and ``next_exo`` are ``(n_rollouts * horizon, m)`` integer arrays.
+    Made once with the dataset, its joint exo index: ``values``, the ``(D,
+    m)`` distinct vectors of both arrays (``core.exo_ranks``), and each
+    distinct ``(rank, next rank)`` pair, column ``k`` of ``pairs`` ``(2,
+    P)``, seen ``pair_counts[k]`` times.
     """
 
     exo: np.ndarray
@@ -41,6 +54,17 @@ class ExoRolloutDataset:
     horizon: int
     n_rollouts: int
     seed: int
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_counts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ranks, values = exo_ranks((self.exo, self.next_exo), self.cardinalities)
+        d = len(values)
+        keys, counts = _atoms(_mixed_radix(ranks, (d, d)), d * d)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "pairs", _narrow(np.stack(np.divmod(keys, d))))
+        object.__setattr__(self, "pair_counts", _narrow(counts))
 
     def __len__(self) -> int:
         return len(self.exo)
@@ -48,7 +72,13 @@ class ExoRolloutDataset:
 
 @dataclass(frozen=True)
 class FullRolloutDataset:
-    """Policy-driven transitions ``(s, a, r, s')`` as parallel arrays."""
+    """Policy-driven transitions ``(s, a, r, s')`` as parallel arrays.
+
+    Made once with the dataset, its joint exo index: ``values``, the ``(D,
+    m)`` distinct vectors of ``exo`` (``core.exo_ranks``), and each distinct
+    ``(endo * A + action, rank, next endo)`` step, column ``k`` of ``steps``
+    ``(3, P)``, seen ``step_counts[k]`` times.
+    """
 
     endo: np.ndarray
     action: np.ndarray
@@ -63,6 +93,20 @@ class FullRolloutDataset:
     n_rollouts: int
     seed: int
     policy_tag: str = "uniform-random"
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
+    step_counts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        (ranks,), values = exo_ranks([self.exo], self.cardinalities)
+        n, a, d = self.endo_cardinality, self.action_count, len(values)
+        digits = (self.endo, self.action, ranks, self.next_endo)
+        keys, counts = _atoms(_mixed_radix(digits, (n, a, d, n)), n * a * d * n)
+        rest, next_endo = np.divmod(keys, n)
+        steps = np.stack([*np.divmod(rest, d), next_endo])
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "steps", _narrow(steps))
+        object.__setattr__(self, "step_counts", _narrow(counts))
 
     def __len__(self) -> int:
         return len(self.endo)
@@ -333,19 +377,13 @@ def exo_pairs_from_full(full_data: FullRolloutDataset) -> ExoRolloutDataset:
 
 
 def _fit_table(
-    keys: np.ndarray, n_rows: int, n_cols: int, smoothing: float
+    keys: np.ndarray, n_rows: int, n_cols: int, smoothing: float, weights=None
 ) -> SparseTable:
-    """Maximum-likelihood table from observed ``row * n_cols + col`` keys.
-
-    Counts with one ``bincount`` over the cells when the table is small
-    enough to keep dense, and by sorting the observed keys otherwise.
+    """Maximum-likelihood table from observed ``row * n_cols + col`` keys,
+    key ``k`` seen ``weights[k]`` times (once each when None); the keys'
+    atoms are counted by ``core._atoms``.
     """
-    if n_rows * n_cols <= DENSE_MAX_ENTRIES:
-        counts = np.bincount(keys, minlength=n_rows * n_cols)
-        keys = np.flatnonzero(counts)
-        counts = counts[keys]
-    else:
-        keys, counts = np.unique(keys, return_counts=True)
+    keys, counts = _atoms(keys, n_rows * n_cols, weights=weights)
     rows, cols = np.divmod(keys, n_cols)
     totals = np.bincount(rows, weights=counts, minlength=n_rows)
     denominators = totals + smoothing * n_cols
@@ -368,7 +406,10 @@ def fit_reduced_mdp(
     The exogenous table is the projected-count maximum-likelihood estimate
     from the policy-free dataset; the endogenous table groups full-rollout
     transitions by ``(endo, action, masked exo)``. Ignored variables are
-    marginalized out by the projection itself.
+    marginalized out by the projection itself. Both are fitted from the
+    datasets' joint counts: each dataset's distinct exo vectors are
+    projected once, and every distinct pair or step adds its count, which
+    gives the tables of counting row by row to the bit.
     """
     if len(exo_data) == 0 or len(full_data) == 0:
         raise InsufficientDataError("cannot fit a reduced model from an empty dataset")
@@ -387,22 +428,14 @@ def fit_reduced_mdp(
     space = reduced_space_for(mdp, mask, state_budget)
     n, a, x = mdp.endo_cardinality, mdp.action_count, space.n_exo
 
-    # keys unnamed: each table's codes are freed once it is fitted
-    exo_table = _fit_table(
-        space.project_codes(exo_data.exo) * x + space.project_codes(exo_data.next_exo),
-        x,
-        x,
-        smoothing,
-    )
-    endo_table = _fit_table(
-        (
-            (full_data.endo.astype(np.int64) * a + full_data.action) * x
-            + space.project_codes(full_data.exo)
-        ) * n + full_data.next_endo,
-        n * a * x,
-        n,
-        smoothing,
-    )
+    code = space.project_codes(exo_data.values)
+    rank, next_rank = exo_data.pairs
+    keys = _mixed_radix((code[rank], code[next_rank]), (x, x))
+    exo_table = _fit_table(keys, x, x, smoothing, exo_data.pair_counts)
+    code = space.project_codes(full_data.values)
+    condition, rank, next_endo = full_data.steps
+    keys = _mixed_radix((condition, code[rank], next_endo), (n * a, x, n))
+    endo_table = _fit_table(keys, n * a * x, n, smoothing, full_data.step_counts)
 
     reward_table = _exact_reward_table(mdp, space)
     return TabularReducedMdp(
@@ -473,23 +506,6 @@ def exact_reduced_model(
     )
 
 
-# np.unique's sort beats a bincount over more than this many cells per code
-# counted (break-even measured at 10k to 400k codes; see CHANGES.md).
-MI_BINCOUNT_CELLS_PER_CODE = 4
-
-
-def _atoms(codes: np.ndarray, size: int, inverse: bool = False) -> tuple:
-    """``np.unique(codes, return_inverse=inverse, return_counts=True)`` for
-    codes in ``0..size-1``, by one bincount where ``size`` is small enough."""
-    if size > MI_BINCOUNT_CELLS_PER_CODE * len(codes):
-        return np.unique(codes, return_inverse=inverse, return_counts=True)
-    counts = np.bincount(codes, minlength=size)
-    atoms = np.flatnonzero(counts)
-    if not inverse:
-        return atoms, counts[atoms]
-    return atoms, (np.cumsum(counts > 0) - 1)[codes], counts[atoms]
-
-
 def transition_mutual_information(
     exo_data: ExoRolloutDataset, mask: Mask, j: int
 ) -> float:
@@ -501,7 +517,9 @@ def transition_mutual_information(
     between the empirical joint and the product of empirical marginals,
     in nats, summed over the observed atoms in sorted order. Zero when the
     mask is empty (the information of an empty reduced state is zero by
-    convention).
+    convention). Both pairs are read from the dataset's distinct exo
+    vectors, and every atom is counted over its distinct ``(rank, next
+    rank)`` pairs, weighted by their counts.
     """
     m = len(exo_data.cardinalities)
     if not 0 <= j < m:
@@ -513,15 +531,19 @@ def transition_mutual_information(
     if not mask.included:
         return 0.0
     space = ReducedSpace(1, mask, exo_data.cardinalities)
-    a = space.project_codes(exo_data.exo) * space.n_exo
-    a += space.project_codes(exo_data.next_exo)
+    rank, next_rank = exo_data.pairs
+    weights = exo_data.pair_counts
+    code = space.project_codes(exo_data.values)
+    a = _mixed_radix((code[rank], code[next_rank]), (space.n_exo, space.n_exo))
     cj = exo_data.cardinalities[j]
-    b = exo_data.exo[:, j].astype(np.int64) * cj + exo_data.next_exo[:, j]
-    total = len(a)
-    _, a_inv, a_counts = _atoms(a, space.n_exo**2, inverse=True)
-    _, b_inv, b_counts = _atoms(b, cj * cj, inverse=True)
-    n_b = len(b_counts)
-    atoms, counts = _atoms(a_inv.astype(np.int64) * n_b + b_inv, len(a_counts) * n_b)
+    digit = exo_data.values[:, j]
+    b = _mixed_radix((digit[rank], digit[next_rank]), (cj, cj))
+    total = len(exo_data)
+    _, a_inv, a_counts = _atoms(a, space.n_exo**2, True, weights)
+    _, b_inv, b_counts = _atoms(b, cj * cj, True, weights)
+    n_a, n_b = len(a_counts), len(b_counts)
+    joint = _mixed_radix((a_inv, b_inv), (n_a, n_b))
+    atoms, counts = _atoms(joint, n_a * n_b, weights=weights)
     a_part, b_part = np.divmod(atoms, n_b)
     p = counts / total
     mi = float(

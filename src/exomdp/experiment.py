@@ -17,7 +17,6 @@ import numbers
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -387,6 +386,9 @@ def run_experiment(
         raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}")
     indices = list(range(config.n_trials))
     if workers > 1:
+        # imported here: its import tree costs more than a one-worker run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         payloads = [(config.to_dict(), i) for i in indices]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial_from_dict, payloads))

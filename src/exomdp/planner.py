@@ -264,8 +264,8 @@ def hoeffding_confidence(
     be negative). Returns ``max(0, 1 - 2 exp(-2 n deviation^2 (1-gamma)^2
     / r_max^2))``; the bound degenerates at ``gamma = 1``.
     """
-    if deviation <= 0:
-        raise ValueError("deviation must be positive")
+    if not deviation > 0:  # NaN too
+        raise ValueError(f"deviation must be positive, got {deviation!r}")
     _check_bound_inputs(n, gamma, r_max)
     exponent = -2.0 * n * deviation**2 * (1.0 - gamma) ** 2 / r_max**2
     return max(0.0, 1.0 - 2.0 * math.exp(exponent))
@@ -274,7 +274,7 @@ def hoeffding_confidence(
 def hoeffding_deviation(n: int, confidence: float, gamma: float, r_max: float) -> float:
     """Deviation at which ``hoeffding_confidence`` equals ``confidence``."""
     if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     _check_bound_inputs(n, gamma, r_max)
     return (
         r_max
@@ -284,10 +284,11 @@ def hoeffding_deviation(n: int, confidence: float, gamma: float, r_max: float) -
 
 
 def _check_bound_inputs(n: int, gamma: float, r_max: float) -> None:
-    """Refuse inputs for which the Hoeffding bound does not hold."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
+    """Refuse inputs for which the Hoeffding bound does not hold; each check
+    states what must hold, so that NaN fails it."""
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and positive, got {r_max!r}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"the bound needs gamma in (0, 1), got {gamma}")

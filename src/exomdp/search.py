@@ -213,12 +213,32 @@ def derive_seed(seed: int, stream: int) -> int:
 class SearchDatasets:
     """Shared rollout data for scoring every mask within one search; ``mc``
     is the exo chain of ``mc_seed``, stepped once for every mask's rollouts.
+
+    ``returns`` keeps the ``monte_carlo_value`` of each policy rolled out
+    on ``mc``, keyed by the policy lifted onto the chain's distinct exo
+    vectors: two policies equal there take the same action at every
+    visited state, so under common random numbers they return the same
+    bytes, and each is rolled out once.
     """
 
     exo: ExoRolloutDataset
     full: FullRolloutDataset
     mc_seed: int
     mc: ExoTrajectory
+    returns: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def monte_carlo_value(
+        self, mdp: GenerativeMdp, policy, n_rollouts: int, horizon: int
+    ) -> tuple[float, np.ndarray]:
+        """``planner.monte_carlo_value`` of ``policy`` on ``mc``, once per
+        distinct lifted policy."""
+        lifted = self.mc.lift(policy.space, policy.actions)
+        key = (n_rollouts, horizon, lifted.tobytes())
+        if key not in self.returns:
+            self.returns[key] = monte_carlo_value(
+                mdp, policy, n_rollouts, horizon, trajectory=self.mc
+            )
+        return self.returns[key]
 
 
 def collect_search_datasets(
@@ -274,19 +294,19 @@ def estimate_objective(
     Fits the reduced model from rollout data, solves it with value
     iteration, executes the resulting policy in the full MDP for
     ``params.n_rollouts`` rollouts, and returns the mean return minus
-    ``lam * cost``. Passing ``datasets`` reuses previously collected data;
-    omitting it collects those of ``collect_search_datasets(mdp, params,
-    seed)``, so repeated calls with the same arguments give identical scores.
+    ``lam * cost``. Passing ``datasets`` reuses previously collected data,
+    and the returns of any policy already rolled out on them that acts the
+    same at every state they visit; omitting it collects those of
+    ``collect_search_datasets(mdp, params, seed)``, so repeated calls with
+    the same arguments give identical scores.
     ``warm`` starts value iteration from a sub-mask's values (``WarmStart``).
     """
     params = params or SearchParams()
     t0 = time.perf_counter()
     if datasets is None:
         fit_data = _collect_fit_datasets(mdp, params, seed)
-        mc = {"seed": derive_seed(seed, _STREAM_MC)}
     else:
         fit_data = datasets.exo, datasets.full
-        mc = {"trajectory": datasets.mc}
     model = fit_reduced_mdp(
         mdp,
         mask,
@@ -307,13 +327,11 @@ def estimate_objective(
             len(plan.residuals),
             plan.residuals[-1],
         )
-    mean, _ = monte_carlo_value(
-        mdp,
-        plan.policy,
-        params.n_rollouts,
-        _mc_horizon(mdp, params),
-        **mc,
-    )
+    mc = (plan.policy, params.n_rollouts, _mc_horizon(mdp, params))
+    if datasets is None:
+        mean, _ = monte_carlo_value(mdp, *mc, derive_seed(seed, _STREAM_MC))
+    else:
+        mean, _ = datasets.monte_carlo_value(mdp, *mc)
     cost = float(len(mask))
     return MaskScore(
         mask=mask,

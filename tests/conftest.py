@@ -54,6 +54,32 @@ def count_over_total(pairs, n_rows, n_cols, smoothing=0.0):
     return table
 
 
+def per_row_fit_oracle(mdp, mask, exo_data, full_data, smoothing=0.0):
+    """Independent oracle for ``fit_reduced_mdp``'s ``(endo_table,
+    exo_table)``: every row of both datasets projected onto the mask on its
+    own and its key counted by ``np.unique``, then normalized as
+    ``count / (total + s C)`` with ``s / (total + s C)`` spread over the
+    ``C`` columns of a seen row and ``1 / C`` over an unseen one."""
+    space = reduced_space_for(mdp, mask)
+    n, a, x = mdp.endo_cardinality, mdp.action_count, space.n_exo
+
+    def table(keys, n_rows, n_cols):
+        keys, counts = np.unique(keys, return_counts=True)
+        rows, cols = np.divmod(keys, n_cols)
+        totals = np.bincount(rows, weights=counts, minlength=n_rows)
+        denominators = totals + smoothing * n_cols
+        seen = totals > 0
+        spread = np.full(n_rows, 1.0 / n_cols)
+        spread[seen] = smoothing / denominators[seen]
+        return SparseTable(n_rows, n_cols, rows, cols, counts / denominators[rows], spread)
+
+    project = space.project_codes
+    exo_keys = project(exo_data.exo) * x + project(exo_data.next_exo)
+    conditions = (full_data.endo.astype(np.int64) * a + full_data.action) * x
+    endo_keys = (conditions + project(full_data.exo)) * n + full_data.next_endo
+    return table(endo_keys, n * a * x, n), table(exo_keys, x, x)
+
+
 def chain_reduced(rewards, gamma, transitions=None):
     """Endo-only reduced model: ``rewards[n]`` per state, one action."""
     n = len(rewards)

@@ -13,6 +13,8 @@ from exomdp.core import (
     Mask,
     StateSpaceTooLargeError,
     VariableSpec,
+    exo_ranks,
+    exo_trajectory,
     reduced_space_for,
     uniform_random_policy,
 )
@@ -25,6 +27,7 @@ from exomdp.domains import (
     build_gridworld,
     build_random_mdp,
 )
+import exomdp.core as core
 import exomdp.estimation as estimation
 from exomdp.estimation import (
     ExoRolloutDataset,
@@ -46,6 +49,7 @@ from conftest import (
     count_over_total,
     make_reduced,
     mutual_information_oracle,
+    per_row_fit_oracle,
     random_policy,
     random_tabular_cases,
     reference_rollouts,
@@ -475,6 +479,154 @@ def fit_cases(draw):
     return mdp, mask, exo, full
 
 
+def assert_fit_equals_oracle(mdp, mask, exo, full, smoothing, limit=None):
+    """``fit_reduced_mdp``'s two tables equal ``per_row_fit_oracle``'s array
+    for array, to the byte, under ``DENSE_MAX_ENTRIES = limit`` (None: the
+    shipped limit)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if limit is not None:
+            patch.setattr(estimation, "DENSE_MAX_ENTRIES", limit)
+        model = fit_reduced_mdp(mdp, mask, exo, full, smoothing)
+        oracle = per_row_fit_oracle(mdp, mask, exo, full, smoothing)
+    for got, want in zip((model.endo_table, model.exo_table), oracle):
+        assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
+        for name in ("rows", "cols", "probs", "spread", "dense"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            if b is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+
+
+class TestFitFromJointCounts:
+    """The tables fitted from each dataset's joint counts are those of
+    counting every row on its own, to the byte."""
+
+    @pytest.mark.parametrize("limit", [0, 10**12], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5])
+    @given(
+        case=random_tabular_cases(),
+        n_rollouts=st.integers(1, 20),
+        horizon=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_mdp_rollouts(self, case, n_rollouts, horizon, seed, smoothing, limit):
+        mdp, mask = case
+        exo = collect_exo_rollouts(mdp, n_rollouts, horizon, seed)
+        full = collect_full_rollouts(mdp, None, n_rollouts, horizon, seed + 1)
+        for m in (mask, Mask(()), Mask.full(mdp.m)):
+            assert_fit_equals_oracle(mdp, m, exo, full, smoothing, limit)
+
+    @pytest.mark.parametrize("limit", [0, None, 10**12], ids=["sparse", "shipped", "dense"])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "builder, masks",
+        [
+            (build_crowd, [(), (0, 4), (0, 2, 4), (0, 1, 2, 3, 4)]),
+            (build_factory, [(), (0, 3), (0, 1, 2, 3, 4, 5)]),
+        ],
+        ids=["crowd", "factory"],
+    )
+    def test_crowd_and_factory(self, builder, masks, smoothing, limit):
+        mdp = builder()
+        exo = collect_exo_rollouts(mdp, 150, 30, seed=3)
+        full = collect_full_rollouts(mdp, None, 100, 30, seed=4)
+        for mask in map(Mask, masks):
+            x = reduced_space_for(mdp, mask).n_exo
+            if limit == 10**12 and x * x > 10**6:
+                continue  # the crowd's full mask: a dense 4050 x 4050 exo table is 131 MB
+            assert_fit_equals_oracle(mdp, mask, exo, full, smoothing, limit)
+
+
+class WideMdp(GenerativeMdp):
+    """Five exogenous variables of 32,768 values each, 2**75 joint vectors:
+    each steps by -1, 0 or +1 (mod its cardinality) on its own uniform.
+    Only the last variable's parity pays."""
+
+    action_count = 1
+    endo_cardinality = 1
+    discount = 0.9
+    r_max = 1.0
+    draws_per_step = 5
+    exo_columns = (0, 1, 2, 3, 4)
+    variable_specs = tuple(VariableSpec(i, 2**15) for i in range(5))
+
+    def batch_initial(self, u):
+        return np.zeros(len(u), dtype=np.int64), (2**15 * u).astype(np.int64)
+
+    def batch_exo_step(self, exo, u):
+        return (exo + (3 * u).astype(np.int64) - 1) % 2**15
+
+    def batch_endo_step(self, endo, exo, action, u):
+        return endo
+
+    def reward_component(self, i, endo, exo_value, action):
+        return float(exo_value % 2) if i == 4 else 0.0
+
+
+class TestJointIndexBeyondInt64:
+    """Where the product of the cardinalities (here 2**75) overflows int64,
+    the index ranks the vectors it sees, exactly as sorting them does."""
+
+    def test_ranks_equal_sorting_the_rows(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, 2**15, size=(40, 5)).astype(np.int16)
+        first = rows[rng.integers(40, size=300)]
+        second = rows[rng.integers(40, size=(7, 11))]
+        counted = []
+        atoms = core._atoms
+        monkeypatch.setattr(
+            core, "_atoms", lambda *a, **k: counted.append(a[1]) or atoms(*a, **k)
+        )
+        (rank_a, rank_b), values = exo_ranks([first, second], WideMdp().exo_cardinalities)
+        # the codes of four variables (2**60) are ranked before the fifth
+        assert len(counted) == 2 and counted[0] == 2**60
+        both = np.concatenate([first, second.reshape(-1, 5)])
+        want, inverse = np.unique(both, axis=0, return_inverse=True)
+        assert values.dtype == np.int16 and np.array_equal(values, want)
+        assert rank_a.dtype == rank_b.dtype == np.uint8
+        assert rank_a.shape == (300,) and rank_b.shape == (7, 11)
+        assert np.array_equal(np.concatenate([rank_a, rank_b.reshape(-1)]), inverse.reshape(-1))
+
+    @pytest.mark.parametrize(
+        "exo, message",
+        [
+            ([[0, 2]], "variable 1 takes values outside 0..1"),
+            ([[3, 0]], "variable 0 takes values outside 0..2"),
+            ([[0, -1]], "non-negative"),
+            ([[0, 0, 0]], "3 variables do not fit"),
+        ],
+    )
+    def test_vectors_outside_the_cardinalities_are_refused(self, exo, message):
+        exo = np.array(exo, dtype=np.int16)
+        with pytest.raises(ValueError, match=message):
+            ExoRolloutDataset(exo, np.zeros_like(exo), (3, 2), 1, 1, 0)
+        with pytest.raises(ValueError, match=message):
+            zero = np.zeros(1, dtype=np.int64)
+            FullRolloutDataset(zero, zero, np.zeros(1), zero, exo, exo, (3, 2), 1, 1, 1, 1, 0)
+
+    def test_datasets_and_trajectory_count_and_fit(self):
+        mdp = WideMdp()
+        exo = collect_exo_rollouts(mdp, 30, 8, seed=0)
+        full = collect_full_rollouts(mdp, None, 20, 6, seed=1)
+        # the pairs, counted by sorting the rows of both vectors side by side
+        pairs, counts = np.unique(
+            np.concatenate([exo.exo, exo.next_exo], axis=1), axis=0, return_counts=True
+        )
+        got = np.concatenate([exo.values[exo.pairs[0]], exo.values[exo.pairs[1]]], axis=1)
+        assert np.array_equal(got, pairs) and np.array_equal(exo.pair_counts, counts)
+        assert np.array_equal(full.values, np.unique(full.exo, axis=0))
+        assert np.array_equal(full.values[full.steps[1]], np.unique(full.exo, axis=0))
+        assert full.step_counts.sum() == len(full)
+        trajectory = exo_trajectory(mdp, 12, 9, seed=2)
+        assert np.array_equal(trajectory.values[trajectory.ranks], trajectory.exo)
+        distinct = np.unique(trajectory.exo.reshape(-1, 5), axis=0)
+        assert np.array_equal(trajectory.values, distinct)
+        for mask in (Mask(()), Mask((0,)), Mask((4,))):
+            assert_fit_equals_oracle(mdp, mask, exo, full, 0.0)
+
+
 class TestSparseExoTable:
     """The row-sparse ``SparseTable`` behind both transition tables."""
 
@@ -532,6 +684,8 @@ class TestSparseExoTable:
         expected = np.einsum("naxm,mx->nax", endo_ref.reshape(n, a, x, n), w)
         assert np.allclose(model.endo_expectation(w), expected, rtol=0, atol=1e-12)
         assert np.allclose(model.exo_expectation(w), w @ exo_ref.T, rtol=0, atol=1e-12)
+        for m in (mask, Mask(()), Mask.full(mdp.m)):
+            assert_fit_equals_oracle(mdp, m, exo, full, smoothing, limit)
 
     def test_dense_kernel_is_the_normalized_counts_bit_for_bit(self, gridworld):
         exo = collect_exo_rollouts(gridworld, 50, 20, seed=5)
@@ -796,7 +950,7 @@ class TestMutualInformationCounting:
         ds, mask, j = case
         expected = mutual_information_oracle(ds, mask, j)
         for limit in (0, 10**9):  # np.unique for every count, then bincount
-            with mock.patch.object(estimation, "MI_BINCOUNT_CELLS_PER_CODE", limit):
+            with mock.patch.object(core, "BINCOUNT_CELLS_PER_CODE", limit):
                 assert transition_mutual_information(ds, mask, j) == expected
 
     @pytest.mark.parametrize(

@@ -439,6 +439,38 @@ class TestHoeffding:
         with pytest.raises(ValueError, match="n must be|r_max must be"):
             hoeffding_confidence(n, 0.1, 0.9, r_max)
 
+    @pytest.mark.parametrize(
+        "n, deviation, gamma, r_max, message",
+        [
+            (100, math.nan, 0.9, 1.0, "deviation must be"),
+            (100, 0.5, 0.9, math.nan, "r_max must be"),
+            (100, 0.5, 0.9, math.inf, "r_max must be"),
+            (100, 0.5, math.nan, 1.0, "gamma"),
+            (math.nan, 0.5, 0.9, 1.0, "n must be"),
+        ],
+    )
+    def test_confidence_refuses_nan_and_infinite_inputs(
+        self, n, deviation, gamma, r_max, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            hoeffding_confidence(n, deviation, gamma, r_max)
+
+    @pytest.mark.parametrize(
+        "n, confidence, gamma, r_max, message",
+        [
+            (100, 0.9, 0.9, math.nan, "r_max must be"),
+            (100, 0.9, 0.9, math.inf, "r_max must be"),
+            (100, math.nan, 0.9, 1.0, "confidence must be"),
+            (100, 0.9, math.nan, 1.0, "gamma"),
+            (math.nan, 0.9, 0.9, 1.0, "n must be"),
+        ],
+    )
+    def test_deviation_refuses_nan_and_infinite_inputs(
+        self, n, confidence, gamma, r_max, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            hoeffding_deviation(n, confidence, gamma, r_max)
+
     def test_deviation_inverts_confidence(self):
         dev = hoeffding_deviation(500, 0.9, 0.85, 2.0)
         assert hoeffding_confidence(500, dev, 0.85, 2.0) == pytest.approx(0.9, abs=1e-12)

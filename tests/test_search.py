@@ -14,7 +14,7 @@ from exomdp.domains import (
     perturb_exo_coupling,
     random_block_mdp,
 )
-from exomdp.planner import ValueTable, value_iteration
+from exomdp.planner import ValueTable, monte_carlo_value, value_iteration
 from exomdp.search import (
     FitBudget,
     SearchParams,
@@ -234,24 +234,53 @@ class TestSearchDatasets:
 
     def test_every_mask_scores_its_own_monte_carlo_returns(self, gridworld, monkeypatch):
         """On the shared exo trajectory, each mask's per-rollout returns are
-        those of a Monte Carlo call of its own from the search's seed."""
+        those of a Monte Carlo call of its own from the search's seed, and
+        masks whose policies are equal on every endo value and distinct exo
+        vector of the trajectory step stage 2 once between them."""
         import exomdp.search as search_module
 
-        scored = []
-        original = search_module.monte_carlo_value
-
-        def record(mdp, policy, n_rollouts, horizon, seed=None, trajectory=None):
-            result = original(mdp, policy, n_rollouts, horizon, seed, trajectory)
-            scored.append((policy, trajectory, result))
-            return result
-
-        monkeypatch.setattr(search_module, "monte_carlo_value", record)
+        plans, searches, endo_steps = [], [], []
+        solve, collect = search_module.value_iteration, search_module.collect_search_datasets
+        monkeypatch.setattr(
+            search_module, "value_iteration", lambda *a: plans.append(solve(*a)) or plans[-1]
+        )
+        monkeypatch.setattr(
+            search_module,
+            "collect_search_datasets",
+            lambda *a: searches.append(collect(*a)) or searches[-1],
+        )
+        step = type(gridworld).batch_endo_step
+        monkeypatch.setattr(
+            type(gridworld),
+            "batch_endo_step",
+            lambda self, *a: endo_steps.append(len(a[0])) or step(self, *a),
+        )
         _, trace = mask_brute_force(gridworld, 0.3, TINY, seed=6)
+        [datasets] = searches
         mc_seed = search_module.derive_seed(6, search_module._STREAM_MC)
-        assert len(scored) == len(trace.entries) == 32
-        assert len({id(trajectory) for _, trajectory, _ in scored}) == 1
-        for (policy, _, (mean, returns)), entry in zip(scored, trace.entries):
-            alone = original(gridworld, policy, 40, 25, seed=mc_seed)
+        assert datasets.mc_seed == mc_seed and len(plans) == len(trace.entries) == 32
+
+        # each policy read at every endo value and distinct exo vector of
+        # the trajectory, the distinct vectors found by sorting rows
+        n, horizon = gridworld.endo_cardinality, 25
+        distinct = np.unique(datasets.mc.exo.reshape(-1, gridworld.m), axis=0)
+        lifted = {
+            plan.policy.actions.reshape(n, -1)[:, plan.policy.space.project_codes(distinct)]
+            .tobytes()
+            for plan in plans
+        }
+        assert 1 < len(lifted) < 32
+        # stage 2 of the full-rollout collection, then one per lifted policy
+        full = TINY.fit
+        assert endo_steps == [full.n_full_rollouts] * full.full_horizon + [40] * (
+            horizon * len(lifted)
+        )
+        # every mask's returns come from the search's cache, with no new step
+        steps = len(endo_steps)
+        kept = [datasets.monte_carlo_value(gridworld, p.policy, 40, horizon) for p in plans]
+        assert len(endo_steps) == steps
+        for plan, entry, (mean, returns) in zip(plans, trace.entries, kept):
+            alone = monte_carlo_value(gridworld, plan.policy, 40, horizon, seed=mc_seed)
             assert mean == alone[0] == entry.score.mean_return
             assert returns.dtype == alone[1].dtype and np.array_equal(returns, alone[1])
 
