@@ -775,6 +775,11 @@ ROLLOUT_FIELDS = ("endo", "exo", "action", "reward")
 # Uniforms (doubles, 4 MiB) stage 1 derives and holds per chunk of rollouts,
 # ``max(1, CHUNK_DRAWS // width)`` of ``width`` each; no result depends on it.
 CHUNK_DRAWS = 1 << 19
+# Rows ``rollout_returns`` steps together: policies of ``R`` rollouts go in
+# groups of ``max(1, CHUNK_ROWS // R)``, and the rewards of a group's ``rows``
+# are computed ``max(1, CHUNK_ROWS // rows)`` steps at a time; no result
+# depends on it. At 2**16, grid-brute's peak RSS rose 2.8 MB for no speed.
+CHUNK_ROWS = 1 << 14
 
 
 def exo_trajectory(
@@ -837,7 +842,7 @@ def rollouts(
     keep: Sequence[str] = ROLLOUT_FIELDS,
 ) -> Rollouts:
     """Roll out ``n_rollouts`` episodes of ``horizon`` steps from the
-    initial-state distribution: the one rollout engine.
+    initial-state distribution, keeping every step.
 
     ``policy`` is None (action 0), a planned ``planner.Policy`` (acting
     through its mask) or the behaviour policy of ``uniform_random_policy``;
@@ -851,46 +856,128 @@ def rollouts(
     if not set(keep) <= set(ROLLOUT_FIELDS):
         raise ValueError(f"keep {tuple(keep)} names fields not in {ROLLOUT_FIELDS}")
     behave = isinstance(policy, UniformRandomPolicy)
-    planned = policy is not None and not behave
     if policy is not None:
         _check_policy_fits(mdp, policy)
-    if trajectory is None:
-        trajectory = exo_trajectory(mdp, n_rollouts, horizon, seed, behave)
-    elif seed is not None:
-        raise ValueError("pass seed or trajectory, not both")
-    else:  # under the behaviour policy, each step keeps one more draw
-        n_draws = behave + len(_draw_columns(mdp)[1])
-        want = (n_rollouts, horizon + 1, mdp.m), (n_rollouts, horizon, n_draws)
-        have = trajectory.exo.shape, trajectory.draws.shape
-        if have != want:
-            raise ValueError(f"trajectory shapes {have} do not fit {want}")
-    endo = np.empty((n_rollouts, horizon + 1), dtype=np.int64)
-    endo[:, 0] = e = trajectory.endo
-    u, index = trajectory.draws, trajectory.index
-    if behave:
-        action = (policy.action_count * u[:, :, 0]).astype(np.int64)
-        u = u[:, :, 1:]
-    else:
-        action = np.zeros((n_rollouts, horizon), dtype=np.int64)
-    if planned:  # the policy at every endo value and distinct exo vector
-        lifted = trajectory.lift(policy.space, policy.actions).reshape(-1)
-        ranks, n_distinct = trajectory.ranks, len(trajectory.values)
-    for t in range(horizon):
-        a = action[:, t]
-        if planned:
-            a = action[:, t] = lifted[e * n_distinct + ranks[:, t]]
-        e = endo[:, t + 1] = mdp.batch_endo_step(e, index[:, t], a, u[:, t])
-    reward = None
-    if "reward" in keep:  # every step's reward in one call
-        before = (endo[:, :-1], index[:, :-1], action)
-        rows = [x.reshape(n_rollouts * horizon, *x.shape[2:]) for x in before]
-        reward = mdp.batch_reward(*rows).reshape(n_rollouts, horizon)
+    trajectory = _stage_one(mdp, n_rollouts, horizon, seed, trajectory, behave)
+    policies = [] if policy is None else [policy]
+    [(endo, index, action)] = _stage_two(mdp, trajectory, horizon, policies, horizon)
     return Rollouts(
         endo=endo.astype(np.int32) if "endo" in keep else None,
         exo=trajectory.exo if "exo" in keep else None,
         action=action.astype(np.int32) if "action" in keep else None,
-        reward=reward,
+        reward=_rewards(mdp, endo, index, action) if "reward" in keep else None,
     )
+
+
+def rollout_returns(
+    mdp: GenerativeMdp,
+    policies: Sequence,
+    n_rollouts: int,
+    horizon: int,
+    seed: int | None = None,
+    trajectory: ExoTrajectory | None = None,
+) -> np.ndarray:
+    """``(P, R)`` truncated discounted returns of the ``R = n_rollouts``
+    rollouts of each of ``P`` planned ``policies``, all on the exo chain of
+    ``seed`` or of ``trajectory`` (as in ``rollouts``): common random numbers.
+
+    Stage 2 steps groups of at most ``max(1, CHUNK_ROWS // R)`` policies
+    together as one set of rows, computes their rewards a block of steps at
+    a time and adds each step's, discounted, into every rollout's return in
+    step order, so no array over every step is kept. Row p is, to the byte,
+    the returns of policy p rolled out alone.
+    """
+    from .planner import Policy  # planner imports this module
+
+    for policy in policies:
+        if not isinstance(policy, Policy):
+            raise ValueError(
+                f"returns are of planner.Policy objects, got {type(policy).__name__}"
+            )
+        _check_policy_fits(mdp, policy)
+    trajectory = _stage_one(mdp, n_rollouts, horizon, seed, trajectory, False)
+    out = np.zeros((len(policies), n_rollouts))
+    group = max(1, CHUNK_ROWS // n_rollouts)
+    for lo in range(0, len(policies), group):
+        returns = out[lo : lo + group].reshape(-1)  # a view, filled in place
+        block = max(1, CHUNK_ROWS // len(returns))
+        disc = 1.0
+        stepped = _stage_two(mdp, trajectory, horizon, policies[lo : lo + group], block)
+        for endo, index, action in stepped:
+            for reward in _rewards(mdp, endo, index, action).T:
+                returns += disc * reward
+                disc *= mdp.discount
+    return out
+
+
+def _stage_one(mdp, n_rollouts, horizon, seed, trajectory, behave) -> ExoTrajectory:
+    """``exo_trajectory`` of ``seed``, or ``trajectory`` once its shapes are
+    checked to fit (under the behaviour policy, each step keeps one more
+    draw)."""
+    if trajectory is None:
+        return exo_trajectory(mdp, n_rollouts, horizon, seed, behave)
+    if seed is not None:
+        raise ValueError("pass seed or trajectory, not both")
+    n_draws = behave + len(_draw_columns(mdp)[1])
+    want = (n_rollouts, horizon + 1, mdp.m), (n_rollouts, horizon, n_draws)
+    have = trajectory.exo.shape, trajectory.draws.shape
+    if have != want:
+        raise ValueError(f"trajectory shapes {have} do not fit {want}")
+    return trajectory
+
+
+def _stage_two(mdp, trajectory, horizon, policies, block) -> Iterator[tuple]:
+    """Stage 2 of the engine, its one step loop: the endo chains on
+    ``trajectory`` of ``policies``, either P planned policies, stepped
+    together as ``P * R`` rows (policy-major) that read their actions from
+    one flat ``(P * N * D)`` table of the policies lifted onto the chain,
+    indexed by its ranks; or ``[]`` (action 0) or ``[behaviour policy]``.
+
+    Yields ``(endo, index, action)`` for each block of ``block`` steps from
+    step ``t`` (the last block may be shorter): ``endo`` ``(rows, b + 1)``
+    holds the states ``t .. t + b``, ``index`` the trajectory's ``index`` at
+    ``t .. t + b - 1`` and ``action`` ``(rows, b)`` the actions.
+    """
+    u, index, ranks = trajectory.draws, trajectory.index, trajectory.ranks
+    behave = any(isinstance(p, UniformRandomPolicy) for p in policies)
+    if behave:  # one policy, whose draw comes first
+        act_u, u = policies[0].action_count * u[:, :, 0], u[:, :, 1:]
+    planned = [] if behave else policies
+    copies = max(1, len(planned))
+    if planned:
+        lifted = np.stack([trajectory.lift(p.space, p.actions) for p in planned])
+        table, n_distinct = lifted.reshape(-1), lifted.shape[2]
+        offset = np.repeat(np.arange(copies) * lifted[0].size, len(trajectory.endo))
+    e = _repeat_rows(trajectory.endo, copies)
+    for t0 in range(0, horizon, block):
+        steps = slice(t0, min(t0 + block, horizon))
+        x, draws, rank = (_repeat_rows(v[:, steps], copies) for v in (index, u, ranks))
+        b = x.shape[1]
+        if behave:
+            action = act_u[:, steps].astype(np.int64)
+        else:
+            action = np.zeros((len(e), b), dtype=np.int64)
+        endo = np.empty((len(e), b + 1), dtype=np.int64)
+        endo[:, 0] = e
+        for s in range(b):
+            a = action[:, s]
+            if planned:
+                a = action[:, s] = table[offset + e * n_distinct + rank[:, s]]
+            e = endo[:, s + 1] = mdp.batch_endo_step(e, x[:, s], a, draws[:, s])
+        yield endo, x, action
+
+
+def _rewards(mdp, endo, index, action) -> np.ndarray:
+    """``(rows, b)`` rewards of a block of ``_stage_two``, in one
+    ``batch_reward`` call."""
+    rows, b = action.shape
+    flat = [x.reshape(rows * b, *x.shape[2:]) for x in (endo[:, :-1], index, action)]
+    return mdp.batch_reward(*flat).reshape(rows, b)
+
+
+def _repeat_rows(array: np.ndarray, copies: int) -> np.ndarray:
+    """``copies`` copies of ``array`` stacked along its first axis."""
+    return array if copies == 1 else np.concatenate([array] * copies)
 
 
 def _draw_columns(mdp: GenerativeMdp) -> tuple[list[int], list[int]]:

@@ -25,6 +25,7 @@ from .core import (
     ReducedSpace,
     TabularFullMdp,
     _check_action_count,
+    rollout_returns,
     rollouts,
 )
 from .estimation import TabularReducedMdp
@@ -219,21 +220,14 @@ def monte_carlo_value(
 ) -> tuple[float, np.ndarray]:
     """Mean truncated discounted return of a reduced policy in the full MDP.
 
-    Rolls out through ``core.rollouts``, so results are reproducible bit for
-    bit given ``(seed, n_rollouts, horizon)`` and independent of evaluation
-    order. ``trajectory``, ``core.exo_trajectory(mdp, n_rollouts, horizon,
-    s)`` made earlier, stands in for ``seed`` (0 when None) and gives the
-    value of seed ``s``. Returns ``(mean, per_rollout)``.
+    The one-policy case of ``core.rollout_returns``, so results are
+    reproducible bit for bit given ``(seed, n_rollouts, horizon)`` and
+    independent of evaluation order. ``trajectory``,
+    ``core.exo_trajectory(mdp, n_rollouts, horizon, s)`` made earlier, stands
+    in for ``seed`` (0 when None) and gives the value of seed ``s``. Returns
+    ``(mean, per_rollout)``.
     """
-    rewards = rollouts(
-        mdp, policy, n_rollouts, horizon, seed, trajectory, keep=("reward",)
-    ).reward
-    gamma = mdp.discount
-    returns = np.zeros(n_rollouts)
-    disc = 1.0
-    for t in range(horizon):  # each rollout sums its rewards in step order
-        returns += disc * rewards[:, t]
-        disc *= gamma
+    [returns] = rollout_returns(mdp, [policy], n_rollouts, horizon, seed, trajectory)
     return float(returns.mean()), returns
 
 

@@ -28,9 +28,12 @@ from .core import (
     ExoTrajectory,
     GenerativeMdp,
     Mask,
+    StateSpaceTooLargeError,
     TabularFullMdp,
     UnsupportedMdpError,
     exo_trajectory,
+    reduced_space_for,
+    rollout_returns,
     truncation_horizon,
 )
 from .estimation import (
@@ -44,6 +47,7 @@ from .estimation import (
     transition_mutual_information,
 )
 from .planner import (
+    PlanResult,
     ValueTable,
     exact_policy_evaluation,
     monte_carlo_value,
@@ -92,7 +96,14 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class MaskScore:
-    """Score of one mask: ``objective = mean_return - lam * cost``."""
+    """Score of one mask: ``objective = mean_return - lam * cost``.
+
+    ``wall_time`` is the seconds spent on the mask: fitting and planning it
+    (after collecting data, where it collects its own), plus an equal share
+    of the Monte Carlo pass that scored it with the other masks of that
+    pass. It is timing, so ``results.json`` and the traces never hold it:
+    ``to_dict`` writes it only with ``include_timing``.
+    """
 
     mask: Mask
     objective: float
@@ -214,11 +225,11 @@ class SearchDatasets:
     """Shared rollout data for scoring every mask within one search; ``mc``
     is the exo chain of ``mc_seed``, stepped once for every mask's rollouts.
 
-    ``returns`` keeps the ``monte_carlo_value`` of each policy rolled out
-    on ``mc``, keyed by the policy lifted onto the chain's distinct exo
-    vectors: two policies equal there take the same action at every
-    visited state, so under common random numbers they return the same
-    bytes, and each is rolled out once.
+    ``returns`` keeps the ``planner.monte_carlo_value`` of each policy
+    rolled out on ``mc``, keyed by the policy lifted onto the chain's
+    distinct exo vectors: two policies equal there take the same action at
+    every visited state, so under common random numbers they return the
+    same bytes, and each is rolled out once.
     """
 
     exo: ExoRolloutDataset
@@ -227,18 +238,26 @@ class SearchDatasets:
     mc: ExoTrajectory
     returns: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def monte_carlo_value(
-        self, mdp: GenerativeMdp, policy, n_rollouts: int, horizon: int
-    ) -> tuple[float, np.ndarray]:
-        """``planner.monte_carlo_value`` of ``policy`` on ``mc``, once per
-        distinct lifted policy."""
-        lifted = self.mc.lift(policy.space, policy.actions)
-        key = (n_rollouts, horizon, lifted.tobytes())
-        if key not in self.returns:
-            self.returns[key] = monte_carlo_value(
-                mdp, policy, n_rollouts, horizon, trajectory=self.mc
-            )
-        return self.returns[key]
+    def monte_carlo_values(
+        self, mdp: GenerativeMdp, policies, n_rollouts: int, horizon: int
+    ) -> list[tuple[float, np.ndarray]]:
+        """``planner.monte_carlo_value`` of each of ``policies`` on ``mc``:
+        the distinct lifted policies not rolled out yet are, together, in one
+        ``core.rollout_returns`` call."""
+        keys = [
+            (n_rollouts, horizon, self.mc.lift(p.space, p.actions).tobytes())
+            for p in policies
+        ]
+        new = {}
+        for key, policy in zip(keys, policies):
+            if key not in self.returns:
+                new.setdefault(key, policy)
+        batch = rollout_returns(
+            mdp, list(new.values()), n_rollouts, horizon, trajectory=self.mc
+        )
+        for key, returns in zip(new, batch):
+            self.returns[key] = float(returns.mean()), returns
+        return [self.returns[key] for key in keys]
 
 
 def collect_search_datasets(
@@ -300,6 +319,8 @@ def estimate_objective(
     ``collect_search_datasets(mdp, params, seed)``, so repeated calls with
     the same arguments give identical scores.
     ``warm`` starts value iteration from a sub-mask's values (``WarmStart``).
+    It is the one-mask case of brute force's two passes: ``_fit``, ``_plan``
+    and ``_score``.
     """
     params = params or SearchParams()
     t0 = time.perf_counter()
@@ -307,40 +328,64 @@ def estimate_objective(
         fit_data = _collect_fit_datasets(mdp, params, seed)
     else:
         fit_data = datasets.exo, datasets.full
-    model = fit_reduced_mdp(
+    model = _fit(mdp, mask, params, fit_data)
+    del fit_data  # a fixed mask's rollouts are freed before value iteration
+    plan = _plan(model, params, warm.values if warm else None)
+    if warm:
+        warm.values = plan.values
+    seconds = time.perf_counter() - t0
+    [score] = _score(mdp, [mask], [plan], [seconds], lam, params, seed, datasets)
+    return score
+
+
+def _fit(mdp: GenerativeMdp, mask: Mask, params: SearchParams, fit_data):
+    """The mask's reduced model fitted from the ``(exo, full)`` datasets."""
+    return fit_reduced_mdp(
         mdp,
         mask,
         *fit_data,
         smoothing=params.fit.smoothing,
         state_budget=params.state_budget,
     )
-    del fit_data  # a fixed mask's rollouts are freed before value iteration
-    initial = warm.values.lift(model.space) if warm and warm.values else None
+
+
+def _plan(model, params: SearchParams, start: ValueTable | None) -> PlanResult:
+    """Value iteration on ``model``, from ``start`` (values over a sub-mask,
+    lifted by ``ValueTable.lift``) or from zeros; an unconverged plan is
+    logged and kept."""
+    initial = start.lift(model.space) if start is not None else None
     plan = value_iteration(model, params.vi_epsilon, params.vi_timeout, initial)
-    if warm:
-        warm.values = plan.values
     if not plan.converged:
         logger.warning(
             "value iteration for mask %s stopped unconverged after %d sweeps "
             "(final residual %.3g); scoring its policy anyway",
-            mask.included,
+            model.mask.included,
             len(plan.residuals),
             plan.residuals[-1],
         )
-    mc = (plan.policy, params.n_rollouts, _mc_horizon(mdp, params))
+    return plan
+
+
+def _score(mdp, masks, plans, seconds, lam, params, seed, datasets) -> list[MaskScore]:
+    """The scores of ``masks`` from their ``plans``: each policy's mean
+    return over ``params.n_rollouts`` rollouts, from ``datasets`` (every
+    distinct lifted policy not rolled out yet, in one pass) or, without
+    them, from the Monte Carlo seed of ``seed``. A score's ``wall_time`` is
+    the mask's ``seconds`` plus an equal share of the rollouts' time."""
+    t0 = time.perf_counter()
+    policies = [plan.policy for plan in plans]
+    mc = (params.n_rollouts, _mc_horizon(mdp, params))
     if datasets is None:
-        mean, _ = monte_carlo_value(mdp, *mc, derive_seed(seed, _STREAM_MC))
+        mc_seed = derive_seed(seed, _STREAM_MC)
+        values = [monte_carlo_value(mdp, p, *mc, mc_seed) for p in policies]
     else:
-        mean, _ = datasets.monte_carlo_value(mdp, *mc)
-    cost = float(len(mask))
-    return MaskScore(
-        mask=mask,
-        objective=mean - lam * cost,
-        mean_return=mean,
-        cost=cost,
-        lam=lam,
-        wall_time=time.perf_counter() - t0,
-    )
+        values = datasets.monte_carlo_values(mdp, policies, *mc)
+    share = (time.perf_counter() - t0) / max(1, len(masks))
+    scores = []
+    for mask, (mean, _), own in zip(masks, values, seconds):
+        cost = float(len(mask))
+        scores.append(MaskScore(mask, mean - lam * cost, mean, cost, lam, own + share))
+    return scores
 
 
 def _better(a: MaskScore, b: MaskScore | None) -> bool:
@@ -361,7 +406,20 @@ def mask_brute_force(
 ) -> tuple[Mask, SearchTrace]:
     """Score every subset of the exogenous variables; return the best.
 
-    Refuses when ``m`` exceeds ``BRUTE_FORCE_LIMIT``.
+    Mask ``b`` holds variable ``i`` where bit ``i`` of ``b`` is set, and the
+    masks are scored in two passes over ``b = 0 .. 2**m - 1``:
+
+    1. each mask is fitted and planned. Value iteration starts from the
+       values of its parent, the mask without its highest variable (a
+       smaller ``b``, so planned already), lifted by ``ValueTable.lift``; the
+       empty mask starts from zeros. A mask whose reduced space exceeds
+       ``params.state_budget`` is not fitted: its trace entry has no score
+       and is not accepted, and the search goes on;
+    2. one ``SearchDatasets.monte_carlo_values`` call rolls out every
+       distinct lifted policy together on the search's exo chain.
+
+    Refuses when ``m`` exceeds ``BRUTE_FORCE_LIMIT`` and, with
+    ``StateSpaceTooLargeError``, when not even the empty mask fits the budget.
     """
     params = params or SearchParams()
     m = mdp.m
@@ -371,17 +429,35 @@ def mask_brute_force(
             f"above the limit of 2**{BRUTE_FORCE_LIMIT}"
         )
     datasets = collect_search_datasets(mdp, params, seed)
+    fit_data = datasets.exo, datasets.full
+    masks = [Mask(tuple(i for i in range(m) if b >> i & 1)) for b in range(2**m)]
+    plans, seconds = {}, {}
+    for b, mask in enumerate(masks):
+        t0 = time.perf_counter()
+        try:
+            reduced_space_for(mdp, mask, params.state_budget)
+        except StateSpaceTooLargeError as exc:
+            # every super-mask is over it too: a planned mask's parent is planned
+            logger.info("brute force skips mask %s: %s", mask.included, exc)
+            continue
+        parent = plans[b ^ (1 << (b.bit_length() - 1))].values if b else None
+        plans[b] = _plan(_fit(mdp, mask, params, fit_data), params, parent)
+        seconds[b] = time.perf_counter() - t0
+    if not plans:
+        raise StateSpaceTooLargeError(
+            f"no mask fits the state budget of {params.state_budget}"
+        )
+    scored = [masks[b] for b in plans], [*plans.values()], [*seconds.values()]
+    scores = dict(zip(plans, _score(mdp, *scored, lam, params, seed, datasets)))
     trace = SearchTrace()
     best: MaskScore | None = None
-    for k, bits in enumerate(range(2**m)):
-        mask = Mask(tuple(i for i in range(m) if bits >> i & 1))
-        score = estimate_objective(mdp, mask, lam, params, seed, datasets)
-        improved = _better(score, best)
+    for b, mask in enumerate(masks):
+        score = scores.get(b)
+        improved = score is not None and _better(score, best)
         if improved:
             best = score
-        trace.add(TraceEntry(k, mask, None, improved, score))
+        trace.add(TraceEntry(b, mask, None, improved, score))
     trace.terminal_reason = TERMINAL_EXHAUSTED
-    assert best is not None
     return best.mask, trace
 
 

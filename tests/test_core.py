@@ -17,6 +17,7 @@ from exomdp.core import (
     VariableSpec,
     exo_trajectory,
     reduced_space_for,
+    rollout_returns,
     rollout_uniforms,
     rollouts,
     truncation_horizon,
@@ -556,6 +557,74 @@ class TestRollouts:
             rollouts(build_crowd(), policy, 2, 2, seed=0)
         with pytest.raises(ValueError, match="None, a planner.Policy or the Uniform"):
             collect_full_rollouts(build_crowd(), policy, 2, 2, seed=0)
+
+
+class TestRolloutReturns:
+    R, H = 40, 23
+
+    @staticmethod
+    def stack(mdp):
+        """Five planned policies over several masks, one of them twice."""
+        masks = [(), (0,), (0, 2), (1, 3), (0,)]
+        return [random_policy(mdp, Mask(m), seed=i % 4) for i, m in enumerate(masks)]
+
+    # caps below R (groups of one policy, one-step blocks), below the stack's
+    # P * R = 200 rows (groups of 3 and 2, one-step blocks), above it (one
+    # group, blocks of 2 steps and a last block of 1) and the shipped cap
+    @pytest.mark.parametrize("cap", [30, 150, 450, core.CHUNK_ROWS])
+    @pytest.mark.parametrize("builder", [build_gridworld, build_crowd])
+    def test_each_row_is_the_monte_carlo_value_of_its_policy(
+        self, builder, cap, monkeypatch
+    ):
+        mdp, policies = builder(), self.stack(builder())
+        alone = [
+            monte_carlo_value(mdp, p, self.R, self.H, seed=17)[1] for p in policies
+        ]
+        monkeypatch.setattr(core, "CHUNK_ROWS", cap)
+        rewarded = []
+        reward = type(mdp).batch_reward
+        monkeypatch.setattr(
+            type(mdp),
+            "batch_reward",
+            lambda self, *a: rewarded.append(len(a[0])) or reward(self, *a),
+        )
+        trajectory = exo_trajectory(mdp, self.R, self.H, seed=17)
+        for returns in (
+            rollout_returns(mdp, policies, self.R, self.H, seed=17),
+            rollout_returns(mdp, policies, self.R, self.H, trajectory=trajectory),
+        ):
+            assert returns.shape == (len(policies), self.R)
+            for row, want in zip(returns, alone):
+                assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+        # the reward calls of one pass: per group of policies, per block
+        group = max(1, cap // self.R)
+        want, steps = [], []
+        for lo in range(0, len(policies), group):
+            rows = min(group, len(policies) - lo) * self.R
+            block = max(1, cap // rows)
+            steps += [min(block, self.H - t) for t in range(0, self.H, block)]
+            want += [rows * b for b in steps[len(want) :]]
+        assert rewarded == want * 2
+        assert (cap < len(policies) * self.R) == (set(steps) == {1})
+        assert (cap == 450) == (steps[-1] < steps[0])  # a shorter last block
+
+    def test_checks_every_policy_and_the_trajectory(self, gridworld):
+        policies = self.stack(gridworld)
+        behaviour = uniform_random_policy(gridworld)
+        with pytest.raises(ValueError, match="planner.Policy"):
+            rollout_returns(gridworld, policies + [behaviour], 4, 3)
+        with pytest.raises(ValueError, match="planner.Policy"):
+            rollout_returns(gridworld, [None], 4, 3)
+        space, actions = policies[1].space, policies[1].actions
+        wide = Policy(space, actions, gridworld.action_count + 1)
+        with pytest.raises(ValueError, match="does not fit"):
+            rollout_returns(gridworld, [policies[0], wide], 4, 3)
+        trajectory = exo_trajectory(gridworld, 4, 3, seed=0)
+        with pytest.raises(ValueError, match="do not fit"):
+            rollout_returns(gridworld, policies, 4, 2, trajectory=trajectory)
+        with pytest.raises(ValueError, match="not both"):
+            rollout_returns(gridworld, policies, 4, 3, 0, trajectory)
+        assert rollout_returns(gridworld, [], 4, 3, seed=0).shape == (0, 4)
 
 
 def _policies(mdp, mask):

@@ -264,24 +264,24 @@ class TestScoreOnce:
         ["brute-force", "greedy", "correlational", "first-phase-only", "fixed-mask"],
     )
     def test_one_collection_and_one_score_per_mask(self, monkeypatch, algorithm):
-        import exomdp.experiment as experiment
         import exomdp.search as search
 
-        # every collection, a search's or a fixed mask's, fits from these
+        # every collection, a search's or a fixed mask's, fits from these,
+        # and every score, brute force's batch or estimate_objective's one
+        # mask, comes from the shared scoring helper
         collections, scored = [], []
-        collect, estimate = search._collect_fit_datasets, search.estimate_objective
+        collect, score = search._collect_fit_datasets, search._score
 
         def counting_collect(*args, **kwargs):
             collections.append(args)
             return collect(*args, **kwargs)
 
-        def counting_estimate(mdp, mask, *args, **kwargs):
-            scored.append(mask)
-            return estimate(mdp, mask, *args, **kwargs)
+        def counting_score(mdp, masks, *args):
+            scored.extend(masks)
+            return score(mdp, masks, *args)
 
         monkeypatch.setattr(search, "_collect_fit_datasets", counting_collect)
-        monkeypatch.setattr(search, "estimate_objective", counting_estimate)
-        monkeypatch.setattr(experiment, "estimate_objective", counting_estimate)
+        monkeypatch.setattr(search, "_score", counting_score)
         config = _preset_trial_config(
             "gridworld_small", algorithm, "fixed_mask=[0,2]", "n_trials=2"
         )

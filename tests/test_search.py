@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from exomdp import search
-from exomdp.core import ExomdpError, Mask, TabularFullMdp, UnsupportedMdpError, VariableSpec
+from exomdp.core import (
+    ExomdpError,
+    Mask,
+    StateSpaceTooLargeError,
+    TabularFullMdp,
+    UnsupportedMdpError,
+    VariableSpec,
+)
 from exomdp.domains import (
     build_chain_mdp,
     build_crowd,
@@ -234,9 +241,10 @@ class TestSearchDatasets:
 
     def test_every_mask_scores_its_own_monte_carlo_returns(self, gridworld, monkeypatch):
         """On the shared exo trajectory, each mask's per-rollout returns are
-        those of a Monte Carlo call of its own from the search's seed, and
-        masks whose policies are equal on every endo value and distinct exo
-        vector of the trajectory step stage 2 once between them."""
+        those of a Monte Carlo call of its own from the search's seed; masks
+        whose policies are equal on every endo value and distinct exo vector
+        of the trajectory share one policy's rows, and the distinct policies
+        step stage 2 together, one endo step of them all per step."""
         import exomdp.search as search_module
 
         plans, searches, endo_steps = [], [], []
@@ -270,14 +278,16 @@ class TestSearchDatasets:
             for plan in plans
         }
         assert 1 < len(lifted) < 32
-        # stage 2 of the full-rollout collection, then one per lifted policy
+        # stage 2 of the full-rollout collection, then one batched pass of
+        # (distinct lifted policies x 40 rollouts) rows
         full = TINY.fit
-        assert endo_steps == [full.n_full_rollouts] * full.full_horizon + [40] * (
-            horizon * len(lifted)
-        )
+        assert endo_steps == [full.n_full_rollouts] * full.full_horizon + [
+            40 * len(lifted)
+        ] * horizon
         # every mask's returns come from the search's cache, with no new step
         steps = len(endo_steps)
-        kept = [datasets.monte_carlo_value(gridworld, p.policy, 40, horizon) for p in plans]
+        policies = [p.policy for p in plans]
+        kept = datasets.monte_carlo_values(gridworld, policies, 40, horizon)
         assert len(endo_steps) == steps
         for plan, entry, (mean, returns) in zip(plans, trace.entries, kept):
             alone = monte_carlo_value(gridworld, plan.policy, 40, horizon, seed=mc_seed)
@@ -320,6 +330,65 @@ class TestBruteForce:
         rescored = estimate_objective(gridworld, mask, 0.3, QUICK, seed=4)
         assert rescored.objective == best.objective
         assert all(e.score.objective <= best.objective for e in trace.entries)
+
+
+    def test_masks_over_the_state_budget_are_skipped(self, gridworld):
+        """At a budget of 200 reduced states (20 endo cells times 2**k), the
+        six masks of 4 and 5 variables are skipped, with no score and not
+        accepted; every other mask scores as without a budget, and the
+        search returns the best of them."""
+        _, free = mask_brute_force(gridworld, 0.3, QUICK, seed=4)
+        tight = dataclasses.replace(QUICK, state_budget=200)
+        mask, trace = mask_brute_force(gridworld, 0.3, tight, seed=4)
+        assert [e.mask for e in trace.entries] == [e.mask for e in free.entries]
+        skipped = [e for e in trace.entries if e.score is None]
+        assert [e.mask for e in skipped] == [
+            e.mask for e in trace.entries if len(e.mask) >= 4
+        ]
+        assert len(skipped) == 6 and not any(e.accepted for e in skipped)
+        for entry, unbounded in zip(trace.entries, free.entries):
+            if entry.score is not None:
+                wall = entry.score.wall_time
+                assert entry.score == dataclasses.replace(unbounded.score, wall_time=wall)
+        scores = [e.score for e in trace.entries if e.score is not None]
+        best = min(scores, key=lambda s: (-s.objective, len(s.mask), s.mask.included))
+        assert mask == best.mask
+        below_endo = dataclasses.replace(QUICK, state_budget=19)
+        with pytest.raises(StateSpaceTooLargeError, match="no mask fits"):
+            mask_brute_force(gridworld, 0.3, below_endo)
+
+    def test_each_mask_starts_from_its_parent(self, gridworld, monkeypatch):
+        """On gridworld-small's fitted models, value iteration on each mask
+        starts from its parent's values (the mask without its highest
+        variable), reaches the cold start's policy with values as close to
+        it as both stopping rules allow, in at most half its sweeps."""
+        runs = []
+
+        def recording_vi(model, epsilon, timeout, initial=None):
+            plan = value_iteration(model, epsilon, timeout, initial)
+            runs.append((model, initial, plan))
+            return plan
+
+        monkeypatch.setattr(search, "value_iteration", recording_vi)
+        params = SearchParams(n_rollouts=40, mc_horizon=25)  # the shipped fit budgets
+        _, trace = mask_brute_force(gridworld, 0.3, params, seed=31)
+        assert [model.mask for model, _, _ in runs] == [e.mask for e in trace.entries]
+        eps, warm_sweeps, cold_sweeps = params.vi_epsilon, 0, 0
+        for b, (model, initial, warm) in enumerate(runs):
+            if b:
+                parent = runs[b ^ (1 << (b.bit_length() - 1))][2].values
+                assert len(parent.space.mask) == len(model.mask) - 1
+                assert np.array_equal(initial, parent.lift(model.space))
+            else:
+                assert initial is None
+            cold = value_iteration(model, eps, params.vi_timeout)
+            assert warm.converged and cold.converged
+            assert np.array_equal(warm.policy.actions, cold.policy.actions)
+            gap = np.abs(warm.values.values - cold.values.values).max()
+            assert gap <= 2 * model.discount * eps / (1 - model.discount)
+            warm_sweeps += len(warm.residuals)
+            cold_sweeps += len(cold.residuals)
+        assert warm_sweeps <= cold_sweeps / 2
 
 
 class TestGreedy:
