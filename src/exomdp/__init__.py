@@ -25,7 +25,6 @@ from .estimation import (
     collect_full_rollouts,
     estimate_reward_variables,
     exact_reduced_model,
-    exo_pairs_from_full,
     fit_reduced_mdp,
     transition_mutual_information,
 )

@@ -31,7 +31,6 @@ from .domains import (
 from .estimation import (
     collect_exo_rollouts,
     collect_full_rollouts,
-    exo_pairs_from_full,
     fit_reduced_mdp,
     transition_mutual_information,
 )
@@ -193,7 +192,7 @@ def check_data_policy_invariance(
     exo_data = collect_exo_rollouts(mdp, n_rollouts, horizon, seed=seed)
     full_data = collect_full_rollouts(mdp, None, n_rollouts, horizon, seed=seed + 1)
     a = fit_reduced_mdp(mdp, mask, exo_data, full_data)
-    b = fit_reduced_mdp(mdp, mask, exo_pairs_from_full(full_data), full_data)
+    b = fit_reduced_mdp(mdp, mask, full_data, full_data)  # its own exo pairs
     gap = a.exo_table.to_dense() - b.exo_table.to_dense()
     tv = 0.5 * np.abs(gap).sum(axis=1)
     worst = float(tv.max())

@@ -764,10 +764,13 @@ class ExoTrajectory:
     values: np.ndarray
     draws: np.ndarray
 
-    def lift(self, space: ReducedSpace, per_state: np.ndarray) -> np.ndarray:
-        """``(N, D)``: the entry of a table over ``space`` at each endo value
-        and distinct exo vector of the chain."""
-        table = per_state.reshape(space.endo_cardinality, space.n_exo)
+    def lift_policy(self, policy) -> np.ndarray:
+        """``(N, D)``: a planned policy's action at each endo value and
+        distinct exo vector of the chain, in the narrowest unsigned dtype
+        that holds ``policy.action_count - 1``."""
+        space = policy.space
+        actions = policy.actions.astype(np.min_scalar_type(policy.action_count - 1))
+        table = actions.reshape(space.endo_cardinality, space.n_exo)
         return table[:, space.project_codes(self.values)]
 
 
@@ -859,8 +862,10 @@ def rollouts(
     if policy is not None:
         _check_policy_fits(mdp, policy)
     trajectory = _stage_one(mdp, n_rollouts, horizon, seed, trajectory, behave)
-    policies = [] if policy is None else [policy]
-    [(endo, index, action)] = _stage_two(mdp, trajectory, horizon, policies, horizon)
+    lifted = [] if behave or policy is None else [trajectory.lift_policy(policy)]
+    behaviour = policy if behave else None
+    stepped = _stage_two(mdp, trajectory, horizon, lifted, horizon, behaviour)
+    [(endo, index, action)] = stepped
     return Rollouts(
         endo=endo.astype(np.int32) if "endo" in keep else None,
         exo=trajectory.exo if "exo" in keep else None,
@@ -876,10 +881,13 @@ def rollout_returns(
     horizon: int,
     seed: int | None = None,
     trajectory: ExoTrajectory | None = None,
+    lifted: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """``(P, R)`` truncated discounted returns of the ``R = n_rollouts``
     rollouts of each of ``P`` planned ``policies``, all on the exo chain of
     ``seed`` or of ``trajectory`` (as in ``rollouts``): common random numbers.
+    ``lifted``, each policy's ``trajectory.lift_policy`` made earlier,
+    saves lifting them again.
 
     Stage 2 steps groups of at most ``max(1, CHUNK_ROWS // R)`` policies
     together as one set of rows, computes their rewards a block of steps at
@@ -896,13 +904,17 @@ def rollout_returns(
             )
         _check_policy_fits(mdp, policy)
     trajectory = _stage_one(mdp, n_rollouts, horizon, seed, trajectory, False)
+    if lifted is None:
+        lifted = [trajectory.lift_policy(policy) for policy in policies]
+    elif len(lifted) != len(policies):
+        raise ValueError(f"{len(lifted)} lifted tables for {len(policies)} policies")
     out = np.zeros((len(policies), n_rollouts))
     group = max(1, CHUNK_ROWS // n_rollouts)
     for lo in range(0, len(policies), group):
         returns = out[lo : lo + group].reshape(-1)  # a view, filled in place
         block = max(1, CHUNK_ROWS // len(returns))
         disc = 1.0
-        stepped = _stage_two(mdp, trajectory, horizon, policies[lo : lo + group], block)
+        stepped = _stage_two(mdp, trajectory, horizon, lifted[lo : lo + group], block)
         for endo, index, action in stepped:
             for reward in _rewards(mdp, endo, index, action).T:
                 returns += disc * reward
@@ -926,12 +938,15 @@ def _stage_one(mdp, n_rollouts, horizon, seed, trajectory, behave) -> ExoTraject
     return trajectory
 
 
-def _stage_two(mdp, trajectory, horizon, policies, block) -> Iterator[tuple]:
+def _stage_two(
+    mdp, trajectory, horizon, lifted, block, behaviour=None
+) -> Iterator[tuple]:
     """Stage 2 of the engine, its one step loop: the endo chains on
-    ``trajectory`` of ``policies``, either P planned policies, stepped
-    together as ``P * R`` rows (policy-major) that read their actions from
-    one flat ``(P * N * D)`` table of the policies lifted onto the chain,
-    indexed by its ranks; or ``[]`` (action 0) or ``[behaviour policy]``.
+    ``trajectory`` of P planned policies ``lifted`` onto it
+    (``ExoTrajectory.lift_policy``), stepped together as ``P * R`` rows
+    (policy-major) that read their actions from one flat ``(P * N * D)``
+    table, indexed by the chain's ranks; or, with none, of ``behaviour``,
+    the behaviour policy, or of action 0 when that is None.
 
     Yields ``(endo, index, action)`` for each block of ``block`` steps from
     step ``t`` (the last block may be shorter): ``endo`` ``(rows, b + 1)``
@@ -939,30 +954,27 @@ def _stage_two(mdp, trajectory, horizon, policies, block) -> Iterator[tuple]:
     ``t .. t + b - 1`` and ``action`` ``(rows, b)`` the actions.
     """
     u, index, ranks = trajectory.draws, trajectory.index, trajectory.ranks
-    behave = any(isinstance(p, UniformRandomPolicy) for p in policies)
-    if behave:  # one policy, whose draw comes first
-        act_u, u = policies[0].action_count * u[:, :, 0], u[:, :, 1:]
-    planned = [] if behave else policies
-    copies = max(1, len(planned))
-    if planned:
-        lifted = np.stack([trajectory.lift(p.space, p.actions) for p in planned])
-        table, n_distinct = lifted.reshape(-1), lifted.shape[2]
+    if behaviour is not None:  # its draw comes first
+        act_u, u = behaviour.action_count * u[:, :, 0], u[:, :, 1:]
+    copies = max(1, len(lifted))
+    if lifted:
+        table, n_distinct = np.stack(lifted).reshape(-1), lifted[0].shape[1]
         offset = np.repeat(np.arange(copies) * lifted[0].size, len(trajectory.endo))
     e = _repeat_rows(trajectory.endo, copies)
     for t0 in range(0, horizon, block):
         steps = slice(t0, min(t0 + block, horizon))
         x, draws, rank = (_repeat_rows(v[:, steps], copies) for v in (index, u, ranks))
         b = x.shape[1]
-        if behave:
+        if behaviour is not None:
             action = act_u[:, steps].astype(np.int64)
         else:
             action = np.zeros((len(e), b), dtype=np.int64)
         endo = np.empty((len(e), b + 1), dtype=np.int64)
         endo[:, 0] = e
         for s in range(b):
+            if lifted:
+                action[:, s] = table[offset + e * n_distinct + rank[:, s]]
             a = action[:, s]
-            if planned:
-                a = action[:, s] = table[offset + e * n_distinct + rank[:, s]]
             e = endo[:, s + 1] = mdp.batch_endo_step(e, x[:, s], a, draws[:, s])
         yield endo, x, action
 

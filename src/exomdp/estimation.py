@@ -19,8 +19,8 @@ from .core import (
     InsufficientDataError,
     Mask,
     ReducedSpace,
+    Rollouts,
     TabularFullMdp,
-    UniformRandomPolicy,
     UnsupportedMdpError,
     _atoms,
     _exo_chain,
@@ -37,79 +37,80 @@ def _narrow(array: np.ndarray) -> np.ndarray:
     return array.astype(np.min_scalar_type(int(array.max(initial=0))))
 
 
-@dataclass(frozen=True)
-class ExoRolloutDataset:
-    """Policy-free exogenous transitions: one ``(exo_t, exo_{t+1})`` per row.
+def _pair_index(exo: np.ndarray, cardinalities) -> tuple:
+    """``(ranks, values, pairs, pair_counts)`` of ``R`` rollouts' exo chain
+    ``exo`` ``(R, H + 1, m)``, ranked once by ``core.exo_ranks``: each
+    vector's ``(R, H + 1)`` rank into the distinct ``values``, and the
+    distinct ``(rank_t, rank_{t+1})`` pairs with their counts."""
+    (ranks,), values = exo_ranks([exo], cardinalities)
+    d = len(values)
+    keys = _mixed_radix((ranks[:, :-1], ranks[:, 1:]), (d, d)).reshape(-1)
+    pairs, counts = _atoms(keys, d * d)
+    return ranks, values, _narrow(np.stack(np.divmod(pairs, d))), _narrow(counts)
 
-    ``exo`` and ``next_exo`` are ``(n_rollouts * horizon, m)`` integer arrays.
-    Made once with the dataset, its joint exo index: ``values``, the ``(D,
-    m)`` distinct vectors of both arrays (``core.exo_ranks``), and each
-    distinct ``(rank, next rank)`` pair, column ``k`` of ``pairs`` ``(2,
-    P)``, seen ``pair_counts[k]`` times.
+
+@dataclass(frozen=True, eq=False)
+class ExoRolloutDataset:
+    """Policy-free exogenous transitions, held as their joint exo index.
+
+    ``values`` are the ``(D, m)`` distinct vectors of the rollouts' exo chain
+    (``core.exo_ranks``), and each distinct ``(exo_t, exo_{t+1})`` pair,
+    column ``k`` of ``pairs`` ``(2, P)`` of ranks into ``values``, was seen
+    ``pair_counts[k]`` times, both in the narrowest unsigned dtype. The
+    ``n_rollouts * horizon`` transitions themselves are not kept.
     """
 
-    exo: np.ndarray
-    next_exo: np.ndarray
+    values: np.ndarray
+    pairs: np.ndarray
+    pair_counts: np.ndarray
     cardinalities: tuple[int, ...]
     horizon: int
     n_rollouts: int
     seed: int
-    values: np.ndarray = field(init=False, repr=False, compare=False)
-    pairs: np.ndarray = field(init=False, repr=False, compare=False)
-    pair_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        ranks, values = exo_ranks((self.exo, self.next_exo), self.cardinalities)
-        d = len(values)
-        keys, counts = _atoms(_mixed_radix(ranks, (d, d)), d * d)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "pairs", _narrow(np.stack(np.divmod(keys, d))))
-        object.__setattr__(self, "pair_counts", _narrow(counts))
+    @classmethod
+    def from_chain(cls, exo: np.ndarray, cardinalities, seed: int = 0):
+        """The dataset of ``R`` rollouts' exo chain ``exo`` ``(R, H + 1, m)``."""
+        index = _pair_index(exo, cardinalities)[1:]
+        return cls(*index, tuple(cardinalities), exo.shape[1] - 1, len(exo), seed)
 
     def __len__(self) -> int:
-        return len(self.exo)
+        return self.n_rollouts * self.horizon
 
 
-@dataclass(frozen=True)
-class FullRolloutDataset:
-    """Policy-driven transitions ``(s, a, r, s')`` as parallel arrays.
+@dataclass(frozen=True, eq=False)
+class FullRolloutDataset(ExoRolloutDataset):
+    """Transitions under a behaviour policy, held as their counts.
 
-    Made once with the dataset, its joint exo index: ``values``, the ``(D,
-    m)`` distinct vectors of ``exo`` (``core.exo_ranks``), and each distinct
-    ``(endo * A + action, rank, next endo)`` step, column ``k`` of ``steps``
-    ``(3, P)``, seen ``step_counts[k]`` times.
+    It is the exo dataset of its own exo chain, which the action never
+    steers, and each distinct ``(endo * A + action, rank, next endo)`` step,
+    column ``k`` of ``steps`` ``(3, S)`` with ``rank`` into ``values``, was
+    seen ``step_counts[k]`` times.
     """
 
-    endo: np.ndarray
-    action: np.ndarray
-    reward: np.ndarray
-    next_endo: np.ndarray
-    exo: np.ndarray
-    next_exo: np.ndarray
-    cardinalities: tuple[int, ...]
+    steps: np.ndarray
+    step_counts: np.ndarray
     endo_cardinality: int
     action_count: int
-    horizon: int
-    n_rollouts: int
-    seed: int
-    policy_tag: str = "uniform-random"
-    values: np.ndarray = field(init=False, repr=False, compare=False)
-    steps: np.ndarray = field(init=False, repr=False, compare=False)
-    step_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        (ranks,), values = exo_ranks([self.exo], self.cardinalities)
-        n, a, d = self.endo_cardinality, self.action_count, len(values)
-        digits = (self.endo, self.action, ranks, self.next_endo)
-        keys, counts = _atoms(_mixed_radix(digits, (n, a, d, n)), n * a * d * n)
+    @classmethod
+    def from_rollouts(
+        cls, run: Rollouts, cardinalities, endo_cardinality: int, action_count: int,
+        seed: int = 0,
+    ):
+        """The dataset of ``run``'s ``endo``, ``exo`` and ``action``."""
+        ranks, *index = _pair_index(run.exo, cardinalities)
+        n, a, d = endo_cardinality, action_count, len(index[0])
+        digits = (run.endo[:, :-1], run.action, ranks[:, :-1], run.endo[:, 1:])
+        keys = _mixed_radix(digits, (n, a, d, n)).reshape(-1)
+        keys, counts = _atoms(keys, n * a * d * n)
         rest, next_endo = np.divmod(keys, n)
-        steps = np.stack([*np.divmod(rest, d), next_endo])
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "steps", _narrow(steps))
-        object.__setattr__(self, "step_counts", _narrow(counts))
-
-    def __len__(self) -> int:
-        return len(self.endo)
+        steps = _narrow(np.stack([*np.divmod(rest, d), next_endo]))
+        n_rollouts, horizon = run.action.shape
+        return cls(
+            *index, tuple(cardinalities), horizon, n_rollouts, seed,
+            steps, _narrow(counts), endo_cardinality, action_count,
+        )
 
 
 # Largest ``rows * cols`` for which a table also keeps its dense form and
@@ -314,16 +315,8 @@ def collect_exo_rollouts(
     draws: the exo step sees no action and no endo step is taken.
     Deterministic given ``seed``; rollout r uses its own generator stream.
     """
-    values = _exo_chain(mdp, n_rollouts, horizon, seed)[1]
-    total, m = n_rollouts * horizon, mdp.m
-    return ExoRolloutDataset(
-        exo=values[:, :-1].reshape(total, m),
-        next_exo=values[:, 1:].reshape(total, m),
-        cardinalities=mdp.exo_cardinalities,
-        horizon=horizon,
-        n_rollouts=n_rollouts,
-        seed=seed,
-    )
+    exo = _exo_chain(mdp, n_rollouts, horizon, seed)[1]
+    return ExoRolloutDataset.from_chain(exo, mdp.exo_cardinalities, seed)
 
 
 def collect_full_rollouts(
@@ -333,7 +326,8 @@ def collect_full_rollouts(
     horizon: int = 1,
     seed: int = 0,
 ) -> FullRolloutDataset:
-    """Roll out full ``(s, a, r, s')`` tuples under a behavior policy.
+    """Roll out full transitions under a behavior policy; no reward is
+    computed.
 
     ``policy`` is None (``core.uniform_random_policy``), that behaviour
     policy, or a planned ``planner.Policy``; ``core.rollouts`` refuses any
@@ -341,38 +335,10 @@ def collect_full_rollouts(
     """
     if policy is None:
         policy = uniform_random_policy(mdp)
-    run = rollouts(mdp, policy, n_rollouts, horizon, seed)
-    if isinstance(policy, UniformRandomPolicy):
-        tag = policy.policy_tag
-    else:
-        tag = f"reduced-policy:{policy.mask.included}"
-    total, m = n_rollouts * horizon, mdp.m
-    return FullRolloutDataset(
-        endo=run.endo[:, :-1].reshape(total),
-        action=run.action.reshape(total),
-        reward=run.reward.reshape(total),
-        next_endo=run.endo[:, 1:].reshape(total),
-        exo=run.exo[:, :-1].reshape(total, m),
-        next_exo=run.exo[:, 1:].reshape(total, m),
-        cardinalities=mdp.exo_cardinalities,
-        endo_cardinality=mdp.endo_cardinality,
-        action_count=mdp.action_count,
-        horizon=horizon,
-        n_rollouts=n_rollouts,
-        seed=seed,
-        policy_tag=tag,
-    )
-
-
-def exo_pairs_from_full(full_data: FullRolloutDataset) -> ExoRolloutDataset:
-    """View the exogenous parts of policy-driven rollouts as an exo dataset."""
-    return ExoRolloutDataset(
-        exo=full_data.exo,
-        next_exo=full_data.next_exo,
-        cardinalities=full_data.cardinalities,
-        horizon=full_data.horizon,
-        n_rollouts=full_data.n_rollouts,
-        seed=full_data.seed,
+    keep = ("endo", "exo", "action")
+    run = rollouts(mdp, policy, n_rollouts, horizon, seed, keep=keep)
+    return FullRolloutDataset.from_rollouts(
+        run, mdp.exo_cardinalities, mdp.endo_cardinality, mdp.action_count, seed
     )
 
 

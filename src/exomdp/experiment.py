@@ -117,8 +117,27 @@ class ExperimentConfig:
         for name, value in counts.items():
             if not value >= 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.master_seed < 0:  # numpy's seeds are non-negative
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
         if self.domain not in list_presets():
             raise KeyError(f"unknown domain preset {self.domain!r}")
+        if self.fixed_mask is not None:
+            self._validate_fixed_mask()
+
+    def _validate_fixed_mask(self) -> None:
+        """Refuse a mask that is not strictly increasing indices of the
+        preset's variables, rather than fail every trial on it."""
+        m = build_preset(self.domain, self.domain_overrides).m
+        mask = list(self.fixed_mask)
+        indices = all(
+            isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < m
+            for i in mask
+        )
+        if not (indices and all(a < b for a, b in zip(mask, mask[1:]))):
+            raise ValueError(
+                f"fixed_mask must be strictly increasing indices of the "
+                f"{self.domain} preset's variables 0..{m - 1}, got {mask}"
+            )
 
     def search_params(self) -> SearchParams:
         return SearchParams(

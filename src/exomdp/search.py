@@ -227,8 +227,9 @@ class SearchDatasets:
 
     ``returns`` keeps the ``planner.monte_carlo_value`` of each policy
     rolled out on ``mc``, keyed by the policy lifted onto the chain's
-    distinct exo vectors: two policies equal there take the same action at
-    every visited state, so under common random numbers they return the
+    distinct exo vectors (``ExoTrajectory.lift_policy``, one byte an entry
+    for up to 256 actions): two policies equal there take the same action
+    at every visited state, so under common random numbers they return the
     same bytes, and each is rolled out once.
     """
 
@@ -243,17 +244,17 @@ class SearchDatasets:
     ) -> list[tuple[float, np.ndarray]]:
         """``planner.monte_carlo_value`` of each of ``policies`` on ``mc``:
         the distinct lifted policies not rolled out yet are, together, in one
-        ``core.rollout_returns`` call."""
-        keys = [
-            (n_rollouts, horizon, self.mc.lift(p.space, p.actions).tobytes())
-            for p in policies
-        ]
-        new = {}
-        for key, policy in zip(keys, policies):
+        ``core.rollout_returns`` call, which steps the tables lifted here."""
+        keys, new = [], {}
+        for policy in policies:
+            lifted = self.mc.lift_policy(policy)
+            key = (n_rollouts, horizon, lifted.tobytes())
+            keys.append(key)
             if key not in self.returns:
-                new.setdefault(key, policy)
+                new.setdefault(key, (policy, lifted))
+        todo, lifted = zip(*new.values()) if new else ((), ())
         batch = rollout_returns(
-            mdp, list(new.values()), n_rollouts, horizon, trajectory=self.mc
+            mdp, list(todo), n_rollouts, horizon, trajectory=self.mc, lifted=lifted
         )
         for key, returns in zip(new, batch):
             self.returns[key] = float(returns.mean()), returns
@@ -329,8 +330,9 @@ def estimate_objective(
     else:
         fit_data = datasets.exo, datasets.full
     model = _fit(mdp, mask, params, fit_data)
-    del fit_data  # a fixed mask's rollouts are freed before value iteration
+    del fit_data  # a fixed mask's datasets are freed before value iteration
     plan = _plan(model, params, warm.values if warm else None)
+    del model  # and its model before Monte Carlo: the plan holds no reference
     if warm:
         warm.values = plan.values
     seconds = time.perf_counter() - t0

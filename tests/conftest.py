@@ -1,5 +1,7 @@
 """Shared toy models and independent oracles for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -11,9 +13,17 @@ from exomdp.core import (
     TabularFullMdp,
     UniformRandomPolicy,
     VariableSpec,
+    exo_trajectory,
     reduced_space_for,
+    rollouts,
+    uniform_random_policy,
 )
-from exomdp.estimation import SparseTable, TabularReducedMdp
+from exomdp.estimation import (
+    ExoRolloutDataset,
+    FullRolloutDataset,
+    SparseTable,
+    TabularReducedMdp,
+)
 
 
 def make_reduced(endo_table, exo_table, reward_table, discount, r_max=None):
@@ -54,10 +64,114 @@ def count_over_total(pairs, n_rows, n_cols, smoothing=0.0):
     return table
 
 
-def per_row_fit_oracle(mdp, mask, exo_data, full_data, smoothing=0.0):
+@dataclasses.dataclass(frozen=True)
+class Rows:
+    """Raw transitions, one a row, as the oracles read them: ``exo`` and
+    ``next_exo`` ``(T, m)``, and for full transitions ``endo``, ``action``
+    and ``next_endo`` ``(T,)``. Datasets hold only their counts."""
+
+    cardinalities: tuple
+    exo: np.ndarray
+    next_exo: np.ndarray
+    endo: np.ndarray | None = None
+    action: np.ndarray | None = None
+    next_endo: np.ndarray | None = None
+    endo_cardinality: int | None = None
+    action_count: int | None = None
+
+    @classmethod
+    def of_chain(cls, mdp, exo, endo=None, action=None):
+        """The rows of ``R`` rollouts' chains on ``mdp``: ``exo`` ``(R, H + 1,
+        m)``, and ``endo`` ``(R, H + 1)`` and ``action`` ``(R, H)`` for full
+        transitions."""
+        r, h, m = exo.shape[0], exo.shape[1] - 1, exo.shape[2]
+        rows = cls(
+            mdp.exo_cardinalities, exo[:, :-1].reshape(r * h, m),
+            exo[:, 1:].reshape(r * h, m),
+        )
+        if endo is None:
+            return rows
+        return dataclasses.replace(
+            rows,
+            endo=endo[:, :-1].reshape(r * h),
+            action=action.reshape(r * h),
+            next_endo=endo[:, 1:].reshape(r * h),
+            endo_cardinality=mdp.endo_cardinality,
+            action_count=mdp.action_count,
+        )
+
+
+def exo_rows(mdp, n_rollouts, horizon, seed):
+    """The rows of ``collect_exo_rollouts``' seed, from the engine's exo
+    chain of the same seed."""
+    return Rows.of_chain(mdp, exo_trajectory(mdp, n_rollouts, horizon, seed).exo)
+
+
+def full_rows(mdp, policy, n_rollouts, horizon, seed):
+    """The rows of ``collect_full_rollouts``' seed (``policy`` None: the
+    behaviour policy), from ``core.rollouts`` of the same seed."""
+    policy = uniform_random_policy(mdp) if policy is None else policy
+    run = rollouts(mdp, policy, n_rollouts, horizon, seed)
+    return Rows.of_chain(mdp, run.exo, run.endo, run.action)
+
+
+def dataset_of_rows(rows):
+    """The dataset of raw ``rows``, each a rollout of horizon 1: an
+    ``ExoRolloutDataset``, or a ``FullRolloutDataset`` where ``rows`` are
+    full transitions."""
+    exo = np.stack([rows.exo, rows.next_exo], axis=1)
+    if rows.endo is None:
+        return ExoRolloutDataset.from_chain(exo, rows.cardinalities)
+    run = Rollouts(
+        endo=np.stack([rows.endo, rows.next_endo], axis=1),
+        exo=exo,
+        action=np.asarray(rows.action)[:, None],
+        reward=None,
+    )
+    return FullRolloutDataset.from_rollouts(
+        run, rows.cardinalities, rows.endo_cardinality, rows.action_count
+    )
+
+
+def index_oracle(rows):
+    """Independent oracle for a dataset's joint exo index: the distinct
+    vectors of ``exo`` and ``next_exo`` by ``np.unique(axis=0)``, and the
+    distinct ``(rank, next rank)`` pairs and, for full rows, ``(endo * A +
+    action, rank, next endo)`` steps by ``np.unique(axis=0)`` with counts,
+    as columns; indices and counts in the narrowest unsigned dtype."""
+
+    def narrow(a):
+        return a.astype(np.min_scalar_type(int(a.max(initial=0))))
+
+    both = np.concatenate([rows.exo, rows.next_exo])
+    values, inverse = np.unique(both, axis=0, return_inverse=True)
+    rank, next_rank = np.split(inverse.reshape(-1), 2)
+    pairs, pair_counts = np.unique(
+        np.stack([rank, next_rank], axis=1), axis=0, return_counts=True
+    )
+    index = dict(values=values, pairs=narrow(pairs.T), pair_counts=narrow(pair_counts))
+    if rows.endo is not None:
+        condition = rows.endo.astype(np.int64) * rows.action_count + rows.action
+        steps = np.stack([condition, rank, rows.next_endo], axis=1)
+        steps, step_counts = np.unique(steps, axis=0, return_counts=True)
+        index.update(steps=narrow(steps.T), step_counts=narrow(step_counts))
+    return index
+
+
+def assert_index_equals_oracle(dataset, rows):
+    """Every index array of ``dataset`` equals ``index_oracle(rows)``'s,
+    shape, dtype and bytes; so does its length."""
+    for name, want in index_oracle(rows).items():
+        got = getattr(dataset, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), name
+    assert len(dataset) == len(rows.exo)
+
+
+def per_row_fit_oracle(mdp, mask, exo_rows, full_rows, smoothing=0.0):
     """Independent oracle for ``fit_reduced_mdp``'s ``(endo_table,
-    exo_table)``: every row of both datasets projected onto the mask on its
-    own and its key counted by ``np.unique``, then normalized as
+    exo_table)``: every row of both sets of ``Rows`` projected onto the
+    mask on its own and its key counted by ``np.unique``, then normalized as
     ``count / (total + s C)`` with ``s / (total + s C)`` spread over the
     ``C`` columns of a seen row and ``1 / C`` over an unseen one."""
     space = reduced_space_for(mdp, mask)
@@ -74,9 +188,9 @@ def per_row_fit_oracle(mdp, mask, exo_data, full_data, smoothing=0.0):
         return SparseTable(n_rows, n_cols, rows, cols, counts / denominators[rows], spread)
 
     project = space.project_codes
-    exo_keys = project(exo_data.exo) * x + project(exo_data.next_exo)
-    conditions = (full_data.endo.astype(np.int64) * a + full_data.action) * x
-    endo_keys = (conditions + project(full_data.exo)) * n + full_data.next_endo
+    exo_keys = project(exo_rows.exo) * x + project(exo_rows.next_exo)
+    conditions = (full_rows.endo.astype(np.int64) * a + full_rows.action) * x
+    endo_keys = (conditions + project(full_rows.exo)) * n + full_rows.next_endo
     return table(endo_keys, n * a * x, n), table(exo_keys, x, x)
 
 
@@ -261,15 +375,16 @@ def random_tabular_cases(draw):
     return mdp, mask
 
 
-def mutual_information_oracle(exo_data, mask, j):
-    """Plug-in transition mutual information counted by sorting: each side's
-    atoms and the joint atoms from ``np.unique``, summed in sorted order."""
-    space = ReducedSpace(1, mask, exo_data.cardinalities)
-    a_codes = space.project_codes(exo_data.exo) * space.n_exo + space.project_codes(
-        exo_data.next_exo
+def mutual_information_oracle(rows, mask, j):
+    """Plug-in transition mutual information of ``Rows`` counted by sorting:
+    each side's atoms and the joint atoms from ``np.unique``, summed in
+    sorted order."""
+    space = ReducedSpace(1, mask, rows.cardinalities)
+    a_codes = space.project_codes(rows.exo) * space.n_exo + space.project_codes(
+        rows.next_exo
     )
-    cj = exo_data.cardinalities[j]
-    b_codes = exo_data.exo[:, j].astype(np.int64) * cj + exo_data.next_exo[:, j]
+    cj = rows.cardinalities[j]
+    b_codes = rows.exo[:, j].astype(np.int64) * cj + rows.next_exo[:, j]
     total = len(a_codes)
     _, a_inv = np.unique(a_codes, return_inverse=True)
     _, b_inv = np.unique(b_codes, return_inverse=True)

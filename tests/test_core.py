@@ -44,6 +44,8 @@ from exomdp.planner import (
 )
 
 from conftest import (
+    Rows,
+    assert_index_equals_oracle,
     constant_reward_mdp,
     initial_state,
     next_state,
@@ -760,10 +762,11 @@ class TestBatchSamplers:
         monkeypatch.setattr(core, "CHUNK_DRAWS", chunk)
         mdp = builder()
         data = collect_exo_rollouts(mdp, 20, 8, seed=1)
-        exo = exo_trajectory(mdp, 20, 8, seed=1).exo
-        for got, want in ((data.exo, exo[:, :-1]), (data.next_exo, exo[:, 1:])):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want.reshape(160, mdp.m))
+        trajectory = exo_trajectory(mdp, 20, 8, seed=1)
+        # the same chain: the same distinct vectors, and its pairs
+        assert data.values.dtype == trajectory.values.dtype
+        assert data.values.tobytes() == trajectory.values.tobytes()
+        assert_index_equals_oracle(data, Rows.of_chain(mdp, trajectory.exo))
         assert core._exo_chain(mdp, 20, 8, 1)[2].shape == (20, 8, 0)
 
     def test_user_mdp_with_array_samplers_only(self):

@@ -38,15 +38,19 @@ from exomdp.estimation import (
     collect_full_rollouts,
     estimate_reward_variables,
     exact_reduced_model,
-    exo_pairs_from_full,
     fit_reduced_mdp,
     transition_mutual_information,
 )
 from exomdp.planner import Policy, exact_policy_evaluation, value_iteration
 
 from conftest import (
+    Rows,
+    assert_index_equals_oracle,
     constant_reward_mdp,
     count_over_total,
+    dataset_of_rows,
+    exo_rows,
+    full_rows,
     make_reduced,
     mutual_information_oracle,
     per_row_fit_oracle,
@@ -61,34 +65,34 @@ class TestCollectExo:
     def test_transition_count(self):
         mdp = build_chain_mdp((2, 2), (0.3, 0.3))
         ds = collect_exo_rollouts(mdp, n_rollouts=2, horizon=3, seed=0)
-        assert len(ds) == 6
-        assert ds.exo.shape == (6, 2)
+        assert len(ds) == 6 == ds.pair_counts.sum()
+        assert ds.values.shape[1] == 2 and ds.pairs.shape[0] == 2
 
     def test_fixed_point_chain(self):
         mdp = build_chain_mdp((3,), (0.0,))
         ds = collect_exo_rollouts(mdp, 5, 10, seed=1)
-        assert np.array_equal(ds.exo, ds.next_exo)
+        assert np.array_equal(ds.pairs[0], ds.pairs[1])
 
     def test_symmetric_flip_frequency(self):
         mdp = build_chain_mdp((2,), (0.5,))
         ds = collect_exo_rollouts(mdp, 200, 50, seed=2)
-        flip_rate = float((ds.exo[:, 0] != ds.next_exo[:, 0]).mean())
+        flipped = ds.values[ds.pairs[0], 0] != ds.values[ds.pairs[1], 0]
+        flip_rate = float(ds.pair_counts[flipped].sum() / len(ds))
         assert abs(flip_rate - 0.5) < 0.02
 
     def test_deterministic_given_seed(self):
         mdp = build_chain_mdp((2, 3), (0.2, 0.4))
         a = collect_exo_rollouts(mdp, 10, 10, seed=7)
         b = collect_exo_rollouts(mdp, 10, 10, seed=7)
-        assert np.array_equal(a.exo, b.exo) and np.array_equal(a.next_exo, b.next_exo)
+        for name in ("values", "pairs", "pair_counts"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     @staticmethod
     def assert_matches_loop(mdp, n_rollouts, horizon, seed):
         ds = collect_exo_rollouts(mdp, n_rollouts, horizon, seed)
         ref = reference_rollouts(mdp, None, n_rollouts, horizon, seed).exo
-        total = n_rollouts * horizon
-        for got, want in ((ds.exo, ref[:, :-1]), (ds.next_exo, ref[:, 1:])):
-            assert got.dtype == want.dtype == np.int16
-            assert np.array_equal(got, want.reshape(total, mdp.m))
+        assert ds.values.dtype == ref.dtype == np.int16
+        assert_index_equals_oracle(ds, Rows.of_chain(mdp, ref))
 
     @pytest.mark.parametrize("n_rollouts, horizon", [(1, 1), (1, 50), (30, 1), (200, 50)])
     def test_gridworld_batch_matches_loop(self, gridworld, n_rollouts, horizon):
@@ -155,7 +159,7 @@ class TopValueMdp(GenerativeMdp):
 def test_cardinality_beyond_int16_rejected_before_rollouts(collect):
     widest = TopValueMdp(32768)
     ds = collect(widest)
-    assert ds.exo.max() == ds.next_exo.max() == 32767
+    assert ds.values.tolist() == [[32767]] and ds.pairs.tolist() == [[0], [0]]
     too_wide = TopValueMdp(32769)
     with pytest.raises(ValueError, match="32769"):
         collect(too_wide)
@@ -168,16 +172,21 @@ class TestCollectFull:
         ds = collect_full_rollouts(mdp, None, n_rollouts=7, horizon=1, seed=0)
         assert len(ds) == 7
 
-    def test_constant_reward_recorded(self):
+    def test_rewards_never_computed(self, monkeypatch):
         mdp = constant_reward_mdp([2.0, 3.0])
+
+        def refuse(*args):
+            raise AssertionError("reward computed")
+
+        monkeypatch.setattr(type(mdp), "batch_reward", refuse)
         ds = collect_full_rollouts(mdp, None, 5, 4, seed=0)
-        assert np.allclose(ds.reward, 5.0)
+        assert len(ds) == ds.step_counts.sum() == 20
 
     def test_uniform_action_frequency(self):
         mdp = constant_reward_mdp([0.0], n_actions=2)
         ds = collect_full_rollouts(mdp, None, 200, 50, seed=3)
-        assert abs(float((ds.action == 0).mean()) - 0.5) < 0.02
-        assert ds.policy_tag == "uniform-random"
+        first = ds.steps[0] % mdp.action_count == 0
+        assert abs(float(ds.step_counts[first].sum() / len(ds)) - 0.5) < 0.02
 
     def test_callable_policy(self):
         mdp = constant_reward_mdp([0.0], n_actions=3)
@@ -203,23 +212,9 @@ class TestCollectFull:
         ds = collect_full_rollouts(mdp, policy, n_rollouts, horizon, seed)
         behaviour = uniform_random_policy(mdp) if policy is None else policy
         ref = reference_rollouts(mdp, behaviour, n_rollouts, horizon, seed)
-        total = n_rollouts * horizon
-        for name, want in (
-            ("endo", ref.endo[:, :-1]),
-            ("action", ref.action),
-            ("reward", ref.reward),
-            ("next_endo", ref.endo[:, 1:]),
-            ("exo", ref.exo[:, :-1]),
-            ("next_exo", ref.exo[:, 1:]),
-        ):
-            got = getattr(ds, name)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want.reshape(got.shape)), name
-        assert len(ds) == total
-        if policy is None:
-            assert ds.policy_tag == "uniform-random"
-        else:
-            assert ds.policy_tag == f"reduced-policy:{policy.mask.included}"
+        rows = Rows.of_chain(mdp, ref.exo, ref.endo, ref.action)
+        assert_index_equals_oracle(ds, rows)
+        assert (ds.horizon, ds.n_rollouts, ds.seed) == (horizon, n_rollouts, seed)
 
     @pytest.mark.parametrize("n_rollouts, horizon", [(1, 1), (1, 50), (30, 1), (60, 50)])
     def test_planned_policy_batch_matches_loop(self, gridworld, n_rollouts, horizon):
@@ -245,7 +240,7 @@ class TestFit:
         exo = collect_exo_rollouts(mdp, 30, 10, seed=0)
         full = collect_full_rollouts(mdp, None, 5, 5, seed=0)
         model = fit_reduced_mdp(mdp, Mask((0,)), exo, full, smoothing=0.0)
-        observed = np.unique(exo.exo[:, 0])
+        observed = exo.values[exo.pairs[0], 0]
         for v in observed:
             row = model.exo_table.to_dense()[v]
             assert row[v] == 1.0 and row.sum() == 1.0
@@ -268,27 +263,15 @@ class TestFit:
     def test_unobserved_row_uniform_fallback(self):
         mdp = build_chain_mdp((4,), (0.0,))
         # value 3 never appears: rollouts started away from it stay away
-        exo = ExoRolloutDataset(
-            exo=np.array([[0], [1]], dtype=np.int16),
-            next_exo=np.array([[0], [1]], dtype=np.int16),
-            cardinalities=(4,),
-            horizon=1,
-            n_rollouts=2,
-            seed=0,
-        )
+        seen = np.array([[0], [1]], dtype=np.int16)
+        exo = dataset_of_rows(Rows((4,), seen, seen))
         full = collect_full_rollouts(mdp, None, 2, 2, seed=0)
         model = fit_reduced_mdp(mdp, Mask((0,)), exo, full, smoothing=0.0)
         assert np.allclose(model.exo_table.to_dense()[3], 0.25)
 
     def test_empty_dataset_rejected(self, hand_toy):
-        empty = ExoRolloutDataset(
-            exo=np.empty((0, 2), dtype=np.int16),
-            next_exo=np.empty((0, 2), dtype=np.int16),
-            cardinalities=(2, 2),
-            horizon=1,
-            n_rollouts=1,
-            seed=0,
-        )
+        none = np.empty((0, 2), dtype=np.int16)
+        empty = dataset_of_rows(Rows((2, 2), none, none))
         full = collect_full_rollouts(hand_toy, None, 1, 1, seed=0)
         with pytest.raises(InsufficientDataError):
             fit_reduced_mdp(hand_toy, Mask((0,)), empty, full)
@@ -330,10 +313,12 @@ class TestFit:
         rng = np.random.default_rng(0)
         codes = rng.integers(card, size=(500, 1)).astype(np.int16)
         endo = rng.integers(n, size=500)
-        exo = ExoRolloutDataset(codes[:-1], codes[1:], (card,), 1, 499, 0)
-        full = FullRolloutDataset(
-            endo[:-1], np.zeros(499, dtype=np.int64), np.zeros(499), endo[1:],
-            codes[:-1], codes[1:], (card,), n, 1, 1, 499, 0,
+        exo = dataset_of_rows(Rows((card,), codes[:-1], codes[1:]))
+        full = dataset_of_rows(
+            Rows(
+                (card,), codes[:-1], codes[1:],
+                endo[:-1], np.zeros(499, dtype=np.int64), endo[1:], n, 1,
+            )
         )
         model = fit_reduced_mdp(WideMdp(card), Mask((0,)), exo, full)
         model.assert_valid()
@@ -422,7 +407,7 @@ def stored_bytes(table):
 
 
 def endo_conditions(model, full):
-    """Each full transition's endo-table row ``(endo * A + action) * X + x``."""
+    """Each of the full ``Rows``' endo-table row ``(endo * A + action) * X + x``."""
     a, x = model.action_count, model.n_exo_states
     codes = model.space.project_codes(full.exo)
     return (full.endo.astype(np.int64) * a + full.action) * x + codes
@@ -446,8 +431,9 @@ def exo_pair_cases(draw):
 
 @st.composite
 def fit_cases(draw):
-    """``(mdp, mask, exo_data, full_data)``: a random analytic MDP and mask
-    with a few hand-drawn transitions, so most endo rows stay unseen."""
+    """``(mdp, mask, exo_rows, full_rows)``: a random analytic MDP and mask
+    with a few hand-drawn ``Rows`` of transitions, so most endo rows stay
+    unseen."""
     mdp, mask = draw(random_tabular_cases())
     n, a, cards = mdp.endo_cardinality, mdp.action_count, mdp.exo_cardinalities
     value = st.tuples(*(st.integers(0, c - 1) for c in cards))
@@ -466,28 +452,27 @@ def fit_cases(draw):
     def exo_array(values):
         return np.array(values, dtype=np.int16).reshape(len(values), len(cards))
 
-    exo = ExoRolloutDataset(
-        exo_array([e for e, _ in exo_rows]), exo_array([e for _, e in exo_rows]),
-        cards, 1, len(exo_rows), 0,
+    exo = Rows(
+        cards, exo_array([e for e, _ in exo_rows]), exo_array([e for _, e in exo_rows])
     )
     endo, action, x, next_endo, next_x = zip(*full_rows)
-    full = FullRolloutDataset(
-        np.array(endo), np.array(action), np.zeros(len(full_rows)),
-        np.array(next_endo), exo_array(x), exo_array(next_x), cards, n, a, 1,
-        len(full_rows), 0,
+    full = Rows(
+        cards, exo_array(x), exo_array(next_x), np.array(endo), np.array(action),
+        np.array(next_endo), n, a,
     )
     return mdp, mask, exo, full
 
 
-def assert_fit_equals_oracle(mdp, mask, exo, full, smoothing, limit=None):
-    """``fit_reduced_mdp``'s two tables equal ``per_row_fit_oracle``'s array
-    for array, to the byte, under ``DENSE_MAX_ENTRIES = limit`` (None: the
-    shipped limit)."""
+def assert_fit_equals_oracle(mdp, mask, exo, full, rows, smoothing, limit=None):
+    """``fit_reduced_mdp``'s two tables from the datasets ``exo`` and
+    ``full`` equal ``per_row_fit_oracle``'s from the ``(exo, full)`` raw
+    ``rows``, array for array, to the byte, under ``DENSE_MAX_ENTRIES =
+    limit`` (None: the shipped limit)."""
     with pytest.MonkeyPatch.context() as patch:
         if limit is not None:
             patch.setattr(estimation, "DENSE_MAX_ENTRIES", limit)
         model = fit_reduced_mdp(mdp, mask, exo, full, smoothing)
-        oracle = per_row_fit_oracle(mdp, mask, exo, full, smoothing)
+        oracle = per_row_fit_oracle(mdp, mask, *rows, smoothing)
     for got, want in zip((model.endo_table, model.exo_table), oracle):
         assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
         for name in ("rows", "cols", "probs", "spread", "dense"):
@@ -500,7 +485,8 @@ def assert_fit_equals_oracle(mdp, mask, exo, full, smoothing, limit=None):
 
 class TestFitFromJointCounts:
     """The tables fitted from each dataset's joint counts are those of
-    counting every row on its own, to the byte."""
+    counting every row of the engine's chains of the same seeds on its own,
+    to the byte."""
 
     @pytest.mark.parametrize("limit", [0, 10**12], ids=["sparse", "dense"])
     @pytest.mark.parametrize("smoothing", [0.0, 0.5])
@@ -515,8 +501,14 @@ class TestFitFromJointCounts:
         mdp, mask = case
         exo = collect_exo_rollouts(mdp, n_rollouts, horizon, seed)
         full = collect_full_rollouts(mdp, None, n_rollouts, horizon, seed + 1)
+        rows = (
+            exo_rows(mdp, n_rollouts, horizon, seed),
+            full_rows(mdp, None, n_rollouts, horizon, seed + 1),
+        )
+        assert_index_equals_oracle(exo, rows[0])
+        assert_index_equals_oracle(full, rows[1])
         for m in (mask, Mask(()), Mask.full(mdp.m)):
-            assert_fit_equals_oracle(mdp, m, exo, full, smoothing, limit)
+            assert_fit_equals_oracle(mdp, m, exo, full, rows, smoothing, limit)
 
     @pytest.mark.parametrize("limit", [0, None, 10**12], ids=["sparse", "shipped", "dense"])
     @pytest.mark.parametrize("smoothing", [0.0, 0.5])
@@ -532,11 +524,14 @@ class TestFitFromJointCounts:
         mdp = builder()
         exo = collect_exo_rollouts(mdp, 150, 30, seed=3)
         full = collect_full_rollouts(mdp, None, 100, 30, seed=4)
+        rows = exo_rows(mdp, 150, 30, 3), full_rows(mdp, None, 100, 30, 4)
+        assert_index_equals_oracle(exo, rows[0])
+        assert_index_equals_oracle(full, rows[1])
         for mask in map(Mask, masks):
             x = reduced_space_for(mdp, mask).n_exo
             if limit == 10**12 and x * x > 10**6:
                 continue  # the crowd's full mask: a dense 4050 x 4050 exo table is 131 MB
-            assert_fit_equals_oracle(mdp, mask, exo, full, smoothing, limit)
+            assert_fit_equals_oracle(mdp, mask, exo, full, rows, smoothing, limit)
 
 
 class WideMdp(GenerativeMdp):
@@ -601,30 +596,29 @@ class TestJointIndexBeyondInt64:
     def test_vectors_outside_the_cardinalities_are_refused(self, exo, message):
         exo = np.array(exo, dtype=np.int16)
         with pytest.raises(ValueError, match=message):
-            ExoRolloutDataset(exo, np.zeros_like(exo), (3, 2), 1, 1, 0)
+            dataset_of_rows(Rows((3, 2), exo, np.zeros_like(exo)))
         with pytest.raises(ValueError, match=message):
             zero = np.zeros(1, dtype=np.int64)
-            FullRolloutDataset(zero, zero, np.zeros(1), zero, exo, exo, (3, 2), 1, 1, 1, 1, 0)
+            dataset_of_rows(Rows((3, 2), exo, exo, zero, zero, zero, 1, 1))
 
     def test_datasets_and_trajectory_count_and_fit(self):
         mdp = WideMdp()
         exo = collect_exo_rollouts(mdp, 30, 8, seed=0)
         full = collect_full_rollouts(mdp, None, 20, 6, seed=1)
+        rows = exo_rows(mdp, 30, 8, 0), full_rows(mdp, None, 20, 6, 1)
+        assert_index_equals_oracle(exo, rows[0])
+        assert_index_equals_oracle(full, rows[1])
         # the pairs, counted by sorting the rows of both vectors side by side
-        pairs, counts = np.unique(
-            np.concatenate([exo.exo, exo.next_exo], axis=1), axis=0, return_counts=True
-        )
+        side_by_side = np.concatenate([rows[0].exo, rows[0].next_exo], axis=1)
+        pairs, counts = np.unique(side_by_side, axis=0, return_counts=True)
         got = np.concatenate([exo.values[exo.pairs[0]], exo.values[exo.pairs[1]]], axis=1)
         assert np.array_equal(got, pairs) and np.array_equal(exo.pair_counts, counts)
-        assert np.array_equal(full.values, np.unique(full.exo, axis=0))
-        assert np.array_equal(full.values[full.steps[1]], np.unique(full.exo, axis=0))
-        assert full.step_counts.sum() == len(full)
         trajectory = exo_trajectory(mdp, 12, 9, seed=2)
         assert np.array_equal(trajectory.values[trajectory.ranks], trajectory.exo)
         distinct = np.unique(trajectory.exo.reshape(-1, 5), axis=0)
         assert np.array_equal(trajectory.values, distinct)
         for mask in (Mask(()), Mask((0,)), Mask((4,))):
-            assert_fit_equals_oracle(mdp, mask, exo, full, 0.0)
+            assert_fit_equals_oracle(mdp, mask, exo, full, rows, 0.0)
 
 
 class TestSparseExoTable:
@@ -658,17 +652,19 @@ class TestSparseExoTable:
     @given(case=fit_cases(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_fitted_tables_match_the_count_oracle(self, case, seed, smoothing, limit):
-        mdp, mask, exo, full = case
+        mdp, mask, *rows = case
+        exo, full = map(dataset_of_rows, rows)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(estimation, "DENSE_MAX_ENTRIES", limit)
             model = fit_reduced_mdp(mdp, mask, exo, full, smoothing)
         n, a, x = model.endo_cardinality, model.action_count, model.n_exo_states
         project = model.space.project_codes
         exo_ref = count_over_total(
-            zip(project(exo.exo), project(exo.next_exo)), x, x, smoothing
+            zip(project(rows[0].exo), project(rows[0].next_exo)), x, x, smoothing
         )
         endo_ref = count_over_total(
-            zip(endo_conditions(model, full), full.next_endo), n * a * x, n, smoothing
+            zip(endo_conditions(model, rows[1]), rows[1].next_endo),
+            n * a * x, n, smoothing,
         )
         for table, reference in ((model.endo_table, endo_ref), (model.exo_table, exo_ref)):
             assert (table.dense is None) == (limit == 0)
@@ -685,23 +681,25 @@ class TestSparseExoTable:
         assert np.allclose(model.endo_expectation(w), expected, rtol=0, atol=1e-12)
         assert np.allclose(model.exo_expectation(w), w @ exo_ref.T, rtol=0, atol=1e-12)
         for m in (mask, Mask(()), Mask.full(mdp.m)):
-            assert_fit_equals_oracle(mdp, m, exo, full, smoothing, limit)
+            assert_fit_equals_oracle(mdp, m, exo, full, rows, smoothing, limit)
 
     def test_dense_kernel_is_the_normalized_counts_bit_for_bit(self, gridworld):
         exo = collect_exo_rollouts(gridworld, 50, 20, seed=5)
         full = collect_full_rollouts(gridworld, None, 5, 5, seed=6)
+        exo_ref = exo_rows(gridworld, 50, 20, 5)
+        full_ref = full_rows(gridworld, None, 5, 5, 6)
         n, a = gridworld.endo_cardinality, gridworld.action_count
         for mask in (Mask(()), Mask((0,)), Mask((0, 2)), Mask.full(gridworld.m)):
             model = fit_reduced_mdp(gridworld, mask, exo, full)
             x, project = model.n_exo_states, model.space.project_codes
-            pairs = zip(project(exo.exo), project(exo.next_exo))
+            pairs = zip(project(exo_ref.exo), project(exo_ref.next_exo))
             reference = count_over_total(pairs, x, x)
             assert model.exo_table.dense is not None
             assert np.array_equal(model.exo_table.dense, reference)
             v = np.random.default_rng(x).normal(size=(n, x))
             assert np.array_equal(model.exo_expectation(v), v @ reference.T)
             # every gridworld endo table (at most 20 * 5 * 32 * 20 cells) is dense
-            pairs = zip(endo_conditions(model, full), full.next_endo)
+            pairs = zip(endo_conditions(model, full_ref), full_ref.next_endo)
             reference = count_over_total(pairs, n * a * x, n)
             assert model.endo_table.dense is not None
             assert np.array_equal(model.endo_table.dense, reference)
@@ -853,7 +851,8 @@ class TestMutualInformation:
         ds = collect_exo_rollouts(mdp, 1000, 50, seed=0)
         mi = transition_mutual_information(ds, Mask((0,)), 1)
         # direct entropy of the copied variable's empirical transition pair
-        codes = ds.exo[:, 1].astype(np.int64) * card + ds.next_exo[:, 1]
+        rows = exo_rows(mdp, 1000, 50, 0)
+        codes = rows.exo[:, 1].astype(np.int64) * card + rows.next_exo[:, 1]
         _, counts = np.unique(codes, return_counts=True)
         p = counts / counts.sum()
         entropy = float(-(p * np.log(p)).sum())
@@ -861,14 +860,8 @@ class TestMutualInformation:
         assert abs(mi - math.log(card)) <= 0.05 * math.log(card)
 
     def test_single_transition_gives_zero(self):
-        ds = ExoRolloutDataset(
-            exo=np.array([[0, 1]], dtype=np.int16),
-            next_exo=np.array([[1, 0]], dtype=np.int16),
-            cardinalities=(2, 2),
-            horizon=1,
-            n_rollouts=1,
-            seed=0,
-        )
+        exo, next_exo = np.array([[[0, 1]], [[1, 0]]], dtype=np.int16)
+        ds = dataset_of_rows(Rows((2, 2), exo, next_exo))
         assert transition_mutual_information(ds, Mask((0,)), 1) == 0.0
 
     def test_empty_mask_convention(self):
@@ -883,14 +876,8 @@ class TestMutualInformation:
             transition_mutual_information(ds, Mask((0,)), 0)
 
     def test_empty_dataset_rejected(self):
-        ds = ExoRolloutDataset(
-            exo=np.empty((0, 2), dtype=np.int16),
-            next_exo=np.empty((0, 2), dtype=np.int16),
-            cardinalities=(2, 2),
-            horizon=1,
-            n_rollouts=1,
-            seed=0,
-        )
+        none = np.empty((0, 2), dtype=np.int16)
+        ds = dataset_of_rows(Rows((2, 2), none, none))
         with pytest.raises(InsufficientDataError):
             transition_mutual_information(ds, Mask((0,)), 1)
 
@@ -904,23 +891,9 @@ class TestMutualInformation:
             )
         )
         arr = np.array(rows, dtype=np.int16)
-        ds = ExoRolloutDataset(
-            exo=arr[:, :2],
-            next_exo=arr[:, 2:],
-            cardinalities=(3, 3),
-            horizon=1,
-            n_rollouts=n,
-            seed=0,
-        )
+        ds = dataset_of_rows(Rows((3, 3), arr[:, :2], arr[:, 2:]))
         forward = transition_mutual_information(ds, Mask((0,)), 1)
-        swapped = ExoRolloutDataset(
-            exo=arr[:, [1, 0]],
-            next_exo=arr[:, [3, 2]],
-            cardinalities=(3, 3),
-            horizon=1,
-            n_rollouts=n,
-            seed=0,
-        )
+        swapped = dataset_of_rows(Rows((3, 3), arr[:, [1, 0]], arr[:, [3, 2]]))
         backward = transition_mutual_information(swapped, Mask((1,)), 0)
         assert forward >= 0.0
         assert forward == pytest.approx(backward, abs=1e-9)
@@ -928,27 +901,28 @@ class TestMutualInformation:
 
 @st.composite
 def exo_mi_cases(draw):
-    """``(dataset, mask, j)``: random transitions over 2-4 variables, a
-    nonempty mask and a variable outside it."""
+    """``(rows, mask, j)``: random ``Rows`` of transitions over 2-4
+    variables, a nonempty mask and a variable outside it."""
     cards = draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
     n = draw(st.integers(1, 150))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # few distinct rows, so that atoms repeat
     rows = rng.integers(0, cards, size=(draw(st.integers(1, 40)), 2, len(cards)))
     arr = rows[rng.integers(len(rows), size=n)].astype(np.int16)
-    ds = ExoRolloutDataset(arr[:, 0], arr[:, 1], tuple(cards), 1, n, 0)
+    rows = Rows(tuple(cards), arr[:, 0], arr[:, 1])
     j = draw(st.integers(0, len(cards) - 1))
     others = [i for i in range(len(cards)) if i != j]
     mask = Mask.of(draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
-    return ds, mask, j
+    return rows, mask, j
 
 
 class TestMutualInformationCounting:
     @given(exo_mi_cases())
     @settings(max_examples=80, deadline=None)
     def test_both_counting_paths_equal_the_sort_oracle(self, case):
-        ds, mask, j = case
-        expected = mutual_information_oracle(ds, mask, j)
+        rows, mask, j = case
+        ds = dataset_of_rows(rows)
+        expected = mutual_information_oracle(rows, mask, j)
         for limit in (0, 10**9):  # np.unique for every count, then bincount
             with mock.patch.object(core, "BINCOUNT_CELLS_PER_CODE", limit):
                 assert transition_mutual_information(ds, mask, j) == expected
@@ -961,7 +935,8 @@ class TestMutualInformationCounting:
         # crowd-corr's data: 90,000 transitions; the last mask's 656,100
         # codes lie above the limit, the others' below it
         ds = collect_exo_rollouts(build_crowd(), 1500, 60, seed=11)
-        expected = mutual_information_oracle(ds, Mask(mask), j)
+        rows = exo_rows(build_crowd(), 1500, 60, 11)
+        expected = mutual_information_oracle(rows, Mask(mask), j)
         unique, calls = np.unique, []
 
         def counting_unique(*args, **kwargs):
@@ -1043,7 +1018,32 @@ class TestDataPolicyInvariance:
             policy = policy(mdp)
         full = collect_full_rollouts(mdp, policy, 2000, 50, seed=1)
         from_free = fit_reduced_mdp(mdp, mask, exo, full)
-        from_policy = fit_reduced_mdp(mdp, mask, exo_pairs_from_full(full), full)
+        from_policy = fit_reduced_mdp(mdp, mask, full, full)  # its own exo pairs
         gap = from_free.exo_table.to_dense() - from_policy.exo_table.to_dense()
         tv = 0.5 * np.abs(gap).sum(axis=-1)
         assert float(tv.max()) < 0.02
+
+
+class TestDatasetsHoldCounts:
+    """A dataset keeps its joint exo index, its counts and its provenance,
+    and no array over its transitions."""
+
+    def test_no_field_has_one_entry_per_transition(self):
+        mdp = build_random_mdp(5, endo_cardinality=3, cards=(2, 2), n_actions=2)
+        r, h = 100, 20  # 2,000 transitions; at most 16 pairs and 72 steps
+        exo = collect_exo_rollouts(mdp, r, h, seed=0)
+        full = collect_full_rollouts(mdp, None, r, h, seed=1)
+        provenance = {"cardinalities", "horizon", "n_rollouts", "seed"}
+        pairs = {"values", "pairs", "pair_counts"}
+        steps = {"steps", "step_counts", "endo_cardinality", "action_count"}
+        assert isinstance(full, ExoRolloutDataset)
+        for ds, names in ((exo, pairs | provenance), (full, pairs | provenance | steps)):
+            assert {f.name for f in dataclasses.fields(ds)} == names
+            for name in names:
+                value = getattr(ds, name)
+                if isinstance(value, np.ndarray):
+                    assert r * h not in value.shape, name
+            assert len(ds) == r * h == ds.pair_counts.sum()
+        assert full.step_counts.sum() == r * h
+        assert type(full) is FullRolloutDataset
+        assert (full.horizon, full.n_rollouts) == (h, r)

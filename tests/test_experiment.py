@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from exomdp.cli import main as cli_main
-from exomdp.core import Mask
+from exomdp.core import InvalidMaskError, Mask
 from exomdp.domains import build_preset
 from exomdp.experiment import (
     ExperimentConfig,
@@ -127,6 +127,28 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{key} must be"):
             tiny_config(**kwargs)
 
+    def test_negative_master_seed_refused_at_load(self):
+        # it once passed, and run_trial then raised numpy's "expected
+        # non-negative integer" out of run_experiment
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            tiny_config(master_seed=-1)
+        assert tiny_config(master_seed=0).master_seed == 0
+
+    @pytest.mark.parametrize(
+        "mask", [[0, 0], [-1], [5], [9], [2, 1], [0.5], [True]],
+        ids=["repeated", "negative", "m", "beyond", "unsorted", "real", "bool"],
+    )
+    def test_fixed_mask_outside_the_preset_refused_at_load(self, mask):
+        # each once passed, and every trial then recorded an InvalidMaskError
+        message = r"fixed_mask must be .*crowd-desk.*0\.\.4"
+        with pytest.raises(ValueError, match=message):
+            tiny_config(domain="crowd-desk", fixed_mask=mask)
+
+    def test_fixed_mask_of_the_preset_accepted(self):
+        cfg = tiny_config(domain="crowd-desk", fixed_mask=[0, 1, 2, 3, 4])
+        assert cfg.fixed_mask == (0, 1, 2, 3, 4)
+        assert tiny_config(domain="crowd-desk", fixed_mask=[]).fixed_mask == ()
+
     def test_mc_horizon_none_derives_the_horizon(self):
         assert tiny_config(mc_horizon=None).search_params().mc_horizon is None
 
@@ -176,9 +198,14 @@ class TestRunExperiment:
         for ta, tb in zip(traces_a, traces_b):
             assert ta.read_bytes() == tb.read_bytes()
 
-    def test_failed_trial_recorded_and_run_continues(self, tmp_path):
-        cfg = tiny_config(fixed_mask=[0, 9])  # variable 9 does not exist
-        record = run_experiment(cfg, out_dir=tmp_path)
+    def test_failed_trial_recorded_and_run_continues(self, tmp_path, monkeypatch):
+        import exomdp.experiment as experiment
+
+        def refuse(*args):
+            raise InvalidMaskError("mask refused")
+
+        monkeypatch.setattr(experiment, "estimate_objective", refuse)
+        record = run_experiment(tiny_config(), out_dir=tmp_path)
         assert len(record.trials) == 2
         assert all(row.error is not None for row in record.trials)
         agg = record.aggregates()

@@ -37,6 +37,8 @@ from exomdp.search import (
     verify_reduction_value_equality,
 )
 
+from conftest import random_policy
+
 QUICK = SearchParams(
     n_rollouts=120,
     fit=FitBudget(
@@ -159,6 +161,28 @@ class TestEstimateObjective:
         alone = estimate_objective(mdp, mask, 0.3, TINY, 7)
         assert events == ["full", "vi", "mc"]
         assert alone == dataclasses.replace(shared, wall_time=alone.wall_time)
+
+    def test_model_and_datasets_freed_before_monte_carlo(self, monkeypatch):
+        """Without ``datasets``, neither the fitted model nor its datasets
+        outlive value iteration: nothing holds them once Monte Carlo runs."""
+        import weakref
+
+        import exomdp.search as search
+
+        mdp, refs, alive = build_crowd(), [], []
+        fit, score = search._fit, search._score
+
+        def record_fit(mdp, mask, params, fit_data):
+            model = fit(mdp, mask, params, fit_data)
+            refs.extend(weakref.ref(x) for x in (model, *fit_data))
+            return model
+
+        monkeypatch.setattr(search, "_fit", record_fit)
+        monkeypatch.setattr(
+            search, "_score", lambda *a: alive.extend(r() for r in refs) or score(*a)
+        )
+        estimate_objective(mdp, Mask((0, 4)), 0.3, TINY, 7)
+        assert len(alive) == 3 and alive == [None] * 3
 
     def test_unconverged_plan_logs_a_warning(self, monkeypatch, caplog):
         import exomdp.search as search
@@ -293,6 +317,42 @@ class TestSearchDatasets:
             alone = monte_carlo_value(gridworld, plan.policy, 40, horizon, seed=mc_seed)
             assert mean == alone[0] == entry.score.mean_return
             assert returns.dtype == alone[1].dtype and np.array_equal(returns, alone[1])
+
+    def test_cache_keys_hold_one_byte_an_action(self, monkeypatch):
+        """On the crowd (9 endo values, 5 actions) each policy is lifted onto
+        the chain once, as one byte an entry: its cache key holds ``N * D``
+        bytes and stage 2 stacks the same tables. Every return is still, to
+        the byte, a standalone ``monte_carlo_value``'s."""
+        import exomdp.core as core
+
+        mdp = build_crowd()
+        datasets = collect_search_datasets(mdp, TINY, seed=2)
+        masks = [(), (0, 4), (0, 2, 4), (0, 4), (1,)]
+        policies = [random_policy(mdp, Mask(m), seed) for seed, m in enumerate(masks)]
+        policies.append(policies[1])  # the same policy again
+        lifts, stacked = [], []
+        lift, stage_two = core.ExoTrajectory.lift_policy, core._stage_two
+        monkeypatch.setattr(
+            core.ExoTrajectory,
+            "lift_policy",
+            lambda self, p: lifts.append(lift(self, p)) or lifts[-1],
+        )
+        monkeypatch.setattr(
+            core, "_stage_two", lambda *a: stacked.extend(a[3]) or stage_two(*a)
+        )
+        kept = datasets.monte_carlo_values(mdp, policies, 40, 25)
+        n, d = mdp.endo_cardinality, len(datasets.mc.values)
+        assert len(lifts) == len(policies)  # once each, for the key and stage 2
+        assert all(t.dtype == np.uint8 and t.shape == (n, d) for t in lifts)
+        assert len(datasets.returns) == len(stacked) == len(masks)
+        for rollouts, horizon, key in datasets.returns:
+            assert (rollouts, horizon, len(key)) == (40, 25, n * d)
+        assert {t.tobytes() for t in stacked} == {key for *_, key in datasets.returns}
+        for policy, (mean, returns) in zip(policies, kept):
+            alone = monte_carlo_value(mdp, policy, 40, 25, seed=datasets.mc_seed)
+            assert mean == alone[0]
+            assert returns.dtype == alone[1].dtype
+            assert returns.tobytes() == alone[1].tobytes()
 
 
 class TestBruteForce:
