@@ -155,9 +155,13 @@ class GenerativeMdp(ABC):
     - ``batch_endo_step(endo, exo, action, u)`` returns the next endo values
       from the endo columns and the pre-step exo state in ``exo_index``
       form. An integer in ``0..n-1`` is ``floor(n * u)``;
-    - ``exo_index``, ``batch_reward`` and ``reward_component_table`` are optional.
+    - ``reward_component_table(i)`` returns variable ``i``'s read-only
+      ``(N, card_i, A)`` reward table, the one statement of the reward: a
+      state's is the sum of every variable's entry.
 
-    An MDP that lacks one of the first five cannot be constructed.
+    An MDP that lacks one of these, a declared size, ``discount`` or
+    ``r_max`` cannot be constructed; ``exo_index`` is optional, and
+    ``batch_reward`` derives from the tables.
     Implementations must be safe to call from several threads at once.
     """
 
@@ -208,41 +212,29 @@ class GenerativeMdp(ABC):
         ...
 
     @abstractmethod
-    def reward_component(
-        self, i: int, endo: int, exo_value: int, action: int
-    ) -> float:
-        """Contribution of exogenous variable ``i`` to the reward."""
-        ...
-
     def reward_component_table(self, i: int) -> np.ndarray:
-        """``(N, card_i, A)`` read-only table of ``reward_component(i, ...)``,
-        built from scalar calls the first time it is asked for on this
-        instance and kept."""
-        tables = self.__dict__.setdefault("_reward_component_tables", {})
-        if i not in tables:
-            n, a = self.endo_cardinality, self.action_count
-            card = self.variable_specs[i].cardinality
-            table = np.empty((n, card, a))
-            for endo in range(n):
-                for v in range(card):
-                    for act in range(a):
-                        table[endo, v, act] = self.reward_component(i, endo, v, act)
-            table.flags.writeable = False
-            tables[i] = table
-        return tables[i]
+        """Read-only ``(N, card_i, A)`` table: exogenous variable ``i``'s
+        contribution to the reward at each endo value, value of ``i`` and
+        action."""
+        ...
 
     def batch_reward(
         self, endo: np.ndarray, exo: np.ndarray, action: np.ndarray
     ) -> np.ndarray:
-        """``(R,)`` full rewards of rows of states, exo in ``exo_index``
-        form; by default the sum of ``reward_component`` in variable order."""
-        total = np.zeros(len(endo))
-        endo, action = endo.tolist(), action.tolist()
-        for i in range(self.m):
-            total += [
-                self.reward_component(i, n, v, a)
-                for n, v, a in zip(endo, exo[:, i].tolist(), action)
-            ]
+        """``(R,)`` full rewards of rows of states: from +0.0, the entries
+        ``[endo, exo[:, i], action]`` of the tables not all zero (found once
+        per instance) added in variable order, which skipping zero tables
+        leaves byte-equal. It reads ``exo`` as values: an MDP whose
+        ``exo_index`` is not the values overrides it."""
+        terms = self.__dict__.get("_reward_terms")
+        if terms is None:  # (i, table flattened value-major) of each nonzero table
+            tables = enumerate(checked_reward_tables(self))
+            terms = [(i, t.transpose(1, 0, 2).ravel()) for i, t in tables if t.any()]
+            self.__dict__["_reward_terms"] = terms
+        at = np.multiply(endo, self.action_count, dtype=np.int64) + action
+        total, stride = np.zeros(len(endo)), self.endo_cardinality * self.action_count
+        for i, flat in terms:
+            total += flat.take(np.multiply(exo[:, i], stride, dtype=np.int64) + at)
         return total
 
     @property
@@ -252,6 +244,34 @@ class GenerativeMdp(ABC):
     @property
     def exo_cardinalities(self) -> tuple[int, ...]:
         return tuple(s.cardinality for s in self.variable_specs)
+
+
+def checked_reward_tables(mdp: GenerativeMdp) -> tuple[np.ndarray, ...]:
+    """The ``m`` tables of ``mdp.reward_component_table``, read, refused
+    unless ``(N, card_i, A)`` and kept the first time any reward is read."""
+    tables = mdp.__dict__.get("_reward_tables")
+    if tables is None:
+        n, a = mdp.endo_cardinality, mdp.action_count
+        tables = tuple(np.asarray(mdp.reward_component_table(i)) for i in range(mdp.m))
+        for i, (table, card) in enumerate(zip(tables, mdp.exo_cardinalities)):
+            if table.shape != (n, card, a):
+                raise ValueError(
+                    f"{type(mdp).__name__}.reward_component_table({i}) has shape "
+                    f"{table.shape}, not (N, card_{i}, A) = {(n, card, a)}"
+                )
+        mdp.__dict__["_reward_tables"] = tables
+    return tables
+
+
+def reduced_reward_table(mdp: GenerativeMdp, space: ReducedSpace) -> np.ndarray:
+    """``(N, A, n_exo)`` reward of every state of ``space``: from zeros, each
+    masked variable's reward table added in mask order. Exact, since the
+    reward decomposes per variable."""
+    table = np.zeros((mdp.endo_cardinality, mdp.action_count, space.n_exo))
+    tables, digits = checked_reward_tables(mdp), space.digit_matrix()
+    for pos, i in enumerate(space.mask.included):
+        table += tables[i][:, digits[pos], :].transpose(0, 2, 1)
+    return table
 
 
 class ReducedSpace:
@@ -479,13 +499,16 @@ class TabularFullMdp(GenerativeMdp):
     exo_kernel : (X, X) array
         Joint exogenous transition ``P(exo_flat' | exo_flat)``.
     reward_tables : sequence of (N, card_i, A) arrays
-        Per-variable reward components.
+        Per-variable reward components, exactly one per variable; kept as
+        read-only copies.
     init_endo : (N,) array, init_exo : (X,) array
         Initial-state distributions (independent by construction).
 
     Each step draws two uniforms: the next endogenous index, then (the exo
     column) the next joint exogenous code, each by the ``InverseCdf`` of its
-    row. The endo step and the reward read joint codes (``exo_index``).
+    row. The endo step and the reward read joint codes (``exo_index``), so
+    ``batch_reward`` looks the reward up in ``full_reward``, the tables'
+    ``reduced_reward_table`` over the full mask.
     """
 
     draws_per_step = 2
@@ -521,24 +544,23 @@ class TabularFullMdp(GenerativeMdp):
         _validate_rows(init_exo[None, :], "init_exo")
         self.endo_kernel = np.asarray(endo_kernel, dtype=float)
         self.exo_kernel = np.asarray(exo_kernel, dtype=float)
-        self.reward_tables = [np.asarray(t, dtype=float) for t in reward_tables]
-        for i, t in enumerate(self.reward_tables):
-            if t.shape != (n, self._specs[i].cardinality, a):
-                raise ValueError(f"reward table {i} has shape {t.shape}")
+        if len(reward_tables) != len(self._specs):
+            raise ValueError(
+                f"{len(reward_tables)} reward tables for {len(self._specs)} "
+                f"exogenous variables: need one per variable"
+            )
+        self.reward_tables = [np.array(t, dtype=float) for t in reward_tables]
+        for table in self.reward_tables:
+            table.flags.writeable = False
         self.init_endo = np.asarray(init_endo, dtype=float)
         self.init_exo = np.asarray(init_exo, dtype=float)
         self._discount = float(discount)
         self.name = name
 
-        # Dense full reward, accumulated in variable order so that it is
-        # bitwise identical to summing reward_component calls.
-        digits = self._space.digit_matrix()
         # (X, m) per-variable values of every joint exo code
-        self.exo_digits = np.ascontiguousarray(digits.T)
-        full = np.zeros((n, a, x))
-        for i, table in enumerate(self.reward_tables):
-            full += table[:, digits[i], :].transpose(0, 2, 1)
-        self.full_reward = full  # (N, A, X)
+        self.exo_digits = np.ascontiguousarray(self._space.digit_matrix().T)
+        # (N, A, X); building it checks the tables
+        self.full_reward = full = reduced_reward_table(self, self._space)
         declared = float(np.abs(full).max()) if full.size else 0.0
         self._r_max = float(r_max) if r_max is not None else declared
 
@@ -596,12 +618,8 @@ class TabularFullMdp(GenerativeMdp):
         return self._endo_draw.draw((endo * a + action) * n_exo + x, u[:, 0])
 
     def batch_reward(self, endo, x, action) -> np.ndarray:
+        """``full_reward[endo, action, x]``: the reward reads joint codes."""
         return self.full_reward[endo, action, x]
-
-    def reward_component(
-        self, i: int, endo: int, exo_value: int, action: int
-    ) -> float:
-        return float(self.reward_tables[i][endo, exo_value, action])
 
     def reward_component_table(self, i: int) -> np.ndarray:
         return self.reward_tables[i]
@@ -854,13 +872,16 @@ def rollouts(
     ``behave`` exactly under the behaviour policy; not with ``seed``), whose
     exo chain every policy rolled out on it walks. Stage 2 steps the endo
     chains, then computes all rewards in one ``batch_reward`` call. Fields
-    not named in ``keep`` are None; without ``"reward"`` none is computed.
+    not named in ``keep`` are None; without ``"reward"`` none is computed,
+    and with it ill-shaped reward tables are refused before any rollout.
     """
     if not set(keep) <= set(ROLLOUT_FIELDS):
         raise ValueError(f"keep {tuple(keep)} names fields not in {ROLLOUT_FIELDS}")
     behave = isinstance(policy, UniformRandomPolicy)
     if policy is not None:
         _check_policy_fits(mdp, policy)
+    if "reward" in keep:
+        checked_reward_tables(mdp)
     trajectory = _stage_one(mdp, n_rollouts, horizon, seed, trajectory, behave)
     lifted = [] if behave or policy is None else [trajectory.lift_policy(policy)]
     behaviour = policy if behave else None
@@ -903,6 +924,7 @@ def rollout_returns(
                 f"returns are of planner.Policy objects, got {type(policy).__name__}"
             )
         _check_policy_fits(mdp, policy)
+    checked_reward_tables(mdp)
     trajectory = _stage_one(mdp, n_rollouts, horizon, seed, trajectory, False)
     if lifted is None:
         lifted = [trajectory.lift_policy(policy) for policy in policies]
@@ -980,8 +1002,8 @@ def _stage_two(
 
 
 def _rewards(mdp, endo, index, action) -> np.ndarray:
-    """``(rows, b)`` rewards of a block of ``_stage_two``, in one
-    ``batch_reward`` call."""
+    """``(rows, b)`` rewards of a block of ``_stage_two``: one
+    ``batch_reward`` call over its rows, exo in ``exo_index`` form."""
     rows, b = action.shape
     flat = [x.reshape(rows * b, *x.shape[2:]) for x in (endo[:, :-1], index, action)]
     return mdp.batch_reward(*flat).reshape(rows, b)

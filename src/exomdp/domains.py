@@ -239,6 +239,12 @@ class FactoryMdp(GenerativeMdp):
         self._flip = np.array(
             [spec.task_flip_prob] * k + [spec.distractor_flip_prob] * d
         )
+        # executing pays per task variable: the match reward when it is ready
+        # (value 1), the mismatch penalty when not; waiting pays nothing
+        self._rewards = np.zeros((k + d, 1, 2, 2))
+        execute = self._rewards[:k, 0, :, ACTION_EXECUTE]  # (k, value)
+        execute[:] = -spec.mismatch_penalty, spec.match_reward
+        self._rewards.flags.writeable = False
 
     @property
     def action_count(self) -> int:
@@ -280,19 +286,8 @@ class FactoryMdp(GenerativeMdp):
     def batch_endo_step(self, endo, exo, action, u):
         return endo
 
-    def reward_component(self, i, endo, exo_value, action):
-        if action != ACTION_EXECUTE or i >= self.spec.n_task_vars:
-            return 0.0
-        if exo_value == 1:
-            return self.spec.match_reward
-        return -self.spec.mismatch_penalty
-
-    def batch_reward(self, endo, exo, action):
-        spec = self.spec
-        total = np.zeros(len(exo))
-        for i in range(spec.n_task_vars):
-            total += np.where(exo[:, i] == 1, spec.match_reward, -spec.mismatch_penalty)
-        return np.where(action == ACTION_EXECUTE, total, 0.0)
+    def reward_component_table(self, i):
+        return self._rewards[i]
 
 
 def build_factory(spec: FactorySpec | None = None, seed: int = 0) -> FactoryMdp:
@@ -380,6 +375,17 @@ class CrowdMdp(GenerativeMdp):
             + [2] * len(spec.hazard_cells),
             dtype=float,
         )
+        # the goal object pays when the robot stands at its table, an active
+        # hazard charges at its cell; cells off the grid pay nothing
+        self._rewards = [np.zeros((self._cells, s.cardinality, 5)) for s in specs]
+        cells = self._table_cells
+        on_grid = np.flatnonzero((0 <= cells) & (cells < self._cells))
+        self._rewards[spec.goal_object][cells[on_grid], on_grid] = spec.goal_reward
+        for h, cell in enumerate(spec.hazard_cells):
+            if 0 <= cell < self._cells:
+                self._rewards[self._hazard_offset + h][cell, 1] = -spec.crash_penalty
+        for table in self._rewards:
+            table.flags.writeable = False
 
     @property
     def action_count(self) -> int:
@@ -463,28 +469,8 @@ class CrowdMdp(GenerativeMdp):
         direction = np.where(slip, (4 * u[:, 1]).astype(np.int64), action)
         return self._moves[endo, direction]
 
-    def reward_component(self, i, endo, exo_value, action):
-        spec = self.spec
-        if i == spec.goal_object:
-            if exo_value < self._n_tables and endo == spec.table_cells[exo_value]:
-                return spec.goal_reward
-            return 0.0
-        if i >= self._hazard_offset:
-            cell = spec.hazard_cells[i - self._hazard_offset]
-            if exo_value == 1 and endo == cell:
-                return -spec.crash_penalty
-        return 0.0
-
-    def batch_reward(self, endo, exo, action):
-        spec = self.spec
-        v = exo[:, spec.goal_object]
-        cell = self._table_cells[np.minimum(v, self._n_tables - 1)]
-        total = np.where((v < self._n_tables) & (endo == cell), spec.goal_reward, 0.0)
-        for h, cell in enumerate(spec.hazard_cells):
-            total[(endo == cell) & (exo[:, self._hazard_offset + h] == 1)] -= (
-                spec.crash_penalty
-            )
-        return total
+    def reward_component_table(self, i):
+        return self._rewards[i]
 
 
 def build_crowd(spec: CrowdSpec | None = None, seed: int = 0) -> CrowdMdp:

@@ -25,7 +25,9 @@ from .core import (
     _atoms,
     _exo_chain,
     _mixed_radix,
+    checked_reward_tables,
     exo_ranks,
+    reduced_reward_table,
     reduced_space_for,
     rollouts,
     uniform_random_policy,
@@ -229,8 +231,8 @@ class TabularReducedMdp:
     ``DENSE_MAX_ENTRIES`` cells keeps its dense form and the product is a
     dense ``einsum`` or matrix product, and a larger table gathers and
     sums over its stored triplets. ``reward_table`` has shape ``(N, A, X)``
-    and is exact (built from the black-box reward components, not
-    estimated).
+    and is exact (``core.reduced_reward_table`` of the MDP's reward tables,
+    not estimated).
     """
 
     mask: Mask
@@ -403,7 +405,7 @@ def fit_reduced_mdp(
     keys = _mixed_radix((condition, code[rank], next_endo), (n * a, x, n))
     endo_table = _fit_table(keys, n * a * x, n, smoothing, full_data.step_counts)
 
-    reward_table = _exact_reward_table(mdp, space)
+    reward_table = reduced_reward_table(mdp, space)
     return TabularReducedMdp(
         mask=mask,
         space=space,
@@ -413,19 +415,6 @@ def fit_reduced_mdp(
         discount=mdp.discount,
         r_max=mdp.r_max,
     )
-
-
-def _exact_reward_table(mdp: GenerativeMdp, space: ReducedSpace) -> np.ndarray:
-    """Reduced reward from the black-box components: no estimation noise."""
-    n, a = mdp.endo_cardinality, mdp.action_count
-    table = np.zeros((n, a, space.n_exo))
-    if not space.mask.included:
-        return table
-    digits = space.digit_matrix()
-    for pos, i in enumerate(space.mask.included):
-        comp = mdp.reward_component_table(i)
-        table += comp[:, digits[pos], :].transpose(0, 2, 1)
-    return table
 
 
 def exact_reduced_model(
@@ -460,7 +449,7 @@ def exact_reduced_model(
     np.add.at(exo_red, proj, col)
     exo_red /= group_sizes[:, None]
 
-    reward_table = _exact_reward_table(mdp, space)
+    reward_table = reduced_reward_table(mdp, space)
     return TabularReducedMdp(
         mask=mask,
         space=space,
@@ -534,7 +523,7 @@ def estimate_reward_variables(
     settings strictly exceeds ``variance_threshold``. Because the reward
     decomposes per variable, only that variable's component needs to be
     evaluated; the rest of the state cancels out of the variance. The
-    rewards are read from ``mdp.reward_component_table(i)``.
+    rewards are read from the MDP's reward tables (``checked_reward_tables``).
     """
     if n_settings < 2:
         raise ValueError("n_settings must be >= 2 for a variance to exist")
@@ -549,7 +538,7 @@ def estimate_reward_variables(
             (rng.integers(n), rng.integers(a), rng.integers(card, size=n_settings))
             for _ in range(n_contexts)
         ))
-        rewards = mdp.reward_component_table(i)[
+        rewards = checked_reward_tables(mdp)[i][
             np.array(endo)[:, None], np.array(values), np.array(action)[:, None]
         ]
         total = 0.0

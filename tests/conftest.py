@@ -402,10 +402,73 @@ def mutual_information_oracle(rows, mask, j):
     return max(0.0, mi)
 
 
-def reward_screen_oracle(mdp, n_contexts, n_settings, seed):
+# the domains of the scalar reward oracle, by name; "crowd-off-grid" puts a
+# table and a hazard past the 3 x 3 grid's last cell and a table before its first
+REWARD_CASES = (
+    "gridworld", "crowd-goal-0", "crowd-goal-1", "crowd-off-grid", "factory", "random"
+)
+
+
+def reward_case(name):
+    """``(mdp, rule)`` of one of ``REWARD_CASES``: the domain, and an
+    independent scalar oracle of its reward, ``rule(i, endo, value,
+    action)``, variable ``i``'s component written out from the domain's
+    spec one state at a time (for ``build_random_mdp(0)``, the entry of the
+    table it was built with)."""
+    from exomdp.domains import (
+        ACTION_EXECUTE, CrowdSpec, FactorySpec, GridworldSpec, build_crowd,
+        build_factory, build_gridworld, build_random_mdp,
+    )
+
+    if name == "gridworld":
+        spec = GridworldSpec()
+
+        def rule(i, endo, value, action):
+            if i == spec.goal_var:
+                paid = spec.goal_reward if endo == spec.goal_cells[value] else 0.0
+                return spec.move_reward + paid
+            if i == spec.trap_var and value == 1 and endo == spec.trap_cell:
+                return -spec.crash_penalty
+            return 0.0
+
+        return build_gridworld(spec), rule
+    if name.startswith("crowd"):
+        spec = {
+            "crowd-goal-0": CrowdSpec(),
+            "crowd-goal-1": CrowdSpec(goal_object=1),
+            "crowd-off-grid": CrowdSpec(table_cells=(0, 9, -1), hazard_cells=(4, 9, -1)),
+        }[name]
+        hazards = spec.n_objects + spec.n_agents
+
+        def rule(i, endo, value, action):
+            if i == spec.goal_object:
+                on_table = value < len(spec.table_cells)
+                if on_table and endo == spec.table_cells[value]:
+                    return spec.goal_reward
+            elif i >= hazards and value == 1 and endo == spec.hazard_cells[i - hazards]:
+                return -spec.crash_penalty
+            return 0.0
+
+        return build_crowd(spec), rule
+    if name == "factory":
+        spec = FactorySpec()
+
+        def rule(i, endo, value, action):
+            if action != ACTION_EXECUTE or i >= spec.n_task_vars:
+                return 0.0
+            return spec.match_reward if value == 1 else -spec.mismatch_penalty
+
+        return build_factory(spec), rule
+    mdp = build_random_mdp(0)
+    return mdp, lambda i, endo, value, action: float(
+        mdp.reward_tables[i][endo, value, action]
+    )
+
+
+def reward_screen_oracle(mdp, rule, n_contexts, n_settings, seed):
     """Each variable's mean reward variance over the reward screen's
-    contexts, from one scalar ``reward_component`` call per setting and one
-    ``np.var`` per context, added in context order."""
+    contexts, from one scalar ``rule`` call (``reward_case``) per setting
+    and one ``np.var`` per context, added in context order."""
     means = []
     for i, spec in enumerate(mdp.variable_specs):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
@@ -414,7 +477,7 @@ def reward_screen_oracle(mdp, n_contexts, n_settings, seed):
             endo = int(rng.integers(mdp.endo_cardinality))
             action = int(rng.integers(mdp.action_count))
             values = rng.integers(0, spec.cardinality, size=n_settings)
-            rewards = [mdp.reward_component(i, endo, int(v), action) for v in values]
+            rewards = [rule(i, endo, int(v), action) for v in values]
             total += float(np.var(rewards))
         means.append(total / n_contexts)
     return means

@@ -34,7 +34,9 @@ from exomdp.domains import (
 from exomdp.estimation import (
     collect_exo_rollouts,
     collect_full_rollouts,
+    estimate_reward_variables,
     exact_reduced_model,
+    fit_reduced_mdp,
 )
 from exomdp.planner import (
     Policy,
@@ -44,6 +46,7 @@ from exomdp.planner import (
 )
 
 from conftest import (
+    REWARD_CASES,
     Rows,
     assert_index_equals_oracle,
     constant_reward_mdp,
@@ -51,6 +54,7 @@ from conftest import (
     next_state,
     random_policy,
     reference_rollouts,
+    reward_case,
     state_reward,
 )
 
@@ -235,11 +239,9 @@ class TestEnumerate:
 
 
 class TestGenerativeContract:
-    @pytest.mark.parametrize(
-        "builder", [build_gridworld, build_factory, build_crowd]
-    )
-    def test_reward_additivity(self, builder):
-        mdp = builder()
+    @pytest.mark.parametrize("case", REWARD_CASES)
+    def test_reward_additivity(self, case):
+        mdp, rule = reward_case(case)
         rng = np.random.default_rng(1)
         worst = 0.0
         k = mdp.draws_per_step
@@ -248,11 +250,37 @@ class TestGenerativeContract:
             state = next_state(mdp, state, 0, rng.random((1, k)))
             endo, exo = state
             action = int(rng.integers(mdp.action_count))
-            total = sum(
-                mdp.reward_component(i, endo, v, action) for i, v in enumerate(exo)
-            )
+            total = sum(rule(i, endo, v, action) for i, v in enumerate(exo))
             worst = max(worst, abs(state_reward(mdp, state, action) - total))
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("case", REWARD_CASES)
+    def test_batch_reward_is_the_gather_sum_and_the_scalar_rule(self, case):
+        """On random states, ``batch_reward`` equals, byte for byte, every
+        table gathered and added in variable order from zeros (no table
+        skipped), and the scalar rule summed one state at a time."""
+        mdp, rule = reward_case(case)
+        rng = np.random.default_rng(3)
+        rows = 3000
+        endo = rng.integers(mdp.endo_cardinality, size=rows)
+        exo = np.stack(
+            [rng.integers(c, size=rows) for c in mdp.exo_cardinalities], axis=1
+        ).astype(np.int16)
+        action = rng.integers(mdp.action_count, size=rows)
+        got = mdp.batch_reward(endo, mdp.exo_index(exo), action)
+        gathered = np.zeros(rows)
+        for i in range(mdp.m):
+            gathered += mdp.reward_component_table(i)[endo, exo[:, i], action]
+        oracle = np.zeros(rows)
+        states = zip(endo.tolist(), exo.tolist(), action.tolist())
+        for r, (n, values, a) in enumerate(states):
+            total = 0.0
+            for i, v in enumerate(values):
+                total += rule(i, n, v, a)
+            oracle[r] = total
+        assert got.dtype == np.float64 and got.shape == (rows,)
+        assert got.tobytes() == gathered.tobytes() == oracle.tobytes()
+        assert len(np.unique(got)) >= 3
 
     @pytest.mark.parametrize("builder", [build_gridworld, build_factory, build_crowd])
     def test_transition_determinism_given_seed(self, builder):
@@ -307,6 +335,23 @@ class TestTabularFullMdp:
                 variable_specs=(VariableSpec(0, 2),),
             )
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_reward_table_count_must_be_m(self, count):
+        """A table short would leave a variable out of the reward silently,
+        and one too many would fail later with a bare IndexError."""
+        mdp = build_random_mdp(0)  # two variables
+        tables = (mdp.reward_tables * 2)[:count]
+        with pytest.raises(ValueError, match=f"{count} reward tables for 2 exogenous"):
+            TabularFullMdp(
+                endo_kernel=mdp.endo_kernel,
+                exo_kernel=mdp.exo_kernel,
+                reward_tables=tables,
+                init_endo=mdp.init_endo,
+                init_exo=mdp.init_exo,
+                discount=mdp.discount,
+                variable_specs=mdp.variable_specs,
+            )
+
     def test_rejects_bad_discount(self):
         with pytest.raises(ValueError):
             constant_reward_mdp([1.0], discount=0.0)
@@ -320,7 +365,7 @@ class TestTabularFullMdp:
             endo, exo = state
             for action in range(hand_toy.action_count):
                 total = sum(
-                    hand_toy.reward_component(i, endo, v, action)
+                    hand_toy.reward_tables[i][endo, v, action]
                     for i, v in enumerate(exo)
                 )
                 assert state_reward(hand_toy, state, action) == pytest.approx(
@@ -735,7 +780,7 @@ class TestBatchSamplers:
 
         monkeypatch.setattr(core, "CHUNK_DRAWS", chunk)
         monkeypatch.setattr(CrowdMdp, "batch_reward", refuse)
-        monkeypatch.setattr(CrowdMdp, "reward_component", refuse)
+        monkeypatch.setattr(CrowdMdp, "reward_component_table", refuse)
         data = collect_exo_rollouts(build_crowd(), 20, 8, seed=1)
         assert len(data) == 160
         with pytest.raises(AssertionError, match="reward computed"):
@@ -769,29 +814,67 @@ class TestBatchSamplers:
         assert_index_equals_oracle(data, Rows.of_chain(mdp, trajectory.exo))
         assert core._exo_chain(mdp, 20, 8, 1)[2].shape == (20, 8, 0)
 
+    class Ticker(GenerativeMdp):
+        """One variable of cardinality 3 that advances when u < 0.5; reward
+        is its value. Declares its reward table, and no batch reward."""
+
+        action_count = endo_cardinality = 1
+        variable_specs = (VariableSpec(0, 3),)
+        discount, r_max, draws_per_step, exo_columns = 0.9, 2.0, 1, (0,)
+
+        def batch_initial(self, u):
+            self.started = True
+            return np.zeros(len(u), dtype=np.int64), (3 * u).astype(np.int64)
+
+        def batch_exo_step(self, exo, u):
+            return (exo + (u < 0.5)) % 3
+
+        def batch_endo_step(self, endo, exo, action, u):
+            return endo
+
+        def reward_component_table(self, i):
+            self.__dict__.setdefault("tables_read", []).append(i)
+            return np.arange(3.0).reshape(1, 3, 1)
+
     def test_user_mdp_with_array_samplers_only(self):
-        class Ticker(GenerativeMdp):
-            """One variable of cardinality 3 that advances when u < 0.5;
-            reward is its value. Defines no batch reward."""
-
-            action_count = endo_cardinality = 1
-            variable_specs = (VariableSpec(0, 3),)
-            discount, r_max, draws_per_step, exo_columns = 0.9, 2.0, 1, (0,)
-
-            def batch_initial(self, u):
-                return np.zeros(len(u), dtype=np.int64), (3 * u).astype(np.int64)
-
-            def batch_exo_step(self, exo, u):
-                return (exo + (u < 0.5)) % 3
-
-            def batch_endo_step(self, endo, exo, action, u):
-                return endo
-
-            def reward_component(self, i, endo, exo_value, action):
-                return float(exo_value)
-
-        run = assert_same_rollouts(Ticker(), uniform_random_policy(Ticker()), 9, 7, 2)
+        mdp = self.Ticker()
+        run = assert_same_rollouts(mdp, uniform_random_policy(mdp), 9, 7, 2)
         assert np.array_equal(run.reward, run.exo[:, :-1, 0])
+
+    def test_reward_tables_read_once_per_instance(self):
+        mdp = self.Ticker()
+        rollouts(mdp, None, 4, 3, seed=0)
+        monte_carlo_value(mdp, random_policy(mdp, Mask((0,)), 1), 4, 3, seed=1)
+        estimate_reward_variables(mdp, 0.0, 10, 3, seed=0)
+        exo = collect_exo_rollouts(mdp, 4, 3)
+        fit_reduced_mdp(mdp, Mask((0,)), exo, collect_full_rollouts(mdp, None, 4, 3))
+        assert mdp.tables_read == [0]
+
+    @pytest.mark.parametrize("read", ["rollouts", "returns", "screen", "fit"])
+    def test_ill_shaped_reward_table_refused_before_any_reward(self, read):
+        class Misshaped(self.Ticker):
+            def reward_component_table(self, i):
+                return np.zeros((1, 2, 1))  # variable 0 takes 3 values
+
+        mdp, fits = Misshaped(), self.Ticker()  # same cardinalities
+        reads = {
+            "rollouts": lambda: rollouts(mdp, None, 2, 2, seed=0),
+            "returns": lambda: monte_carlo_value(
+                mdp, random_policy(fits, Mask(()), 0), 2, 2
+            ),
+            "screen": lambda: estimate_reward_variables(mdp, 0.0, 5, 2, seed=0),
+            "fit": lambda: fit_reduced_mdp(
+                mdp, Mask(()), collect_exo_rollouts(fits, 2, 2),
+                collect_full_rollouts(fits, None, 2, 2),
+            ),
+        }
+        named = (
+            r"Misshaped.reward_component_table\(0\) has shape \(1, 2, 1\), "
+            r"not .*\(1, 3, 1\)"
+        )
+        with pytest.raises(ValueError, match=named):
+            reads[read]()
+        assert not hasattr(mdp, "started")
 
     class Unsized(GenerativeMdp):
         action_count = endo_cardinality = 1
@@ -808,8 +891,8 @@ class TestBatchSamplers:
         def batch_endo_step(self, endo, exo, action, u):
             return endo
 
-        def reward_component(self, i, endo, exo_value, action):
-            return 0.0
+        def reward_component_table(self, i):
+            return np.zeros((1, 2, 1))
 
     def test_batch_step_without_draws_per_step_refused(self):
         with pytest.raises(TypeError, match="draws_per_step"):
@@ -871,13 +954,10 @@ class TestBatchSamplers:
             variable_specs = ()
             discount, r_max = 0.9, 0.0
 
-            def reward_component(self, i, endo, exo_value, action):
-                return 0.0
-
         with pytest.raises(TypeError) as info:
             NoSampler()
         for name in (
             "batch_initial", "batch_exo_step", "batch_endo_step", "draws_per_step",
-            "exo_columns",
+            "exo_columns", "reward_component_table",
         ):
             assert name in str(info.value)

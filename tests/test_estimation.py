@@ -19,7 +19,6 @@ from exomdp.core import (
     uniform_random_policy,
 )
 from exomdp.domains import (
-    FactoryMdp,
     build_chain_mdp,
     build_copy_chain_mdp,
     build_crowd,
@@ -44,6 +43,7 @@ from exomdp.estimation import (
 from exomdp.planner import Policy, exact_policy_evaluation, value_iteration
 
 from conftest import (
+    REWARD_CASES,
     Rows,
     assert_index_equals_oracle,
     constant_reward_mdp,
@@ -57,6 +57,7 @@ from conftest import (
     random_policy,
     random_tabular_cases,
     reference_rollouts,
+    reward_case,
     reward_screen_oracle,
 )
 
@@ -144,8 +145,8 @@ class TopValueMdp(GenerativeMdp):
     def batch_endo_step(self, endo, exo, action, u):
         return endo
 
-    def reward_component(self, i, endo, exo_value, action):
-        return 0.0
+    def reward_component_table(self, i):
+        return np.zeros((self.endo_cardinality, self.cardinality, self.action_count))
 
 
 @pytest.mark.parametrize(
@@ -350,40 +351,17 @@ class TestFit:
         assert agreement >= 0.95
 
 
-    @pytest.mark.parametrize("builder", [build_gridworld, build_factory, build_crowd])
-    def test_reward_component_table_is_the_scalar_calls(self, builder):
-        mdp = builder()
+    @pytest.mark.parametrize("case", REWARD_CASES)
+    def test_reward_component_table_is_the_scalar_rule(self, case):
+        mdp, rule = reward_case(case)
         n, a = mdp.endo_cardinality, mdp.action_count
         for i, spec in enumerate(mdp.variable_specs):
             table = mdp.reward_component_table(i)
             want = np.empty((n, spec.cardinality, a))
             for endo, v, act in np.ndindex(want.shape):
-                want[endo, v, act] = mdp.reward_component(i, endo, v, act)
+                want[endo, v, act] = rule(i, endo, v, act)
             assert table.dtype == want.dtype and table.tobytes() == want.tobytes()
-
-    def test_reward_components_called_once_per_mdp_not_per_fit(self, monkeypatch):
-        calls = []
-        original = FactoryMdp.reward_component
-
-        def counted(self, i, endo, exo_value, action):
-            calls.append(i)
-            return original(self, i, endo, exo_value, action)
-
-        monkeypatch.setattr(FactoryMdp, "reward_component", counted)
-        mdp = build_factory()
-        exo = collect_exo_rollouts(mdp, 5, 5, seed=0)
-        full = collect_full_rollouts(mdp, None, 5, 5, seed=0)
-        for mask in (Mask((0, 1)), Mask((0, 1)), Mask((1, 2)), Mask((0,))):
-            fit_reduced_mdp(mdp, mask, exo, full)
-        n, a = mdp.endo_cardinality, mdp.action_count
-        cards = mdp.exo_cardinalities
-        assert sorted(calls) == sorted(
-            i for i in (0, 1, 2) for _ in range(n * cards[i] * a)
-        )
-        assert not mdp.reward_component_table(0).flags.writeable
-        # another instance builds its own tables
-        fit_reduced_mdp(build_factory(), Mask((0,)), exo, full)
-        assert calls.count(0) == 2 * n * cards[0] * a
+            assert not table.flags.writeable
 
 
 class TestExactReducedModel:
@@ -556,8 +534,9 @@ class WideMdp(GenerativeMdp):
     def batch_endo_step(self, endo, exo, action, u):
         return endo
 
-    def reward_component(self, i, endo, exo_value, action):
-        return float(exo_value % 2) if i == 4 else 0.0
+    def reward_component_table(self, i):
+        paid = np.arange(2**15) % 2 if i == 4 else np.zeros(2**15)
+        return paid.astype(float).reshape(1, 2**15, 1)
 
 
 class TestJointIndexBeyondInt64:
@@ -950,11 +929,11 @@ class TestMutualInformationCounting:
 
 class TestEstimateRewardVariables:
     @pytest.mark.parametrize("n_settings", [5, 11])
-    @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
-    def test_screen_equals_the_scalar_oracle(self, builder, n_settings):
-        mdp = builder()
+    @pytest.mark.parametrize("case", REWARD_CASES)
+    def test_screen_equals_the_scalar_oracle(self, case, n_settings):
+        mdp, rule = reward_case(case)
         for seed in range(3):
-            means = reward_screen_oracle(mdp, 120, n_settings, seed)
+            means = reward_screen_oracle(mdp, rule, 120, n_settings, seed)
 
             def kept(threshold):
                 return estimate_reward_variables(mdp, threshold, 120, n_settings, seed)
