@@ -464,10 +464,14 @@ def _validate_rows(arr: np.ndarray, what: str, tol: float = 1e-9) -> None:
 
 class InverseCdf:
     """Draws from the rows of a ``(..., N)`` kernel, flattened, reading only
-    each row's support and its cumulative sums (padded with ``+inf``): the
-    first support column whose sum is at least ``u``. On a non-negative row
-    that is ``(cum < u).sum()``, except that it is never a zero-probability
-    column (at ``u == 0``) nor ``N`` (``u`` above a row sum below 1)."""
+    each row's support and its running maximum of cumulative sums (padded
+    with ``+inf``): the first support column whose sum is at least ``u``, by
+    ``argmin``, or up to ``COUNT_WIDTH`` wide as the count of the ``width - 1``
+    finite sums below ``u`` (kept transposed). That is ``(cum < u).sum()``,
+    except that it is never a zero-probability column (at ``u == 0``) nor
+    ``N`` (``u`` above a row sum below 1)."""
+
+    COUNT_WIDTH = 8  # counting beats argmin up to here (measured; CHANGES.md)
 
     def __init__(self, kernel: np.ndarray):
         p = kernel.reshape(-1, kernel.shape[-1])
@@ -476,11 +480,17 @@ class InverseCdf:
         order = np.argsort(p <= 0, axis=1, kind="stable")  # nonzero columns first
         self.support = np.ascontiguousarray(order[:, : self.width])
         self.cum = np.take_along_axis(np.cumsum(p, axis=1), self.support, axis=1)
+        np.maximum.accumulate(self.cum, axis=1, out=self.cum)
         self.cum[np.arange(self.width) >= counts[:, None] - 1] = np.inf
+        narrow = self.width <= self.COUNT_WIDTH
+        self.cum_t = np.ascontiguousarray(self.cum[:, :-1].T) if narrow else None
 
     def draw(self, row, u: np.ndarray) -> np.ndarray:
         """Column of flat row ``row`` (an int or one per uniform) at ``u``."""
-        k = (self.cum.take(row, axis=0) < u[:, None]).argmin(axis=1)
+        if self.cum_t is None:
+            k = (self.cum.take(row, axis=0) < u[:, None]).argmin(axis=1)
+        else:
+            k = (self.cum_t.take(np.atleast_1d(row), axis=1) < u).sum(axis=0)
         return self.support.take(row * self.width + k)
 
 
@@ -796,9 +806,10 @@ ROLLOUT_FIELDS = ("endo", "exo", "action", "reward")
 # Uniforms (doubles, 4 MiB) stage 1 derives and holds per chunk of rollouts,
 # ``max(1, CHUNK_DRAWS // width)`` of ``width`` each; no result depends on it.
 CHUNK_DRAWS = 1 << 19
-# Rows ``rollout_returns`` steps together: policies of ``R`` rollouts go in
-# groups of ``max(1, CHUNK_ROWS // R)``, and the rewards of a group's ``rows``
-# are computed ``max(1, CHUNK_ROWS // rows)`` steps at a time; no result
+# Rows ``rollout_returns`` steps together and rewards it tabulates at once:
+# policies of ``R`` rollouts, lifted onto ``N * D`` states, go in groups of
+# ``max(1, CHUNK_ROWS // max(R, N * D))``, and the trajectory is copied for a
+# group's ``rows`` ``max(1, CHUNK_ROWS // rows)`` steps at a time; no result
 # depends on it. At 2**16, grid-brute's peak RSS rose 2.8 MB for no speed.
 CHUNK_ROWS = 1 << 14
 
@@ -871,7 +882,7 @@ def rollouts(
     ``exo_trajectory`` of ``seed``, or a ``trajectory`` made earlier (with
     ``behave`` exactly under the behaviour policy; not with ``seed``), whose
     exo chain every policy rolled out on it walks. Stage 2 steps the endo
-    chains, then computes all rewards in one ``batch_reward`` call. Fields
+    chains and reads the rewards as ``_stage_two`` says. Fields
     not named in ``keep`` are None; without ``"reward"`` none is computed,
     and with it ill-shaped reward tables are refused before any rollout.
     """
@@ -880,18 +891,20 @@ def rollouts(
     behave = isinstance(policy, UniformRandomPolicy)
     if policy is not None:
         _check_policy_fits(mdp, policy)
-    if "reward" in keep:
+    rewards = "reward" in keep
+    if rewards:
         checked_reward_tables(mdp)
     trajectory = _stage_one(mdp, n_rollouts, horizon, seed, trajectory, behave)
     lifted = [] if behave or policy is None else [trajectory.lift_policy(policy)]
     behaviour = policy if behave else None
-    stepped = _stage_two(mdp, trajectory, horizon, lifted, horizon, behaviour)
-    [(endo, index, action)] = stepped
+    stepped = _stage_two(mdp, trajectory, horizon, lifted, horizon, behaviour, rewards)
+    action, reward, endo = zip(*stepped)
+    endo = (trajectory.endo, *endo)
     return Rollouts(
-        endo=endo.astype(np.int32) if "endo" in keep else None,
+        endo=np.stack(endo, axis=1, dtype=np.int32) if "endo" in keep else None,
         exo=trajectory.exo if "exo" in keep else None,
-        action=action.astype(np.int32) if "action" in keep else None,
-        reward=_rewards(mdp, endo, index, action) if "reward" in keep else None,
+        action=np.stack(action, axis=1, dtype=np.int32) if "action" in keep else None,
+        reward=np.stack(reward, axis=1) if rewards else None,
     )
 
 
@@ -907,14 +920,16 @@ def rollout_returns(
     """``(P, R)`` truncated discounted returns of the ``R = n_rollouts``
     rollouts of each of ``P`` planned ``policies``, all on the exo chain of
     ``seed`` or of ``trajectory`` (as in ``rollouts``): common random numbers.
-    ``lifted``, each policy's ``trajectory.lift_policy`` made earlier,
-    saves lifting them again.
+    ``lifted``, each policy's ``trajectory.lift_policy`` made earlier, saves
+    lifting them again; it needs ``trajectory``, and a table of another
+    shape than ``(N, D)`` is refused before any rollout.
 
-    Stage 2 steps groups of at most ``max(1, CHUNK_ROWS // R)`` policies
-    together as one set of rows, computes their rewards a block of steps at
-    a time and adds each step's, discounted, into every rollout's return in
-    step order, so no array over every step is kept. Row p is, to the byte,
-    the returns of policy p rolled out alone.
+    Stage 2 steps groups of at most ``max(1, CHUNK_ROWS // max(R, N * D))``
+    policies together as one set of rows, reads each step's rewards from a
+    table over every policy, endo value and distinct exo vector of the
+    chain, and adds them, discounted, into every rollout's return in step
+    order, so no array over every step is kept. Row p is, to the byte, the
+    returns of policy p rolled out alone.
     """
     from .planner import Policy  # planner imports this module
 
@@ -925,22 +940,29 @@ def rollout_returns(
             )
         _check_policy_fits(mdp, policy)
     checked_reward_tables(mdp)
+    if lifted is not None and trajectory is None:
+        raise ValueError("lifted tables need the trajectory they were lifted on")
     trajectory = _stage_one(mdp, n_rollouts, horizon, seed, trajectory, False)
+    shape = (mdp.endo_cardinality, len(trajectory.values))
     if lifted is None:
         lifted = [trajectory.lift_policy(policy) for policy in policies]
-    elif len(lifted) != len(policies):
-        raise ValueError(f"{len(lifted)} lifted tables for {len(policies)} policies")
+    elif len(lifted) != len(policies) or any(t.shape != shape for t in lifted):
+        shapes = sorted({t.shape for t in lifted})
+        raise ValueError(
+            f"{len(lifted)} lifted tables of shapes {shapes} do not fit "
+            f"{len(policies)} policies and (N, D) = {shape}"
+        )
     out = np.zeros((len(policies), n_rollouts))
-    group = max(1, CHUNK_ROWS // n_rollouts)
+    group = max(1, CHUNK_ROWS // max(n_rollouts, math.prod(shape)))
     for lo in range(0, len(policies), group):
         returns = out[lo : lo + group].reshape(-1)  # a view, filled in place
         block = max(1, CHUNK_ROWS // len(returns))
-        disc = 1.0
-        stepped = _stage_two(mdp, trajectory, horizon, lifted[lo : lo + group], block)
-        for endo, index, action in stepped:
-            for reward in _rewards(mdp, endo, index, action).T:
-                returns += disc * reward
-                disc *= mdp.discount
+        disc, tables = 1.0, lifted[lo : lo + group]
+        for _, reward, _ in _stage_two(
+            mdp, trajectory, horizon, tables, block, rewards=True
+        ):
+            returns += disc * reward
+            disc *= mdp.discount
     return out
 
 
@@ -961,52 +983,53 @@ def _stage_one(mdp, n_rollouts, horizon, seed, trajectory, behave) -> ExoTraject
 
 
 def _stage_two(
-    mdp, trajectory, horizon, lifted, block, behaviour=None
+    mdp, trajectory, horizon, lifted, block, behaviour=None, rewards=False
 ) -> Iterator[tuple]:
     """Stage 2 of the engine, its one step loop: the endo chains on
     ``trajectory`` of P planned policies ``lifted`` onto it
     (``ExoTrajectory.lift_policy``), stepped together as ``P * R`` rows
     (policy-major) that read their actions from one flat ``(P * N * D)``
-    table, indexed by the chain's ranks; or, with none, of ``behaviour``,
-    the behaviour policy, or of action 0 when that is None.
+    table at ``offset + e * D + rank`` (policy, endo value, the chain's
+    rank); or, with none, of ``behaviour``, the behaviour policy, or of
+    action 0 when that is None.
 
-    Yields ``(endo, index, action)`` for each block of ``block`` steps from
-    step ``t`` (the last block may be shorter): ``endo`` ``(rows, b + 1)``
-    holds the states ``t .. t + b``, ``index`` the trajectory's ``index`` at
-    ``t .. t + b - 1`` and ``action`` ``(rows, b)`` the actions.
+    Yields ``(action, reward, endo)`` at each step: the ``(rows,)``
+    actions, their rewards (None without ``rewards``) and the next endo
+    values. For lifted policies the rewards are read beside the actions
+    from one ``batch_reward`` call over the flat table, else from a call
+    per step. The trajectory's per-step fields are copied for every policy
+    ``block`` steps at a time.
     """
     u, index, ranks = trajectory.draws, trajectory.index, trajectory.ranks
     if behaviour is not None:  # its draw comes first
         act_u, u = behaviour.action_count * u[:, :, 0], u[:, :, 1:]
     copies = max(1, len(lifted))
     if lifted:
-        table, n_distinct = np.stack(lifted).reshape(-1), lifted[0].shape[1]
+        table = np.stack(lifted).reshape(-1).astype(np.int64)
+        n_distinct = lifted[0].shape[1]
         offset = np.repeat(np.arange(copies) * lifted[0].size, len(trajectory.endo))
+        if rewards:  # at every policy, endo value and distinct exo vector
+            cell = np.arange(len(table))
+            exo = mdp.exo_index(trajectory.values).take(cell % n_distinct, axis=0)
+            at = cell // n_distinct % mdp.endo_cardinality
+            reward_table = mdp.batch_reward(at, exo, table)
     e = _repeat_rows(trajectory.endo, copies)
+    a, r = np.zeros(len(e), dtype=np.int64), None  # action 0 unless set below
     for t0 in range(0, horizon, block):
         steps = slice(t0, min(t0 + block, horizon))
         x, draws, rank = (_repeat_rows(v[:, steps], copies) for v in (index, u, ranks))
-        b = x.shape[1]
-        if behaviour is not None:
-            action = act_u[:, steps].astype(np.int64)
-        else:
-            action = np.zeros((len(e), b), dtype=np.int64)
-        endo = np.empty((len(e), b + 1), dtype=np.int64)
-        endo[:, 0] = e
-        for s in range(b):
+        for s in range(x.shape[1]):
             if lifted:
-                action[:, s] = table[offset + e * n_distinct + rank[:, s]]
-            a = action[:, s]
-            e = endo[:, s + 1] = mdp.batch_endo_step(e, x[:, s], a, draws[:, s])
-        yield endo, x, action
-
-
-def _rewards(mdp, endo, index, action) -> np.ndarray:
-    """``(rows, b)`` rewards of a block of ``_stage_two``: one
-    ``batch_reward`` call over its rows, exo in ``exo_index`` form."""
-    rows, b = action.shape
-    flat = [x.reshape(rows * b, *x.shape[2:]) for x in (endo[:, :-1], index, action)]
-    return mdp.batch_reward(*flat).reshape(rows, b)
+                flat = offset + e * n_distinct + rank[:, s]
+                a = table.take(flat)
+            elif behaviour is not None:
+                a = act_u[:, t0 + s].astype(np.int64)
+            if rewards and lifted:
+                r = reward_table.take(flat)
+            elif rewards:
+                r = mdp.batch_reward(e, x[:, s], a)
+            e = mdp.batch_endo_step(e, x[:, s], a, draws[:, s])
+            yield a, r, e
 
 
 def _repeat_rows(array: np.ndarray, copies: int) -> np.ndarray:

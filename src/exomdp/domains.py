@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import reduce as _reduce
 
 import numpy as np
 
@@ -54,6 +53,16 @@ def _grid_move_kernel(width: int, height: int, slip_prob: float) -> np.ndarray:
                 kernel[cell, a, _move_cell(cell, d, width, height)] += slip_prob / 4.0
         kernel[cell, 4, cell] = 1.0
     return kernel
+
+
+def _joint_kernel(rows: list[np.ndarray], x: int) -> np.ndarray:
+    """``(x, x)`` joint exo kernel of the variables' ``(x, card_i)`` next-value
+    rows at each joint code: per code, their ``functools.reduce(np.kron)`` in
+    variable order, as broadcast outer products."""
+    joint = np.ones((x, 1))
+    for row in rows:
+        joint = (joint[:, :, None] * row[:, None, :]).reshape(len(joint), -1)
+    return joint
 
 
 def _sticky_rows(card: int, flip_prob: float) -> np.ndarray:
@@ -139,31 +148,18 @@ def build_gridworld(spec: GridworldSpec | None = None, seed: int = 0) -> Tabular
     space = ReducedSpace(1, Mask.full(m), [2] * m)
     x_count = space.n_exo
 
-    driver_set = set(spec.xor_drivers or ())
-
-    def next_dist(i: int, digits: tuple[int, ...]) -> np.ndarray:
-        if i in driver_set:
-            return np.array([0.5, 0.5])
-        if i == spec.goal_var:
-            if spec.xor_drivers is not None:
-                a, b = spec.xor_drivers
-                armed = digits[a] ^ digits[b]
-                flip = spec.goal_flip_scale * armed
-            else:
-                flip = spec.goal_flip_scale * 0.5
-            cur = digits[i]
-            row = np.empty(2)
-            row[cur] = 1.0 - flip
-            row[1 - cur] = flip
-            return row
-        if i == spec.trap_var:
-            return _sticky_rows(2, spec.trap_flip_prob)[digits[i]]
-        return _sticky_rows(2, spec.distractor_flip_prob)[digits[i]]
-
-    exo_kernel = np.empty((x_count, x_count))
-    for code in range(x_count):
-        digits = space.decode_exo(code)
-        exo_kernel[code] = _reduce(np.kron, [next_dist(i, digits) for i in range(m)])
+    digits = space.digit_matrix()  # (m, X): each variable's value at each code
+    rows = [_sticky_rows(2, spec.distractor_flip_prob)[d] for d in digits]
+    rows[spec.trap_var] = _sticky_rows(2, spec.trap_flip_prob)[digits[spec.trap_var]]
+    armed = 0.5  # without drivers the goal flips at half its scale
+    if spec.xor_drivers is not None:
+        a, b = spec.xor_drivers
+        rows[a] = rows[b] = np.full((x_count, 2), 0.5)
+        armed = digits[a] ^ digits[b]
+    flip = np.broadcast_to(spec.goal_flip_scale * armed, (x_count,))[:, None]
+    stay = np.eye(2, dtype=bool)[digits[spec.goal_var]]  # (X, 2): the current value
+    rows[spec.goal_var] = np.where(stay, 1.0 - flip, flip)
+    exo_kernel = _joint_kernel(rows, x_count)
 
     move = _grid_move_kernel(spec.width, spec.height, spec.slip_prob)
     endo_kernel = np.broadcast_to(
@@ -527,13 +523,9 @@ def build_chain_mdp(
     specs = tuple(VariableSpec(i, c, f"chain-{i}") for i, c in enumerate(cards))
     space = ReducedSpace(1, Mask.full(m), cards)
     x = space.n_exo
-    rows = [_sticky_rows(c, p) for c, p in zip(cards, flip_probs)]
-    exo_kernel = np.empty((x, x))
-    for code in range(x):
-        digits = space.decode_exo(code)
-        exo_kernel[code] = _reduce(
-            np.kron, [rows[i][digits[i]] for i in range(m)]
-        )
+    digits = space.digit_matrix()
+    rows = [_sticky_rows(c, p)[d] for c, p, d in zip(cards, flip_probs, digits)]
+    exo_kernel = _joint_kernel(rows, x)
     return TabularFullMdp(
         endo_kernel=np.ones((1, 1, x, 1)),
         exo_kernel=exo_kernel,

@@ -1,5 +1,7 @@
 import inspect
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -387,10 +389,10 @@ def three_state_mdp(init_endo):
 
 
 @st.composite
-def kernels(draw):
+def kernels(draw, max_n=8):
     """``(rows, n)`` rows with zero columns: dyadic (cuts of ``[0, 2**k]``,
     summing to 1 exactly) or small integers over their sum."""
-    n_rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    n_rows, n = draw(st.integers(1, 4)), draw(st.integers(1, max_n))
     if draw(st.booleans()):
         k = draw(st.integers(0, 6))
         size = n_rows * (n - 1)
@@ -427,6 +429,49 @@ class TestInverseCdf:
             assert np.all((0 <= got) & (got < n)) and np.all(kernel[row, got] > 0)
             assert np.array_equal(table.draw(row, u), got)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kernel=kernels(max_n=2 * core.InverseCdf.COUNT_WIDTH),
+        below_one=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counting_draws_what_argmin_draws(self, kernel, below_one, seed):
+        """Counting the sums below ``u`` and the ``argmin`` of ``cum < u``
+        draw the same columns, with zero-probability columns, at ``u == 0``,
+        on rows summing to just below 1, for one row (an int) and for one row
+        per uniform, at widths on both sides of ``COUNT_WIDTH``."""
+        if below_one:
+            kernel = kernel * (1.0 - 2.0**-40)
+        with mock.patch.object(core.InverseCdf, "COUNT_WIDTH", 0):
+            searched = core.InverseCdf(kernel)
+        with mock.patch.object(core.InverseCdf, "COUNT_WIDTH", kernel.shape[1]):
+            counted = core.InverseCdf(kernel)
+        assert searched.cum_t is None and counted.cum_t is not None
+        shipped = core.InverseCdf(kernel)
+        assert (shipped.cum_t is None) == (shipped.width > shipped.COUNT_WIDTH)
+        cum = np.cumsum(kernel, axis=1).ravel()
+        rng = np.random.default_rng(seed)
+        u = np.concatenate([cum, np.nextafter(cum, 0), [0.0, 1.0 - 2.0**-53]])
+        u = np.concatenate([u, rng.random(8)])
+        rows = rng.integers(0, len(kernel), len(u))
+        for row in [*range(len(kernel)), rows]:
+            want = searched.draw(row, u)
+            got = counted.draw(row, u)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape == u.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(shipped.draw(row, u), want)
+
+    def test_paths_agree_where_cumulative_sums_fall(self):
+        # entries down to -1e-9 pass validation; here the sum at column 2
+        # falls below the one at column 0, and both paths still draw the
+        # first column whose sum reaches u
+        kernel = np.array([[0.5, -1e-9, 1e-10, 0.5 + 9e-10]])
+        u = np.array([0.5 - 5e-10, 0.25, 0.75])
+        with mock.patch.object(core.InverseCdf, "COUNT_WIDTH", 0):
+            assert core.InverseCdf(kernel).draw(0, u).tolist() == [0, 0, 3]
+        assert core.InverseCdf(kernel).draw(0, u).tolist() == [0, 0, 3]
+
     def test_zero_uniform_skips_zero_probability_columns(self):
         # (cum < 0).sum() is 0, a column of probability zero
         table = core.InverseCdf(np.array([[0.0, 0.0, 0.25, 0.0, 0.75]]))
@@ -451,6 +496,9 @@ class TestInverseCdf:
         table = gridworld._endo_draw
         assert table.width == 4 and table.cum.shape == (20 * 5 * 32, 4)
         assert gridworld._exo_draw.width == 32
+        # the endo draw counts its 3 finite sums; the exo draw finds the first
+        assert table.cum_t.shape == (3, 20 * 5 * 32)
+        assert gridworld._exo_draw.cum_t is None
 
 
 def test_rollout_uniforms_are_the_per_rollout_streams():
@@ -611,31 +659,55 @@ class TestRolloutReturns:
 
     @staticmethod
     def stack(mdp):
-        """Five planned policies over several masks, one of them twice."""
+        """Five planned policies over several masks (the variables of each
+        the MDP has), one of them twice."""
         masks = [(), (0,), (0, 2), (1, 3), (0,)]
-        return [random_policy(mdp, Mask(m), seed=i % 4) for i, m in enumerate(masks)]
+        masks = [Mask(tuple(i for i in m if i < mdp.m)) for m in masks]
+        return [random_policy(mdp, m, seed=i % 4) for i, m in enumerate(masks)]
 
-    # caps below R (groups of one policy, one-step blocks), below the stack's
-    # P * R = 200 rows (groups of 3 and 2, one-step blocks), above it (one
-    # group, blocks of 2 steps and a last block of 1) and the shipped cap
-    @pytest.mark.parametrize("cap", [30, 150, 450, core.CHUNK_ROWS])
-    @pytest.mark.parametrize("builder", [build_gridworld, build_crowd])
+    # caps that group the stack's policies one, two or all five at a time,
+    # and the shipped cap; by MDP these copy the trajectory one step at a
+    # time, several steps with a shorter last block, or all steps at once
+    @pytest.mark.parametrize("group", [1, 2, 5, None])
+    @pytest.mark.parametrize(
+        "builder",
+        [build_gridworld, build_crowd, build_factory, lambda: build_random_mdp(0)],
+        ids=["gridworld", "crowd", "factory", "random-0"],
+    )
     def test_each_row_is_the_monte_carlo_value_of_its_policy(
-        self, builder, cap, monkeypatch
+        self, builder, group, monkeypatch
     ):
-        mdp, policies = builder(), self.stack(builder())
+        mdp = builder()
+        policies = self.stack(mdp)
         alone = [
             monte_carlo_value(mdp, p, self.R, self.H, seed=17)[1] for p in policies
         ]
+        for policy, want in zip(policies, alone):  # the scalar reference's rewards
+            rewards = reference_rollouts(mdp, policy, self.R, self.H, seed=17).reward
+            returns, disc = np.zeros(self.R), 1.0
+            for reward in rewards.T:
+                returns += disc * reward
+                disc *= mdp.discount
+            assert returns.tobytes() == want.tobytes()
+        trajectory = exo_trajectory(mdp, self.R, self.H, seed=17)
+        cells = mdp.endo_cardinality * len(trajectory.values)  # N * D
+        cap = core.CHUNK_ROWS if group is None else group * max(self.R, cells)
         monkeypatch.setattr(core, "CHUNK_ROWS", cap)
-        rewarded = []
-        reward = type(mdp).batch_reward
+        rewarded, blocks = [], []
+        reward, repeat = type(mdp).batch_reward, core._repeat_rows
         monkeypatch.setattr(
             type(mdp),
             "batch_reward",
             lambda self, *a: rewarded.append(len(a[0])) or reward(self, *a),
         )
-        trajectory = exo_trajectory(mdp, self.R, self.H, seed=17)
+
+        def repeated(array, copies):  # a block's copies of the uniforms
+            out = repeat(array, copies)
+            if array.dtype == float:
+                blocks.append(out.shape[:2])
+            return out
+
+        monkeypatch.setattr(core, "_repeat_rows", repeated)
         for returns in (
             rollout_returns(mdp, policies, self.R, self.H, seed=17),
             rollout_returns(mdp, policies, self.R, self.H, trajectory=trajectory),
@@ -643,17 +715,17 @@ class TestRolloutReturns:
             assert returns.shape == (len(policies), self.R)
             for row, want in zip(returns, alone):
                 assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
-        # the reward calls of one pass: per group of policies, per block
-        group = max(1, cap // self.R)
-        want, steps = [], []
-        for lo in range(0, len(policies), group):
-            rows = min(group, len(policies) - lo) * self.R
+        # one reward call per group of policies, over its N * D cells each,
+        # and the trajectory copied for its rows max(1, cap // rows) steps
+        # at a time
+        group = max(1, cap // max(self.R, cells))
+        sizes = [min(group, len(policies) - lo) for lo in range(0, len(policies), group)]
+        assert rewarded == [p * cells for p in sizes] * 2
+        want = []
+        for rows in (p * self.R for p in sizes):
             block = max(1, cap // rows)
-            steps += [min(block, self.H - t) for t in range(0, self.H, block)]
-            want += [rows * b for b in steps[len(want) :]]
-        assert rewarded == want * 2
-        assert (cap < len(policies) * self.R) == (set(steps) == {1})
-        assert (cap == 450) == (steps[-1] < steps[0])  # a shorter last block
+            want += [(rows, min(block, self.H - t)) for t in range(0, self.H, block)]
+        assert blocks == want * 2
 
     def test_checks_every_policy_and_the_trajectory(self, gridworld):
         policies = self.stack(gridworld)
@@ -672,6 +744,35 @@ class TestRolloutReturns:
         with pytest.raises(ValueError, match="not both"):
             rollout_returns(gridworld, policies, 4, 3, 0, trajectory)
         assert rollout_returns(gridworld, [], 4, 3, seed=0).shape == (0, 4)
+
+    def test_lifted_tables_of_another_chain_refused(self, monkeypatch):
+        """Tables lifted on another chain index other distinct exo vectors:
+        refused before any rollout, as are tables passed without the
+        trajectory they were lifted on."""
+        mdp = build_crowd()
+        policies = self.stack(mdp)[:2]
+        short = exo_trajectory(mdp, 6, 4, seed=1)
+        other = exo_trajectory(mdp, 40, 4, seed=1)
+        assert len(short.values) != len(other.values)
+        lifted = [other.lift_policy(p) for p in policies]
+        want = rollout_returns(mdp, policies, 6, 4, trajectory=short)
+
+        def refuse(*args):
+            raise AssertionError("rollout started")
+
+        monkeypatch.setattr(CrowdMdp, "batch_endo_step", refuse)
+        n, d = mdp.endo_cardinality, len(short.values)
+        shapes = f"[{(n, len(other.values))}] do not fit 2 policies and (N, D) = {(n, d)}"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            rollout_returns(mdp, policies, 6, 4, trajectory=short, lifted=lifted)
+        with pytest.raises(ValueError, match="need the trajectory"):
+            rollout_returns(mdp, policies, 6, 4, seed=1, lifted=lifted)
+        with pytest.raises(ValueError, match="need the trajectory"):
+            rollout_returns(mdp, policies, 6, 4, seed=1, lifted=lifted[:1])
+        monkeypatch.undo()
+        mine = [short.lift_policy(p) for p in policies]
+        got = rollout_returns(mdp, policies, 6, 4, trajectory=short, lifted=mine)
+        assert got.tobytes() == want.tobytes()
 
 
 def _policies(mdp, mask):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from exomdp.domains import (
     CrowdSpec,
     FactorySpec,
     GridworldSpec,
+    build_chain_mdp,
     build_crowd,
     build_factory,
     build_gridworld,
@@ -97,6 +100,64 @@ class TestGridworld:
             tv_exo = 0.5 * np.abs(exo_counts / n - gridworld.exo_kernel[x]).sum()
             assert tv_endo < 0.02
             assert tv_exo < 0.05  # 32-column row at 5000 samples
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridworldSpec(),
+            GridworldSpec(xor_drivers=None),
+            GridworldSpec(n_exo_vars=6, goal_flip_scale=0.37, trap_flip_prob=0.13),
+            GridworldSpec(goal_var=3, trap_var=0, xor_drivers=(4, 1)),
+        ],
+        ids=["default", "independent", "six-vars", "roles-moved"],
+    )
+    def test_exo_kernel_is_the_kron_of_the_variables_rows(self, spec):
+        """Row by row, the product of each variable's next-value row, by
+        ``np.kron`` in variable order, to the byte."""
+
+        def sticky(flip, value):
+            row = np.full(2, flip)
+            row[value] = 1.0 - flip
+            return row
+
+        def next_dist(i, digits):
+            if i in (spec.xor_drivers or ()):
+                return np.array([0.5, 0.5])
+            if i == spec.goal_var:
+                if spec.xor_drivers is None:
+                    return sticky(spec.goal_flip_scale * 0.5, digits[i])
+                a, b = spec.xor_drivers
+                return sticky(spec.goal_flip_scale * (digits[a] ^ digits[b]), digits[i])
+            if i == spec.trap_var:
+                return sticky(spec.trap_flip_prob, digits[i])
+            return sticky(spec.distractor_flip_prob, digits[i])
+
+        m = spec.n_exo_vars
+        space = ReducedSpace(1, Mask.full(m), [2] * m)
+        want = np.array(
+            [
+                reduce(np.kron, [next_dist(i, space.decode_exo(x)) for i in range(m)])
+                for x in range(space.n_exo)
+            ]
+        )
+        assert build_gridworld(spec).exo_kernel.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cards", [(2, 3, 4), (3,)])
+    def test_chain_kernel_is_the_kron_of_the_variables_rows(self, cards):
+        flips = (0.3, 0.1, 0.7)[: len(cards)]
+        space = ReducedSpace(1, Mask.full(len(cards)), cards)
+        rows = []
+        for card, flip in zip(cards, flips):
+            sticky = np.full((card, card), flip / max(1, card - 1))
+            np.fill_diagonal(sticky, 1.0 - flip)
+            rows.append(sticky)
+        want = np.array(
+            [
+                reduce(np.kron, [r[v] for r, v in zip(rows, space.decode_exo(x))])
+                for x in range(space.n_exo)
+            ]
+        )
+        assert build_chain_mdp(cards, flips).exo_kernel.tobytes() == want.tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

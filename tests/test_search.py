@@ -338,7 +338,9 @@ class TestSearchDatasets:
             lambda self, p: lifts.append(lift(self, p)) or lifts[-1],
         )
         monkeypatch.setattr(
-            core, "_stage_two", lambda *a: stacked.extend(a[3]) or stage_two(*a)
+            core,
+            "_stage_two",
+            lambda *a, **k: stacked.extend(a[3]) or stage_two(*a, **k),
         )
         kept = datasets.monte_carlo_values(mdp, policies, 40, 25)
         n, d = mdp.endo_cardinality, len(datasets.mc.values)
