@@ -3,7 +3,6 @@ splits into an endogenous part and many exogenous variables."""
 
 from .core import (
     DEFAULT_STATE_BUDGET,
-    EMPTY_MASK,
     ExomdpError,
     GenerativeMdp,
     InsufficientDataError,

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Mask, truncation_horizon
+from .core import Mask, exo_trajectory, truncation_horizon
 from .domains import (
     build_chain_mdp,
     build_copy_chain_mdp,
@@ -29,6 +29,7 @@ from .domains import (
     random_block_mdp,
 )
 from .estimation import (
+    ExoRolloutDataset,
     collect_exo_rollouts,
     collect_full_rollouts,
     fit_reduced_mdp,
@@ -184,15 +185,19 @@ def check_hoeffding_coverage(
 def check_data_policy_invariance(
     n_samples: int = 100_000, tv_tol: float = 0.02, seed: int = 0
 ) -> CheckResult:
-    """Exo tables from policy-free and policy-driven rollouts agree."""
+    """Exo tables from policy-free and policy-driven rollouts agree: the
+    policy-driven pairs are counted on the exo chain that the full data's
+    rollouts walk under the behaviour policy."""
     mdp = build_gridworld()
     mask = Mask((0, 2))
     horizon = 50
     n_rollouts = n_samples // horizon
     exo_data = collect_exo_rollouts(mdp, n_rollouts, horizon, seed=seed)
     full_data = collect_full_rollouts(mdp, None, n_rollouts, horizon, seed=seed + 1)
+    chain = exo_trajectory(mdp, n_rollouts, horizon, seed + 1, behave=True).exo
+    driven = ExoRolloutDataset.from_chain(chain, mdp.exo_cardinalities, seed + 1)
     a = fit_reduced_mdp(mdp, mask, exo_data, full_data)
-    b = fit_reduced_mdp(mdp, mask, full_data, full_data)  # its own exo pairs
+    b = fit_reduced_mdp(mdp, mask, driven, full_data)
     gap = a.exo_table.to_dense() - b.exo_table.to_dense()
     tv = 0.5 * np.abs(gap).sum(axis=1)
     worst = float(tv.max())

@@ -136,9 +136,6 @@ class Mask:
         return iter(self.included)
 
 
-EMPTY_MASK = Mask(())
-
-
 class GenerativeMdp(ABC):
     """Black-box generative model of a factored MDP, stepped as arrays.
 
@@ -160,8 +157,7 @@ class GenerativeMdp(ABC):
       state's is the sum of every variable's entry.
 
     An MDP that lacks one of these, a declared size, ``discount`` or
-    ``r_max`` cannot be constructed; ``exo_index`` is optional, and
-    ``batch_reward`` derives from the tables.
+    ``r_max`` cannot be constructed; ``exo_index`` is optional.
     Implementations must be safe to call from several threads at once.
     """
 
@@ -185,8 +181,8 @@ class GenerativeMdp(ABC):
     def batch_endo_step(self, endo, exo, action, u: np.ndarray) -> np.ndarray: ...
 
     def exo_index(self, exo: np.ndarray) -> np.ndarray:
-        """What ``batch_endo_step`` and ``batch_reward`` read of ``(..., m)``
-        exo values, computed once per trajectory: by default the values."""
+        """What ``batch_endo_step`` reads of ``(..., m)`` exo values, computed
+        once per trajectory: by default the values."""
         return exo
 
     @property
@@ -218,25 +214,6 @@ class GenerativeMdp(ABC):
         action."""
         ...
 
-    def batch_reward(
-        self, endo: np.ndarray, exo: np.ndarray, action: np.ndarray
-    ) -> np.ndarray:
-        """``(R,)`` full rewards of rows of states: from +0.0, the entries
-        ``[endo, exo[:, i], action]`` of the tables not all zero (found once
-        per instance) added in variable order, which skipping zero tables
-        leaves byte-equal. It reads ``exo`` as values: an MDP whose
-        ``exo_index`` is not the values overrides it."""
-        terms = self.__dict__.get("_reward_terms")
-        if terms is None:  # (i, table flattened value-major) of each nonzero table
-            tables = enumerate(checked_reward_tables(self))
-            terms = [(i, t.transpose(1, 0, 2).ravel()) for i, t in tables if t.any()]
-            self.__dict__["_reward_terms"] = terms
-        at = np.multiply(endo, self.action_count, dtype=np.int64) + action
-        total, stride = np.zeros(len(endo)), self.endo_cardinality * self.action_count
-        for i, flat in terms:
-            total += flat.take(np.multiply(exo[:, i], stride, dtype=np.int64) + at)
-        return total
-
     @property
     def m(self) -> int:
         return len(self.variable_specs)
@@ -261,6 +238,23 @@ def checked_reward_tables(mdp: GenerativeMdp) -> tuple[np.ndarray, ...]:
                 )
         mdp.__dict__["_reward_tables"] = tables
     return tables
+
+
+def _rewards(mdp: GenerativeMdp, endo, exo, action) -> np.ndarray:
+    """``(rows,)`` full rewards of rows of states, ``exo`` ``(rows, m)``
+    values: from +0.0, the entries ``[endo, exo[:, i], action]`` of the
+    tables not all zero (found once per instance) added in variable order,
+    which skipping zero tables leaves byte-equal."""
+    terms = mdp.__dict__.get("_reward_terms")
+    if terms is None:  # (i, table flattened value-major) of each nonzero table
+        tables = enumerate(checked_reward_tables(mdp))
+        terms = [(i, t.transpose(1, 0, 2).ravel()) for i, t in tables if t.any()]
+        mdp.__dict__["_reward_terms"] = terms
+    at = np.multiply(endo, mdp.action_count, dtype=np.int64) + action
+    total, stride = np.zeros(len(endo)), mdp.endo_cardinality * mdp.action_count
+    for i, flat in terms:
+        total += flat.take(np.multiply(exo[:, i], stride, dtype=np.int64) + at)
+    return total
 
 
 def reduced_reward_table(mdp: GenerativeMdp, space: ReducedSpace) -> np.ndarray:
@@ -516,9 +510,8 @@ class TabularFullMdp(GenerativeMdp):
 
     Each step draws two uniforms: the next endogenous index, then (the exo
     column) the next joint exogenous code, each by the ``InverseCdf`` of its
-    row. The endo step and the reward read joint codes (``exo_index``), so
-    ``batch_reward`` looks the reward up in ``full_reward``, the tables'
-    ``reduced_reward_table`` over the full mask.
+    row. The endo step reads joint codes (``exo_index``); ``full_reward`` is
+    the tables' ``reduced_reward_table`` over the full mask.
     """
 
     draws_per_step = 2
@@ -626,10 +619,6 @@ class TabularFullMdp(GenerativeMdp):
     def batch_endo_step(self, endo, x, action, u) -> np.ndarray:
         _, a, n_exo, _ = self.endo_kernel.shape
         return self._endo_draw.draw((endo * a + action) * n_exo + x, u[:, 0])
-
-    def batch_reward(self, endo, x, action) -> np.ndarray:
-        """``full_reward[endo, action, x]``: the reward reads joint codes."""
-        return self.full_reward[endo, action, x]
 
     def reward_component_table(self, i: int) -> np.ndarray:
         return self.reward_tables[i]
@@ -751,8 +740,6 @@ class UniformRandomPolicy:
     """Behaviour policy: action ``floor(action_count * u)`` from one uniform
     per step, drawn before the step's transition uniforms."""
 
-    policy_tag = "uniform-random"
-
     def __init__(self, action_count: int):
         self.action_count = int(action_count)
 
@@ -766,8 +753,8 @@ def uniform_random_policy(mdp: GenerativeMdp) -> UniformRandomPolicy:
 class Rollouts:
     """``R`` rollouts of horizon ``H``: ``endo`` ``(R, H + 1)`` int32, ``exo``
     ``(R, H + 1, m)`` int16, ``action`` ``(R, H)`` int32, ``reward`` ``(R, H)``
-    float; a field not kept is None. Step t takes ``action[:, t]`` in state
-    t, earns ``reward[:, t]``.
+    float under a planned policy (None under the behaviour policy). Step t
+    takes ``action[:, t]`` in state t, earns ``reward[:, t]``.
     """
 
     endo: np.ndarray
@@ -802,7 +789,6 @@ class ExoTrajectory:
         return table[:, space.project_codes(self.values)]
 
 
-ROLLOUT_FIELDS = ("endo", "exo", "action", "reward")
 # Uniforms (doubles, 4 MiB) stage 1 derives and holds per chunk of rollouts,
 # ``max(1, CHUNK_DRAWS // width)`` of ``width`` each; no result depends on it.
 CHUNK_DRAWS = 1 << 19
@@ -865,47 +851,38 @@ def _exo_chain(mdp, n_rollouts, horizon, seed, behave=False, keep_draws=False):
 
 
 def rollouts(
-    mdp: GenerativeMdp,
-    policy,
-    n_rollouts: int,
-    horizon: int,
-    seed: int | None = None,
-    trajectory: ExoTrajectory | None = None,
-    keep: Sequence[str] = ROLLOUT_FIELDS,
+    mdp: GenerativeMdp, policy, n_rollouts: int, horizon: int, seed: int | None = None
 ) -> Rollouts:
     """Roll out ``n_rollouts`` episodes of ``horizon`` steps from the
     initial-state distribution, keeping every step.
 
-    ``policy`` is None (action 0), a planned ``planner.Policy`` (acting
-    through its mask) or the behaviour policy of ``uniform_random_policy``;
-    anything else is refused before any rollout. Stage 1 is
-    ``exo_trajectory`` of ``seed``, or a ``trajectory`` made earlier (with
-    ``behave`` exactly under the behaviour policy; not with ``seed``), whose
-    exo chain every policy rolled out on it walks. Stage 2 steps the endo
-    chains and reads the rewards as ``_stage_two`` says. Fields
-    not named in ``keep`` are None; without ``"reward"`` none is computed,
-    and with it ill-shaped reward tables are refused before any rollout.
+    ``policy`` is a planned ``planner.Policy`` (acting through its mask) or
+    the behaviour policy of ``uniform_random_policy``; anything else is
+    refused before any rollout. Stage 1 is ``exo_trajectory`` of ``seed``,
+    stage 2 steps the endo chains and reads the rewards as ``_stage_two``
+    says: under a planned policy only, so its ill-shaped reward tables are
+    refused before any rollout.
     """
-    if not set(keep) <= set(ROLLOUT_FIELDS):
-        raise ValueError(f"keep {tuple(keep)} names fields not in {ROLLOUT_FIELDS}")
+    trajectory, endo, action, reward = _roll_out(mdp, policy, n_rollouts, horizon, seed)
+    return Rollouts(endo, trajectory.exo, action, reward)
+
+
+def _roll_out(mdp, policy, n_rollouts, horizon, seed) -> tuple:
+    """``(trajectory, endo, action, reward)`` of ``rollouts``: its stage-1
+    ``ExoTrajectory`` and the stacked steps of stage 2."""
+    _check_policy_fits(mdp, policy)
     behave = isinstance(policy, UniformRandomPolicy)
-    if policy is not None:
-        _check_policy_fits(mdp, policy)
-    rewards = "reward" in keep
-    if rewards:
+    if not behave:
         checked_reward_tables(mdp)
-    trajectory = _stage_one(mdp, n_rollouts, horizon, seed, trajectory, behave)
-    lifted = [] if behave or policy is None else [trajectory.lift_policy(policy)]
-    behaviour = policy if behave else None
-    stepped = _stage_two(mdp, trajectory, horizon, lifted, horizon, behaviour, rewards)
+    trajectory = exo_trajectory(mdp, n_rollouts, horizon, seed, behave)
+    if behave:
+        stepped = _stage_two(mdp, trajectory, [], policy)
+    else:
+        stepped = _stage_two(mdp, trajectory, [trajectory.lift_policy(policy)])
     action, reward, endo = zip(*stepped)
-    endo = (trajectory.endo, *endo)
-    return Rollouts(
-        endo=np.stack(endo, axis=1, dtype=np.int32) if "endo" in keep else None,
-        exo=trajectory.exo if "exo" in keep else None,
-        action=np.stack(action, axis=1, dtype=np.int32) if "action" in keep else None,
-        reward=np.stack(reward, axis=1) if rewards else None,
-    )
+    endo = np.stack((trajectory.endo, *endo), axis=1, dtype=np.int32)
+    reward = None if behave else np.stack(reward, axis=1)
+    return trajectory, endo, np.stack(action, axis=1, dtype=np.int32), reward
 
 
 def rollout_returns(
@@ -915,14 +892,12 @@ def rollout_returns(
     horizon: int,
     seed: int | None = None,
     trajectory: ExoTrajectory | None = None,
-    lifted: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """``(P, R)`` truncated discounted returns of the ``R = n_rollouts``
     rollouts of each of ``P`` planned ``policies``, all on the exo chain of
-    ``seed`` or of ``trajectory`` (as in ``rollouts``): common random numbers.
-    ``lifted``, each policy's ``trajectory.lift_policy`` made earlier, saves
-    lifting them again; it needs ``trajectory``, and a table of another
-    shape than ``(N, D)`` is refused before any rollout.
+    ``seed`` (0 when None) or of ``trajectory``, ``exo_trajectory(mdp,
+    n_rollouts, horizon, s)`` made earlier, which gives the returns of seed
+    ``s``: common random numbers.
 
     Stage 2 steps groups of at most ``max(1, CHUNK_ROWS // max(R, N * D))``
     policies together as one set of rows, reads each step's rewards from a
@@ -940,94 +915,67 @@ def rollout_returns(
             )
         _check_policy_fits(mdp, policy)
     checked_reward_tables(mdp)
-    if lifted is not None and trajectory is None:
-        raise ValueError("lifted tables need the trajectory they were lifted on")
-    trajectory = _stage_one(mdp, n_rollouts, horizon, seed, trajectory, False)
-    shape = (mdp.endo_cardinality, len(trajectory.values))
-    if lifted is None:
-        lifted = [trajectory.lift_policy(policy) for policy in policies]
-    elif len(lifted) != len(policies) or any(t.shape != shape for t in lifted):
-        shapes = sorted({t.shape for t in lifted})
-        raise ValueError(
-            f"{len(lifted)} lifted tables of shapes {shapes} do not fit "
-            f"{len(policies)} policies and (N, D) = {shape}"
-        )
+    if trajectory is None:
+        trajectory = exo_trajectory(mdp, n_rollouts, horizon, seed)
+    elif seed is not None:
+        raise ValueError("pass seed or trajectory, not both")
+    n_draws = len(_draw_columns(mdp)[1])
+    want = (n_rollouts, horizon + 1, mdp.m), (n_rollouts, horizon, n_draws)
+    have = trajectory.exo.shape, trajectory.draws.shape
+    if have != want:
+        raise ValueError(f"trajectory shapes {have} do not fit {want}")
+    lifted = [trajectory.lift_policy(policy) for policy in policies]
     out = np.zeros((len(policies), n_rollouts))
-    group = max(1, CHUNK_ROWS // max(n_rollouts, math.prod(shape)))
+    cells = mdp.endo_cardinality * len(trajectory.values)
+    group = max(1, CHUNK_ROWS // max(n_rollouts, cells))
     for lo in range(0, len(policies), group):
         returns = out[lo : lo + group].reshape(-1)  # a view, filled in place
-        block = max(1, CHUNK_ROWS // len(returns))
-        disc, tables = 1.0, lifted[lo : lo + group]
-        for _, reward, _ in _stage_two(
-            mdp, trajectory, horizon, tables, block, rewards=True
-        ):
+        disc = 1.0
+        for _, reward, _ in _stage_two(mdp, trajectory, lifted[lo : lo + group]):
             returns += disc * reward
             disc *= mdp.discount
     return out
 
 
-def _stage_one(mdp, n_rollouts, horizon, seed, trajectory, behave) -> ExoTrajectory:
-    """``exo_trajectory`` of ``seed``, or ``trajectory`` once its shapes are
-    checked to fit (under the behaviour policy, each step keeps one more
-    draw)."""
-    if trajectory is None:
-        return exo_trajectory(mdp, n_rollouts, horizon, seed, behave)
-    if seed is not None:
-        raise ValueError("pass seed or trajectory, not both")
-    n_draws = behave + len(_draw_columns(mdp)[1])
-    want = (n_rollouts, horizon + 1, mdp.m), (n_rollouts, horizon, n_draws)
-    have = trajectory.exo.shape, trajectory.draws.shape
-    if have != want:
-        raise ValueError(f"trajectory shapes {have} do not fit {want}")
-    return trajectory
-
-
-def _stage_two(
-    mdp, trajectory, horizon, lifted, block, behaviour=None, rewards=False
-) -> Iterator[tuple]:
+def _stage_two(mdp, trajectory, lifted, behaviour=None) -> Iterator[tuple]:
     """Stage 2 of the engine, its one step loop: the endo chains on
     ``trajectory`` of P planned policies ``lifted`` onto it
     (``ExoTrajectory.lift_policy``), stepped together as ``P * R`` rows
     (policy-major) that read their actions from one flat ``(P * N * D)``
     table at ``offset + e * D + rank`` (policy, endo value, the chain's
-    rank); or, with none, of ``behaviour``, the behaviour policy, or of
-    action 0 when that is None.
+    rank); or, with none, of ``behaviour``, the behaviour policy.
 
     Yields ``(action, reward, endo)`` at each step: the ``(rows,)``
-    actions, their rewards (None without ``rewards``) and the next endo
-    values. For lifted policies the rewards are read beside the actions
-    from one ``batch_reward`` call over the flat table, else from a call
-    per step. The trajectory's per-step fields are copied for every policy
-    ``block`` steps at a time.
+    actions, their rewards and the next endo values. Planned policies read
+    their rewards beside their actions, from one flat table that
+    ``_rewards`` fills over every policy, endo value and distinct exo
+    vector; the behaviour policy reads none (None). The trajectory's
+    per-step fields are copied for every policy ``max(1, CHUNK_ROWS //
+    rows)`` steps at a time.
     """
     u, index, ranks = trajectory.draws, trajectory.index, trajectory.ranks
-    if behaviour is not None:  # its draw comes first
-        act_u, u = behaviour.action_count * u[:, :, 0], u[:, :, 1:]
-    copies = max(1, len(lifted))
+    copies, r = max(1, len(lifted)), None
     if lifted:
         table = np.stack(lifted).reshape(-1).astype(np.int64)
         n_distinct = lifted[0].shape[1]
         offset = np.repeat(np.arange(copies) * lifted[0].size, len(trajectory.endo))
-        if rewards:  # at every policy, endo value and distinct exo vector
-            cell = np.arange(len(table))
-            exo = mdp.exo_index(trajectory.values).take(cell % n_distinct, axis=0)
-            at = cell // n_distinct % mdp.endo_cardinality
-            reward_table = mdp.batch_reward(at, exo, table)
+        cell = np.arange(len(table))  # at every policy, endo value and exo vector
+        exo = trajectory.values.take(cell % n_distinct, axis=0)
+        at = cell // n_distinct % mdp.endo_cardinality
+        reward_table = _rewards(mdp, at, exo, table)
+    else:  # the behaviour policy's draw comes first
+        act_u, u = behaviour.action_count * u[:, :, 0], u[:, :, 1:]
     e = _repeat_rows(trajectory.endo, copies)
-    a, r = np.zeros(len(e), dtype=np.int64), None  # action 0 unless set below
+    horizon, block = u.shape[1], max(1, CHUNK_ROWS // len(e))
     for t0 in range(0, horizon, block):
         steps = slice(t0, min(t0 + block, horizon))
         x, draws, rank = (_repeat_rows(v[:, steps], copies) for v in (index, u, ranks))
         for s in range(x.shape[1]):
             if lifted:
                 flat = offset + e * n_distinct + rank[:, s]
-                a = table.take(flat)
-            elif behaviour is not None:
+                a, r = table.take(flat), reward_table.take(flat)
+            else:
                 a = act_u[:, t0 + s].astype(np.int64)
-            if rewards and lifted:
-                r = reward_table.take(flat)
-            elif rewards:
-                r = mdp.batch_reward(e, x[:, s], a)
             e = mdp.batch_endo_step(e, x[:, s], a, draws[:, s])
             yield a, r, e
 
@@ -1085,7 +1033,7 @@ def _check_policy_fits(mdp: GenerativeMdp, policy) -> None:
         _check_space_fits(mdp, policy.space)
     elif not isinstance(policy, UniformRandomPolicy):
         raise ValueError(
-            f"policy must be None, a planner.Policy or the UniformRandomPolicy "
+            f"policy must be a planner.Policy or the UniformRandomPolicy "
             f"of uniform_random_policy, got {type(policy).__name__}"
         )
     _check_action_count(mdp, policy)

@@ -30,7 +30,6 @@ from .core import (
 )
 
 _MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))  # up, down, left, right
-ACTION_NAMES = ("up", "down", "left", "right", "stay")
 
 
 def _move_cell(cell: int, direction: int, width: int, height: int) -> int:

@@ -19,17 +19,16 @@ from .core import (
     InsufficientDataError,
     Mask,
     ReducedSpace,
-    Rollouts,
     TabularFullMdp,
     UnsupportedMdpError,
     _atoms,
     _exo_chain,
     _mixed_radix,
+    _roll_out,
     checked_reward_tables,
     exo_ranks,
     reduced_reward_table,
     reduced_space_for,
-    rollouts,
     uniform_random_policy,
 )
 
@@ -37,18 +36,6 @@ from .core import (
 def _narrow(array: np.ndarray) -> np.ndarray:
     """Non-negative integers in the narrowest unsigned dtype that holds them."""
     return array.astype(np.min_scalar_type(int(array.max(initial=0))))
-
-
-def _pair_index(exo: np.ndarray, cardinalities) -> tuple:
-    """``(ranks, values, pairs, pair_counts)`` of ``R`` rollouts' exo chain
-    ``exo`` ``(R, H + 1, m)``, ranked once by ``core.exo_ranks``: each
-    vector's ``(R, H + 1)`` rank into the distinct ``values``, and the
-    distinct ``(rank_t, rank_{t+1})`` pairs with their counts."""
-    (ranks,), values = exo_ranks([exo], cardinalities)
-    d = len(values)
-    keys = _mixed_radix((ranks[:, :-1], ranks[:, 1:]), (d, d)).reshape(-1)
-    pairs, counts = _atoms(keys, d * d)
-    return ranks, values, _narrow(np.stack(np.divmod(pairs, d))), _narrow(counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,47 +59,65 @@ class ExoRolloutDataset:
 
     @classmethod
     def from_chain(cls, exo: np.ndarray, cardinalities, seed: int = 0):
-        """The dataset of ``R`` rollouts' exo chain ``exo`` ``(R, H + 1, m)``."""
-        index = _pair_index(exo, cardinalities)[1:]
-        return cls(*index, tuple(cardinalities), exo.shape[1] - 1, len(exo), seed)
+        """The dataset of ``R`` rollouts' exo chain ``exo`` ``(R, H + 1, m)``,
+        ranked once by ``core.exo_ranks``."""
+        (ranks,), values = exo_ranks([exo], cardinalities)
+        d = len(values)
+        keys = _mixed_radix((ranks[:, :-1], ranks[:, 1:]), (d, d)).reshape(-1)
+        pairs, counts = _atoms(keys, d * d)
+        return cls(
+            values, _narrow(np.stack(np.divmod(pairs, d))), _narrow(counts),
+            tuple(cardinalities), exo.shape[1] - 1, len(exo), seed,
+        )
 
     def __len__(self) -> int:
         return self.n_rollouts * self.horizon
 
 
 @dataclass(frozen=True, eq=False)
-class FullRolloutDataset(ExoRolloutDataset):
+class FullRolloutDataset:
     """Transitions under a behaviour policy, held as their counts.
 
-    It is the exo dataset of its own exo chain, which the action never
-    steers, and each distinct ``(endo * A + action, rank, next endo)`` step,
-    column ``k`` of ``steps`` ``(3, S)`` with ``rank`` into ``values``, was
-    seen ``step_counts[k]`` times.
+    ``values`` are the ``(D, m)`` distinct vectors of the rollouts' exo chain
+    (``core.exo_ranks``), and each distinct ``(endo * A + action, rank, next
+    endo)`` step, column ``k`` of ``steps`` ``(3, S)`` with ``rank`` into
+    ``values``, was seen ``step_counts[k]`` times, both in the narrowest
+    unsigned dtype. Its exo pairs are not counted: the exo table is fitted
+    from the policy-free ``ExoRolloutDataset``.
     """
 
+    values: np.ndarray
     steps: np.ndarray
     step_counts: np.ndarray
+    cardinalities: tuple[int, ...]
     endo_cardinality: int
     action_count: int
+    horizon: int
+    n_rollouts: int
+    seed: int
 
     @classmethod
-    def from_rollouts(
-        cls, run: Rollouts, cardinalities, endo_cardinality: int, action_count: int,
-        seed: int = 0,
+    def from_steps(
+        cls, endo, action, ranks, values, cardinalities, endo_cardinality: int,
+        action_count: int, seed: int = 0,
     ):
-        """The dataset of ``run``'s ``endo``, ``exo`` and ``action``."""
-        ranks, *index = _pair_index(run.exo, cardinalities)
-        n, a, d = endo_cardinality, action_count, len(index[0])
-        digits = (run.endo[:, :-1], run.action, ranks[:, :-1], run.endo[:, 1:])
+        """The dataset of ``R`` rollouts' ``endo`` ``(R, H + 1)`` and
+        ``action`` ``(R, H)``, on an exo chain ranked as ``ranks`` ``(R, H +
+        1)`` into its distinct ``values`` (``core.exo_ranks``)."""
+        n, a, d = endo_cardinality, action_count, len(values)
+        digits = (endo[:, :-1], action, ranks[:, :-1], endo[:, 1:])
         keys = _mixed_radix(digits, (n, a, d, n)).reshape(-1)
         keys, counts = _atoms(keys, n * a * d * n)
         rest, next_endo = np.divmod(keys, n)
         steps = _narrow(np.stack([*np.divmod(rest, d), next_endo]))
-        n_rollouts, horizon = run.action.shape
+        n_rollouts, horizon = action.shape
         return cls(
-            *index, tuple(cardinalities), horizon, n_rollouts, seed,
-            steps, _narrow(counts), endo_cardinality, action_count,
+            values, steps, _narrow(counts), tuple(cardinalities), n, a, horizon,
+            n_rollouts, seed,
         )
+
+    def __len__(self) -> int:
+        return self.n_rollouts * self.horizon
 
 
 # Largest ``rows * cols`` for which a table also keeps its dense form and
@@ -328,19 +333,20 @@ def collect_full_rollouts(
     horizon: int = 1,
     seed: int = 0,
 ) -> FullRolloutDataset:
-    """Roll out full transitions under a behavior policy; no reward is
-    computed.
+    """Roll out full transitions under a behavior policy, as
+    ``core.rollouts`` does, and count them on the ranks of the engine's
+    stage 1: the exo chain is ranked once, and under the behaviour policy no
+    reward is read.
 
     ``policy`` is None (``core.uniform_random_policy``), that behaviour
-    policy, or a planned ``planner.Policy``; ``core.rollouts`` refuses any
-    other.
+    policy, or a planned ``planner.Policy``; the engine refuses any other.
     """
     if policy is None:
         policy = uniform_random_policy(mdp)
-    keep = ("endo", "exo", "action")
-    run = rollouts(mdp, policy, n_rollouts, horizon, seed, keep=keep)
-    return FullRolloutDataset.from_rollouts(
-        run, mdp.exo_cardinalities, mdp.endo_cardinality, mdp.action_count, seed
+    trajectory, endo, action, _ = _roll_out(mdp, policy, n_rollouts, horizon, seed)
+    return FullRolloutDataset.from_steps(
+        endo, action, trajectory.ranks, trajectory.values, mdp.exo_cardinalities,
+        mdp.endo_cardinality, mdp.action_count, seed,
     )
 
 
@@ -377,8 +383,14 @@ def fit_reduced_mdp(
     marginalized out by the projection itself. Both are fitted from the
     datasets' joint counts: each dataset's distinct exo vectors are
     projected once, and every distinct pair or step adds its count, which
-    gives the tables of counting row by row to the bit.
+    gives the tables of counting row by row to the bit. ``exo_data`` must be
+    an ``ExoRolloutDataset``.
     """
+    if not isinstance(exo_data, ExoRolloutDataset):
+        raise ValueError(
+            f"exo_data must be the ExoRolloutDataset of policy-free rollouts, "
+            f"got {type(exo_data).__name__}"
+        )
     if len(exo_data) == 0 or len(full_data) == 0:
         raise InsufficientDataError("cannot fit a reduced model from an empty dataset")
     want = (mdp.exo_cardinalities, mdp.endo_cardinality, mdp.action_count)

@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import numbers
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,9 +23,11 @@ import numpy as np
 import yaml
 
 from .core import Mask
-from .domains import build_preset, list_presets
+from .domains import PRESETS, build_preset, list_presets
 from .estimation import estimate_reward_variables
 from .search import (
+    _STREAM_PHASE1,
+    TERMINAL_EXHAUSTED,
     FitBudget,
     MaskScore,
     SearchParams,
@@ -45,8 +46,6 @@ ALGORITHMS = (
     "first-phase-only",
     "fixed-mask",
 )
-
-WORKERS_ENV_VAR = "EXOMDP_WORKERS"
 
 
 @dataclass
@@ -73,6 +72,8 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def validate(self) -> None:
+        if not isinstance(self.fit, FitBudget):
+            raise ValueError(f"fit must be a mapping of budgets, got {self.fit!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
@@ -121,6 +122,13 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
         if self.domain not in list_presets():
             raise KeyError(f"unknown domain preset {self.domain!r}")
+        fields = sorted(f.name for f in dataclasses.fields(PRESETS[self.domain][0]))
+        overrides = self.domain_overrides
+        if not (isinstance(overrides, dict) and set(overrides) <= set(fields)):
+            raise ValueError(
+                f"domain_overrides must map fields of the {self.domain} spec "
+                f"{fields}, got {overrides!r}"
+            )
         if self.fixed_mask is not None:
             self._validate_fixed_mask()
 
@@ -162,10 +170,12 @@ class ExperimentConfig:
         fixed = data.pop("fixed_mask", None)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
+        if isinstance(fit, dict):
+            budgets = {f.name for f in dataclasses.fields(FitBudget)}
+            unknown |= {f"fit.{key}" for key in set(fit) - budgets}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.fit = FitBudget(**fit) if isinstance(fit, dict) else fit
+        cfg = cls(**data, fit=FitBudget(**fit) if isinstance(fit, dict) else fit)
         cfg.fixed_mask = tuple(fixed) if fixed is not None else None
         cfg.validate()
         return cfg
@@ -346,12 +356,12 @@ def run_trial(config: ExperimentConfig, trial: int) -> tuple[TrialRow, str]:
                 config.variance_threshold,
                 config.n_contexts,
                 config.n_settings,
-                seed=derive_seed(seed, 3),
+                seed=derive_seed(seed, _STREAM_PHASE1),
             )
-            trace = SearchTrace(terminal_reason="exhausted")
+            trace = SearchTrace(terminal_reason=TERMINAL_EXHAUSTED)
         else:  # fixed-mask
             mask = Mask(tuple(config.fixed_mask or ()))
-            trace = SearchTrace(terminal_reason="exhausted")
+            trace = SearchTrace(terminal_reason=TERMINAL_EXHAUSTED)
         wall = time.perf_counter() - t0
         score = next(
             (e.score for e in trace.entries if e.mask == mask and e.score is not None),
@@ -391,25 +401,18 @@ def run_experiment(
 
     Writes ``results.json`` (deterministic: no timing), ``timing.json``
     (wall-clock figures), and one search trace per trial under ``traces/``.
-    Trials run in parallel when ``config.workers > 1`` (or the
-    ``EXOMDP_WORKERS`` environment variable overrides it); rows merge in
-    trial order either way.
+    Trials run in parallel when ``config.workers > 1`` (the ``workers`` key,
+    or ``--workers`` on the command line); rows merge in trial order either
+    way.
     """
     config.validate()
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    try:
-        workers = config.workers if raw is None else int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}")
     indices = list(range(config.n_trials))
-    if workers > 1:
+    if config.workers > 1:
         # imported here: its import tree costs more than a one-worker run needs
         from concurrent.futures import ProcessPoolExecutor
 
         payloads = [(config.to_dict(), i) for i in indices]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(_run_trial_from_dict, payloads))
     else:
         outcomes = [run_trial(config, i) for i in indices]

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     ExomdpError,
-    ExoTrajectory,
     GenerativeMdp,
     Mask,
     PlannerTimeoutError,
@@ -216,18 +215,15 @@ def monte_carlo_value(
     n_rollouts: int,
     horizon: int,
     seed: int | None = None,
-    trajectory: ExoTrajectory | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean truncated discounted return of a reduced policy in the full MDP.
 
     The one-policy case of ``core.rollout_returns``, so results are
-    reproducible bit for bit given ``(seed, n_rollouts, horizon)`` and
-    independent of evaluation order. ``trajectory``,
-    ``core.exo_trajectory(mdp, n_rollouts, horizon, s)`` made earlier, stands
-    in for ``seed`` (0 when None) and gives the value of seed ``s``. Returns
-    ``(mean, per_rollout)``.
+    reproducible bit for bit given ``(seed, n_rollouts, horizon)`` (``seed``
+    0 when None) and independent of evaluation order. Returns ``(mean,
+    per_rollout)``.
     """
-    [returns] = rollout_returns(mdp, [policy], n_rollouts, horizon, seed, trajectory)
+    [returns] = rollout_returns(mdp, [policy], n_rollouts, horizon, seed)
     return float(returns.mean()), returns
 
 
@@ -243,7 +239,7 @@ def count_positive_reward_steps(
     Used as a task-success count in domains where success is the only
     source of positive reward.
     """
-    run = rollouts(mdp, policy, n_rollouts, horizon, seed, keep=("reward",))
+    run = rollouts(mdp, policy, n_rollouts, horizon, seed)
     return int((run.reward > 0.0).sum())
 
 

@@ -244,18 +244,15 @@ class SearchDatasets:
     ) -> list[tuple[float, np.ndarray]]:
         """``planner.monte_carlo_value`` of each of ``policies`` on ``mc``:
         the distinct lifted policies not rolled out yet are, together, in one
-        ``core.rollout_returns`` call, which steps the tables lifted here."""
+        ``core.rollout_returns`` call."""
         keys, new = [], {}
         for policy in policies:
-            lifted = self.mc.lift_policy(policy)
-            key = (n_rollouts, horizon, lifted.tobytes())
+            key = (n_rollouts, horizon, self.mc.lift_policy(policy).tobytes())
             keys.append(key)
             if key not in self.returns:
-                new.setdefault(key, (policy, lifted))
-        todo, lifted = zip(*new.values()) if new else ((), ())
-        batch = rollout_returns(
-            mdp, list(todo), n_rollouts, horizon, trajectory=self.mc, lifted=lifted
-        )
+                new.setdefault(key, policy)
+        todo = list(new.values())
+        batch = rollout_returns(mdp, todo, n_rollouts, horizon, trajectory=self.mc)
         for key, returns in zip(new, batch):
             self.returns[key] = float(returns.mean()), returns
         return [self.returns[key] for key in keys]

@@ -13,6 +13,7 @@ from exomdp.core import (
     TabularFullMdp,
     UniformRandomPolicy,
     VariableSpec,
+    exo_ranks,
     exo_trajectory,
     reduced_space_for,
     rollouts,
@@ -122,21 +123,18 @@ def dataset_of_rows(rows):
     exo = np.stack([rows.exo, rows.next_exo], axis=1)
     if rows.endo is None:
         return ExoRolloutDataset.from_chain(exo, rows.cardinalities)
-    run = Rollouts(
-        endo=np.stack([rows.endo, rows.next_endo], axis=1),
-        exo=exo,
-        action=np.asarray(rows.action)[:, None],
-        reward=None,
-    )
-    return FullRolloutDataset.from_rollouts(
-        run, rows.cardinalities, rows.endo_cardinality, rows.action_count
+    (ranks,), values = exo_ranks([exo], rows.cardinalities)
+    return FullRolloutDataset.from_steps(
+        np.stack([rows.endo, rows.next_endo], axis=1),
+        np.asarray(rows.action)[:, None],
+        ranks, values, rows.cardinalities, rows.endo_cardinality, rows.action_count,
     )
 
 
 def index_oracle(rows):
     """Independent oracle for a dataset's joint exo index: the distinct
     vectors of ``exo`` and ``next_exo`` by ``np.unique(axis=0)``, and the
-    distinct ``(rank, next rank)`` pairs and, for full rows, ``(endo * A +
+    distinct ``(rank, next rank)`` pairs or, for full rows, ``(endo * A +
     action, rank, next endo)`` steps by ``np.unique(axis=0)`` with counts,
     as columns; indices and counts in the narrowest unsigned dtype."""
 
@@ -146,16 +144,15 @@ def index_oracle(rows):
     both = np.concatenate([rows.exo, rows.next_exo])
     values, inverse = np.unique(both, axis=0, return_inverse=True)
     rank, next_rank = np.split(inverse.reshape(-1), 2)
-    pairs, pair_counts = np.unique(
-        np.stack([rank, next_rank], axis=1), axis=0, return_counts=True
-    )
-    index = dict(values=values, pairs=narrow(pairs.T), pair_counts=narrow(pair_counts))
     if rows.endo is not None:
         condition = rows.endo.astype(np.int64) * rows.action_count + rows.action
         steps = np.stack([condition, rank, rows.next_endo], axis=1)
         steps, step_counts = np.unique(steps, axis=0, return_counts=True)
-        index.update(steps=narrow(steps.T), step_counts=narrow(step_counts))
-    return index
+        return dict(values=values, steps=narrow(steps.T), step_counts=narrow(step_counts))
+    pairs, pair_counts = np.unique(
+        np.stack([rank, next_rank], axis=1), axis=0, return_counts=True
+    )
+    return dict(values=values, pairs=narrow(pairs.T), pair_counts=narrow(pair_counts))
 
 
 def assert_index_equals_oracle(dataset, rows):
@@ -304,9 +301,13 @@ def next_state(mdp, state, action, u):
 
 
 def state_reward(mdp, state, action):
-    """The full reward of one state and action."""
-    endo, exo = _one_row(mdp, state)
-    return float(mdp.batch_reward(endo, mdp.exo_index(exo), np.array([action]))[0])
+    """The full reward of one state and action: from 0.0, every variable's
+    ``reward_component_table`` entry added in variable order, one at a time."""
+    endo, exo = state
+    total = 0.0
+    for i, value in enumerate(exo):
+        total += float(mdp.reward_component_table(i)[endo, value, action])
+    return total
 
 
 def reference_rollouts(mdp, policy, n_rollouts, horizon, seed=0):
@@ -316,9 +317,10 @@ def reference_rollouts(mdp, policy, n_rollouts, horizon, seed=0):
     Rollout r draws its uniforms by successive ``rng.random`` calls on its
     own ``SeedSequence(seed, spawn_key=(r,))`` generator: the initial
     state's, then per step the behaviour policy's one (under that policy)
-    and the transition's. Steps are one-row ``batch_initial``,
-    ``step_halves`` and ``batch_reward`` calls; a planned policy acts on
-    the flat index ``endo * n_exo + encode_exo(masked values)``.
+    and the transition's. Steps are one-row ``batch_initial`` and
+    ``step_halves`` calls and rewards ``state_reward``'s, also under the
+    behaviour policy; a planned policy acts on the flat index ``endo *
+    n_exo + encode_exo(masked values)``.
     """
     k = mdp.draws_per_step
     endos, exos, actions, rewards = [], [], [], []
@@ -328,9 +330,7 @@ def reference_rollouts(mdp, policy, n_rollouts, horizon, seed=0):
         endos.append(int(endo[0]))
         exos.append(exo[0].tolist())
         for _ in range(horizon):
-            if policy is None:
-                a = 0
-            elif isinstance(policy, UniformRandomPolicy):
+            if isinstance(policy, UniformRandomPolicy):
                 a = int(policy.action_count * rng.random())
             else:
                 space = policy.space
@@ -338,7 +338,7 @@ def reference_rollouts(mdp, policy, n_rollouts, horizon, seed=0):
                 a = int(policy.actions[endos[-1] * space.n_exo + code])
             action = np.array([a])
             actions.append(a)
-            rewards.append(float(mdp.batch_reward(endo, mdp.exo_index(exo), action)[0]))
+            rewards.append(state_reward(mdp, (endos[-1], exos[-1]), a))
             endo, exo = step_halves(mdp, endo, exo, action, rng.random((1, k)))
             endos.append(int(endo[0]))
             exos.append(exo[0].tolist())

@@ -1,6 +1,5 @@
 import inspect
 import math
-import re
 from unittest import mock
 
 import numpy as np
@@ -257,10 +256,12 @@ class TestGenerativeContract:
         assert worst < 1e-9
 
     @pytest.mark.parametrize("case", REWARD_CASES)
-    def test_batch_reward_is_the_gather_sum_and_the_scalar_rule(self, case):
-        """On random states, ``batch_reward`` equals, byte for byte, every
-        table gathered and added in variable order from zeros (no table
-        skipped), and the scalar rule summed one state at a time."""
+    def test_reward_helper_is_the_gather_sum_and_the_scalar_rule(self, case):
+        """On random states, the engine's reward helper equals, byte for
+        byte, every table gathered and added in variable order from zeros (no
+        table skipped), and the scalar rule summed one state at a time; it
+        reads exo values, also on the tabular MDP whose ``exo_index`` is
+        joint codes."""
         mdp, rule = reward_case(case)
         rng = np.random.default_rng(3)
         rows = 3000
@@ -269,7 +270,7 @@ class TestGenerativeContract:
             [rng.integers(c, size=rows) for c in mdp.exo_cardinalities], axis=1
         ).astype(np.int16)
         action = rng.integers(mdp.action_count, size=rows)
-        got = mdp.batch_reward(endo, mdp.exo_index(exo), action)
+        got = core._rewards(mdp, endo, exo, action)
         gathered = np.zeros(rows)
         for i in range(mdp.m):
             gathered += mdp.reward_component_table(i)[endo, exo[:, i], action]
@@ -600,42 +601,45 @@ class TestRollouts:
             rollouts(gridworld, wide, 2, 2, seed=0)
 
     def test_uniforms_refused_where_they_cannot_apply(self, gridworld):
-        """A stage-1 trajectory (the uniforms it keeps) is refused with a
-        seed, under a policy whose draws it lacks or holds in excess, for
-        other rollout counts or horizons and for another MDP."""
-        policy = random_policy(gridworld, Mask((0, 2)), 0)
+        """A stage-1 trajectory (the uniforms it keeps) is refused by
+        ``rollout_returns`` with a seed, when stepped with the behaviour
+        policy's draws, for other rollout counts or horizons and for another
+        MDP."""
+        policies = [random_policy(gridworld, Mask((0, 2)), 0)]
         trajectory = exo_trajectory(gridworld, 4, 3, seed=0)
-        run = rollouts(gridworld, policy, 4, 3, trajectory=trajectory)
-        assert run.reward.shape == (4, 3)
+        returns = rollout_returns(gridworld, policies, 4, 3, trajectory=trajectory)
+        assert returns.shape == (1, 4)
         with pytest.raises(ValueError, match="not both"):
-            rollouts(gridworld, policy, 4, 3, seed=0, trajectory=trajectory)
-        act = uniform_random_policy(gridworld)
-        with pytest.raises(ValueError, match="do not fit"):
-            rollouts(gridworld, act, 4, 3, trajectory=trajectory)
+            rollout_returns(gridworld, policies, 4, 3, seed=0, trajectory=trajectory)
         with pytest.raises(ValueError, match="do not fit"):
             behave = exo_trajectory(gridworld, 4, 3, 0, behave=True)
-            rollouts(gridworld, None, 4, 3, trajectory=behave)
+            rollout_returns(gridworld, policies, 4, 3, trajectory=behave)
         for n_rollouts, horizon in ((5, 3), (4, 2)):
             with pytest.raises(ValueError, match="do not fit"):
-                rollouts(gridworld, policy, n_rollouts, horizon, trajectory=trajectory)
+                rollout_returns(
+                    gridworld, policies, n_rollouts, horizon, trajectory=trajectory
+                )
+        crowd = build_crowd()
+        planned = [random_policy(crowd, Mask(()), 0)]
         with pytest.raises(ValueError, match="do not fit"):
-            rollouts(build_crowd(), None, 4, 3, trajectory=trajectory)
+            rollout_returns(crowd, planned, 4, 3, trajectory=trajectory)
 
     @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
     @pytest.mark.parametrize("behave", [False, True])
     def test_trajectory_gives_the_rollouts_of_its_seed(self, builder, behave):
+        """``rollouts`` walks the exo chain of ``exo_trajectory`` of its seed
+        (with the behaviour policy's draws under that policy), and
+        ``rollout_returns`` on that trajectory gives the returns of its seed."""
         mdp = builder()
-        if behave:
-            policies = [uniform_random_policy(mdp)]
-        else:
-            policies = [None, random_policy(mdp, Mask((0,)), 3)]
+        planned = random_policy(mdp, Mask((0,)), 3)
+        policy = uniform_random_policy(mdp) if behave else planned
         trajectory = exo_trajectory(mdp, 17, 6, seed=41, behave=behave)
         assert not trajectory.exo.flags.writeable and not trajectory.draws.flags.writeable
-        for policy in policies:
-            got = rollouts(mdp, policy, 17, 6, trajectory=trajectory)
-            want = rollouts(mdp, policy, 17, 6, seed=41)
-            for field in core.ROLLOUT_FIELDS:
-                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert np.array_equal(rollouts(mdp, policy, 17, 6, seed=41).exo, trajectory.exo)
+        if not behave:
+            got = rollout_returns(mdp, [planned], 17, 6, trajectory=trajectory)
+            want = rollout_returns(mdp, [planned], 17, 6, seed=41)
+            assert got.tobytes() == want.tobytes()
 
 
     @pytest.mark.parametrize(
@@ -648,10 +652,35 @@ class TestRollouts:
             raise AssertionError("rollout started")
 
         monkeypatch.setattr(CrowdMdp, "batch_initial", refuse)
-        with pytest.raises(ValueError, match="None, a planner.Policy or the Uniform"):
+        with pytest.raises(ValueError, match="a planner.Policy or the Uniform"):
             rollouts(build_crowd(), policy, 2, 2, seed=0)
-        with pytest.raises(ValueError, match="None, a planner.Policy or the Uniform"):
+        with pytest.raises(ValueError, match="a planner.Policy or the Uniform"):
             collect_full_rollouts(build_crowd(), policy, 2, 2, seed=0)
+
+    def test_no_action_0_policy(self, monkeypatch):
+        """``rollouts`` serves a planned and the behaviour policy only: None
+        (the former action-0 mode) is refused before any rollout."""
+
+        def refuse(*args):
+            raise AssertionError("rollout started")
+
+        monkeypatch.setattr(CrowdMdp, "batch_initial", refuse)
+        with pytest.raises(ValueError, match="policy must be a planner.Policy.*NoneType"):
+            rollouts(build_crowd(), None, 2, 2, seed=0)
+
+    def test_engine_surface(self):
+        """No caller-chosen fields, trajectories or lifted tables: the engine
+        takes what it rolls out and nothing more."""
+        assert list(inspect.signature(rollouts).parameters) == [
+            "mdp", "policy", "n_rollouts", "horizon", "seed"
+        ]
+        assert list(inspect.signature(rollout_returns).parameters) == [
+            "mdp", "policies", "n_rollouts", "horizon", "seed", "trajectory"
+        ]
+        assert "trajectory" not in inspect.signature(monte_carlo_value).parameters
+        assert not hasattr(GenerativeMdp, "batch_reward")
+        assert not hasattr(TabularFullMdp, "batch_reward")
+        assert not hasattr(core, "ROLLOUT_FIELDS")
 
 
 class TestRolloutReturns:
@@ -694,11 +723,9 @@ class TestRolloutReturns:
         cap = core.CHUNK_ROWS if group is None else group * max(self.R, cells)
         monkeypatch.setattr(core, "CHUNK_ROWS", cap)
         rewarded, blocks = [], []
-        reward, repeat = type(mdp).batch_reward, core._repeat_rows
+        reward, repeat = core._rewards, core._repeat_rows
         monkeypatch.setattr(
-            type(mdp),
-            "batch_reward",
-            lambda self, *a: rewarded.append(len(a[0])) or reward(self, *a),
+            core, "_rewards", lambda mdp, *a: rewarded.append(len(a[0])) or reward(mdp, *a)
         )
 
         def repeated(array, copies):  # a block's copies of the uniforms
@@ -743,66 +770,46 @@ class TestRolloutReturns:
             rollout_returns(gridworld, policies, 4, 2, trajectory=trajectory)
         with pytest.raises(ValueError, match="not both"):
             rollout_returns(gridworld, policies, 4, 3, 0, trajectory)
+        with pytest.raises(ValueError, match="do not fit"):
+            behave = exo_trajectory(gridworld, 4, 3, seed=0, behave=True)
+            rollout_returns(gridworld, policies, 4, 3, trajectory=behave)
         assert rollout_returns(gridworld, [], 4, 3, seed=0).shape == (0, 4)
 
-    def test_lifted_tables_of_another_chain_refused(self, monkeypatch):
-        """Tables lifted on another chain index other distinct exo vectors:
-        refused before any rollout, as are tables passed without the
-        trajectory they were lifted on."""
-        mdp = build_crowd()
-        policies = self.stack(mdp)[:2]
-        short = exo_trajectory(mdp, 6, 4, seed=1)
-        other = exo_trajectory(mdp, 40, 4, seed=1)
-        assert len(short.values) != len(other.values)
-        lifted = [other.lift_policy(p) for p in policies]
-        want = rollout_returns(mdp, policies, 6, 4, trajectory=short)
 
-        def refuse(*args):
-            raise AssertionError("rollout started")
-
-        monkeypatch.setattr(CrowdMdp, "batch_endo_step", refuse)
-        n, d = mdp.endo_cardinality, len(short.values)
-        shapes = f"[{(n, len(other.values))}] do not fit 2 policies and (N, D) = {(n, d)}"
-        with pytest.raises(ValueError, match=re.escape(shapes)):
-            rollout_returns(mdp, policies, 6, 4, trajectory=short, lifted=lifted)
-        with pytest.raises(ValueError, match="need the trajectory"):
-            rollout_returns(mdp, policies, 6, 4, seed=1, lifted=lifted)
-        with pytest.raises(ValueError, match="need the trajectory"):
-            rollout_returns(mdp, policies, 6, 4, seed=1, lifted=lifted[:1])
-        monkeypatch.undo()
-        mine = [short.lift_policy(p) for p in policies]
-        got = rollout_returns(mdp, policies, 6, 4, trajectory=short, lifted=mine)
-        assert got.tobytes() == want.tobytes()
+ROLLOUT_FIELDS = ("endo", "exo", "action", "reward")
 
 
 def _policies(mdp, mask):
-    """None, a planned policy over ``mask`` and the behaviour policy."""
-    return {
-        "none": None,
-        "planned": random_policy(mdp, mask, 0),
-        "behaviour": uniform_random_policy(mdp),
-    }
+    """A planned policy over ``mask`` and the behaviour policy."""
+    return {"planned": random_policy(mdp, mask, 0), "behaviour": uniform_random_policy(mdp)}
 
 
 def assert_same_rollouts(mdp, policy, n_rollouts, horizon, seed):
     """The engine on ``mdp`` equals the one-rollout-at-a-time reference,
-    field by field."""
+    field by field; under the behaviour policy it reads no reward."""
     got = rollouts(mdp, policy, n_rollouts, horizon, seed)
     want = reference_rollouts(mdp, policy, n_rollouts, horizon, seed)
-    for field in core.ROLLOUT_FIELDS:
+    behave = isinstance(policy, core.UniformRandomPolicy)
+    for field in ROLLOUT_FIELDS[:3] if behave else ROLLOUT_FIELDS:
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert (got.reward is None) == behave
     return got
 
 
 class TestBatchSamplers:
     """Crowd and factory step all rollouts as arrays, equal to the reference."""
 
-    @pytest.mark.parametrize("policy", ["none", "planned", "behaviour"])
+    @pytest.mark.parametrize("policy", ["planned", "behaviour"])
     @pytest.mark.parametrize(
         "builder, mask",
-        [(build_crowd, Mask((0, 4))), (build_factory, Mask((0, 1, 2)))],
-        ids=["crowd", "factory"],
+        [
+            (build_crowd, Mask((0, 4))),
+            (build_factory, Mask((0, 1, 2))),
+            (build_gridworld, Mask((0, 2))),
+            (lambda: build_random_mdp(0), Mask((1,))),
+        ],
+        ids=["crowd", "factory", "gridworld", "random-0"],
     )
     # one row, under one chunk, and a count that splits unevenly: at a
     # budget of 2**13 uniforms a chunk of horizon 12 holds 63-105 rows
@@ -837,7 +844,7 @@ class TestBatchSamplers:
             budget = 1 << 30 if rows is None else rows * width
             monkeypatch.setattr(core, "CHUNK_DRAWS", budget)
             after = rollouts(mdp, p, 23, 9, 3)
-            for field in core.ROLLOUT_FIELDS:
+            for field in ROLLOUT_FIELDS:
                 assert np.array_equal(getattr(after, field), getattr(before[name], field))
 
     @given(
@@ -865,7 +872,7 @@ class TestBatchSamplers:
 
     def test_objects_are_picked_up_and_dropped(self):
         mdp = build_crowd()
-        exo = rollouts(mdp, None, 50, 40, 0).exo[:, :, 0]
+        exo = exo_trajectory(mdp, 50, 40, 0).exo[:, :, 0]
         n_tables = len(mdp.spec.table_cells)
         carried = exo >= n_tables
         assert carried.any() and (~carried).any()
@@ -880,12 +887,13 @@ class TestBatchSamplers:
             raise AssertionError("reward computed")
 
         monkeypatch.setattr(core, "CHUNK_DRAWS", chunk)
-        monkeypatch.setattr(CrowdMdp, "batch_reward", refuse)
+        monkeypatch.setattr(core, "_rewards", refuse)
         monkeypatch.setattr(CrowdMdp, "reward_component_table", refuse)
         data = collect_exo_rollouts(build_crowd(), 20, 8, seed=1)
         assert len(data) == 160
+        mdp = build_crowd()
         with pytest.raises(AssertionError, match="reward computed"):
-            rollouts(build_crowd(), None, 2, 2, seed=1)
+            rollouts(mdp, random_policy(mdp, Mask((0,)), 0), 2, 2, seed=1)
 
     @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
     def test_exo_collection_never_steps_endo(self, builder, monkeypatch):
@@ -898,7 +906,7 @@ class TestBatchSamplers:
         data = collect_exo_rollouts(mdp, 20, 8, seed=1)
         assert len(data) == 160
         with pytest.raises(AssertionError, match="endo stepped"):
-            rollouts(mdp, None, 2, 2, seed=1)
+            rollouts(mdp, uniform_random_policy(mdp), 2, 2, seed=1)
 
     @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
     @pytest.mark.parametrize("chunk", [core.CHUNK_DRAWS, 1], ids=["batch", "loop"])
@@ -939,12 +947,13 @@ class TestBatchSamplers:
 
     def test_user_mdp_with_array_samplers_only(self):
         mdp = self.Ticker()
-        run = assert_same_rollouts(mdp, uniform_random_policy(mdp), 9, 7, 2)
+        assert_same_rollouts(mdp, uniform_random_policy(mdp), 9, 7, 2)
+        run = assert_same_rollouts(mdp, random_policy(mdp, Mask((0,)), 1), 9, 7, 2)
         assert np.array_equal(run.reward, run.exo[:, :-1, 0])
 
     def test_reward_tables_read_once_per_instance(self):
         mdp = self.Ticker()
-        rollouts(mdp, None, 4, 3, seed=0)
+        rollouts(mdp, random_policy(mdp, Mask(()), 0), 4, 3, seed=0)
         monte_carlo_value(mdp, random_policy(mdp, Mask((0,)), 1), 4, 3, seed=1)
         estimate_reward_variables(mdp, 0.0, 10, 3, seed=0)
         exo = collect_exo_rollouts(mdp, 4, 3)
@@ -959,7 +968,7 @@ class TestBatchSamplers:
 
         mdp, fits = Misshaped(), self.Ticker()  # same cardinalities
         reads = {
-            "rollouts": lambda: rollouts(mdp, None, 2, 2, seed=0),
+            "rollouts": lambda: rollouts(mdp, random_policy(fits, Mask(()), 0), 2, 2),
             "returns": lambda: monte_carlo_value(
                 mdp, random_policy(fits, Mask(()), 0), 2, 2
             ),
@@ -976,6 +985,22 @@ class TestBatchSamplers:
         with pytest.raises(ValueError, match=named):
             reads[read]()
         assert not hasattr(mdp, "started")
+
+    @pytest.mark.parametrize("builder", ["ticker", "crowd", "factory"])
+    def test_behaviour_policy_reads_no_reward_table(self, builder, monkeypatch):
+        """Under the behaviour policy no reward table is read: rollouts and
+        full collections run with the tables and the reward helper refusing."""
+
+        def refuse(*args):
+            raise AssertionError("reward table read")
+
+        builders = {"ticker": self.Ticker, "crowd": build_crowd, "factory": build_factory}
+        mdp = builders[builder]()
+        monkeypatch.setattr(type(mdp), "reward_component_table", refuse)
+        monkeypatch.setattr(core, "_rewards", refuse)
+        run = rollouts(mdp, uniform_random_policy(mdp), 5, 4, seed=0)
+        assert run.reward is None and run.action.shape == (5, 4)
+        assert len(collect_full_rollouts(mdp, None, 5, 4, seed=0)) == 20
 
     class Unsized(GenerativeMdp):
         action_count = endo_cardinality = 1
@@ -1002,8 +1027,9 @@ class TestBatchSamplers:
         class ReadsNothing(self.Unsized):
             draws_per_step = 0
 
+        mdp = ReadsNothing()
         with pytest.raises(ValueError, match="draws_per_step 0.*one step reads"):
-            rollouts(ReadsNothing(), None, 2, 2, seed=0)
+            rollouts(mdp, uniform_random_policy(mdp), 2, 2, seed=0)
 
     @pytest.mark.parametrize(
         "columns, named",
@@ -1014,11 +1040,11 @@ class TestBatchSamplers:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda mdp: rollouts(mdp, None, 2, 2, seed=0),
+            lambda mdp: rollouts(mdp, random_policy(mdp, Mask(()), 0), 2, 2, seed=0),
             lambda mdp: rollouts(mdp, uniform_random_policy(mdp), 2, 2, seed=0),
             lambda mdp: collect_exo_rollouts(mdp, 2, 2, seed=0),
         ],
-        ids=["none", "behaviour", "exo"],
+        ids=["planned", "behaviour", "exo"],
     )
     def test_exo_columns_checked_before_any_rollout(self, columns, named, run):
         class Misdeclared(self.Unsized):
@@ -1039,10 +1065,6 @@ class TestBatchSamplers:
         Partial = type("Partial", (GenerativeMdp,), {**members, "draws_per_step": 1})
         with pytest.raises(TypeError, match=missing):
             Partial()
-
-    def test_unknown_field_refused(self, gridworld):
-        with pytest.raises(ValueError, match="names fields"):
-            rollouts(gridworld, None, 2, 2, seed=0, keep=("rewards",))
 
     def test_behaviour_policy_for_another_mdp_refused(self):
         with pytest.raises(ValueError, match="5 actions"):

@@ -91,7 +91,9 @@ class TestCollectExo:
     @staticmethod
     def assert_matches_loop(mdp, n_rollouts, horizon, seed):
         ds = collect_exo_rollouts(mdp, n_rollouts, horizon, seed)
-        ref = reference_rollouts(mdp, None, n_rollouts, horizon, seed).exo
+        # a planned policy draws no action: its chain is the policy-free one
+        planned = random_policy(mdp, Mask(()), 0)
+        ref = reference_rollouts(mdp, planned, n_rollouts, horizon, seed).exo
         assert ds.values.dtype == ref.dtype == np.int16
         assert_index_equals_oracle(ds, Rows.of_chain(mdp, ref))
 
@@ -160,7 +162,7 @@ class TopValueMdp(GenerativeMdp):
 def test_cardinality_beyond_int16_rejected_before_rollouts(collect):
     widest = TopValueMdp(32768)
     ds = collect(widest)
-    assert ds.values.tolist() == [[32767]] and ds.pairs.tolist() == [[0], [0]]
+    assert ds.values.tolist() == [[32767]] and len(ds) == 6
     too_wide = TopValueMdp(32769)
     with pytest.raises(ValueError, match="32769"):
         collect(too_wide)
@@ -179,7 +181,8 @@ class TestCollectFull:
         def refuse(*args):
             raise AssertionError("reward computed")
 
-        monkeypatch.setattr(type(mdp), "batch_reward", refuse)
+        monkeypatch.setattr(core, "_rewards", refuse)
+        monkeypatch.setattr(type(mdp), "reward_component_table", refuse)
         ds = collect_full_rollouts(mdp, None, 5, 4, seed=0)
         assert len(ds) == ds.step_counts.sum() == 20
 
@@ -191,7 +194,7 @@ class TestCollectFull:
 
     def test_callable_policy(self):
         mdp = constant_reward_mdp([0.0], n_actions=3)
-        with pytest.raises(ValueError, match="None, a planner.Policy or the Uniform"):
+        with pytest.raises(ValueError, match="a planner.Policy or the Uniform"):
             collect_full_rollouts(mdp, lambda s, rng: 2, 5, 5, seed=0)
 
     @pytest.mark.parametrize("n_rollouts, horizon", [(1, 1), (1, 50), (30, 1), (300, 20)])
@@ -297,6 +300,13 @@ class TestFit:
             other_full = collect_full_rollouts(other, None, 5, 5, seed=0)
             with pytest.raises(ValueError, match=r"\(\(2, 2\), 2, 2\)"):
                 fit_reduced_mdp(hand_toy, Mask((0,)), toy_exo, other_full)
+
+    def test_full_dataset_refused_as_exo_data(self, hand_toy):
+        """A full dataset holds no exo pairs: passed where the policy-free
+        exo dataset goes, it is refused with a ValueError naming its type."""
+        full = collect_full_rollouts(hand_toy, None, 5, 5, seed=0)
+        with pytest.raises(ValueError, match="ExoRolloutDataset .*got FullRolloutDataset"):
+            fit_reduced_mdp(hand_toy, Mask((0,)), full, full)
 
     def test_state_budget_enforced(self, hand_toy):
         exo = collect_exo_rollouts(hand_toy, 5, 5, seed=0)
@@ -996,8 +1006,12 @@ class TestDataPolicyInvariance:
         if policy is not None:
             policy = policy(mdp)
         full = collect_full_rollouts(mdp, policy, 2000, 50, seed=1)
+        # the pairs of the exo chain the full data walked: the behaviour
+        # policy's stream holds its action draws, a planned policy's none
+        chain = exo_trajectory(mdp, 2000, 50, seed=1, behave=policy is None).exo
+        driven = ExoRolloutDataset.from_chain(chain, mdp.exo_cardinalities, 1)
         from_free = fit_reduced_mdp(mdp, mask, exo, full)
-        from_policy = fit_reduced_mdp(mdp, mask, full, full)  # its own exo pairs
+        from_policy = fit_reduced_mdp(mdp, mask, driven, full)
         gap = from_free.exo_table.to_dense() - from_policy.exo_table.to_dense()
         tv = 0.5 * np.abs(gap).sum(axis=-1)
         assert float(tv.max()) < 0.02
@@ -1012,17 +1026,47 @@ class TestDatasetsHoldCounts:
         r, h = 100, 20  # 2,000 transitions; at most 16 pairs and 72 steps
         exo = collect_exo_rollouts(mdp, r, h, seed=0)
         full = collect_full_rollouts(mdp, None, r, h, seed=1)
-        provenance = {"cardinalities", "horizon", "n_rollouts", "seed"}
-        pairs = {"values", "pairs", "pair_counts"}
+        provenance = {"values", "cardinalities", "horizon", "n_rollouts", "seed"}
+        pairs = {"pairs", "pair_counts"}
         steps = {"steps", "step_counts", "endo_cardinality", "action_count"}
-        assert isinstance(full, ExoRolloutDataset)
-        for ds, names in ((exo, pairs | provenance), (full, pairs | provenance | steps)):
+        assert not isinstance(full, ExoRolloutDataset)
+        for ds, names in ((exo, pairs | provenance), (full, steps | provenance)):
             assert {f.name for f in dataclasses.fields(ds)} == names
             for name in names:
                 value = getattr(ds, name)
                 if isinstance(value, np.ndarray):
                     assert r * h not in value.shape, name
-            assert len(ds) == r * h == ds.pair_counts.sum()
-        assert full.step_counts.sum() == r * h
+            assert len(ds) == r * h
+        assert exo.pair_counts.sum() == full.step_counts.sum() == r * h
         assert type(full) is FullRolloutDataset
         assert (full.horizon, full.n_rollouts) == (h, r)
+
+    @pytest.mark.parametrize(
+        "builder",
+        [build_gridworld, build_crowd, build_factory, lambda: build_random_mdp(0)],
+        ids=["gridworld", "crowd", "factory", "random-0"],
+    )
+    def test_full_collection_ranks_its_chain_once(self, builder, monkeypatch):
+        """A full collection counts its steps on the ranks its stage 1 made:
+        one ``exo_ranks`` call, one count (its steps; no exo pair is
+        counted), and the steps of counting the raw rows."""
+        mdp = builder()
+        ranked, counted = [], []
+
+        def rank(*args):
+            ranked.append(args)
+            return exo_ranks(*args)
+
+        def count(*args, **kwargs):
+            counted.append(args[1])
+            return core._atoms(*args, **kwargs)
+
+        monkeypatch.setattr(core, "exo_ranks", rank)
+        monkeypatch.setattr(estimation, "exo_ranks", rank)
+        monkeypatch.setattr(estimation, "_atoms", count)
+        full = collect_full_rollouts(mdp, None, 30, 12, seed=5)
+        monkeypatch.undo()
+        n, a, d = mdp.endo_cardinality, mdp.action_count, len(full.values)
+        assert len(ranked) == 1 and counted == [n * a * d * n]
+        assert not hasattr(full, "pairs") and not hasattr(full, "pair_counts")
+        assert_index_equals_oracle(full, full_rows(mdp, None, 30, 12, 5))

@@ -149,6 +149,50 @@ class TestConfig:
         assert cfg.fixed_mask == (0, 1, 2, 3, 4)
         assert tiny_config(domain="crowd-desk", fixed_mask=[]).fixed_mask == ()
 
+    @pytest.mark.parametrize(
+        "fit, named",
+        [
+            (5, "fit must be a mapping of budgets, got 5"),
+            (None, "fit must be a mapping of budgets, got None"),
+            ([150, 25], r"fit must be a mapping of budgets, got \[150, 25\]"),
+            ({**TINY_FIT, "n_exo_rolouts": 150}, r"\['fit.n_exo_rolouts'\]"),
+        ],
+        ids=["int", "null", "list", "misspelt"],
+    )
+    def test_fit_that_is_not_a_budget_mapping_refused_at_load(self, fit, named):
+        # each once raised an AttributeError or a TypeError instead
+        with pytest.raises(ValueError, match=named):
+            tiny_config(fit=fit)
+        with pytest.raises(ValueError, match="fit.full_horzion"):
+            apply_overrides(tiny_config(), ["fit.full_horzion=9"])
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [({"widht": 4}, "widht"), ({"width": 4, "hieght": 3}, "hieght"), ("x", "'x'"),
+         (None, "None"), ([4], r"\[4\]")],
+        ids=["misspelt", "one-of-two", "text", "null", "list"],
+    )
+    def test_domain_overrides_outside_the_spec_refused_at_load(
+        self, overrides, named, monkeypatch
+    ):
+        # each once loaded, and every trial then failed to build its MDP;
+        # the keys are checked against the spec's fields, no MDP is built
+        import exomdp.domains as domains
+
+        def refuse(*args):
+            raise AssertionError("MDP built")
+
+        spec = domains.PRESETS["gridworld-small"][0]
+        monkeypatch.setitem(domains.PRESETS, "gridworld-small", (spec, refuse))
+        searched = dict(algorithm="correlational", fixed_mask=None)
+        message = rf"domain_overrides must map fields of the gridworld-small spec .*{named}"
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**searched, domain_overrides=overrides)
+        cfg = tiny_config(**searched, domain_overrides={"width": 4})
+        assert cfg.domain_overrides == {"width": 4}
+        with pytest.raises(ValueError, match="widht"):
+            apply_overrides(cfg, ["domain_overrides.widht=4"])
+
     def test_mc_horizon_none_derives_the_horizon(self):
         assert tiny_config(mc_horizon=None).search_params().mc_horizon is None
 
@@ -325,6 +369,26 @@ class TestScoreOnce:
             assert set(scored) == searched | {Mask(row.mask)}
 
 
+    @pytest.mark.parametrize("config", ["gridworld_small", "factory_desk", "crowd_desk"])
+    def test_first_phase_mask_is_the_correlational_start(self, config):
+        """first-phase-only screens on the correlational search's phase-1
+        stream: its mask, and its score, are entry 0 of the correlational
+        trace of the same trial. At 3 contexts of 3 settings the screen's
+        mask depends on its stream: on one preset or another, each other
+        stream id gives another mask."""
+        def trial(algorithm):
+            screen = ("n_contexts=3", "n_settings=3")
+            return run_trial(_preset_trial_config(config, algorithm, *screen), 0)
+
+        row, trace_text = trial("first-phase-only")
+        assert row.error is None
+        assert SearchTrace.from_jsonl(trace_text).terminal_reason == "exhausted"
+        _, trace_text = trial("correlational")
+        start = SearchTrace.from_jsonl(trace_text).entries[0]
+        assert start.mask.included == row.mask
+        assert start.score.to_dict() == row.score.to_dict()
+
+
 class TestModalMask:
     def test_mode_with_tie_break(self):
         masks = [(0,), (0, 1), (0, 1), (2,), (2,)]
@@ -453,21 +517,3 @@ class TestWorkers:
             assert a.seed == b.seed
             assert a.mask == b.mask
             assert a.score.objective == b.score.objective
-
-    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
-    def test_env_var_must_be_positive_integer(self, tmp_path, monkeypatch, value):
-        monkeypatch.setenv("EXOMDP_WORKERS", value)
-        with pytest.raises(ValueError, match="EXOMDP_WORKERS"):
-            run_experiment(tiny_config(n_trials=1), out_dir=tmp_path / "bad")
-        assert not (tmp_path / "bad").exists()
-
-    def test_env_var_overrides_worker_count(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EXOMDP_WORKERS", "2")
-        cfg = tiny_config(n_trials=2, workers=1)
-        record = run_experiment(cfg, out_dir=tmp_path / "env")
-        monkeypatch.delenv("EXOMDP_WORKERS")
-        serial = run_experiment(cfg, out_dir=tmp_path / "serial")
-        assert [t.mask for t in record.trials] == [t.mask for t in serial.trials]
-        assert [t.score.objective for t in record.trials] == [
-            t.score.objective for t in serial.trials
-        ]

@@ -11,6 +11,7 @@ from exomdp.core import (
     PlannerTimeoutError,
     ReducedSpace,
     exo_trajectory,
+    rollout_returns,
     rollouts,
     truncation_horizon,
 )
@@ -373,24 +374,20 @@ class TestBatchedRollouts:
 
     def test_predrawn_uniforms_give_the_same_value(self, gridworld):
         """An exo trajectory stepped earlier for seed 11 (it holds the endo
-        uniforms) gives the value of seed 11."""
+        uniforms) gives, through ``rollout_returns``, the value of seed 11."""
         plan = value_iteration(exact_reduced_model(gridworld, Mask((0, 1))), 1e-6)
         trajectory = exo_trajectory(gridworld, 50, 60, 11)
         assert not trajectory.draws.flags.writeable
-        mean, per = monte_carlo_value(
-            gridworld, plan.policy, 50, 60, trajectory=trajectory
-        )
-        assert repr(mean) == "1.8321196698656061"
+        [per] = rollout_returns(gridworld, [plan.policy], 50, 60, trajectory=trajectory)
+        assert repr(float(per.mean())) == "1.8321196698656061"
         assert np.array_equal(per, monte_carlo_value(gridworld, plan.policy, 50, 60, 11)[1])
         with pytest.raises(ValueError, match="do not fit"):
-            monte_carlo_value(gridworld, plan.policy, 50, 59, trajectory=trajectory)
+            rollout_returns(gridworld, [plan.policy], 50, 59, trajectory=trajectory)
         with pytest.raises(ValueError, match="not both"):
-            monte_carlo_value(gridworld, plan.policy, 50, 60, 11, trajectory)
-        with pytest.raises(ValueError, match="not both"):
-            monte_carlo_value(gridworld, plan.policy, 50, 60, 0, trajectory)
+            rollout_returns(gridworld, [plan.policy], 50, 60, 0, trajectory)
         behave = exo_trajectory(gridworld, 50, 60, 11, behave=True)
         with pytest.raises(ValueError, match="do not fit"):
-            monte_carlo_value(gridworld, plan.policy, 50, 60, trajectory=behave)
+            rollout_returns(gridworld, [plan.policy], 50, 60, trajectory=behave)
 
     @given(
         case=random_tabular_cases(),

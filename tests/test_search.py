@@ -320,9 +320,9 @@ class TestSearchDatasets:
 
     def test_cache_keys_hold_one_byte_an_action(self, monkeypatch):
         """On the crowd (9 endo values, 5 actions) each policy is lifted onto
-        the chain once, as one byte an entry: its cache key holds ``N * D``
-        bytes and stage 2 stacks the same tables. Every return is still, to
-        the byte, a standalone ``monte_carlo_value``'s."""
+        the chain as one byte an entry: its cache key holds ``N * D`` bytes
+        and stage 2 stacks the same tables. Every return is still, to the
+        byte, a standalone ``monte_carlo_value``'s."""
         import exomdp.core as core
 
         mdp = build_crowd()
@@ -340,11 +340,12 @@ class TestSearchDatasets:
         monkeypatch.setattr(
             core,
             "_stage_two",
-            lambda *a, **k: stacked.extend(a[3]) or stage_two(*a, **k),
+            lambda *a, **k: stacked.extend(a[2]) or stage_two(*a, **k),
         )
         kept = datasets.monte_carlo_values(mdp, policies, 40, 25)
         n, d = mdp.endo_cardinality, len(datasets.mc.values)
-        assert len(lifts) == len(policies)  # once each, for the key and stage 2
+        # each for its key, and the distinct ones again by rollout_returns
+        assert len(lifts) == len(policies) + len(masks)
         assert all(t.dtype == np.uint8 and t.shape == (n, d) for t in lifts)
         assert len(datasets.returns) == len(stacked) == len(masks)
         for rollouts, horizon, key in datasets.returns:
