@@ -630,112 +630,6 @@ class TabularFullMdp(GenerativeMdp):
         return per_state.reshape(self.endo_cardinality, space.n_exo)[:, proj]
 
 
-def rollout_uniforms(
-    seed: int, n_rollouts: int, draws: int, start: int = 0
-) -> np.ndarray:
-    """Row i: the first ``draws`` doubles of the generator of rollout
-    ``r = start + i``, ``default_rng(SeedSequence(seed, spawn_key=(r,)))``.
-    PCG64 buffers no doubles, so these are what successive ``random`` calls
-    return, however many each call asks for.
-
-    The rows' PCG64 states are derived together, without a ``SeedSequence``
-    or ``Generator`` per row: the entropy pools are hashed as ``uint32``
-    arrays (the spawn word ``r`` is the only word that varies by row), and
-    one generator created here is set to each row's state in turn. The
-    seed must be a non-negative integer and every ``r`` below ``2**32``.
-    """
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if start < 0 or start + n_rollouts > 1 << 32:
-        raise ValueError(
-            f"rollout indices {start}..{start + n_rollouts - 1} must lie in "
-            f"0..2**32-1, one spawn word each"
-        )
-    spawn = np.arange(start, start + n_rollouts, dtype=np.uint32)
-    states = _pcg64_states(_spawn_pools(seed, spawn))
-    bit_generator = np.random.PCG64()
-    gen = np.random.Generator(bit_generator)
-    out = np.empty((n_rollouts, draws))
-    for i, (state, inc) in enumerate(states):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.random(out=out[i])
-    return out
-
-
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
-# numpy's stream-compatibility policy (NEP 19) freezes both algorithms.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U32, _U128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-def _spawn_pools(seed: int, spawn: np.ndarray) -> list[np.ndarray]:
-    """The 4 pool words, each ``(R,)`` uint32, of ``SeedSequence(seed,
-    spawn_key=(w,))`` for every spawn word ``w``: ``mix_entropy`` on the
-    seed's 32-bit words (low first), zero-padded to the pool size as a
-    spawned sequence pads them, then the spawn word."""
-    words = [seed & _U32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _U32)
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.full(len(spawn), w, dtype=np.uint32) for w in words] + [spawn]
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _U32
-        value = value * const  # uint32 arrays wrap mod 2**32
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        z = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return z ^ (z >> 16)
-
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    return pool
-
-
-def _pcg64_states(pool: list[np.ndarray]) -> list[tuple[int, int]]:
-    """Per row, the ``(state, inc)`` of ``PCG64`` seeded from the pool:
-    ``generate_state(4, uint64)`` gives ``initstate`` (words 0, 1, high
-    first) and ``initseq`` (words 2, 3), seeded as PCG's ``srandom``."""
-    const = _INIT_B
-    halves = []  # 8 uint32 words, low half of each uint64 first
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ const
-        const = const * _MULT_B & _U32
-        value = value * const
-        halves.append((value ^ (value >> 16)).astype(np.uint64))
-    words = [(halves[2 * j] | halves[2 * j + 1] << 32).tolist() for j in range(4)]
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in zip(*words):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _U128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _U128
-        states.append((state, inc))
-    return states
-
-
 class UniformRandomPolicy:
     """Behaviour policy: action ``floor(action_count * u)`` from one uniform
     per step, drawn before the step's transition uniforms."""
@@ -789,7 +683,7 @@ class ExoTrajectory:
         return table[:, space.project_codes(self.values)]
 
 
-# Uniforms (doubles, 4 MiB) stage 1 derives and holds per chunk of rollouts,
+# Uniforms (doubles, 4 MiB) stage 1 draws and holds per chunk of rollouts,
 # ``max(1, CHUNK_DRAWS // width)`` of ``width`` each; no result depends on it.
 CHUNK_DRAWS = 1 << 19
 # Rows ``rollout_returns`` steps together and rewards it tabulates at once:
@@ -809,12 +703,14 @@ def exo_trajectory(
 ) -> ExoTrajectory:
     """Stage 1 of the engine: draw the initial states and step the exo chain
     through ``batch_exo_step``, keeping of each step's uniforms only those
-    the exo step does not read. Rollout r reads its own generator,
-    ``SeedSequence(seed, spawn_key=(r,))`` (``seed`` 0 when None):
-    ``draws_per_step`` uniforms for the initial state, then per step the
-    behaviour policy's one (when ``behave``) and ``draws_per_step`` for the
-    transition. ``rollout_uniforms`` derives the streams of as many
-    rollouts at a time as hold ``CHUNK_DRAWS`` uniforms (at least one).
+    the exo step does not read. One generator per seed,
+    ``default_rng(seed)`` (``seed`` a non-negative integer, 0 when None), is
+    read in rollout order: rollout r's uniforms are row r of
+    ``random((R, width))``, ``draws_per_step`` for the initial state, then
+    per step the behaviour policy's one (when ``behave``) and
+    ``draws_per_step`` for the transition. So rollouts 0..R-1 are the same
+    for every larger R, but not for another horizon. The rows are drawn as
+    many rollouts at a time as hold ``CHUNK_DRAWS`` uniforms (at least one).
     """
     endo, exo, draws = _exo_chain(mdp, n_rollouts, horizon, seed, behave, True)
     (ranks,), values = exo_ranks([exo], mdp.exo_cardinalities)
@@ -825,11 +721,19 @@ def exo_trajectory(
 
 
 def _exo_chain(mdp, n_rollouts, horizon, seed, behave=False, keep_draws=False):
-    """``exo_trajectory``'s endo, exo and draws (no column unless ``keep_draws``)."""
+    """``exo_trajectory``'s endo, exo and draws (no column unless
+    ``keep_draws``), from one generator for ``seed`` read in rollout order;
+    refuses a seed that is not a non-negative integer or None."""
     if n_rollouts < 1 or horizon < 1:
         raise ValueError("n_rollouts and horizon must be >= 1")
+    try:
+        seed = 0 if seed is None else operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     exo_cols, endo_cols = _draw_columns(mdp)
-    k, behave, seed = mdp.draws_per_step, int(behave), 0 if seed is None else seed
+    k, behave = mdp.draws_per_step, int(behave)
     endo = np.empty(n_rollouts, dtype=np.int64)
     exo = np.empty((n_rollouts, horizon + 1, mdp.m), dtype=_EXO_DTYPE)
     kept = list(range(behave)) + [behave + c for c in endo_cols] if keep_draws else []
@@ -838,8 +742,9 @@ def _exo_chain(mdp, n_rollouts, horizon, seed, behave=False, keep_draws=False):
     width = k + horizon * (behave + k)  # uniforms per rollout
     n_chunks = -(-n_rollouts // max(1, CHUNK_DRAWS // width))
     bounds = [n_rollouts * i // n_chunks for i in range(n_chunks + 1)]
+    gen = np.random.default_rng(seed)
     for lo, hi in zip(bounds, bounds[1:]):
-        u = rollout_uniforms(seed, hi - lo, width, lo)
+        u = gen.random((hi - lo, width))
         steps = u[:, k:].reshape(hi - lo, horizon, behave + k)
         endo[lo:hi], x = mdp.batch_initial(u[:, :k])
         exo[lo:hi, 0] = x

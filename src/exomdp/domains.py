@@ -225,6 +225,8 @@ class FactoryMdp(GenerativeMdp):
     name = "factory"
 
     def __init__(self, spec: FactorySpec, seed: int = 0):
+        if not 0.0 < spec.discount <= 1.0:
+            raise ValueError(f"discount must be in (0, 1], got {spec.discount}")
         self.spec = spec
         k, d = spec.n_task_vars, spec.n_distractors
         self._specs = tuple(
@@ -336,6 +338,8 @@ class CrowdMdp(GenerativeMdp):
             raise ValueError("need one manipulable flag per object")
         if not 0 <= spec.goal_object < spec.n_objects:
             raise ValueError("goal object index out of range")
+        if not 0.0 < spec.discount <= 1.0:
+            raise ValueError(f"discount must be in (0, 1], got {spec.discount}")
         self.spec = spec
         self._cells = spec.width * spec.height
         self._n_tables = len(spec.table_cells)

@@ -320,7 +320,8 @@ def collect_exo_rollouts(
 
     Runs only the engine's first stage, ``core.exo_trajectory`` without its
     draws: the exo step sees no action and no endo step is taken.
-    Deterministic given ``seed``; rollout r uses its own generator stream.
+    Deterministic given ``seed``: one generator per seed, read in rollout
+    order, so the first R rollouts are the same for any larger count.
     """
     exo = _exo_chain(mdp, n_rollouts, horizon, seed)[1]
     return ExoRolloutDataset.from_chain(exo, mdp.exo_cardinalities, seed)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import Mask
+from .core import ExomdpError, Mask
 from .domains import PRESETS, build_preset, list_presets
 from .estimation import estimate_reward_variables
 from .search import (
@@ -129,13 +129,21 @@ class ExperimentConfig:
                 f"domain_overrides must map fields of the {self.domain} spec "
                 f"{fields}, got {overrides!r}"
             )
+        # build the preset once, so an override value it refuses fails here
+        # rather than every trial
+        try:
+            mdp = build_preset(self.domain, overrides)
+        except (ExomdpError, LookupError, TypeError, ValueError) as err:
+            raise ValueError(
+                f"domain_overrides {overrides!r} do not build the {self.domain} "
+                f"preset: {err}"
+            ) from err
         if self.fixed_mask is not None:
-            self._validate_fixed_mask()
+            self._validate_fixed_mask(mdp.m)
 
-    def _validate_fixed_mask(self) -> None:
+    def _validate_fixed_mask(self, m: int) -> None:
         """Refuse a mask that is not strictly increasing indices of the
-        preset's variables, rather than fail every trial on it."""
-        m = build_preset(self.domain, self.domain_overrides).m
+        preset's ``m`` variables, rather than fail every trial on it."""
         mask = list(self.fixed_mask)
         indices = all(
             isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < m
@@ -214,9 +222,7 @@ def apply_overrides(cfg: ExperimentConfig, assignments: list[str]) -> Experiment
 
 def trial_seed(master_seed: int, trial: int) -> int:
     """Counter-based trial seed: stable when the trial count changes."""
-    return int(
-        np.random.SeedSequence(master_seed, spawn_key=(trial,)).generate_state(1)[0]
-    )
+    return derive_seed(master_seed, trial)
 
 
 @dataclass(frozen=True)

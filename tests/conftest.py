@@ -314,18 +314,18 @@ def reference_rollouts(mdp, policy, n_rollouts, horizon, seed=0):
     """Independent oracle for ``core.rollouts``: every field, every rollout
     stepped alone.
 
-    Rollout r draws its uniforms by successive ``rng.random`` calls on its
-    own ``SeedSequence(seed, spawn_key=(r,))`` generator: the initial
-    state's, then per step the behaviour policy's one (under that policy)
-    and the transition's. Steps are one-row ``batch_initial`` and
-    ``step_halves`` calls and rewards ``state_reward``'s, also under the
-    behaviour policy; a planned policy acts on the flat index ``endo *
-    n_exo + encode_exo(masked values)``.
+    The rollouts draw their uniforms, in rollout order, by successive
+    ``rng.random`` calls on one ``default_rng(seed)`` generator: rollout
+    r's initial state's, then per step the behaviour policy's one (under
+    that policy) and the transition's. Steps are one-row
+    ``batch_initial`` and ``step_halves`` calls and rewards
+    ``state_reward``'s, also under the behaviour policy; a planned policy
+    acts on the flat index ``endo * n_exo + encode_exo(masked values)``.
     """
     k = mdp.draws_per_step
     endos, exos, actions, rewards = [], [], [], []
-    for r in range(n_rollouts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+    rng = np.random.default_rng(seed)
+    for _ in range(n_rollouts):
         endo, exo = mdp.batch_initial(rng.random((1, k)))
         endos.append(int(endo[0]))
         exos.append(exo[0].tolist())

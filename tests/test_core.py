@@ -19,7 +19,6 @@ from exomdp.core import (
     exo_trajectory,
     reduced_space_for,
     rollout_returns,
-    rollout_uniforms,
     rollouts,
     truncation_horizon,
     uniform_random_policy,
@@ -502,62 +501,64 @@ class TestInverseCdf:
         assert gridworld._exo_draw.cum_t is None
 
 
-def test_rollout_uniforms_are_the_per_rollout_streams():
-    u = rollout_uniforms(5, 3, 6)
-    for r in range(3):
-        rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(r,)))
-        assert np.array_equal(u[r], np.concatenate([rng.random(2) for _ in range(3)]))
-    # a row's stream does not depend on the rows drawn with it
-    assert np.array_equal(rollout_uniforms(5, 2, 6, start=1), u[1:])
-    assert np.array_equal(rollout_uniforms(5, 1, 4, start=2)[0], u[2, :4])
+class TestStageOneStream:
+    @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
+    @pytest.mark.parametrize("behave", [False, True])
+    @pytest.mark.parametrize("seed", [13, 2**64 + 5])
+    def test_one_generator_per_seed_read_in_rollout_order(
+        self, builder, behave, seed, monkeypatch
+    ):
+        """Rollout r reads row r of ``default_rng(seed).random((R, width))``:
+        the initial state's uniforms, then per step the behaviour policy's
+        one (when it acts) and the transition's. The first R rollouts are
+        those of R + 7, and a chunk of one uniform changes no byte."""
+        mdp, n, horizon = builder(), 9, 5
+        k, extra = mdp.draws_per_step, int(behave)
+        u = np.random.default_rng(seed).random((n, k + horizon * (extra + k)))
+        steps = u[:, k:].reshape(n, horizon, extra + k)
+        exo_cols = [extra + c for c in mdp.exo_columns]
+        kept = [c for c in range(extra + k) if c not in exo_cols]
+        got = exo_trajectory(mdp, n, horizon, seed, behave)
+        endo, x = mdp.batch_initial(u[:, :k])
+        assert np.array_equal(got.endo, endo) and np.array_equal(got.exo[:, 0], x)
+        for t in range(horizon):
+            x = mdp.batch_exo_step(x, steps[:, t, exo_cols])
+            assert np.array_equal(got.exo[:, t + 1], x)
+        assert np.array_equal(got.draws, steps[:, :, kept])
+        longer = exo_trajectory(mdp, n + 7, horizon, seed, behave)
+        for field in ("endo", "exo", "draws"):
+            assert np.array_equal(getattr(longer, field)[:n], getattr(got, field))
+        monkeypatch.setattr(core, "CHUNK_DRAWS", 1)
+        one = exo_trajectory(mdp, n, horizon, seed, behave)
+        for field in ("endo", "exo", "index", "ranks", "values", "draws"):
+            assert getattr(one, field).tobytes() == getattr(got, field).tobytes()
 
-
-def numpy_rollout_uniforms(seed, n_rollouts, draws, start=0):
-    """Oracle: one numpy ``SeedSequence`` and generator per row."""
-    out = np.empty((n_rollouts, draws))
-    for i in range(n_rollouts):
-        spawn = np.random.SeedSequence(seed, spawn_key=(start + i,))
-        out[i] = np.random.default_rng(spawn).random(draws)
-    return out
-
-
-class TestRolloutUniforms:
-    # 2**64 + 5 has three 32-bit words, 2**130 + 7 five: more than the pool
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
-    @pytest.mark.parametrize("start", [0, 300])
-    @pytest.mark.parametrize("draws", [1, 37, 991])
-    def test_equal_to_numpy_per_row(self, seed, start, draws):
-        got = rollout_uniforms(seed, 5, draws, start)
-        assert np.array_equal(got, numpy_rollout_uniforms(seed, 5, draws, start))
-
-    @given(
-        seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**200)),
-        start=st.integers(0, 2**32 - 9),
-        n_rollouts=st.integers(0, 8),
-        draws=st.integers(1, 40),
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, 1.5, "3"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda mdp, seed: exo_trajectory(mdp, 2, 3, seed),
+            lambda mdp, seed: collect_exo_rollouts(mdp, 2, 3, seed),
+        ],
+        ids=["trajectory", "collect"],
     )
-    @settings(max_examples=60, deadline=None)
-    def test_equal_to_numpy_per_row_drawn(self, seed, start, n_rollouts, draws):
-        got = rollout_uniforms(seed, n_rollouts, draws, start)
-        want = numpy_rollout_uniforms(seed, n_rollouts, draws, start)
-        assert got.shape == want.shape and np.array_equal(got, want)
+    def test_seed_must_be_a_non_negative_integer(self, seed, run, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rollout started")
 
-    def test_last_spawn_word(self):
-        got = rollout_uniforms(9, 2, 3, 2**32 - 2)
-        assert np.array_equal(got, numpy_rollout_uniforms(9, 2, 3, 2**32 - 2))
-
-    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, 1.5, "3", None])
-    def test_seed_must_be_a_non_negative_integer(self, seed):
+        monkeypatch.setattr(CrowdMdp, "batch_initial", refuse)
         with pytest.raises(ValueError, match="seed must be"):
-            rollout_uniforms(seed, 2, 3)
+            run(build_crowd(), seed)
 
-    def test_numpy_integer_seed_accepted(self):
-        assert np.array_equal(rollout_uniforms(np.uint64(7), 2, 3), rollout_uniforms(7, 2, 3))
-
-    @pytest.mark.parametrize("start, n_rollouts", [(2**32 - 1, 2), (2**32, 1), (-1, 2)])
-    def test_rows_beyond_one_spawn_word_refused(self, start, n_rollouts):
-        with pytest.raises(ValueError, match=r"0\.\.2\*\*32-1"):
-            rollout_uniforms(0, n_rollouts, 3, start)
+    def test_numpy_integer_and_none_seeds_accepted(self):
+        mdp = build_crowd()
+        seven = exo_trajectory(mdp, 2, 3, 7)
+        for seed, want in ((np.uint64(7), seven), (None, exo_trajectory(mdp, 2, 3, 0))):
+            assert np.array_equal(exo_trajectory(mdp, 2, 3, seed).exo, want.exo)
+        got = collect_exo_rollouts(mdp, 2, 3, np.int32(7))
+        want = collect_exo_rollouts(mdp, 2, 3, 7)
+        for field in ("pairs", "pair_counts", "values"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 def test_truncation_horizon():

@@ -290,6 +290,18 @@ class TestCrowd:
             build_crowd(CrowdSpec(goal_object=5))
 
 
+@pytest.mark.parametrize(
+    "build, spec", [(build_crowd, CrowdSpec), (build_factory, FactorySpec)],
+    ids=["crowd", "factory"],
+)
+def test_discount_outside_0_1_refused(build, spec):
+    # each once built, as TabularFullMdp refuses it
+    for discount in (0.0, -0.5, 1.5, 5, float("nan")):
+        with pytest.raises(ValueError, match=r"discount must be in \(0, 1\]"):
+            build(spec(discount=discount))
+    assert build(spec(discount=1.0)).discount == 1.0
+
+
 def crowd_step_reference(mdp, state, action, u):
     """The crowd's transition written out one variable at a time: agent k
     reads columns 2k (move) and 2k+1 (direction), object j column

@@ -176,22 +176,43 @@ class TestConfig:
         self, overrides, named, monkeypatch
     ):
         # each once loaded, and every trial then failed to build its MDP;
-        # the keys are checked against the spec's fields, no MDP is built
+        # the keys are checked against the spec's fields before any MDP is built
         import exomdp.domains as domains
 
         def refuse(*args):
             raise AssertionError("MDP built")
 
         spec = domains.PRESETS["gridworld-small"][0]
-        monkeypatch.setitem(domains.PRESETS, "gridworld-small", (spec, refuse))
         searched = dict(algorithm="correlational", fixed_mask=None)
         message = rf"domain_overrides must map fields of the gridworld-small spec .*{named}"
-        with pytest.raises(ValueError, match=message):
-            tiny_config(**searched, domain_overrides=overrides)
-        cfg = tiny_config(**searched, domain_overrides={"width": 4})
-        assert cfg.domain_overrides == {"width": 4}
+        with monkeypatch.context() as patch:
+            patch.setitem(domains.PRESETS, "gridworld-small", (spec, refuse))
+            with pytest.raises(ValueError, match=message):
+                tiny_config(**searched, domain_overrides=overrides)
+        cfg = tiny_config(**searched, domain_overrides={"width": 6})
+        assert cfg.domain_overrides == {"width": 6}
         with pytest.raises(ValueError, match="widht"):
             apply_overrides(cfg, ["domain_overrides.widht=4"])
+
+    @pytest.mark.parametrize(
+        "domain, overrides, named",
+        [
+            ("gridworld-small", {"width": "x"}, "not supported"),
+            ("gridworld-small", {"width": 0}, "outside the 0x4 grid"),
+            ("gridworld-small", {"n_exo_vars": 30}, "over the budget"),
+            ("crowd-desk", {"discount": 5}, r"discount must be in \(0, 1\], got 5"),
+            ("factory-desk", {"discount": 0}, r"discount must be in \(0, 1\], got 0"),
+        ],
+        ids=["text-width", "zero-width", "too-many-vars", "crowd-discount", "factory-discount"],
+    )
+    def test_domain_override_values_the_preset_refuses_refused_at_load(
+        self, domain, overrides, named
+    ):
+        # each once loaded (the crowd one even built), and every trial then failed
+        message = rf"domain_overrides {{.*}} do not build the {domain} preset: .*{named}"
+        searched = dict(algorithm="correlational", fixed_mask=None)
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**searched, domain=domain, domain_overrides=overrides)
 
     def test_mc_horizon_none_derives_the_horizon(self):
         assert tiny_config(mc_horizon=None).search_params().mc_horizon is None
@@ -211,6 +232,10 @@ class TestConfig:
         seeds_small = [trial_seed(3, i) for i in range(3)]
         seeds_large = [trial_seed(3, i) for i in range(10)]
         assert seeds_large[:3] == seeds_small
+        # the formula it had before it became the search's stream derivation
+        for master, trial in ((3, 0), (7, 9), (2**40, 3)):
+            spawn = np.random.SeedSequence(master, spawn_key=(trial,))
+            assert trial_seed(master, trial) == int(spawn.generate_state(1)[0])
 
 
 class TestRunExperiment:

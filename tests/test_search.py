@@ -219,8 +219,8 @@ TINY = SearchParams(
 class TestSearchDatasets:
     def test_monte_carlo_uniforms_drawn_once_per_search(self, gridworld, monkeypatch):
         """However many masks a search scores (32 in brute force, 3 in this
-        greedy run), it derives every stream and steps the exo chain once
-        per chunk of its three stage-1 runs."""
+        greedy run), it runs stage 1 three times, once per seed, and steps
+        the exo chain once per chunk of each run."""
         for search, n_masks in ((mask_brute_force, 32), (mask_greedy, 3)):
             with monkeypatch.context() as patch:
                 self.assert_stage_one_once(gridworld, search, n_masks, patch)
@@ -228,15 +228,19 @@ class TestSearchDatasets:
     @staticmethod
     def assert_stage_one_once(gridworld, search, n_masks, monkeypatch):
         import exomdp.core as core
+        import exomdp.estimation as estimation
         import exomdp.search as search_module
 
         # a budget at which each stage-1 run takes several chunks
         monkeypatch.setattr(core, "CHUNK_DRAWS", 1 << 12)
-        draws, exo_steps = [], []
-        original = core.rollout_uniforms
-        monkeypatch.setattr(
-            core, "rollout_uniforms", lambda *a: draws.append(a) or original(*a)
-        )
+        stage_one, exo_steps = [], []
+        original = core._exo_chain
+        for module in (core, estimation):  # estimation imports it by name
+            monkeypatch.setattr(
+                module,
+                "_exo_chain",
+                lambda *a: stage_one.append(a[1:4]) or original(*a),
+            )
         step = type(gridworld).batch_exo_step
         monkeypatch.setattr(
             type(gridworld),
@@ -256,9 +260,18 @@ class TestSearchDatasets:
             (chunks(fit.n_full_rollouts, fit.full_horizon, 1), fit.full_horizon),
             (chunks(QUICK.n_rollouts, mc_horizon, 0), mc_horizon),
         ]
-        mc_seed = search_module.derive_seed(4, search_module._STREAM_MC)
-        assert len(draws) == len(set(draws)) == sum(n for n, _ in runs)
-        assert [d[0] for d in draws].count(mc_seed) == runs[2][0] > 1
+        streams = (
+            search_module._STREAM_EXO,
+            search_module._STREAM_FULL,
+            search_module._STREAM_MC,
+        )
+        seeds = [search_module.derive_seed(4, stream) for stream in streams]
+        assert sorted(stage_one, key=lambda run: seeds.index(run[2])) == [
+            (fit.n_exo_rollouts, fit.exo_horizon, seeds[0]),
+            (fit.n_full_rollouts, fit.full_horizon, seeds[1]),
+            (QUICK.n_rollouts, mc_horizon, seeds[2]),
+        ]
+        assert runs[2][0] > 1
         assert len(exo_steps) == sum(n * horizon for n, horizon in runs)
         rows = fit.n_exo_rollouts * fit.exo_horizon + fit.n_full_rollouts * fit.full_horizon
         assert sum(exo_steps) == rows + QUICK.n_rollouts * mc_horizon
