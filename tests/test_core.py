@@ -504,7 +504,9 @@ class TestInverseCdf:
 class TestStageOneStream:
     @pytest.mark.parametrize("builder", [build_gridworld, build_crowd, build_factory])
     @pytest.mark.parametrize("behave", [False, True])
-    @pytest.mark.parametrize("seed", [13, 2**64 + 5])
+    # seeds on both sides of the 32- and 64-bit word boundaries, and one of
+    # five words: each reaches ``default_rng`` whole
+    @pytest.mark.parametrize("seed", [0, 1, 13, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
     def test_one_generator_per_seed_read_in_rollout_order(
         self, builder, behave, seed, monkeypatch
     ):
@@ -532,6 +534,27 @@ class TestStageOneStream:
         one = exo_trajectory(mdp, n, horizon, seed, behave)
         for field in ("endo", "exo", "index", "ranks", "values", "draws"):
             assert getattr(one, field).tobytes() == getattr(got, field).tobytes()
+
+    @given(
+        seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**200)),
+        n_rollouts=st.integers(1, 12),
+        horizon=st.integers(1, 4),
+        budget=st.integers(1, 200),
+        behave=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_no_byte_depends_on_the_chunk_budget(
+        self, seed, n_rollouts, horizon, budget, behave
+    ):
+        """Any ``CHUNK_DRAWS`` (chunks of one rollout, several, or uneven
+        splits of the rows) gives the bytes of one chunk of every rollout."""
+        mdp = build_crowd()
+        whole = exo_trajectory(mdp, n_rollouts, horizon, seed, behave)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "CHUNK_DRAWS", budget)
+            chunked = exo_trajectory(mdp, n_rollouts, horizon, seed, behave)
+        for field in ("endo", "exo", "index", "ranks", "values", "draws"):
+            assert getattr(chunked, field).tobytes() == getattr(whole, field).tobytes()
 
     @pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, 1.5, "3"])
     @pytest.mark.parametrize(
