@@ -73,6 +73,20 @@ def _sticky_rows(card: int, flip_prob: float) -> np.ndarray:
     return rows
 
 
+def _check_spec(spec, counts: tuple[str, ...]) -> None:
+    """Refuse a generative spec whose discount is outside (0, 1], whose
+    ``*_prob`` fields are outside [0, 1] or whose ``counts`` are negative;
+    each check states what must hold, so that NaN fails it."""
+    if not 0.0 < spec.discount <= 1.0:
+        raise ValueError(f"discount must be in (0, 1], got {spec.discount}")
+    for name in (f.name for f in dataclasses.fields(spec)):
+        value = getattr(spec, name)
+        if name.endswith("_prob") and not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        if name in counts and not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Gridworld
 # ---------------------------------------------------------------------------
@@ -225,8 +239,7 @@ class FactoryMdp(GenerativeMdp):
     name = "factory"
 
     def __init__(self, spec: FactorySpec, seed: int = 0):
-        if not 0.0 < spec.discount <= 1.0:
-            raise ValueError(f"discount must be in (0, 1], got {spec.discount}")
+        _check_spec(spec, counts=("n_task_vars", "n_distractors"))
         self.spec = spec
         k, d = spec.n_task_vars, spec.n_distractors
         self._specs = tuple(
@@ -338,8 +351,10 @@ class CrowdMdp(GenerativeMdp):
             raise ValueError("need one manipulable flag per object")
         if not 0 <= spec.goal_object < spec.n_objects:
             raise ValueError("goal object index out of range")
-        if not 0.0 < spec.discount <= 1.0:
-            raise ValueError(f"discount must be in (0, 1], got {spec.discount}")
+        _check_spec(spec, counts=("width", "height", "n_agents"))
+        if not 0 <= spec.start_cell < spec.width * spec.height:
+            grid = f"{spec.width}x{spec.height} grid"
+            raise ValueError(f"start_cell {spec.start_cell} outside the {grid}")
         self.spec = spec
         self._cells = spec.width * spec.height
         self._n_tables = len(spec.table_cells)

@@ -483,14 +483,14 @@ def _report_rows(records: list[ResultRecord]) -> list[dict]:
 
 
 def curve_rows(trace: SearchTrace) -> list[dict]:
-    """Per-iteration objective curve (mask size against scores)."""
+    """Objective curve by iteration, an entry's position in the trace."""
     rows = []
-    for entry in trace.entries:
+    for iteration, entry in enumerate(trace.entries):
         if entry.score is None:
             continue
         rows.append(
             {
-                "iteration": entry.iteration,
+                "iteration": iteration,
                 "mask_size": len(entry.mask),
                 "objective": entry.score.objective,
                 "mean_return": entry.score.mean_return,

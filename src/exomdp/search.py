@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,50 +95,44 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class MaskScore:
-    """Score of one mask: ``objective = mean_return - lam * cost``.
-
-    ``wall_time`` is the seconds spent on the mask: fitting and planning it
-    (after collecting data, where it collects its own), plus an equal share
-    of the Monte Carlo pass that scored it with the other masks of that
-    pass. It is timing, so ``results.json`` and the traces never hold it:
-    ``to_dict`` writes it only with ``include_timing``.
-    """
+    """Score of one mask: ``objective = mean_return - lam * cost``."""
 
     mask: Mask
     objective: float
     mean_return: float
     cost: float
     lam: float
-    wall_time: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    @classmethod
+    def of(cls, mask: Mask, mean_return: float, lam: float) -> "MaskScore":
+        """The score of ``mask`` at ``mean_return``; a mask costs its size."""
+        cost = float(len(mask))
+        return cls(mask, mean_return - lam * cost, mean_return, cost, lam)
+
+    def to_dict(self) -> dict:
+        return {
             "mask": list(self.mask.included),
             "objective": self.objective,
             "mean_return": self.mean_return,
             "cost": self.cost,
             "lam": self.lam,
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "MaskScore":
-        """Inverse of ``to_dict``; ``wall_time`` defaults to 0.0 when absent."""
+        """Inverse of ``to_dict``; other keys, such as the ``wall_time`` of
+        older records, are ignored."""
         return cls(
             mask=Mask(tuple(data["mask"])),
             objective=data["objective"],
             mean_return=data["mean_return"],
             cost=data["cost"],
             lam=data["lam"],
-            wall_time=data.get("wall_time", 0.0),
         )
 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    iteration: int
     mask: Mask
     mi_scores: dict[int, float] | None
     accepted: bool
@@ -147,7 +140,6 @@ class TraceEntry:
 
     def to_dict(self) -> dict:
         return {
-            "iteration": self.iteration,
             "mask": list(self.mask.included),
             "mi_scores": (
                 {str(k): v for k, v in sorted(self.mi_scores.items())}
@@ -161,22 +153,21 @@ class TraceEntry:
 
 @dataclass
 class SearchTrace:
-    """Per-iteration search diagnostics; serializes to line-delimited JSON."""
+    """Per-iteration search diagnostics; serializes to line-delimited JSON,
+    each entry's line carrying its position as ``iteration``."""
 
     entries: list[TraceEntry] = field(default_factory=list)
     terminal_reason: str = ""
-
-    def add(self, entry: TraceEntry) -> None:
-        if self.entries and entry.iteration <= self.entries[-1].iteration:
-            raise ValueError("trace iterations must be strictly increasing")
-        self.entries.append(entry)
 
     def best_score(self) -> MaskScore | None:
         scored = [e.score for e in self.entries if e.score is not None]
         return max(scored, key=lambda s: s.objective) if scored else None
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(e.to_dict(), sort_keys=True) for e in self.entries]
+        lines = [
+            json.dumps({"iteration": i, **e.to_dict()}, sort_keys=True)
+            for i, e in enumerate(self.entries)
+        ]
         lines.append(json.dumps({"terminal_reason": self.terminal_reason}))
         return "\n".join(lines) + "\n"
 
@@ -191,7 +182,6 @@ class SearchTrace:
             score = row["score"]
             trace.entries.append(
                 TraceEntry(
-                    iteration=row["iteration"],
                     mask=Mask(tuple(row["mask"])),
                     mi_scores=(
                         {int(k): v for k, v in row["mi_scores"].items()}
@@ -285,8 +275,8 @@ def _collect_fit_datasets(mdp: GenerativeMdp, params: SearchParams, seed: int):
 @dataclass
 class WarmStart:
     """The values of the last mask scored with it, from which value iteration
-    starts on the next. Greedy and correlational search stop at their first
-    rejected mask, so along either these are the incumbent's values."""
+    starts on the next. Forward selection stops at its first rejected mask,
+    so along it these are the incumbent's values."""
 
     values: ValueTable | None = None
 
@@ -317,11 +307,9 @@ def estimate_objective(
     ``collect_search_datasets(mdp, params, seed)``, so repeated calls with
     the same arguments give identical scores.
     ``warm`` starts value iteration from a sub-mask's values (``WarmStart``).
-    It is the one-mask case of brute force's two passes: ``_fit``, ``_plan``
-    and ``_score``.
+    It is the one-mask case of brute force's two passes.
     """
     params = params or SearchParams()
-    t0 = time.perf_counter()
     if datasets is None:
         fit_data = _collect_fit_datasets(mdp, params, seed)
     else:
@@ -332,9 +320,12 @@ def estimate_objective(
     del model  # and its model before Monte Carlo: the plan holds no reference
     if warm:
         warm.values = plan.values
-    seconds = time.perf_counter() - t0
-    [score] = _score(mdp, [mask], [plan], [seconds], lam, params, seed, datasets)
-    return score
+    policy, mc = plan.policy, (params.n_rollouts, _mc_horizon(mdp, params))
+    if datasets is None:
+        mean, _ = monte_carlo_value(mdp, policy, *mc, derive_seed(seed, _STREAM_MC))
+    else:
+        [(mean, _)] = datasets.monte_carlo_values(mdp, [policy], *mc)
+    return MaskScore.of(mask, mean, lam)
 
 
 def _fit(mdp: GenerativeMdp, mask: Mask, params: SearchParams, fit_data):
@@ -363,28 +354,6 @@ def _plan(model, params: SearchParams, start: ValueTable | None) -> PlanResult:
             plan.residuals[-1],
         )
     return plan
-
-
-def _score(mdp, masks, plans, seconds, lam, params, seed, datasets) -> list[MaskScore]:
-    """The scores of ``masks`` from their ``plans``: each policy's mean
-    return over ``params.n_rollouts`` rollouts, from ``datasets`` (every
-    distinct lifted policy not rolled out yet, in one pass) or, without
-    them, from the Monte Carlo seed of ``seed``. A score's ``wall_time`` is
-    the mask's ``seconds`` plus an equal share of the rollouts' time."""
-    t0 = time.perf_counter()
-    policies = [plan.policy for plan in plans]
-    mc = (params.n_rollouts, _mc_horizon(mdp, params))
-    if datasets is None:
-        mc_seed = derive_seed(seed, _STREAM_MC)
-        values = [monte_carlo_value(mdp, p, *mc, mc_seed) for p in policies]
-    else:
-        values = datasets.monte_carlo_values(mdp, policies, *mc)
-    share = (time.perf_counter() - t0) / max(1, len(masks))
-    scores = []
-    for mask, (mean, _), own in zip(masks, values, seconds):
-        cost = float(len(mask))
-        scores.append(MaskScore(mask, mean - lam * cost, mean, cost, lam, own + share))
-    return scores
 
 
 def _better(a: MaskScore, b: MaskScore | None) -> bool:
@@ -430,9 +399,8 @@ def mask_brute_force(
     datasets = collect_search_datasets(mdp, params, seed)
     fit_data = datasets.exo, datasets.full
     masks = [Mask(tuple(i for i in range(m) if b >> i & 1)) for b in range(2**m)]
-    plans, seconds = {}, {}
+    plans = {}
     for b, mask in enumerate(masks):
-        t0 = time.perf_counter()
         try:
             reduced_space_for(mdp, mask, params.state_budget)
         except StateSpaceTooLargeError as exc:
@@ -441,23 +409,51 @@ def mask_brute_force(
             continue
         parent = plans[b ^ (1 << (b.bit_length() - 1))].values if b else None
         plans[b] = _plan(_fit(mdp, mask, params, fit_data), params, parent)
-        seconds[b] = time.perf_counter() - t0
     if not plans:
         raise StateSpaceTooLargeError(
             f"no mask fits the state budget of {params.state_budget}"
         )
-    scored = [masks[b] for b in plans], [*plans.values()], [*seconds.values()]
-    scores = dict(zip(plans, _score(mdp, *scored, lam, params, seed, datasets)))
-    trace = SearchTrace()
+    mc = params.n_rollouts, _mc_horizon(mdp, params)
+    values = datasets.monte_carlo_values(mdp, [p.policy for p in plans.values()], *mc)
+    scores = {b: MaskScore.of(masks[b], v, lam) for b, (v, _) in zip(plans, values)}
+    trace = SearchTrace(terminal_reason=TERMINAL_EXHAUSTED)
     best: MaskScore | None = None
     for b, mask in enumerate(masks):
         score = scores.get(b)
         improved = score is not None and _better(score, best)
         if improved:
             best = score
-        trace.add(TraceEntry(b, mask, None, improved, score))
-    trace.terminal_reason = TERMINAL_EXHAUSTED
+        trace.entries.append(TraceEntry(mask, None, improved, score))
     return best.mask, trace
+
+
+def _forward(mdp, start, propose, lam, params, seed, datasets):
+    """Forward selection from ``start``, each mask scored by ``estimate_objective``
+    on ``datasets`` along one ``WarmStart``. ``propose(mask)`` gives the next
+    variable and the mutual information that chose it, if any. A candidate is
+    kept only if its objective is strictly higher; the first that is not ends
+    the search. A variable of None ends it too: with mutual information, which
+    fell below the threshold, in a last unscored entry; without, as none is left.
+    """
+    warm = WarmStart()
+    mask = start
+    best = estimate_objective(mdp, mask, lam, params, seed, datasets, warm)
+    trace = SearchTrace([TraceEntry(mask, None, True, best)], TERMINAL_EXHAUSTED)
+    while True:
+        j, mi = propose(mask)
+        if j is None:
+            if mi is not None:
+                trace.entries.append(TraceEntry(mask, mi, False, None))
+                trace.terminal_reason = TERMINAL_MI_BELOW_THRESHOLD
+            return mask, trace
+        candidate = mask.with_variable(j)
+        score = estimate_objective(mdp, candidate, lam, params, seed, datasets, warm)
+        accepted = score.objective > best.objective
+        trace.entries.append(TraceEntry(candidate, mi, accepted, score))
+        if not accepted:
+            trace.terminal_reason = TERMINAL_OBJECTIVE_DECREASED
+            return mask, trace
+        mask, best = candidate, score
 
 
 def mask_greedy(
@@ -474,29 +470,10 @@ def mask_greedy(
     """
     params = params or SearchParams()
     datasets = collect_search_datasets(mdp, params, seed)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(_STREAM_ORDER,))
-    )
-    order = list(rng.permutation(mdp.m))
-    trace = SearchTrace()
-    current = Mask(())
-    warm = WarmStart()
-    best = estimate_objective(mdp, current, lam, params, seed, datasets, warm)
-    trace.add(TraceEntry(0, current, None, True, best))
-    iteration = 1
-    terminal = TERMINAL_EXHAUSTED
-    for j in order:
-        candidate = current.with_variable(int(j))
-        score = estimate_objective(mdp, candidate, lam, params, seed, datasets, warm)
-        accepted = score.objective > best.objective
-        trace.add(TraceEntry(iteration, candidate, None, accepted, score))
-        iteration += 1
-        if not accepted:
-            terminal = TERMINAL_OBJECTIVE_DECREASED
-            break
-        current, best = candidate, score
-    trace.terminal_reason = terminal
-    return current, trace
+    stream = np.random.SeedSequence(seed, spawn_key=(_STREAM_ORDER,))
+    order = iter(np.random.default_rng(stream).permutation(mdp.m).tolist())
+    propose = lambda mask: (next(order, None), None)
+    return _forward(mdp, Mask(()), propose, lam, params, seed, datasets)
 
 
 def mask_correlational(
@@ -521,44 +498,26 @@ def mask_correlational(
     """
     params = params or SearchParams()
     datasets = collect_search_datasets(mdp, params, seed)
-    mask = estimate_reward_variables(
+    start = estimate_reward_variables(
         mdp,
         variance_threshold,
         n_contexts,
         n_settings,
         seed=derive_seed(seed, _STREAM_PHASE1),
     )
-    trace = SearchTrace()
-    warm = WarmStart()
-    best = estimate_objective(mdp, mask, lam, params, seed, datasets, warm)
-    trace.add(TraceEntry(0, mask, None, True, best))
-    iteration = 1
-    while True:
+
+    def propose(mask):
         remaining = [j for j in range(mdp.m) if j not in mask]
         if not remaining:
-            trace.terminal_reason = TERMINAL_EXHAUSTED
-            break
+            return None, None
         mi = {
             j: transition_mutual_information(datasets.exo, mask, j)
             for j in remaining
         }
         j_star = max(remaining, key=lambda j: (mi[j], -j))
-        if mi[j_star] < mi_threshold:
-            trace.add(TraceEntry(iteration, mask, mi, False, None))
-            trace.terminal_reason = TERMINAL_MI_BELOW_THRESHOLD
-            break
-        candidate = mask.with_variable(j_star)
-        score = estimate_objective(mdp, candidate, lam, params, seed, datasets, warm)
-        accepted = score.objective > best.objective
-        trace.add(TraceEntry(iteration, candidate, mi, accepted, score))
-        iteration += 1
-        if accepted:
-            mask, best = candidate, score
-        else:
-            # the failed addition is not kept; the best-scoring prefix wins
-            trace.terminal_reason = TERMINAL_OBJECTIVE_DECREASED
-            break
-    return mask, trace
+        return (None if mi[j_star] < mi_threshold else j_star), mi
+
+    return _forward(mdp, start, propose, lam, params, seed, datasets)
 
 
 @dataclass(frozen=True)

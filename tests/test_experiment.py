@@ -202,8 +202,24 @@ class TestConfig:
             ("gridworld-small", {"n_exo_vars": 30}, "over the budget"),
             ("crowd-desk", {"discount": 5}, r"discount must be in \(0, 1\], got 5"),
             ("factory-desk", {"discount": 0}, r"discount must be in \(0, 1\], got 0"),
+            ("factory-desk", {"task_flip_prob": 2.0}, r"task_flip_prob must be in \[0, 1\]"),
+            ("factory-desk", {"n_task_vars": -1}, "n_task_vars must be >= 0, got -1"),
+            ("factory-desk", {"n_distractors": -2}, "n_distractors must be >= 0, got -2"),
+            ("crowd-desk", {"pickup_prob": 2}, r"pickup_prob must be in \[0, 1\], got 2"),
+            ("crowd-desk", {"drop_prob": -0.5}, r"drop_prob must be in \[0, 1\]"),
+            ("crowd-desk", {"agent_move_prob": float("nan")}, "agent_move_prob .* got nan"),
+            ("crowd-desk", {"n_agents": -1}, "n_agents must be >= 0, got -1"),
+            ("crowd-desk", {"width": -3, "height": -3}, "width must be >= 0, got -3"),
+            ("crowd-desk", {"start_cell": 40}, "start_cell 40 outside the 3x3 grid"),
+            ("crowd-desk", {"start_cell": -1}, "start_cell -1 outside the 3x3 grid"),
         ],
-        ids=["text-width", "zero-width", "too-many-vars", "crowd-discount", "factory-discount"],
+        ids=[
+            "text-width", "zero-width", "too-many-vars", "crowd-discount",
+            "factory-discount", "factory-flip", "factory-task-vars",
+            "factory-distractors", "crowd-pickup", "crowd-drop", "crowd-move-nan",
+            "crowd-agents", "crowd-negative-grid", "crowd-start-off-grid",
+            "crowd-start-negative",
+        ],
     )
     def test_domain_override_values_the_preset_refuses_refused_at_load(
         self, domain, overrides, named
@@ -317,9 +333,35 @@ class TestRunExperiment:
         for timing in (False, True):
             loaded = ResultRecord.from_json(record.to_json(include_timing=timing))
             assert loaded.trials[0].score.to_dict() == row.score.to_dict()
-        timed = MaskScore(Mask((0, 2)), -0.5, 0.25, 2.0, 0.375, wall_time=1.5)
-        assert MaskScore.from_dict(timed.to_dict(include_timing=True)) == timed
-        assert MaskScore.from_dict(timed.to_dict()).wall_time == 0.0
+
+    def test_records_with_a_score_wall_time_still_load(self):
+        """A trace line and a ``results.json`` written when a score carried
+        its own ``wall_time`` load with that key ignored, to equal scores."""
+        score = {"mask": [0, 2], "objective": -0.5, "mean_return": -0.3,
+                 "cost": 2.0, "lam": 0.1, "wall_time": 0.0123}
+        expected = MaskScore(Mask((0, 2)), -0.5, -0.3, 2.0, 0.1)
+        entry = {"iteration": 0, "mask": [0, 2], "mi_scores": None,
+                 "accepted": True, "score": score}
+        trace_text = json.dumps(entry, sort_keys=True) + "\n" + json.dumps(
+            {"terminal_reason": "exhausted"}
+        ) + "\n"
+        trace = SearchTrace.from_jsonl(trace_text)
+        assert [e.score for e in trace.entries] == [expected]
+        assert trace.terminal_reason == "exhausted"
+        config = tiny_config()
+        body = {
+            "config": config.to_dict(),
+            "config_hash": config.config_hash(),
+            "aggregates": {},
+            "trials": [{"trial": 0, "seed": 5, "mask": [0, 2], "score": score,
+                        "error": None, "wall_time": 0.5}],
+        }
+        [row] = ResultRecord.from_json(json.dumps(body)).trials
+        assert row.score == expected
+        assert row.score == MaskScore.of(Mask((0, 2)), -0.3, 0.1)
+        assert row.score.to_dict() == {
+            k: v for k, v in score.items() if k != "wall_time"
+        }
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -363,21 +405,27 @@ class TestScoreOnce:
         import exomdp.search as search
 
         # every collection, a search's or a fixed mask's, fits from these,
-        # and every score, brute force's batch or estimate_objective's one
-        # mask, comes from the shared scoring helper
+        # and every score's mean return comes from one of the two Monte
+        # Carlo passes: the search datasets' batch, or a fixed mask's own
         collections, scored = [], []
-        collect, score = search._collect_fit_datasets, search._score
+        collect = search._collect_fit_datasets
+        batch, alone = search.SearchDatasets.monte_carlo_values, search.monte_carlo_value
 
         def counting_collect(*args, **kwargs):
             collections.append(args)
             return collect(*args, **kwargs)
 
-        def counting_score(mdp, masks, *args):
-            scored.extend(masks)
-            return score(mdp, masks, *args)
+        def counting_batch(self, mdp, policies, *args):
+            scored.extend(p.mask for p in policies)
+            return batch(self, mdp, policies, *args)
+
+        def counting_alone(mdp, policy, *args):
+            scored.append(policy.mask)
+            return alone(mdp, policy, *args)
 
         monkeypatch.setattr(search, "_collect_fit_datasets", counting_collect)
-        monkeypatch.setattr(search, "_score", counting_score)
+        monkeypatch.setattr(search.SearchDatasets, "monte_carlo_values", counting_batch)
+        monkeypatch.setattr(search, "monte_carlo_value", counting_alone)
         config = _preset_trial_config(
             "gridworld_small", algorithm, "fixed_mask=[0,2]", "n_trials=2"
         )

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from exomdp.search import (
     FitBudget,
     SearchParams,
     SearchTrace,
-    TraceEntry,
     WarmStart,
     check_reduction_conditions,
     collect_search_datasets,
@@ -160,7 +160,7 @@ class TestEstimateObjective:
         )
         alone = estimate_objective(mdp, mask, 0.3, TINY, 7)
         assert events == ["full", "vi", "mc"]
-        assert alone == dataclasses.replace(shared, wall_time=alone.wall_time)
+        assert alone == shared
 
     def test_model_and_datasets_freed_before_monte_carlo(self, monkeypatch):
         """Without ``datasets``, neither the fitted model nor its datasets
@@ -170,7 +170,7 @@ class TestEstimateObjective:
         import exomdp.search as search
 
         mdp, refs, alive = build_crowd(), [], []
-        fit, score = search._fit, search._score
+        fit, roll_out = search._fit, search.monte_carlo_value
 
         def record_fit(mdp, mask, params, fit_data):
             model = fit(mdp, mask, params, fit_data)
@@ -179,7 +179,9 @@ class TestEstimateObjective:
 
         monkeypatch.setattr(search, "_fit", record_fit)
         monkeypatch.setattr(
-            search, "_score", lambda *a: alive.extend(r() for r in refs) or score(*a)
+            search,
+            "monte_carlo_value",
+            lambda *a: alive.extend(r() for r in refs) or roll_out(*a),
         )
         estimate_objective(mdp, Mask((0, 4)), 0.3, TINY, 7)
         assert len(alive) == 3 and alive == [None] * 3
@@ -200,7 +202,7 @@ class TestEstimateObjective:
         monkeypatch.setattr(search, "value_iteration", unconverged)
         with caplog.at_level("WARNING", logger="exomdp.search"):
             score = estimate_objective(mdp, Mask((0,)), 0.3, QUICK, seed=1)
-        assert score == dataclasses.replace(plain, wall_time=score.wall_time)
+        assert score == plain
         [record] = caplog.records
         assert record.levelname == "WARNING"
         message = record.getMessage()
@@ -424,8 +426,7 @@ class TestBruteForce:
         assert len(skipped) == 6 and not any(e.accepted for e in skipped)
         for entry, unbounded in zip(trace.entries, free.entries):
             if entry.score is not None:
-                wall = entry.score.wall_time
-                assert entry.score == dataclasses.replace(unbounded.score, wall_time=wall)
+                assert entry.score == unbounded.score
         scores = [e.score for e in trace.entries if e.score is not None]
         best = min(scores, key=lambda s: (-s.objective, len(s.mask), s.mask.included))
         assert mask == best.mask
@@ -617,12 +618,80 @@ class TestValueEquality:
         assert verify_reduction_value_equality(myopic, mask, tol=1e-6)
 
 
+def _chase(driver):
+    return lambda: chase_mdp(m_extra=0, driver=driver)
+
+
+# case: (MDP builder, search, SHA-256 of the search's ``to_jsonl``), as
+# greedy and correlational search wrote them with a loop each. The cases end
+# on every terminal reason, the MI-below-threshold entry included, accept up
+# to three additions and reject a tie, so a moved byte anywhere fails one.
+PINNED_TRACES = {
+    "gridworld-brute": (
+        build_gridworld,
+        lambda mdp: mask_brute_force(mdp, 0.1, QUICK, 3),
+        "7100d9edecdcb8bfca149fb787655c3f100698add902a054b88159998855f95f",
+    ),
+    "gridworld-greedy": (
+        build_gridworld,
+        lambda mdp: mask_greedy(mdp, 0.0, QUICK, 2),
+        "e4fa3b1319f69ff12c3a9afc553302ffec648147cc9041c1ec60a982be31808b",
+    ),
+    "gridworld-correlational": (
+        build_gridworld,
+        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 100, 5, 0.0, QUICK, 3),
+        "6dcef864e3c5d8c07d3e17ca3694bfbcf316fd88730414e89194967432da5d85",
+    ),
+    "gridworld-correlational-mi-stop": (
+        build_gridworld,
+        lambda mdp: mask_correlational(mdp, 0.01, 0.0, 100, 5, 0.0, QUICK, 3),
+        "55da86cfe1efc66544bc72c82ce7b28701c15547918b40386917a5582a088d29",
+    ),
+    "crowd-brute": (
+        build_crowd,
+        lambda mdp: mask_brute_force(mdp, 0.1, TINY, 3),
+        "6d718148286bd234ea30c7c6bbdcc3e2bedd03e7bc3f803c9e594bbb7a52ea87",
+    ),
+    "crowd-greedy": (
+        build_crowd,
+        lambda mdp: mask_greedy(mdp, 0.0, TINY, 3),
+        "c90eff69ab780d3c9ec06cf19cc9a3b5797cdf327da4457901d3954194f53eed",
+    ),
+    "crowd-correlational": (
+        build_crowd,
+        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 100, 5, 0.0, TINY, 3),
+        "7fc9fb455bb4d00e91a5f0960103b6c57567e6671a4c065006595f45d1e56089",
+    ),
+    # zero rewards at no mask cost: every objective ties, and a tie is rejected
+    "chain-greedy-tie": (
+        lambda: build_chain_mdp((2, 2), (0.3, 0.3)),
+        lambda mdp: mask_greedy(mdp, 0.0, QUICK, 0),
+        "a152a7e81edb6769fb35ebe3f54f4bd0e182e54688d990670fc497764d4fe1df",
+    ),
+    "chain-correlational-tie": (
+        lambda: build_chain_mdp((2, 2), (0.3, 0.3)),
+        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 100, 5, 0.0, QUICK, 0),
+        "f3df6d3d825eab10f6b23f7bab96e41da0bf3b68789abd04c82c277e2cb3a7bf",
+    ),
+    "chase-greedy-exhausted": (
+        _chase(False),
+        lambda mdp: mask_greedy(mdp, 0.05, QUICK, 0),
+        "eb605b72e39716d7d75b83e8280e57640f728fe4bdee37726a19f849d54fb4c2",
+    ),
+    "chase-correlational-exhausted": (
+        _chase(True),
+        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 150, 5, 0.0, QUICK, 0),
+        "310742da027f62c72d4dd56e486cc97723cca42b021c9dc8f0016ba15830f47d",
+    ),
+}
+
+
 class TestSearchTrace:
-    def test_iterations_must_increase(self):
-        trace = SearchTrace()
-        trace.add(TraceEntry(0, Mask(()), None, True, None))
-        with pytest.raises(ValueError):
-            trace.add(TraceEntry(0, Mask((1,)), None, False, None))
+    @pytest.mark.parametrize("case", sorted(PINNED_TRACES))
+    def test_trace_bytes_are_pinned(self, case):
+        build, run, digest = PINNED_TRACES[case]
+        _, trace = run(build())
+        assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == digest
 
     def test_jsonl_round_trip(self, gridworld):
         _, trace = mask_correlational(
