@@ -129,17 +129,19 @@ class ExperimentConfig:
                 f"domain_overrides must map fields of the {self.domain} spec "
                 f"{fields}, got {overrides!r}"
             )
-        # build the preset once, so an override value it refuses fails here
-        # rather than every trial
-        try:
-            mdp = build_preset(self.domain, overrides)
-        except (ExomdpError, LookupError, TypeError, ValueError) as err:
-            raise ValueError(
-                f"domain_overrides {overrides!r} do not build the {self.domain} "
-                f"preset: {err}"
-            ) from err
+        # build the preset once per domain and overrides (the record keeps its
+        # variable count), so an override it refuses fails here, not each trial
+        key = (self.domain, repr(overrides))
+        if getattr(self, "_preset", (None,))[:2] != key:
+            try:
+                self._preset = (*key, build_preset(self.domain, overrides).m)
+            except (ExomdpError, LookupError, TypeError, ValueError) as err:
+                raise ValueError(
+                    f"domain_overrides {overrides!r} do not build the {self.domain} "
+                    f"preset: {err}"
+                ) from err
         if self.fixed_mask is not None:
-            self._validate_fixed_mask(mdp.m)
+            self._validate_fixed_mask(self._preset[2])
 
     def _validate_fixed_mask(self, m: int) -> None:
         """Refuse a mask that is not strictly increasing indices of the
@@ -172,7 +174,9 @@ class ExperimentConfig:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
+    def from_dict(cls, data: dict, preset: tuple | None = None) -> "ExperimentConfig":
+        """Validated config of ``data``; ``preset``, another config's preset
+        record, spares a rebuild when domain and overrides match."""
         data = dict(data)
         fit = data.pop("fit", {})
         fixed = data.pop("fixed_mask", None)
@@ -185,6 +189,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**data, fit=FitBudget(**fit) if isinstance(fit, dict) else fit)
         cfg.fixed_mask = tuple(fixed) if fixed is not None else None
+        if preset is not None:
+            cfg._preset = preset
         cfg.validate()
         return cfg
 
@@ -217,7 +223,7 @@ def apply_overrides(cfg: ExperimentConfig, assignments: list[str]) -> Experiment
         for part in parts[:-1]:
             node = node.setdefault(part, {})
         node[parts[-1]] = value
-    return ExperimentConfig.from_dict(data)
+    return ExperimentConfig.from_dict(data, getattr(cfg, "_preset", None))
 
 
 def trial_seed(master_seed: int, trial: int) -> int:

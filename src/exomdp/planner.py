@@ -2,7 +2,8 @@
 
 Value iteration uses synchronous (Jacobi) Bellman backups over the reduced
 state space, exploiting the factorized transition ``P(endo'|endo,a,masked)
-* P(masked'|masked)``. Exact policy evaluation iterates the policy's
+* P(masked'|masked)``, and stops on the span of the Bellman update
+(Puterman 1994, §6.6). Exact policy evaluation iterates the policy's
 Bellman operator to a tight fixed point, on either a reduced model or an
 analytic full MDP. Monte Carlo evaluation executes a reduced policy in the
 full environment.
@@ -28,6 +29,8 @@ from .core import (
     rollouts,
 )
 from .estimation import TabularReducedMdp
+
+TIE_RTOL = 1e-9  # greedy actions this close to the best Q, relatively, tie
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +81,8 @@ class ValueTable:
 class PlanResult:
     """Value-iteration output.
 
-    ``residuals`` holds the max-norm Bellman residual after each sweep.
+    ``residuals`` holds the max-norm Bellman residual after each sweep,
+    ``values`` the midpoint and ``converged`` whether the span test passed.
     """
 
     policy: Policy
@@ -95,9 +99,12 @@ def _q_values(model: TabularReducedMdp, v: np.ndarray) -> np.ndarray:
 
 
 def _greedy_policy(model: TabularReducedMdp, v: np.ndarray) -> Policy:
-    """Greedy policy of values ``v``; ties resolve to the lowest action index."""
+    """Greedy policy of values ``v``: the lowest action within a relative
+    ``TIE_RTOL`` of the best Q, so float noise does not break ties."""
     q = _q_values(model, v)
-    return Policy(model.space, q.argmax(axis=1).reshape(-1), model.action_count)
+    best = q.max(axis=1, keepdims=True)
+    near = q >= best - TIE_RTOL * np.abs(best)
+    return Policy(model.space, near.argmax(axis=1).reshape(-1), model.action_count)
 
 
 def value_iteration(
@@ -106,16 +113,19 @@ def value_iteration(
     timeout: float = 60.0,
     initial: np.ndarray | None = None,
 ) -> PlanResult:
-    """Synchronous value iteration to a max-norm residual below ``epsilon``.
+    """Synchronous value iteration until the span of ``d = T v - v`` is
+    below ``2 * epsilon``, no later than ``max |d| < epsilon`` would stop.
 
-    Starts from ``initial``, finite ``(N, X)`` values (zeros when None): it
-    converges from any start (Puterman 1994, ch. 6). Stops early at
+    Returns MacQueen's midpoint ``T v + g (max d + min d) / (2 (1 - g))``
+    (``T v`` at discount ``g = 1``), within ``g eps / (1 - g)`` of the fixed
+    point, and the greedy policy of ``T v``, ``2 g eps / (1 - g)``-optimal:
+    the max-norm test's bounds (Puterman 1994, §6.6). Starts from
+    ``initial``, finite ``(N, X)`` values (zeros when None). Stops early at
     ``timeout`` seconds and returns the best values so far; raises
     ``PlannerTimeoutError`` only if not even one sweep finished (the error
-    carries the start's greedy policy). Greedy ties break toward the lowest
-    action index.
+    carries the start's greedy policy).
     """
-    if not epsilon > 0:  # NaN too: no residual is ever below it
+    if not epsilon > 0:  # NaN too: no span is ever below it
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     model.assert_valid()
     n, x = model.endo_cardinality, model.n_exo_states
@@ -125,6 +135,7 @@ def value_iteration(
         raise ValueError(
             f"initial values must be finite, of shape {(n, x)}; got {v.shape}"
         )
+    scale = model.discount / (1.0 - model.discount) if model.discount < 1 else 0.0
     residuals: list[float] = []
     converged = False
     while True:
@@ -133,18 +144,19 @@ def value_iteration(
                 f"timed out after {timeout}s before the first sweep",
                 policy=_greedy_policy(model, v),
             )
-        q = _q_values(model, v)
-        v_new = q.max(axis=1)
-        residuals.append(float(np.abs(v_new - v).max()))
+        v_new = _q_values(model, v).max(axis=1)
+        delta = v_new - v
+        hi, lo = float(delta.max()), float(delta.min())
+        residuals.append(max(hi, -lo))
         v = v_new
-        if residuals[-1] < epsilon:
+        if hi - lo < 2 * epsilon:
             converged = True
             break
         if time.perf_counter() - start > timeout:
             break
     return PlanResult(
         policy=_greedy_policy(model, v),
-        values=ValueTable(space=model.space, values=v.reshape(-1)),
+        values=ValueTable(model.space, (v + scale * (hi + lo) / 2).reshape(-1)),
         residuals=tuple(residuals),
         converged=converged,
     )

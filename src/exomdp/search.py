@@ -341,14 +341,15 @@ def _fit(mdp: GenerativeMdp, mask: Mask, params: SearchParams, fit_data):
 
 def _plan(model, params: SearchParams, start: ValueTable | None) -> PlanResult:
     """Value iteration on ``model``, from ``start`` (values over a sub-mask,
-    lifted by ``ValueTable.lift``) or from zeros; an unconverged plan is
-    logged and kept."""
+    lifted by ``ValueTable.lift``) or from zeros; a plan stopped by the
+    timeout before its span test passed is logged and kept."""
     initial = start.lift(model.space) if start is not None else None
     plan = value_iteration(model, params.vi_epsilon, params.vi_timeout, initial)
     if not plan.converged:
         logger.warning(
-            "value iteration for mask %s stopped unconverged after %d sweeps "
-            "(final residual %.3g); scoring its policy anyway",
+            "value iteration for mask %s stopped unconverged after %d sweeps, at "
+            "the timeout before the span test passed (last max-norm residual "
+            "%.3g); scoring its policy anyway",
             model.mask.included,
             len(plan.residuals),
             plan.residuals[-1],

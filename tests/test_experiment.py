@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +384,79 @@ def _preset_trial_config(config, algorithm, *extra):
     if (config, algorithm) == ("crowd_desk", "brute-force"):
         assignments.append("domain_overrides={n_agents: 1}")
     return apply_overrides(load_config(CONFIGS / f"{config}.yaml"), assignments)
+
+
+class TestPresetBuilds:
+    def test_the_preset_is_built_once_per_domain_and_overrides(self, monkeypatch):
+        """``load_config`` builds the preset to check it; ``apply_overrides``
+        and a second ``validate`` reuse its variable count while domain and
+        overrides are unchanged, and build again once either changes."""
+        import exomdp.experiment as experiment
+
+        built = []
+
+        def counting(domain, overrides, *args):
+            built.append((domain, dict(overrides)))
+            return build_preset(domain, overrides, *args)
+
+        monkeypatch.setattr(experiment, "build_preset", counting)
+        cfg = load_config(CONFIGS / "crowd_desk.yaml")
+        full = ["algorithm=fixed-mask", "fixed_mask=[0,1,2,3,4]", "lam=0.1"]
+        cfg = apply_overrides(cfg, full)
+        cfg.validate()
+        assert built == [("crowd-desk", {})]
+        # the fixed mask is still checked, against the recorded count
+        with pytest.raises(ValueError, match="fixed_mask must be strictly increasing"):
+            apply_overrides(cfg, ["fixed_mask=[0,5]"])
+        assert len(built) == 1
+        with pytest.raises(ValueError, match=r"variables 0\.\.3, got \[0, 1, 2, 3, 4\]"):
+            apply_overrides(cfg, ["domain_overrides.n_agents=1"])
+        one_agent = apply_overrides(cfg, ["domain_overrides.n_agents=1", "fixed_mask=[3]"])
+        assert one_agent.fixed_mask == (3,)
+        assert built[1:] == [("crowd-desk", {"n_agents": 1})] * 2
+        # an override changed in place is built again at the next check
+        cfg.domain_overrides["n_agents"] = 1
+        with pytest.raises(ValueError, match=r"variables 0\.\.3"):
+            cfg.validate()
+        assert len(built) == 4
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench's workload definitions, read as they are."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+class TestSweepCounts:
+    @pytest.mark.parametrize(
+        "name, plans, sweeps", [("grid-brute", 32, 228), ("crowd-full", 1, 60)]
+    )
+    def test_benchmark_sweeps_are_pinned(self, workloads, monkeypatch, name, plans, sweeps):
+        """Value-iteration sweeps in trial 0 of two benchmark workloads at
+        master seed 31: over grid-brute's 32 fitted masks and on crowd-full's
+        full mask. The former max-norm stop took 455 and 91."""
+        import exomdp.search as search
+
+        solve, counts = search.value_iteration, []
+
+        def counting(*args, **kwargs):
+            plan = solve(*args, **kwargs)
+            counts.append(len(plan.residuals))
+            return plan
+
+        monkeypatch.setattr(search, "value_iteration", counting)
+        config = workloads.make_config(CONFIGS.parent, workloads.WORKLOADS[name], 31)
+        row, _ = run_trial(config, 0)
+        assert row.error is None
+        assert (len(counts), sum(counts)) == (plans, sweeps)
 
 
 class TestScoreOnce:
