@@ -216,9 +216,10 @@ class SparseTable:
         out = np.multiply.outer(v.sum(axis=1), self.spread)
         if len(self.probs):
             # take and an in-place product: half the time of v[:, cols] * probs
-            gathered = v.take(self.cols, axis=1)
-            gathered *= self.probs
-            out[:, self._segment_rows] += np.add.reduceat(gathered, self._starts, axis=1)
+            for row, vb in zip(out, v):  # a row at a time: B times less memory
+                gathered = vb.take(self.cols)
+                gathered *= self.probs
+                row[self._segment_rows] += np.add.reduceat(gathered, self._starts)
         return out
 
 
@@ -296,10 +297,11 @@ class TabularReducedMdp:
         # segments on the crowd's masks
         gathered = w.take(self._endo_gather)
         gathered *= endo.probs
-        out = np.bincount(endo.rows, weights=gathered, minlength=endo.n_rows)
-        out = out.reshape(n * a, x)
-        out += endo.spread.reshape(n * a, x) * w.sum(axis=0)
-        return out.reshape(n, a, x)
+        out = np.bincount(endo.rows, gathered, endo.n_rows).reshape(n, a, x)
+        w_sum = w.sum(axis=0)
+        for out_n, spread_n in zip(out, endo.spread.reshape(n, a, x)):
+            out_n += spread_n * w_sum  # one endo value at a time: N times less
+        return out
 
     def assert_valid(self, tol: float = 1e-9) -> None:
         # each check states what must hold, so that NaN fails it

@@ -360,8 +360,9 @@ def random_policy(mdp, mask, seed):
 
 
 @st.composite
-def random_tabular_cases(draw):
-    """``(mdp, mask)``: a random analytic MDP with 0-3 variables and a mask."""
+def random_tabular_cases(draw, discounts=st.just(0.9)):
+    """``(mdp, mask)``: a random analytic MDP with 0-3 variables and a mask,
+    its discount drawn from ``discounts``."""
     from exomdp.domains import build_random_mdp
 
     cards = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
@@ -370,6 +371,7 @@ def random_tabular_cases(draw):
         endo_cardinality=draw(st.integers(1, 4)),
         cards=cards,
         n_actions=draw(st.integers(1, 3)),
+        discount=draw(discounts),
     )
     mask = Mask.of(j for j in range(len(cards)) if draw(st.booleans()))
     return mdp, mask

@@ -28,6 +28,7 @@ from exomdp.domains import (
 )
 import exomdp.core as core
 import exomdp.estimation as estimation
+import exomdp.planner as planner
 from exomdp.estimation import (
     ExoRolloutDataset,
     FullRolloutDataset,
@@ -729,10 +730,15 @@ class TestSparseExoTable:
         dense = fit_reduced_mdp(mdp, mask, exo, full)
         assert sparse.endo_table.dense is None and sparse.exo_table.dense is not None
         assert 0 < len(sparse.endo_table._segment_rows) < sparse.endo_table.n_rows
-        plan_sparse = value_iteration(sparse, 1e-10)
-        plan_dense = value_iteration(dense, 1e-10)
-        assert plan_sparse.residuals == pytest.approx(plan_dense.residuals, abs=1e-12)
-        assert np.array_equal(plan_sparse.policy.actions, plan_dense.policy.actions)
+        # plain sweeps at this size, and Anderson steps with the floor lifted
+        for floor in (planner.ANDERSON_MIN_STATES, 0):
+            monkeypatch.setattr(planner, "ANDERSON_MIN_STATES", floor)
+            plan_sparse = value_iteration(sparse, 1e-10)
+            plan_dense = value_iteration(dense, 1e-10)
+            assert plan_sparse.residuals == pytest.approx(
+                plan_dense.residuals, abs=1e-12
+            )
+            assert np.array_equal(plan_sparse.policy.actions, plan_dense.policy.actions)
         for model in (sparse, dense):
             values = exact_policy_evaluation(model, plan_dense.policy, tol=1e-12)
             assert np.allclose(

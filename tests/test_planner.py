@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from exomdp.estimation import (
     exact_reduced_model,
     fit_reduced_mdp,
 )
+import exomdp.planner as planner
 from exomdp.planner import (
+    ANDERSON_MEMORY,
+    ANDERSON_RESTARTS,
     TIE_RTOL,
     Policy,
     ValueTable,
@@ -60,10 +64,41 @@ def bellman_updates(model, v):
         v = tv
 
 
-def first_sweep(model, stop, v=None):
+def accelerated_updates(model, v):
+    """``(T v, T v - v)`` of each sweep of ``value_iteration``'s accelerated
+    loop from ``v``, written out with ``np.linalg.lstsq`` for the weights: on
+    a model of at least ``ANDERSON_MIN_STATES`` states, a sweep that cuts the
+    best span by the discount joins the history; any other clears it; once
+    full, the history's Anderson combination, its constant that of ``T v``,
+    is the next iterate."""
+    best, failures, ds, ts = math.inf, 0, [], []
+    while True:
+        tv = q_values(model, v).max(axis=1)
+        d = tv - v
+        yield tv, d
+        v = tv
+        if d.max() - d.min() <= model.discount * best and (
+            d.size >= planner.ANDERSON_MIN_STATES
+        ):
+            best = d.max() - d.min()
+            ds = [*ds[1 - ANDERSON_MEMORY:], d - d.mean()]
+            ts = [*ts[1 - ANDERSON_MEMORY:], tv]
+        else:
+            failures, ds, ts = failures + bool(ds), [], []
+        if len(ds) == ANDERSON_MEMORY and failures <= ANDERSON_RESTARTS:
+            # min |d_M + sum_i c_i (d_i - d_M)|: weights c and 1 - sum c
+            dm = np.stack([x.ravel() for x in ds], axis=1)
+            c = np.linalg.lstsq(dm[:, :-1] - dm[:, -1:], -dm[:, -1], rcond=None)[0]
+            weights = np.append(c, 1 - c.sum())
+            v = (np.stack([x.ravel() for x in ts], axis=1) @ weights).reshape(tv.shape)
+            v += tv.mean() - v.mean()
+            ds, ts = ds[1:], ts[1:]
+
+
+def first_sweep(model, stop, v=None, updates=bellman_updates):
     """``(sweeps, T v)`` at the first sweep whose update ``d`` passes ``stop(d)``."""
     v = np.zeros((model.endo_cardinality, model.n_exo_states)) if v is None else v
-    for sweep, (tv, d) in enumerate(bellman_updates(model, v), 1):
+    for sweep, (tv, d) in enumerate(updates(model, v), 1):
         if stop(d):
             return sweep, tv
 
@@ -151,6 +186,83 @@ class TestValueIteration:
         achieved = exact_policy_evaluation(model, plan.policy, tol=1e-12).values
         assert (optimal - achieved).max() <= 2 * g * epsilon / (1 - g) + slack
 
+    @given(
+        case=random_tabular_cases(discounts=st.floats(0.5, 0.99)),
+        epsilon=st.sampled_from([1e-1, 1e-3, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_accelerated_stop_keeps_the_guarantees_from_any_start(
+        self, case, epsilon, seed, scale
+    ):
+        """From random finite values and at discounts up to 0.99, the
+        accelerated loop (on every model size here) stops within ``g eps /
+        (1 - g)`` of the fixed point, with a ``2 g eps / (1 - g)``-optimal
+        greedy policy. (Its sweeps are not bounded by a plain loop's from
+        every start: an extrapolation that fails costs sweeps, and on some
+        small models from a random start it stopped up to 5 sweeps after a
+        plain max-norm loop.)"""
+        mdp, mask = case
+        model = exact_reduced_model(mdp, mask)
+        g = model.discount
+        shape = (model.endo_cardinality, model.n_exo_states)
+        initial = scale * np.random.default_rng(seed).standard_normal(shape)
+        with mock.patch.object(planner, "ANDERSON_MIN_STATES", 0):
+            plan = value_iteration(model, epsilon, initial=initial)
+        assert plan.converged
+        _, optimal = first_sweep(model, lambda d: np.abs(d).max() < 1e-12)
+        optimal = optimal.reshape(-1)
+        # the reference's own distance from the fixed point, float noise and
+        # an action within the tie tolerance of the best Q
+        slack = 1e-9 + TIE_RTOL * (np.abs(optimal).max() + model.r_max) / (1 - g)
+        gap = np.abs(plan.values.values - optimal).max()
+        assert gap <= g * epsilon / (1 - g) + slack
+        achieved = exact_policy_evaluation(model, plan.policy, tol=1e-12).values
+        assert (optimal - achieved).max() <= 2 * g * epsilon / (1 - g) + slack
+
+    def test_a_failed_extrapolation_restarts_from_plain_sweeps(self, monkeypatch):
+        """Weights that throw the iterate off raise the next span; each such
+        failure clears the history, so the next Anderson step combines only
+        updates made after it, and after ``ANDERSON_RESTARTS`` failures only
+        plain sweeps run (on a model of any size). The plan still meets the
+        span stop's guarantees."""
+        rng = np.random.default_rng(7)
+        model = make_reduced(
+            rng.dirichlet(np.ones(4), (4, 3, 5)),
+            rng.dirichlet(np.ones(5), 5),
+            rng.normal(size=(4, 3, 5)),
+            discount=0.95,
+        )
+        calls = []
+
+        def wild_weights(ds):
+            calls.append(ds)
+            return [3.0, *[0.0] * (len(ds) - 2), -2.0]
+
+        iterates, q_of = [], planner._q_values
+
+        def recording_q_values(model, v):
+            iterates.append(v.copy())
+            return q_of(model, v)
+
+        monkeypatch.setattr(planner, "ANDERSON_MIN_STATES", 0)
+        monkeypatch.setattr(planner, "_anderson_weights", wild_weights)
+        monkeypatch.setattr(planner, "_q_values", recording_q_values)
+        eps, g = 1e-9, model.discount
+        plan = value_iteration(model, eps)
+        assert plan.converged and len(calls) == ANDERSON_RESTARTS + 1
+        for before, after in zip(calls, calls[1:]):
+            assert not any(d is old for d in after for old in before)
+        # the span rises at each extrapolated iterate and nowhere else
+        spans = [np.ptp(q_values(model, v).max(axis=1) - v) for v in iterates[:-1]]
+        assert sum(b > a for a, b in zip(spans, spans[1:])) == len(calls)
+        _, optimal = first_sweep(model, lambda d: np.abs(d).max() < 1e-12)
+        gap = np.abs(plan.values.values - optimal.reshape(-1)).max()
+        assert gap <= g * eps / (1 - g) + 1e-9
+        achieved = exact_policy_evaluation(model, plan.policy, tol=1e-12).values
+        assert (optimal.reshape(-1) - achieved).max() <= 2 * g * eps / (1 - g) + 1e-9
+
     @pytest.fixture(scope="class")
     def gridworld_fits(self):
         mdp = build_gridworld()
@@ -179,6 +291,20 @@ class TestValueIteration:
             assert np.array_equal(_greedy_policy(model, v).actions, lowest)
             assert np.array_equal(_greedy_policy(model, v + shift).actions, lowest)
 
+    def test_ties_near_zero_go_to_the_lowest_action(self):
+        """Where every Q is about 0 a relative tolerance is about 0 too: on a
+        zero-reward model with values of float noise (about 1e-17, as a warm
+        start leaves on gridworld masks without the goal's variable) every
+        action ties, within the floor set by the reward scale ``r_max``."""
+        rng = np.random.default_rng(5)
+        endo = rng.dirichlet(np.ones(4), (4, 3, 5))
+        exo = rng.dirichlet(np.ones(5), 5)
+        model = make_reduced(endo, exo, np.zeros((4, 3, 5)), 0.95, r_max=1.0)
+        noise = rng.normal(scale=1e-17, size=(4, 5))
+        assert np.all(_greedy_policy(model, noise).actions == 0)
+        plan = value_iteration(model, 1e-4, initial=noise)
+        assert len(plan.residuals) == 1 and np.all(plan.policy.actions == 0)
+
     def test_timeout_before_first_sweep(self):
         model = chain_reduced([1.0, 2.0], gamma=0.9)
         with pytest.raises(PlannerTimeoutError) as exc_info:
@@ -203,23 +329,30 @@ class TestWarmStart:
         return [fit_reduced_mdp(mdp, Mask(m), exo, full) for m in masks]
 
     def test_lifted_start_reaches_the_cold_policy_by_the_span_test(self, crowd_chain):
-        """Warm and cold starts each stop at the first sweep whose update has
-        a span below ``2 eps``, with the same greedy policy. (The warm start
-        no longer saves sweeps here: 58 and 61 against 62 and 60 cold.)"""
+        """Warm and cold starts each stop at the first sweep of the
+        accelerated loop whose update has a span below ``2 eps``, with the
+        same greedy policy. Cold then warm, (0,2,4), under
+        ``ANDERSON_MIN_STATES`` states, takes 62 and 58 plain sweeps, and
+        (0,2,3,4) 25 and 23 accelerated ones (60 and 61 in plain sweeps)."""
         eps = 1e-4
         start = value_iteration(crowd_chain[0], eps).values
+        sweeps = []
         for model in crowd_chain[1:]:
             cold = value_iteration(model, eps)
             initial = start.lift(model.space)
             warm = value_iteration(model, eps, initial=initial)
             for plan, v in [(cold, None), (warm, initial)]:
-                stop, _ = first_sweep(model, lambda d: d.max() - d.min() < 2 * eps, v)
+                stop, _ = first_sweep(
+                    model, lambda d: d.max() - d.min() < 2 * eps, v, accelerated_updates
+                )
                 assert plan.converged and len(plan.residuals) == stop
+                sweeps.append(stop)
             assert np.array_equal(warm.policy.actions, cold.policy.actions)
             # both stop within gamma eps / (1 - gamma) of the fixed point
             gap = np.abs(warm.values.values - cold.values.values).max()
             assert gap <= 2 * model.discount * eps / (1 - model.discount)
             start = warm.values
+        assert sweeps == [62, 58, 25, 23]
 
     @pytest.mark.parametrize("sub", [(), (1,), (0, 2), (2, 0, 1)])
     def test_lift_reads_each_state_at_its_projection(self, sub):
