@@ -37,7 +37,7 @@ def main() -> None:
         masks = []
         for trial in range(args.trials):
             mask, _ = mask_correlational(
-                mdp, args.mi_threshold, 0.0, 250, 5, args.lam, params, seed=trial
+                mdp, args.mi_threshold, 0.0, args.lam, params, seed=trial
             )
             masks.append(mask.included)
         modal = tuple(modal_mask(masks))

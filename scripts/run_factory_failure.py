@@ -30,7 +30,7 @@ def main() -> None:
         ),
     )
     greedy_mask, trace = mask_greedy(mdp, args.lam, params, args.seed)
-    phase1_mask = estimate_reward_variables(mdp, 0.0, 250, 5, seed=args.seed)
+    phase1_mask = estimate_reward_variables(mdp, 0.0)
     print(f"greedy mask:         {greedy_mask.included} "
           f"(stopped: {trace.terminal_reason})")
     print(f"variance-screen mask: {phase1_mask.included}")

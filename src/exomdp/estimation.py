@@ -523,42 +523,28 @@ def transition_mutual_information(
     return max(0.0, mi)
 
 
-def estimate_reward_variables(
-    mdp: GenerativeMdp,
-    variance_threshold: float,
-    n_contexts: int,
-    n_settings: int,
-    seed: int = 0,
-) -> Mask:
+def estimate_reward_variables(mdp: GenerativeMdp, variance_threshold: float) -> Mask:
     """Screen for variables that directly influence the reward.
 
-    For each variable, draws ``n_contexts`` random ``(endo, action)``
-    contexts, and within each context ``n_settings`` random values of the
-    variable; the variable is kept when the mean reward variance across
-    settings strictly exceeds ``variance_threshold``. Because the reward
-    decomposes per variable, only that variable's component needs to be
-    evaluated; the rest of the state cancels out of the variance. The
-    rewards are read from the MDP's reward tables (``checked_reward_tables``).
+    Variable ``i`` is kept when the variance of its reward table over its
+    values (ddof 0), averaged over every ``(endo, action)``, strictly
+    exceeds ``variance_threshold``. Because the reward decomposes per
+    variable, only that variable's component is read; the rest of the
+    state cancels out of the variance. The tables are the MDP's own
+    (``checked_reward_tables``), so the screen is exact and draws nothing.
+
+    Each row is shifted by its first entry before its variance is taken:
+    the variance is unchanged, but a constant row's becomes exactly 0
+    (``np.var([0.1] * 3)`` is 1.9e-34).
+
+    At a threshold of 0 a variable is kept when its table varies in its
+    value at some ``(endo, action)``. Earlier releases sampled this screen,
+    and their mean read this variance times ``(k - 1) / k`` for ``k``
+    sampled values; only a threshold above 0, which no shipped config sets,
+    can keep other variables than they did.
     """
-    if n_settings < 2:
-        raise ValueError("n_settings must be >= 2 for a variance to exist")
-    if n_contexts < 1:
-        raise ValueError("n_contexts must be >= 1")
-    n, a = mdp.endo_cardinality, mdp.action_count
-    selected = []
-    for i, card in enumerate(mdp.exo_cardinalities):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        # one context at a time: batched bounded draws read the stream differently
-        endo, action, values = zip(*(
-            (rng.integers(n), rng.integers(a), rng.integers(card, size=n_settings))
-            for _ in range(n_contexts)
-        ))
-        rewards = checked_reward_tables(mdp)[i][
-            np.array(endo)[:, None], np.array(values), np.array(action)[:, None]
-        ]
-        total = 0.0
-        for variance in np.var(rewards, axis=1).tolist():  # in context order
-            total += variance
-        if total / n_contexts > variance_threshold:
-            selected.append(i)
-    return Mask.of(selected)
+    return Mask.of(
+        i
+        for i, t in enumerate(checked_reward_tables(mdp))
+        if (t - t[:, :1]).var(axis=1).mean() > variance_threshold
+    )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import numbers
 import time
 from collections import Counter
@@ -26,7 +27,6 @@ from .core import ExomdpError, Mask
 from .domains import PRESETS, build_preset, list_presets
 from .estimation import estimate_reward_variables
 from .search import (
-    _STREAM_PHASE1,
     TERMINAL_EXHAUSTED,
     FitBudget,
     MaskScore,
@@ -47,6 +47,12 @@ ALGORITHMS = (
     "fixed-mask",
 )
 
+# keys of the sampled reward screen, which the exact screen retired: a
+# config that sets them still loads, with a warning, and they are dropped
+_RETIRED_KEYS = ("n_contexts", "n_settings")
+
+logger = logging.getLogger(__name__)
+
 
 @dataclass
 class ExperimentConfig:
@@ -60,8 +66,6 @@ class ExperimentConfig:
     n_rollouts: int = 500
     mi_threshold: float = 1e-5
     variance_threshold: float = 0.0
-    n_contexts: int = 250
-    n_settings: int = 5
     vi_epsilon: float = 1e-4
     vi_timeout: float = 60.0
     mc_horizon: int | None = None
@@ -89,7 +93,7 @@ class ExperimentConfig:
         reals["fit.smoothing"] = self.fit.smoothing
         counts = {
             name: getattr(self, name)
-            for name in ("n_rollouts", "n_contexts", "n_settings", "n_trials", "workers")
+            for name in ("n_rollouts", "n_trials", "workers")
         }
         for name in ("n_exo_rollouts", "exo_horizon", "n_full_rollouts", "full_horizon"):
             counts[f"fit.{name}"] = getattr(self.fit, name)
@@ -178,6 +182,12 @@ class ExperimentConfig:
         """Validated config of ``data``; ``preset``, another config's preset
         record, spares a rebuild when domain and overrides match."""
         data = dict(data)
+        retired = {key: data.pop(key) for key in _RETIRED_KEYS if key in data}
+        if retired:
+            logger.warning(
+                "ignoring retired config keys %s: the reward screen reads the "
+                "reward tables exactly and takes no sampling budget", retired
+            )
         fit = data.pop("fit", {})
         fixed = data.pop("fixed_mask", None)
         known = {f.name for f in dataclasses.fields(cls)}
@@ -353,23 +363,11 @@ def run_trial(config: ExperimentConfig, trial: int) -> tuple[TrialRow, str]:
             mask, trace = mask_greedy(mdp, config.lam, params, seed)
         elif algorithm == "correlational":
             mask, trace = mask_correlational(
-                mdp,
-                config.mi_threshold,
-                config.variance_threshold,
-                config.n_contexts,
-                config.n_settings,
-                config.lam,
-                params,
-                seed,
+                mdp, config.mi_threshold, config.variance_threshold, config.lam,
+                params, seed,
             )
         elif algorithm == "first-phase-only":
-            mask = estimate_reward_variables(
-                mdp,
-                config.variance_threshold,
-                config.n_contexts,
-                config.n_settings,
-                seed=derive_seed(seed, _STREAM_PHASE1),
-            )
+            mask = estimate_reward_variables(mdp, config.variance_threshold)
             trace = SearchTrace(terminal_reason=TERMINAL_EXHAUSTED)
         else:  # fixed-mask
             mask = Mask(tuple(config.fixed_mask or ()))

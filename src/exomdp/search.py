@@ -4,8 +4,9 @@ A mask is scored by its regularized objective: the mean true-environment
 return of the policy planned in the mask's reduced model, minus a cost
 penalty on the mask. Three searches are provided: exhaustive brute force,
 random-order greedy forward selection, and a two-phase correlational
-search that seeds the mask with reward-relevant variables and then grows
-it along transition mutual information.
+search that seeds the mask with the variables its reward tables vary in
+(an exact screen that draws nothing) and then grows it along transition
+mutual information.
 
 All masks within one search are scored under a common random-number
 schedule (identical rollout seeds), so score comparisons are not dominated
@@ -200,8 +201,7 @@ class SearchTrace:
 _STREAM_EXO = 0
 _STREAM_FULL = 1
 _STREAM_MC = 2
-_STREAM_PHASE1 = 3
-_STREAM_ORDER = 4
+_STREAM_ORDER = 4  # id 3 stays unused, so greedy's order keeps its stream
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -481,31 +481,25 @@ def mask_correlational(
     mdp: GenerativeMdp,
     mi_threshold: float,
     variance_threshold: float,
-    n_contexts: int,
-    n_settings: int,
     lam: float,
     params: SearchParams | None = None,
     seed: int = 0,
 ) -> tuple[Mask, SearchTrace]:
     """Two-phase mask search guided by the structure of the MDP.
 
-    Phase 1 screens for variables whose reward component varies (see
-    ``estimate_reward_variables``). Phase 2 repeatedly measures, for every
-    variable outside the mask, the mutual information between its
-    transition pair and the masked transition pair, and adds the highest
-    scorer; it stops when the best mutual information falls below
-    ``mi_threshold`` or when an addition fails to increase the objective
-    (that addition is rolled back).
+    Phase 1 keeps the variables whose reward table varies in their value,
+    read exactly from the tables (``estimate_reward_variables``; a
+    ``variance_threshold`` above 0, which no shipped config sets, reads
+    differently from the sampled screen of earlier releases). Phase 2
+    repeatedly measures, for every variable outside the mask, the mutual
+    information between its transition pair and the masked transition
+    pair, and adds the highest scorer; it stops when the best mutual
+    information falls below ``mi_threshold`` or when an addition fails to
+    increase the objective (that addition is rolled back).
     """
     params = params or SearchParams()
     datasets = collect_search_datasets(mdp, params, seed)
-    start = estimate_reward_variables(
-        mdp,
-        variance_threshold,
-        n_contexts,
-        n_settings,
-        seed=derive_seed(seed, _STREAM_PHASE1),
-    )
+    start = estimate_reward_variables(mdp, variance_threshold)
 
     def propose(mask):
         remaining = [j for j in range(mdp.m) if j not in mask]

@@ -467,19 +467,20 @@ def reward_case(name):
     )
 
 
-def reward_screen_oracle(mdp, rule, n_contexts, n_settings, seed):
-    """Each variable's mean reward variance over the reward screen's
-    contexts, from one scalar ``rule`` call (``reward_case``) per setting
-    and one ``np.var`` per context, added in context order."""
+def reward_screen_oracle(mdp, rule):
+    """Each variable's reward variance over its values (ddof 0), averaged
+    over every ``(endo, action)``: one scalar ``rule`` call (``reward_case``)
+    per ``(endo, value, action)``, each row shifted by its first reward and
+    its mean and variance added in value order, then numpy's mean of the
+    ``(endo, action)`` grid of variances."""
     means = []
     for i, spec in enumerate(mdp.variable_specs):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        total = 0.0
-        for _ in range(n_contexts):
-            endo = int(rng.integers(mdp.endo_cardinality))
-            action = int(rng.integers(mdp.action_count))
-            values = rng.integers(0, spec.cardinality, size=n_settings)
-            rewards = [rule(i, endo, int(v), action) for v in values]
-            total += float(np.var(rewards))
-        means.append(total / n_contexts)
+        variances = np.empty((mdp.endo_cardinality, mdp.action_count))
+        for endo, action in np.ndindex(variances.shape):
+            rewards = [rule(i, endo, v, action) for v in range(spec.cardinality)]
+            shifted = [r - rewards[0] for r in rewards]
+            mean = sum(shifted) / len(shifted)
+            squares = [(r - mean) * (r - mean) for r in shifted]
+            variances[endo, action] = sum(squares) / len(squares)
+        means.append(float(variances.mean()))
     return means

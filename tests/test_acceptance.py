@@ -98,9 +98,7 @@ def test_criterion_5_gridworld_optimality_gap():
     scores = {}
     for lam in lams:
         _, bf_trace = mask_brute_force(mdp, lam, params, seed)
-        c_mask, c_trace = mask_correlational(
-            mdp, 0.01, 0.0, 250, 5, lam, params, seed
-        )
+        c_mask, c_trace = mask_correlational(mdp, 0.01, 0.0, lam, params, seed)
         scores[lam] = (bf_trace.best_score(), c_trace.best_score())
     elapsed = time.perf_counter() - t0
 
@@ -136,7 +134,7 @@ def test_criterion_6_factory_greedy_failure():
     )
     seed = 5
     greedy_mask, greedy_trace = mask_greedy(mdp, lam, params, seed)
-    phase1_mask = estimate_reward_variables(mdp, 0.0, 250, 5, seed=seed)
+    phase1_mask = estimate_reward_variables(mdp, 0.0)
     assert set(phase1_mask.included) == {0, 1, 2}
 
     datasets = collect_search_datasets(mdp, params, seed)
@@ -183,9 +181,7 @@ def test_criterion_7_crowd_goal_dependent_masks():
         agent_vars = set(mdp.agent_variable_ids())
         masks = []
         for trial in range(n_trials):
-            mask, _ = mask_correlational(
-                mdp, 0.02, 0.0, 250, 5, 0.05, params, seed=trial
-            )
+            mask, _ = mask_correlational(mdp, 0.02, 0.0, 0.05, params, seed=trial)
             masks.append(mask.included)
         modal = tuple(modal_mask(masks))
         outcomes[label] = (modal, Counter(masks), agent_vars)

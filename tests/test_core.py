@@ -979,7 +979,7 @@ class TestBatchSamplers:
         mdp = self.Ticker()
         rollouts(mdp, random_policy(mdp, Mask(()), 0), 4, 3, seed=0)
         monte_carlo_value(mdp, random_policy(mdp, Mask((0,)), 1), 4, 3, seed=1)
-        estimate_reward_variables(mdp, 0.0, 10, 3, seed=0)
+        estimate_reward_variables(mdp, 0.0)
         exo = collect_exo_rollouts(mdp, 4, 3)
         fit_reduced_mdp(mdp, Mask((0,)), exo, collect_full_rollouts(mdp, None, 4, 3))
         assert mdp.tables_read == [0]
@@ -996,7 +996,7 @@ class TestBatchSamplers:
             "returns": lambda: monte_carlo_value(
                 mdp, random_policy(fits, Mask(()), 0), 2, 2
             ),
-            "screen": lambda: estimate_reward_variables(mdp, 0.0, 5, 2, seed=0),
+            "screen": lambda: estimate_reward_variables(mdp, 0.0),
             "fit": lambda: fit_reduced_mdp(
                 mdp, Mask(()), collect_exo_rollouts(fits, 2, 2),
                 collect_full_rollouts(fits, None, 2, 2),

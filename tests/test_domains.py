@@ -185,12 +185,12 @@ class TestFactory:
         state = initial_state(mdp, rng.random((1, mdp.draws_per_step)))
         assert state_reward(mdp, state, 0) == 0.0
         assert state_reward(mdp, state, 1) == 0.0
-        mask = estimate_reward_variables(mdp, 0.0, 100, 5, seed=0)
+        mask = estimate_reward_variables(mdp, 0.0)
         assert mask.included == ()
 
     def test_phase_one_captures_all_task_variables(self):
         mdp = build_factory()
-        mask = estimate_reward_variables(mdp, 0.0, 250, 5, seed=2)
+        mask = estimate_reward_variables(mdp, 0.0)
         assert set(mask.included) == {0, 1, 2}
 
     def test_greedy_misses_jointly_required_variables(self):
@@ -218,7 +218,7 @@ class TestCrowd:
         spec = CrowdSpec(n_agents=0)
         mdp = build_crowd(spec)
         datasets = collect_search_datasets(mdp, QUICK, seed=0)
-        p1 = estimate_reward_variables(mdp, 0.0, 250, 5, seed=0)
+        p1 = estimate_reward_variables(mdp, 0.0)
         full = estimate_objective(mdp, Mask.full(mdp.m), 0.0, QUICK, 0, datasets)
         phase1 = estimate_objective(mdp, p1, 0.0, QUICK, 0, datasets)
         # objects never move without agents: no information is missing
@@ -226,14 +226,14 @@ class TestCrowd:
 
     def test_goal_object_variable_and_hazard_screened(self):
         mdp = build_crowd()
-        mask = estimate_reward_variables(mdp, 0.0, 250, 5, seed=1)
+        mask = estimate_reward_variables(mdp, 0.0)
         assert mask.included == (0, 4)
 
     def test_agent_coupling_detected_only_for_manipulable_goal(self):
         manip = build_crowd()
         static = build_crowd(CrowdSpec(goal_object=1))
         for mdp, expect_coupled in ((manip, True), (static, False)):
-            p1 = estimate_reward_variables(mdp, 0.0, 250, 5, seed=0)
+            p1 = estimate_reward_variables(mdp, 0.0)
             data = collect_exo_rollouts(mdp, 1500, 60, seed=0)
             agent_mi = max(
                 transition_mutual_information(data, p1, j)

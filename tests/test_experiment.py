@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,8 +64,6 @@ class TestConfig:
         assert cfg.n_rollouts == 500
         assert cfg.mi_threshold == 1e-5
         assert cfg.variance_threshold == 0.0
-        assert cfg.n_contexts == 250
-        assert cfg.n_settings == 5
         assert cfg.vi_timeout == 60.0
         assert cfg.n_trials == 50
 
@@ -80,6 +80,37 @@ class TestConfig:
             tiny_config(domain="warehouse-xl")
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"bogus_key": 1})
+
+    def test_retired_screen_keys_load_with_one_warning(self, caplog):
+        # the exact reward screen takes no sampling budget
+        cfg = apply_overrides(tiny_config(), ["n_contexts=20", "n_settings=3"])
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        assert "n_contexts" in record.getMessage()
+        assert "n_settings" in record.getMessage()
+        assert cfg == tiny_config()
+        assert cfg.config_hash() == tiny_config().config_hash()
+        assert not {"n_contexts", "n_settings"} & set(cfg.to_dict())
+        with pytest.raises(ValueError, match="bogus_key"):
+            apply_overrides(tiny_config(), ["n_contexts=20", "bogus_key=1"])
+
+    def test_retired_key_warning_goes_to_stderr_only(self):
+        code = (
+            "from exomdp.experiment import ExperimentConfig\n"
+            "ExperimentConfig.from_dict({'n_contexts': 20})\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert "n_contexts" in line
 
     @pytest.mark.parametrize("name", ["lam", "mi_threshold", "variance_threshold"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -369,7 +400,6 @@ class TestRunExperiment:
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TINY_TRIAL = (
     "n_rollouts=20",
-    "n_contexts=20",
     "fit.n_exo_rollouts=100",
     "fit.exo_horizon=10",
     "fit.n_full_rollouts=100",
@@ -521,14 +551,10 @@ class TestScoreOnce:
 
     @pytest.mark.parametrize("config", ["gridworld_small", "factory_desk", "crowd_desk"])
     def test_first_phase_mask_is_the_correlational_start(self, config):
-        """first-phase-only screens on the correlational search's phase-1
-        stream: its mask, and its score, are entry 0 of the correlational
-        trace of the same trial. At 3 contexts of 3 settings the screen's
-        mask depends on its stream: on one preset or another, each other
-        stream id gives another mask."""
+        """first-phase-only's mask, and its score, are entry 0 of the
+        correlational trace of the same trial."""
         def trial(algorithm):
-            screen = ("n_contexts=3", "n_settings=3")
-            return run_trial(_preset_trial_config(config, algorithm, *screen), 0)
+            return run_trial(_preset_trial_config(config, algorithm), 0)
 
         row, trace_text = trial("first-phase-only")
         assert row.error is None
@@ -590,7 +616,7 @@ class TestReports:
         from exomdp.search import mask_correlational
 
         mdp = chase_mdp(m_extra=1, driver=True)
-        _, trace = mask_correlational(mdp, 0.01, 0.0, 150, 5, 5.0, QUICK, seed=0)
+        _, trace = mask_correlational(mdp, 0.01, 0.0, 5.0, QUICK, seed=0)
         assert trace.terminal_reason == "objective-decreased"
         rows = curve_rows(trace)
         assert [r["mask_size"] for r in rows] == [1, 2]

@@ -495,8 +495,8 @@ class TestCorrelational:
     def test_independent_chains_stop_on_mi_threshold(self):
         mdp = chase_mdp(m_extra=2, driver=False)
         mask, trace = mask_correlational(
-            mdp, mi_threshold=0.01, variance_threshold=0.0,
-            n_contexts=150, n_settings=5, lam=0.05, params=QUICK, seed=0,
+            mdp, mi_threshold=0.01, variance_threshold=0.0, lam=0.05, params=QUICK,
+            seed=0,
         )
         assert mask.included == (0,)
         assert trace.terminal_reason == "mi-below-threshold"
@@ -504,8 +504,8 @@ class TestCorrelational:
     def test_dynamics_driver_added(self):
         mdp = chase_mdp(m_extra=1, driver=True)
         mask, trace = mask_correlational(
-            mdp, mi_threshold=0.01, variance_threshold=0.0,
-            n_contexts=150, n_settings=5, lam=0.05, params=QUICK, seed=0,
+            mdp, mi_threshold=0.01, variance_threshold=0.0, lam=0.05, params=QUICK,
+            seed=0,
         )
         assert mask.included == (0, 1)
         # the driver's mutual information dominated the distractor's
@@ -514,17 +514,15 @@ class TestCorrelational:
 
     def test_infinite_threshold_returns_phase_one_mask(self, gridworld):
         mask, trace = mask_correlational(
-            gridworld, mi_threshold=float("inf"), variance_threshold=0.0,
-            n_contexts=250, n_settings=5, lam=0.1, params=QUICK, seed=0,
+            gridworld, mi_threshold=float("inf"), variance_threshold=0.0, lam=0.1,
+            params=QUICK, seed=0,
         )
         assert mask.included == (0, 2)
         assert trace.terminal_reason == "mi-below-threshold"
 
     def test_accepted_iterations_grow_mask(self):
         mdp = chase_mdp(m_extra=2, driver=True)
-        mask, trace = mask_correlational(
-            mdp, 0.01, 0.0, 150, 5, 0.05, QUICK, seed=1
-        )
+        mask, trace = mask_correlational(mdp, 0.01, 0.0, 0.05, QUICK, seed=1)
         sizes = [len(e.mask) for e in trace.entries if e.accepted]
         assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
         for entry in trace.entries:
@@ -541,9 +539,7 @@ class TestDominance:
         seed = 13
         bf_mask, bf_trace = mask_brute_force(gridworld, 0.3, QUICK, seed)
         g_mask, g_trace = mask_greedy(gridworld, 0.3, QUICK, seed)
-        c_mask, c_trace = mask_correlational(
-            gridworld, 0.01, 0.0, 250, 5, 0.3, QUICK, seed
-        )
+        c_mask, c_trace = mask_correlational(gridworld, 0.01, 0.0, 0.3, QUICK, seed)
         best_bf = bf_trace.best_score().objective
         assert best_bf >= g_trace.best_score().objective
         assert best_bf >= c_trace.best_score().objective
@@ -643,12 +639,12 @@ PINNED_TRACES = {
     ),
     "gridworld-correlational": (
         build_gridworld,
-        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 100, 5, 0.0, QUICK, 3),
+        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 0.0, QUICK, 3),
         "6dcef864e3c5d8c07d3e17ca3694bfbcf316fd88730414e89194967432da5d85",
     ),
     "gridworld-correlational-mi-stop": (
         build_gridworld,
-        lambda mdp: mask_correlational(mdp, 0.01, 0.0, 100, 5, 0.0, QUICK, 3),
+        lambda mdp: mask_correlational(mdp, 0.01, 0.0, 0.0, QUICK, 3),
         "55da86cfe1efc66544bc72c82ce7b28701c15547918b40386917a5582a088d29",
     ),
     "crowd-brute": (
@@ -663,7 +659,7 @@ PINNED_TRACES = {
     ),
     "crowd-correlational": (
         build_crowd,
-        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 100, 5, 0.0, TINY, 3),
+        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 0.0, TINY, 3),
         "3178f2ff2a5bfe774c4e33155c04173b8da60589d3f5bf4b21dc64ed532f108b",
     ),
     # zero rewards at no mask cost: every objective ties, and a tie is rejected
@@ -674,7 +670,7 @@ PINNED_TRACES = {
     ),
     "chain-correlational-tie": (
         lambda: build_chain_mdp((2, 2), (0.3, 0.3)),
-        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 100, 5, 0.0, QUICK, 0),
+        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 0.0, QUICK, 0),
         "f3df6d3d825eab10f6b23f7bab96e41da0bf3b68789abd04c82c277e2cb3a7bf",
     ),
     "chase-greedy-exhausted": (
@@ -684,7 +680,7 @@ PINNED_TRACES = {
     ),
     "chase-correlational-exhausted": (
         _chase(True),
-        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 150, 5, 0.0, QUICK, 0),
+        lambda mdp: mask_correlational(mdp, 0.0, 0.0, 0.0, QUICK, 0),
         "310742da027f62c72d4dd56e486cc97723cca42b021c9dc8f0016ba15830f47d",
     ),
 }
@@ -698,9 +694,7 @@ class TestSearchTrace:
         assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == digest
 
     def test_jsonl_round_trip(self, gridworld):
-        _, trace = mask_correlational(
-            gridworld, 0.01, 0.0, 100, 5, 0.2, QUICK, seed=2
-        )
+        _, trace = mask_correlational(gridworld, 0.01, 0.0, 0.2, QUICK, seed=2)
         text = trace.to_jsonl()
         loaded = SearchTrace.from_jsonl(text)
         assert loaded.terminal_reason == trace.terminal_reason
@@ -718,9 +712,7 @@ class TestPhaseOneSoundness:
         from exomdp.estimation import estimate_reward_variables
 
         mdp = build_factory()
-        for seed in range(5):
-            mask = estimate_reward_variables(mdp, 0.0, 250, 5, seed=seed)
-            assert set(mask.included) == {0, 1, 2}
+        assert set(estimate_reward_variables(mdp, 0.0).included) == {0, 1, 2}
 
 
 class TestWarmStartedSearch:
@@ -738,7 +730,7 @@ class TestWarmStartedSearch:
         def run():
             if algorithm == "greedy":
                 return mask_greedy(mdp, 0.05, self.CROWD, seed=2)
-            return mask_correlational(mdp, 0.02, 0.0, 250, 5, 0.05, self.CROWD, seed=2)
+            return mask_correlational(mdp, 0.02, 0.0, 0.05, self.CROWD, seed=2)
 
         starts = []
 
