@@ -1002,6 +1002,48 @@ class TestEstimateRewardVariables:
         )
         assert estimate_reward_variables(mdp, 0.0).included == ()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(2, 5), st.integers(1, 3)),
+        data=st.data(),
+    )
+    @example(shape=(1, 3, 1), data=None)
+    def test_rows_constant_in_the_value_are_screened_out(self, shape, data):
+        """Whatever each ``(endo, action)`` pays, a component constant in its
+        variable's value is dropped at threshold 0, and the same offsets
+        plus a ramp in the value are kept."""
+        from exomdp.core import TabularFullMdp, VariableSpec
+
+        n_endo, card, n_actions = shape
+        if data is None:  # np.var of this row is 1.9e-34
+            offsets = np.full((n_endo, n_actions), 0.1)
+        else:
+            offsets = data.draw(st.lists(
+                st.floats(-1e3, 1e3), min_size=n_endo * n_actions,
+                max_size=n_endo * n_actions,
+            ).map(lambda xs: np.reshape(xs, (n_endo, n_actions))))
+        constant = np.repeat(offsets[:, None, :], card, axis=1)
+        ramp = constant + np.arange(card)[None, :, None]
+        x = card * card
+        mdp = TabularFullMdp(
+            endo_kernel=np.full((n_endo, n_actions, x, n_endo), 1.0 / n_endo),
+            exo_kernel=np.full((x, x), 1.0 / x),
+            reward_tables=[constant, ramp],
+            init_endo=np.full(n_endo, 1.0 / n_endo),
+            init_exo=np.full(x, 1.0 / x),
+            discount=0.9,
+            variable_specs=(VariableSpec(0, card), VariableSpec(1, card)),
+        )
+        assert estimate_reward_variables(mdp, 0.0).included == (1,)
+
+    def test_constant_component_reads_exactly_zero(self):
+        # kept just below 0 and dropped at 0: each variance is exactly 0
+        mdp = constant_reward_mdp([0.1, -1.0, 1e6])
+        assert estimate_reward_variables(mdp, np.nextafter(0.0, -1.0)).included == (
+            0, 1, 2
+        )
+        assert estimate_reward_variables(mdp, 0.0).included == ()
+
     def test_infinite_threshold_gives_empty_mask(self):
         mdp = build_gridworld()
         mask = estimate_reward_variables(mdp, float("inf"))

@@ -94,6 +94,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="bogus_key"):
             apply_overrides(tiny_config(), ["n_contexts=20", "bogus_key=1"])
 
+    @pytest.mark.parametrize("config", ["gridworld_small", "factory_desk", "crowd_desk"])
+    def test_shipped_config_loads_without_a_warning(self, config, caplog):
+        # the shipped configs carry no retired key, so they load silently
+        path = CONFIGS / f"{config}.yaml"
+        assert not {"n_contexts", "n_settings"} & set(yaml.safe_load(path.read_text()))
+        load_config(path)
+        assert caplog.records == []
+
     def test_retired_key_warning_goes_to_stderr_only(self):
         code = (
             "from exomdp.experiment import ExperimentConfig\n"
